@@ -29,14 +29,15 @@ import json
 import os
 import sys
 
+from . import hecke
 from .congr import build_eigen_system, maass_ideal_report
 from .elliptic import NewformData, parse_newform
-from .hecke import HeckeOpId, act_split_on_lift, inert_action
-from .hermitian import HermPoint, enumerate_points
-from .maass import CoeffTable, MaassTuple, build_lift, check_maass, descend
+from .hecke import HeckeOpId, act_split_on_lift
+from .hermitian import HermPoint
+from .maass import CoeffTable, MaassTuple, build_lift, check_maass, descend, unconstrained_dets
 from .lfun import bc_factor, std_factor_lift, verify_product134
 from .quadfield import ClassChar, FieldParams, QuadInt, char_values, chi_K, class_group
-from .ring import VAL_CAP, HeckeRing, primes_above
+from .ring import VAL_CAP, HeckeRing, _is_prime, primes_above
 
 NORMALIZATION_NOTE = "unit i/sqrt(-D_K) dropped"
 
@@ -76,7 +77,11 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
     ring = None
     chiorder, chi_exps, zetaexp = 1, (0,), 0
     values = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise CommandError(f"{path}: {exc}") from exc
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -103,26 +108,25 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
                 elif key == "normalization":
                     pass
                 elif key == "point":
+                    if D is None or ring is None:
+                        raise ValueError("point before the field and ring lines")
                     t1, t3, wa, wb = (int(x) for x in parts[1:5])
                     slash = parts.index("/")
                     num = [int(c) for c in parts[5:slash]]
-                    den = int(parts[slash + 1])
+                    if len(num) != ring.degree:
+                        raise ValueError(f"{len(num)} numerator coordinates for a ring of degree {ring.degree}")
                     h = HermPoint(t1, t3, QuadInt(wa, wb, D))
-                    values[h] = (num, den)
+                    if h in values:
+                        raise ValueError(f"duplicate point {h.coords()}")
+                    values[h] = ring.element(num, int(parts[slash + 1]))
                 else:
                     raise ValueError(f"unknown key {key!r}")
-            except (IndexError, ValueError) as exc:
+            except (IndexError, ValueError, ZeroDivisionError) as exc:
                 raise CommandError(f"{path}:{lineno}: malformed table line ({exc})") from exc
     if None in (D, k, bound_det, bound_diag) or ring is None:
         raise CommandError(f"{path}: missing table header fields")
     params = FieldParams(D, k)
-    table = CoeffTable(
-        params,
-        ring,
-        bound_det,
-        bound_diag,
-        {h: ring.element(num, den) for h, (num, den) in values.items()},
-    )
+    table = CoeffTable(params, ring, bound_det, bound_diag, values)
     return table, ClassChar(chiorder, chi_exps), zetaexp
 
 
@@ -225,25 +229,16 @@ def cmd_hecke(args, out: Out) -> int:
     table, chi, zetaexp = read_table(args.table)
     ops = [HeckeOpId.parse(name, table.D) for name in args.op]
     t = table_as_tuple(table, chi, zetaexp)
-    reach = 1
     for op in ops:
         if op.kind in ("SplitT1", "SplitT2"):
             t = act_split_on_lift(t, op)
-        elif op.kind in ("InertT0", "InertT", "InertUp"):
-            # act through the oracle, materialise on the shrunken range,
-            # then re-extract the generating function
-            step = {"InertT0": 2, "InertT": 2, "InertUp": 4}[op.kind]
-            new_max = t.alpha_max // op.p ** step
-            src = inert_action(t, op.kind, op.p)
-            values = {}
-            for h in enumerate_points(t.D, new_max, table.bound_diag):
-                v = src.getter(h.t1, h.t3, h.w.a, h.w.b)
-                if not v.is_zero():
-                    values[h] = v
-            acted = CoeffTable(t.params, t.ring, new_max, table.bound_diag, values)
-            t = table_as_tuple(acted, chi, t.zeta_exp)
         else:
-            raise CommandError(f"operator {op} is not supported on tables")
+            # act on the lift, materialise on the shrunken range, then
+            # re-extract the generating function; looked up by name at run
+            # time, so a wrapper installed on the hecke module is honoured
+            act = getattr(hecke, op.kind.replace("Inert", "act_inert_"))
+            acted = act(t, op.p, t.alpha_max // op.p ** op.reach, table.bound_diag)
+            t = table_as_tuple(acted, chi, t.zeta_exp)
     write_table(args.output, t, t.alpha_max, args.bound_diag or table.bound_diag)
     record = {"output": args.output, "ops": [str(o) for o in ops], "alpha_max": t.alpha_max, "zetaexp": t.zeta_exp}
     out.emit(record, f"wrote {args.output} after {' '.join(str(o) for o in ops)} (alpha valid to {t.alpha_max})")
@@ -251,8 +246,6 @@ def cmd_hecke(args, out: Out) -> int:
 
 
 def cmd_check_maass(args, out: Out) -> int:
-    from .maass import unconstrained_dets
-
     table, _, _ = read_table(args.table)
     ok, res = check_maass(table)
     if ok:
@@ -274,7 +267,6 @@ def cmd_descend(args, out: Out) -> int:
     t = table_as_tuple(table, chi, zetaexp)
     n_max = min(args.n_max or t.alpha_max, t.alpha_max)
     comps = descend(t, n_max)
-    code = 0
     for b, (exp, q) in sorted(comps.items()):
         coeffs = {n: str(q.a(n)) for n in range(1, n_max + 1) if not q.a(n).is_zero()}
         record = {"component": b, "zeta_exp": exp, "coeffs": coeffs}
@@ -282,7 +274,7 @@ def cmd_descend(args, out: Out) -> int:
             f"a({n})={v}" for n, v in list(coeffs.items())[:8]
         )
         out.emit(record, text)
-    return code
+    return 0
 
 
 def cmd_euler(args, out: Out) -> int:
@@ -336,7 +328,6 @@ def cmd_congruence(args, out: Out) -> int:
             ops.append(HeckeOpId.make("InertT0", p, D, args.ell))
             ops.append(HeckeOpId.make("InertUp", p, D, args.ell))
     systems = [build_eigen_system(g, chi, ops, label=g.label or f"form{i}") for i, g in enumerate(forms)]
-    code = 0
     for prime in primes_above(ref.ring, args.ell):
         report = maass_ideal_report(systems[0], systems[1:], prime, cap=args.cap)
         record = report.to_dict()
@@ -348,13 +339,7 @@ def cmd_congruence(args, out: Out) -> int:
             cap_mark = ">=" if e["capped"] else "="
             text.append(f"  {e['label']}{mark}: depth {cap_mark} {e['depth']}")
         out.emit(record, "\n".join(text))
-    return code
-
-
-def _is_prime(n: int) -> bool:
-    from .ring import _is_prime as ip
-
-    return ip(n)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +363,6 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
         description="Exact Maass lifts on U(2,2): Hecke action, descent, L-factors, congruences.",
     )
     parser.add_argument("--json", action="store_true", help="line-record JSON output")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=defaults.get("seed", 0),
-        help="seed for any randomized subroutine (all current commands are deterministic)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classgroup", help="class group of Q(sqrt(-D))")
@@ -437,9 +416,6 @@ def main(argv: list[str] | None = None) -> int:
         defaults = _config_defaults()
         parser = build_parser(defaults)
         args = parser.parse_args(argv)
-        import random as _random
-
-        _random.seed(args.seed)
         out = Out(args.json)
         return args.func(args, out)
     except CommandError as exc:

@@ -46,12 +46,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .elliptic import NewformData, QExpansion, apply_Tp
 from .hermitian import HermPoint
-from .maass import CoeffTable, MaassTuple, _divisors
+from .maass import CoeffTable, Getter, MaassTuple, RangeError, _lift_getter, _tabulate
 from .quadfield import (
     ClassChar,
     FieldParams,
@@ -63,12 +62,15 @@ from .quadfield import (
 )
 from .ring import HeckeElem, HeckeRing
 
-
-class RangeError(ValueError):
-    """An operator needed a coefficient outside the input table's bounds."""
-
-
-OP_KINDS = ("SplitT1", "SplitT2", "InertT0", "InertT", "InertUp", "DeltaSplit")
+# kind -> (short name, p-power reach)
+_KINDS = {
+    "SplitT1": ("T1", 1),
+    "SplitT2": ("T2", 2),
+    "InertT0": ("T0", 2),
+    "InertT": ("T", 2),
+    "InertUp": ("Up", 4),
+}
+OP_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -83,30 +85,26 @@ class HeckeOpId:
         st = split_type(D, p)
         if st is SplitType.RAMIFIED:
             raise ValueError("no operators at the ramified prime")
-        wants_split = kind in ("SplitT1", "SplitT2", "DeltaSplit")
+        wants_split = kind in ("SplitT1", "SplitT2")
         if wants_split != (st is SplitType.SPLIT):
             raise ValueError(f"operator {kind} does not match the splitting of p = {p}")
         if ell is not None and p == ell:
             raise ValueError("operators at p = ell are excluded")
         return HeckeOpId(kind, p)
 
+    @property
+    def reach(self) -> int:
+        """The p-power e such that the image's alpha at n reads alpha up to n p^e."""
+        return _KINDS[self.kind][1]
+
     def __str__(self) -> str:
-        short = {
-            "SplitT1": "T1",
-            "SplitT2": "T2",
-            "InertT0": "T0",
-            "InertT": "T",
-            "InertUp": "Up",
-            "DeltaSplit": "Delta",
-        }[self.kind]
-        return f"{short}@{self.p}"
+        return f"{_KINDS[self.kind][0]}@{self.p}"
 
     @staticmethod
     def parse(text: str, D: int, ell: int | None = None) -> "HeckeOpId":
-        long = {"T1": "SplitT1", "T2": "SplitT2", "T0": "InertT0", "T": "InertT", "Up": "InertUp", "Delta": "DeltaSplit"}
         try:
             name, p_text = text.split("@")
-            kind = long[name]
+            kind = {short: kind for kind, (short, _) in _KINDS.items()}[name]
             p = int(p_text)
         except (KeyError, ValueError) as exc:
             raise ValueError(f"bad operator name {text!r} (use e.g. T0@3, T1@2)") from exc
@@ -115,8 +113,6 @@ class HeckeOpId:
 
 # ---------------------------------------------------------------------------
 # inert raw action
-
-Getter = Callable[[int, int, int, int], HeckeElem]
 
 
 def _inert_reps(D: int, p: int):
@@ -153,39 +149,6 @@ def _table_getter(table: CoeffTable) -> Getter:
     return get
 
 
-def _tuple_getter(t: MaassTuple) -> Getter:
-    D, k = t.D, t.k
-    alpha, alpha_max = t.alpha, t.alpha_max
-    zero = t.ring.zero()
-    q = (1 + D) // 4
-    powers: dict[int, int] = {}
-
-    def get(t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
-        det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
-        if det < 0:
-            return zero
-        if det > alpha_max:
-            raise RangeError(f"lift generating function valid to {alpha_max}, needed at {det}")
-        if t1 == 0 and t3 == 0 and wa == 0 and wb == 0:
-            return zero
-        eps = gcd(gcd(t1, t3), gcd(wa, wb))
-        acc = None
-        for d in _divisors(eps):
-            v = alpha.get(det // (d * d))
-            if v is None or v.is_zero():
-                continue
-            if d != 1:
-                c = powers.get(d)
-                if c is None:
-                    c = d ** (k - 1)
-                    powers[d] = c
-                v = v * c
-            acc = v if acc is None else acc + v
-        return acc if acc is not None else zero
-
-    return get
-
-
 @dataclass
 class LazyAction:
     """An inert operator applied lazily: coefficients computed (and memoized)
@@ -198,7 +161,7 @@ class LazyAction:
 
 def _as_getter(src) -> tuple[Getter, FieldParams, HeckeRing]:
     if isinstance(src, MaassTuple):
-        return _tuple_getter(src), src.params, src.ring
+        return _lift_getter(src.params, src.ring, src.alpha, src.alpha_max), src.params, src.ring
     if isinstance(src, CoeffTable):
         return _table_getter(src), src.params, src.ring
     if isinstance(src, LazyAction):
@@ -206,15 +169,7 @@ def _as_getter(src) -> tuple[Getter, FieldParams, HeckeRing]:
     raise TypeError("expected a MaassTuple, CoeffTable or LazyAction")
 
 
-def _val_p(n: int, p: int) -> int:
-    v = 0
-    while n and n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _inert_value_T0(get: Getter, h: HermPoint, p: int, k: int, reps, ring: HeckeRing):
+def _inert_value_T0(get: Getter, h: HermPoint, p: int, k: int, reps):
     D = h.D
     t1, t3, wa, wb = h.t1, h.t3, h.w.a, h.w.b
     det = h.det_scaled()
@@ -256,7 +211,7 @@ def _inert_value_T0(get: Getter, h: HermPoint, p: int, k: int, reps, ring: Hecke
     return out
 
 
-def _inert_value_T(get: Getter, h: HermPoint, p: int, k: int, reps, ring: HeckeRing):
+def _inert_value_T(get: Getter, h: HermPoint, p: int, k: int, reps):
     t1, t3, wa, wb = h.t1, h.t3, h.w.a, h.w.b
     acc = None
     pp = p * p
@@ -281,42 +236,30 @@ def _inert_value_T(get: Getter, h: HermPoint, p: int, k: int, reps, ring: HeckeR
     return out
 
 
-def _check_inert(p: int, D: int):
-    if split_type(D, p) is not SplitType.INERT:
-        raise ValueError(f"p = {p} is not inert for discriminant {D}")
-
-
 def _op_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
     """Memoized pointwise evaluator of an inert operator applied to src."""
-    get, params, ring = _as_getter(src)
-    _check_inert(p, params.D)
-    D, k = params.D, params.k
-    q = (1 + D) // 4
-    reps = _inert_reps(D, p)
-    if kind == "InertT0":
-        fn = _inert_value_T0
-    elif kind == "InertT":
+    if kind == "InertUp":
+        # U_p = T_p twice: T_p applied to the memoized T_p image
+        get, params, ring = _op_getter(src, "InertT", p)
         fn = _inert_value_T
-    elif kind == "InertUp":
-        inner, _, _ = _op_getter(src, "InertT", p)
-
-        def up(t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
-            det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
-            if det < 0:
-                return ring.zero()
-            h = HermPoint(t1, t3, QuadInt(wa, wb, D))
-            return _inert_value_T(inner, h, p, k, reps, ring)
-
-        return _memoize_getter(up), params, ring
+    elif kind in ("InertT0", "InertT"):
+        get, params, ring = _as_getter(src)
+        fn = _inert_value_T0 if kind == "InertT0" else _inert_value_T
     else:
         raise ValueError(f"raw inert evaluation supports InertT0, InertT and InertUp, not {kind}")
+    D, k = params.D, params.k
+    if split_type(D, p) is not SplitType.INERT:
+        raise ValueError(f"p = {p} is not inert for discriminant {D}")
+    q = (1 + D) // 4
+    reps = _inert_reps(D, p)
+    zero = ring.zero()
 
     def value(t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
         det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
         if det < 0:
-            return ring.zero()
+            return zero
         h = HermPoint(t1, t3, QuadInt(wa, wb, D))
-        return fn(get, h, p, k, reps, ring)
+        return fn(get, h, p, k, reps)
 
     return _memoize_getter(value), params, ring
 
@@ -347,31 +290,19 @@ def inert_action(src, kind: str, p: int) -> LazyAction:
     return LazyAction(get, params, ring)
 
 
-def _materialize(src, kind: str, p: int, bound_det: int, bound_diag: int) -> CoeffTable:
-    get, params, ring = _op_getter(src, kind, p)
-    from .hermitian import enumerate_points
-
-    values = {}
-    for h in enumerate_points(params.D, bound_det, bound_diag):
-        v = get(h.t1, h.t3, h.w.a, h.w.b)
-        if not v.is_zero():
-            values[h] = v
-    return CoeffTable(params, ring, bound_det, bound_diag, values)
-
-
 def act_inert_T0(src, p: int, bound_det: int, bound_diag: int) -> CoeffTable:
     """T_{p,0} on a coefficient table or lift, materialised to the given bounds."""
-    return _materialize(src, "InertT0", p, bound_det, bound_diag)
+    return _tabulate(*_op_getter(src, "InertT0", p), bound_det, bound_diag)
 
 
 def act_inert_T(src, p: int, bound_det: int, bound_diag: int) -> CoeffTable:
     """T_p (inert) on a coefficient table or lift, materialised to the given bounds."""
-    return _materialize(src, "InertT", p, bound_det, bound_diag)
+    return _tabulate(*_op_getter(src, "InertT", p), bound_det, bound_diag)
 
 
 def act_inert_Up(src, p: int, bound_det: int, bound_diag: int) -> CoeffTable:
     """U_p = T_p twice: the similitude center acts trivially at weight (k, -k/2)."""
-    return _materialize(src, "InertUp", p, bound_det, bound_diag)
+    return _tabulate(*_op_getter(src, "InertUp", p), bound_det, bound_diag)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +327,8 @@ def act_split_on_lift(t: MaassTuple, op: HeckeOpId) -> MaassTuple:
         return v if v is not None and not v.is_zero() else None
 
     new_alpha: dict[int, HeckeElem] = {}
+    new_max = t.alpha_max // p ** op.reach
     if op.kind == "SplitT1":
-        new_max = t.alpha_max // p
         c_hi = Fraction(p + 1) * Fraction(p ** 2, p ** (k // 2))
         c_lo = (p + 1) * p ** (k // 2)
         for n in range(1, new_max + 1):
@@ -414,7 +345,6 @@ def act_split_on_lift(t: MaassTuple, op: HeckeOpId) -> MaassTuple:
                 new_alpha[n] = acc
         shift = chi_e
     elif op.kind == "SplitT2":
-        new_max = t.alpha_max // (p * p)
         c_hi = Fraction(p ** 4, p ** k)
         c_mid = p ** 3 + p ** 2 + p
         for n in range(1, new_max + 1):
@@ -529,8 +459,6 @@ def descend_op(op: HeckeOpId, k: int) -> DescendedOp:
             (0, Fraction(p ** 2 * (p + 1) ** 4)),
         )
         return DescendedOp(op, k, poly, 0, unit_power=u)
-    if op.kind == "DeltaSplit":
-        return DescendedOp(op, k, ((0, Fraction(1)),), -2, Fraction(1))
     raise ValueError(f"no closed descent formula for {op.kind}")
 
 

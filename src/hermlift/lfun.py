@@ -13,18 +13,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .elliptic import NewformData
 from .quadfield import ClassChar, SplitType, chi_K, class_group, prime_class, split_type
-from .ring import HeckeElem, HeckeRing
+from .ring import HeckeElem, HeckeRing, _poly_divmod_monic
+
+
+@cache
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Coefficients of the d-th cyclotomic polynomial, constant term first."""
+    p = [-1] + [0] * (d - 1) + [1]  # x^d - 1 = prod over m | d of Phi_m
+    for m in range(1, d):
+        if d % m == 0:
+            p, _ = _poly_divmod_monic(p, _cyclotomic(m))
+    return tuple(p)
+
+
+@cache
+def _zeta_reductions(d: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    """For each e with phi(d) <= e < d, the pairs (j, n) with zeta^e = -sum n zeta^j."""
+    phi = _cyclotomic(d)
+    out = {}
+    for e in range(len(phi) - 1, d):
+        _, rem = _poly_divmod_monic([0] * e + [1], phi)
+        out[e] = tuple((j, -r) for j, r in enumerate(rem) if r)
+    return out
 
 
 class CycloElem:
     """Element of Frac(R)[zeta_d], stored as exponent -> coefficient.
 
-    Canonical form eliminates the exponent d-1 via the vanishing of the
-    d-th cyclotomic polynomial (d prime or 1 here, which covers class
-    numbers at desk scale), making equality a dictionary comparison.
+    Canonical form is the remainder modulo the d-th cyclotomic polynomial
+    Phi_d, so exponents stay below deg Phi_d = phi(d) and equality is a
+    dictionary comparison.
     """
 
     __slots__ = ("ring", "order", "coeffs")
@@ -40,11 +62,12 @@ class CycloElem:
                     canon[e] = canon[e] + c
                 else:
                     canon[e] = c
-        if order > 1 and (order - 1) in canon:
-            # zeta^(d-1) = -(1 + zeta + ... + zeta^(d-2))
-            top = canon.pop(order - 1)
-            for e in range(order - 1):
-                canon[e] = canon.get(e, ring.zero()) - top
+        if order > 1:
+            for e, terms in _zeta_reductions(order).items():
+                top = canon.pop(e, None)
+                if top is not None:
+                    for j, n in terms:
+                        canon[j] = canon.get(j, ring.zero()) - (top if n == 1 else top * n)
         self.coeffs = {e: c for e, c in canon.items() if not c.is_zero()}
 
     @classmethod

@@ -20,6 +20,7 @@ statement checked here is invariant under it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Callable
 
 from .elliptic import NewformData, QExpansion, antisymmetrize
@@ -29,6 +30,11 @@ from .ring import HeckeElem, HeckeRing
 
 Coeff = HeckeElem
 Oracle = Callable[[HermPoint], Coeff]
+Getter = Callable[[int, int, int, int], Coeff]
+
+
+class RangeError(ValueError):
+    """A coefficient was needed outside the range its source determines."""
 
 
 _AK_CACHE: dict[int, set[int]] = {}
@@ -139,9 +145,8 @@ class MaassTuple:
 
     def alpha_at(self, n: int) -> Coeff:
         if n > self.alpha_max:
-            raise ValueError(
-                f"alpha requested at {n} but only valid to {self.alpha_max} "
-                f"(label {self.source_label!r})"
+            raise RangeError(
+                f"alpha valid to {self.alpha_max}, needed at {n} (label {self.source_label!r})"
             )
         return self.alpha.get(n, self.ring.zero())
 
@@ -150,14 +155,9 @@ class MaassTuple:
 
     def identity_table(self, bound_det: int, bound_diag: int) -> CoeffTable:
         if bound_det > self.alpha_max:
-            raise ValueError("alpha range insufficient for the requested table bounds")
-        oracle = self.oracle()
-        values = {}
-        for h in enumerate_points(self.D, bound_det, bound_diag):
-            v = oracle(h)
-            if not v.is_zero():
-                values[h] = v
-        return CoeffTable(self.params, self.ring, bound_det, bound_diag, values)
+            raise RangeError(f"alpha valid to {self.alpha_max}, needed at {bound_det}")
+        get = _lift_getter(self.params, self.ring, self.alpha, self.alpha_max)
+        return _tabulate(get, self.params, self.ring, bound_det, bound_diag)
 
     def component_exponent(self, index: int) -> int:
         """zeta exponent of the component at a class index (identity table scaled)."""
@@ -174,36 +174,61 @@ def lift_oracle(
     """Pointwise coefficient function of the lift generated by alpha.
 
     Evaluates the divisor-sum condition on demand, so Hecke operators can
-    reach far outside any materialised table without range bookkeeping.
+    reach outside any materialised table; past ``alpha_max`` it raises
+    RangeError.
     """
-    k = params.k
+    get = _lift_getter(params, ring, alpha, alpha_max)
+    return lambda h: get(h.t1, h.t3, h.w.a, h.w.b)
+
+
+def _lift_getter(params: FieldParams, ring: HeckeRing, alpha: dict[int, Coeff], alpha_max: int) -> Getter:
+    """lift_oracle on raw lattice coordinates (t1, t3, w.a, w.b)."""
+    D, k = params.D, params.k
+    q = (1 + D) // 4
     zero = ring.zero()
     powers: dict[int, int] = {}
 
-    def oracle(h: HermPoint) -> Coeff:
-        if h.is_zero():
+    def get(t1: int, t3: int, wa: int, wb: int) -> Coeff:
+        det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
+        if det < 0:
             return zero
-        det = h.det_scaled()
         if det > alpha_max:
-            raise ValueError(f"alpha valid to {alpha_max}, needed at {det}")
-        eps = content(h)
-        acc = None
-        for d in _divisors(eps):
-            v = alpha.get(det // (d * d))
-            if v is None or v.is_zero():
-                continue
-            if d == 1:
-                term = v
-            else:
-                c = powers.get(d)
-                if c is None:
-                    c = d ** (k - 1)
-                    powers[d] = c
-                term = v * c
-            acc = term if acc is None else acc + term
+            raise RangeError(f"alpha valid to {alpha_max}, needed at {det}")
+        # the zero point has content 0, which has no divisors
+        acc = _divisor_sum(alpha, det, gcd(gcd(t1, t3), gcd(wa, wb)), k, powers)
         return acc if acc is not None else zero
 
-    return oracle
+    return get
+
+
+def _divisor_sum(alpha: dict[int, Coeff], det: int, eps: int, k: int, powers: dict[int, int]) -> Coeff | None:
+    """sum_{d | eps} d^(k-1) alpha(det / d^2), or None if every term vanishes.
+
+    Missing alpha values are zero; ``powers`` memoises d^(k-1) across calls.
+    """
+    acc = None
+    for d in _divisors(eps):
+        v = alpha.get(det // (d * d))
+        if v is None or v.is_zero():
+            continue
+        if d != 1:
+            c = powers.get(d)
+            if c is None:
+                c = d ** (k - 1)
+                powers[d] = c
+            v = v * c
+        acc = v if acc is None else acc + v
+    return acc
+
+
+def _tabulate(get: Getter, params: FieldParams, ring: HeckeRing, bound_det: int, bound_diag: int) -> CoeffTable:
+    """The table of a coefficient function on raw coordinates, zeros omitted."""
+    values = {}
+    for h in enumerate_points(params.D, bound_det, bound_diag):
+        v = get(h.t1, h.t3, h.w.a, h.w.b)
+        if not v.is_zero():
+            values[h] = v
+    return CoeffTable(params, ring, bound_det, bound_diag, values)
 
 
 def _divisors(n: int) -> list[int]:
@@ -291,6 +316,25 @@ def random_alpha_tuple(
     return MaassTuple(params, chi, ring, alpha, n_max, source_label=f"random-{seed}")
 
 
+def _primitive_scan(t: CoeffTable, pts: list[HermPoint]) -> tuple[dict[int, Coeff], set[int]]:
+    """Nonzero alpha read at the first primitive point of each determinant,
+    and the nonzero determinants in range that no primitive point realises."""
+    alpha: dict[int, Coeff] = {}
+    constrained: set[int] = set()
+    dets: set[int] = set()
+    for h in pts:
+        if h.is_zero():
+            continue
+        det = h.det_scaled()
+        dets.add(det)
+        if det not in constrained and content(h) == 1:
+            constrained.add(det)
+            v = t.get(h)
+            if not v.is_zero():
+                alpha[det] = v
+    return alpha, dets - constrained
+
+
 def check_maass(t: CoeffTable, k: int | None = None) -> tuple[bool, dict[int, Coeff] | HermPoint]:
     """Test the divisor-sum membership condition on a full table.
 
@@ -298,40 +342,25 @@ def check_maass(t: CoeffTable, k: int | None = None) -> tuple[bool, dict[int, Co
     canonical order for each determinant value), then verifies the
     condition at every point.  Returns (True, alpha) on success and
     (False, first offending point) on failure.  Determinant values not
-    realised by any primitive point in range are unconstrained and skipped.
+    realised by any primitive point in range are unconstrained, and points
+    whose divisor sum reads one are skipped.
     """
     k = k if k is not None else t.params.k
-    alpha: dict[int, Coeff] = {}
-    constrained: set[int] = set()
     pts = t.points()
-    for h in pts:  # canonical order
-        if h.is_zero():
-            continue
-        if content(h) == 1:
-            det = h.det_scaled()
-            if det not in constrained:
-                constrained.add(det)
-                v = t.get(h)
-                if not v.is_zero():
-                    alpha[det] = v
+    alpha, unconstrained = _primitive_scan(t, pts)
     zero = t.ring.zero()
+    powers: dict[int, int] = {}
     for h in pts:
         if h.is_zero():
             if not t.get(h).is_zero():
                 return False, h
             continue
-        eps = content(h)
-        acc = zero
-        ok = True
-        for d in _divisors(eps):
-            det_d = h.det_scaled() // (d * d)
-            if det_d != 0 and det_d not in constrained:
-                ok = False  # unconstrained value feeding this point: skip
-                break
-            v = alpha.get(det_d)
-            if v is not None:
-                acc = acc + v * d ** (k - 1)
-        if ok and t.get(h) != acc:
+        det, eps = h.det_scaled(), content(h)
+        # every det / d^2 is a determinant in range, since h / d is in bounds
+        if unconstrained and any(det // (d * d) in unconstrained for d in _divisors(eps)):
+            continue
+        acc = _divisor_sum(alpha, det, eps, k, powers)
+        if t.get(h) != (acc if acc is not None else zero):
             return False, h
     return True, alpha
 
@@ -342,12 +371,7 @@ def unconstrained_dets(t: CoeffTable) -> set[int]:
     The membership test cannot pin alpha at these values; they are skipped
     (and worth reporting when a table is meant to determine alpha fully).
     """
-    seen = set()
-    for h in t.points():
-        if not h.is_zero() and content(h) == 1:
-            seen.add(h.det_scaled())
-    all_dets = {h.det_scaled() for h in t.points() if not h.is_zero()}
-    return all_dets - seen
+    return _primitive_scan(t, t.points())[1]
 
 
 def descend(t: MaassTuple, n_max: int) -> dict[int, tuple[int, QExpansion]]:
@@ -359,7 +383,7 @@ def descend(t: MaassTuple, n_max: int) -> dict[int, tuple[int, QExpansion]]:
     chi(b) (phi - phi^rho) per component.
     """
     if n_max > t.alpha_max:
-        raise ValueError("alpha range insufficient for the requested descent")
+        raise RangeError(f"alpha valid to {t.alpha_max}, needed at {n_max}")
     D = t.D
     base = QExpansion(t.ring, n_max, weight=t.k - 1, level=D, label=t.source_label)
     for n in range(1, n_max + 1):

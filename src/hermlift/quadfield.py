@@ -146,7 +146,6 @@ def norm_ball(D: int, bound: int) -> list[QuadInt]:
     bmax = math.isqrt(4 * bound // D) if bound else 0
     for b in range(-bmax, bmax + 1):
         # norm = (a + b/2)^2 + D b^2/4 <= bound
-        rem = bound - D * b * b // 4
         # solve integer a: a^2 + ab <= bound - b^2 (1+D)/4
         c = (1 + D) // 4
         disc = bound - b * b * c
@@ -417,7 +416,7 @@ def char_values(cg: ClassGroup) -> list[ClassChar]:
     return chars
 
 
-def principal_norm_rep(D: int, p: int, bound: int | None = None) -> QuadInt | None:
+def principal_norm_rep(D: int, p: int) -> QuadInt | None:
     """A norm-p element of the order if one exists (brute force), else None."""
     for z in norm_ball(D, p):
         if z.norm() == p:

@@ -374,6 +374,9 @@ class HeckeElem:
         return self.ring == other.ring and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # integral constants compare equal to their int, so hash like it
+        if self.den == 1 and not any(self.num[1:]):
+            return hash(self.num[0])
         return hash((self.num, self.den))
 
     # -- misc ---------------------------------------------------------------

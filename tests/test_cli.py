@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from hermlift.cli import main, read_table, write_table
+from hermlift.cli import main, read_table, table_as_tuple, write_table
 from hermlift.elliptic import format_newform, synthetic_newform
+from hermlift.hecke import act_inert_T, act_inert_Up
 from hermlift.maass import build_lift
 from hermlift.quadfield import FieldParams, char_values, class_group, trivial_char
 from hermlift.ring import HeckeRing
@@ -72,6 +73,55 @@ def test_lift_hecke_checkmaass_pipeline(tmp_path, capsys, synth_file):
     assert code == 0
     code, _ = run(capsys, "check-maass", out2)
     assert code == 0
+
+
+@pytest.mark.parametrize("op, act, reach", [("T@3", act_inert_T, 9), ("Up@3", act_inert_Up, 81)])
+def test_hecke_inert_writes_the_library_action(tmp_path, capsys, synth_file, op, act, reach):
+    nf, f = synth_file
+    tbl, out_tbl = tmp_path / "lift.tbl", tmp_path / "out.tbl"
+    run(capsys, "lift", nf, tbl, "--bound-det", str(7 * 81), "--bound-diag", "2")
+    code, _ = run(capsys, "hecke", tbl, out_tbl, "--op", op)
+    assert code == 0
+    t = table_as_tuple(*read_table(str(tbl)))
+    want = act(t, 3, t.alpha_max // reach, 2)
+    got, _, _ = read_table(str(out_tbl))
+    assert (got.bound_det, got.bound_diag) == (want.bound_det, want.bound_diag)
+    assert got.values == want.values and got.values
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["point before field", "coordinate count", "duplicate point", "zero denominator"],
+)
+def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault):
+    nf, f = synth_file
+    tbl = tmp_path / "lift.tbl"
+    run(capsys, "lift", nf, tbl, "--bound-det", "100", "--bound-diag", "2")
+    lines = tbl.read_text().splitlines()
+    last = max(i for i, line in enumerate(lines) if line.startswith("point"))
+    parts = lines[last].split()
+    if fault == "point before field":
+        lines.insert(0, lines.pop(last))
+        bad_line = 1
+    elif fault == "coordinate count":
+        lines[last] = " ".join(parts[:5] + parts[6:])
+        bad_line = last + 1
+    elif fault == "duplicate point":
+        lines.append(lines[last])
+        bad_line = len(lines)
+    else:
+        lines[last] = " ".join(parts[:-1] + ["0"])
+        bad_line = last + 1
+    tbl.write_text("\n".join(lines) + "\n")
+    code = main(["check-maass", str(tbl)])
+    assert code == 2
+    assert f"{tbl}:{bad_line}:" in capsys.readouterr().err
+
+
+def test_missing_table_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.tbl"
+    assert main(["check-maass", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_check_maass_detects_fault(tmp_path, capsys, synth_file):

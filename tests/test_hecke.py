@@ -19,7 +19,6 @@ from hermlift.quadfield import (
     char_values,
     class_group,
     norm_ball,
-    prime_class,
     trivial_char,
 )
 from hermlift.ring import HeckeRing
@@ -50,6 +49,8 @@ def test_op_id_validation():
         HeckeOpId.make("InertT0", 7, 7)  # ramified
     with pytest.raises(ValueError):
         HeckeOpId.make("InertT0", 13, 7, ell=13)
+    with pytest.raises(ValueError):
+        HeckeOpId.parse("Delta@2", 23)  # no operator kind without an action
     op = HeckeOpId.parse("T0@3", 7)
     assert op.kind == "InertT0" and op.p == 3
     assert str(op) == "T0@3"
@@ -85,8 +86,13 @@ def test_invariance_Up():
 def test_inert_range_error_names_deficit():
     params = FieldParams(7, 8)
     t = random_alpha_tuple(params, trivial_char(), ZZ, 50, seed=6)
-    with pytest.raises(RangeError, match="valid to 50"):
-        act_inert_T0(t, 3, 49, 2)
+    for past_range in (
+        lambda: t.oracle()(point(7, 3, 3)),
+        lambda: act_inert_T0(t, 3, 49, 2),
+        lambda: eval_inert_raw(t, "InertT0", 3, [point(7, 1, 1)]),
+    ):
+        with pytest.raises(RangeError, match="alpha valid to 50, needed at"):
+            past_range()
 
 
 def test_split_descent_diagram_T1_T2():
@@ -228,11 +234,3 @@ def test_descended_op_consistency():
         assert dU[4] == dT[2] ** 2
         assert dU[2] == 2 * dT[2] * dT[0]
         assert dU[0] == dT[0] ** 2
-
-
-def test_delta_split_trivial():
-    d = descend_op(HeckeOpId.make("DeltaSplit", 2, 23), 8)
-    assert dict(d.tp_poly) == {0: 1}
-    chi = char_values(class_group(23))[1]
-    cls = prime_class(class_group(23), 2)
-    assert d.zeta_exponent(chi, 23) == (-2 * chi.exponent(cls)) % 3

@@ -25,6 +25,25 @@ def test_cyclo_arithmetic():
     assert CycloElem.scalar(ZZ, ZZ.from_int(5)) * z == z * 5
 
 
+@pytest.mark.parametrize("h", [3, 5, 9])
+def test_cyclo_reduces_modulo_phi_d(h):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(h)
+    for d in (d for d in range(1, h + 1) if h % d == 0):
+        phi = sympy.Poly(sympy.cyclotomic_poly(d, x), x)
+        assert CycloElem(ZZ, d, {e: ZZ.from_int(c) for e, c in enumerate(reversed(phi.all_coeffs()))}).is_zero()
+        for _ in range(20):
+            coeffs = [rng.randint(-3, 3) for _ in range(2 * d)]
+            elem = CycloElem(ZZ, d, {e: ZZ.from_int(c) for e, c in enumerate(coeffs)})
+            rem = sympy.rem(sympy.Poly(list(reversed(coeffs)), x), phi)
+            want = {e: c for e, c in enumerate(reversed(rem.all_coeffs())) if c}
+            assert {e: c.num[0] for e, c in elem.coeffs.items()} == want, (d, coeffs)
+    if h == 9:
+        z = [CycloElem.zeta_power(ZZ, 9, e) for e in range(9)]
+        assert (z[0] + z[3] + z[6]).is_zero()
+
+
 def test_satake_power_sums():
     f = bundled_cm_form()
     sat = SatakePair.of(f, 2)

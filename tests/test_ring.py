@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hermlift.ring import HeckeRing, INF, primes_above, val_at
 
@@ -20,6 +21,20 @@ def test_gen_squares_to_minus_one():
 def test_degree_one_ring_is_integer_arithmetic():
     a, b = ZZ.from_int(3), ZZ.from_int(4)
     assert a * b == ZZ.from_int(12)
+
+
+small = st.integers(-2, 2)
+ints_and_elems = st.one_of(
+    small,
+    st.builds(ZZ.from_int, small),
+    st.builds(GAUSS.element, st.lists(small, min_size=2, max_size=2), st.integers(1, 2)),
+)
+
+
+@given(ints_and_elems, ints_and_elems)
+def test_equal_values_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 def test_golden_ratio_relation():
