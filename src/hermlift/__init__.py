@@ -89,5 +89,4 @@ from .congr import (
     maass_ideal_report,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -108,14 +108,16 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
                 elif key == "normalization":
                     pass
                 elif key == "point":
-                    if D is None or ring is None:
-                        raise ValueError("point before the field and ring lines")
+                    if None in (D, bound_det, bound_diag) or ring is None:
+                        raise ValueError("point before the field, ring and bound lines")
                     t1, t3, wa, wb = (int(x) for x in parts[1:5])
                     slash = parts.index("/")
                     num = [int(c) for c in parts[5:slash]]
                     if len(num) != ring.degree:
                         raise ValueError(f"{len(num)} numerator coordinates for a ring of degree {ring.degree}")
                     h = HermPoint(t1, t3, QuadInt(wa, wb, D))
+                    if max(t1, t3) > bound_diag or h.det_scaled() > bound_det:
+                        raise ValueError(f"point {h.coords()} outside bound_det {bound_det}, bound_diag {bound_diag}")
                     if h in values:
                         raise ValueError(f"duplicate point {h.coords()}")
                     values[h] = ring.element(num, int(parts[slash + 1]))

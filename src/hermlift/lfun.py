@@ -17,7 +17,7 @@ from functools import cache
 
 from .elliptic import NewformData
 from .quadfield import ClassChar, SplitType, chi_K, class_group, prime_class, split_type
-from .ring import HeckeElem, HeckeRing, _poly_divmod_monic
+from .ring import HeckeElem, HeckeRing, _divmod
 
 
 @cache
@@ -26,7 +26,7 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     p = [-1] + [0] * (d - 1) + [1]  # x^d - 1 = prod over m | d of Phi_m
     for m in range(1, d):
         if d % m == 0:
-            p, _ = _poly_divmod_monic(p, _cyclotomic(m))
+            p = _divmod(p, _cyclotomic(m))[0]
     return tuple(p)
 
 
@@ -36,7 +36,7 @@ def _zeta_reductions(d: int) -> dict[int, tuple[tuple[int, int], ...]]:
     phi = _cyclotomic(d)
     out = {}
     for e in range(len(phi) - 1, d):
-        _, rem = _poly_divmod_monic([0] * e + [1], phi)
+        rem = _divmod([0] * e + [1], phi)[1]
         out[e] = tuple((j, -r) for j, r in enumerate(rem) if r)
     return out
 

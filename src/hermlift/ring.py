@@ -10,6 +10,11 @@ integers).
 Primes of the ring above a rational prime l are obtained by factoring
 m mod l; we refuse primes dividing disc(m), which keeps the order maximal
 at l and every valuation well-defined with ramification index 1.
+
+All polynomial work (reduction mod m, inverses, norms, the discriminant,
+Cantor-Zassenhaus factoring mod l and Hensel lifting) goes through one
+toolkit of dense coefficient lists that works over Z or Q, or over Z/n
+when given a modulus n.
 """
 
 from __future__ import annotations
@@ -34,16 +39,33 @@ def _gcd_many(values: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (dense, ascending coefficients)
+# polynomial toolkit: dense ascending coefficient lists, over Z or Q when the
+# modulus n is None, over Z/n otherwise
 
 
-def _poly_trim(p: list) -> list:
+def _trim(p: list, n: int | None = None) -> list:
+    """Drop zero top coefficients, after reducing mod n when it is given."""
+    if n is not None:
+        p = [c % n for c in p]
     while p and p[-1] == 0:
         p.pop()
     return p
 
 
-def _poly_mul(p: Sequence, q: Sequence) -> list:
+def _add(p: Sequence, q: Sequence, n: int | None = None) -> list:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return _trim(out, n)
+
+
+def _sub(p: Sequence, q: Sequence, n: int | None = None) -> list:
+    return _add(p, [-c for c in q], n)
+
+
+def _mul(p: Sequence, q: Sequence, n: int | None = None) -> list:
     if not p or not q:
         return []
     out = [0] * (len(p) + len(q) - 1)
@@ -51,121 +73,92 @@ def _poly_mul(p: Sequence, q: Sequence) -> list:
         if a:
             for j, b in enumerate(q):
                 out[i + j] += a * b
-    return _poly_trim(out)
+    return _trim(out, n)
 
 
-def _poly_divmod_monic(p: Sequence, m: Sequence) -> tuple[list, list]:
-    """Divide by a monic polynomial, exactly (works over Z and over Q)."""
-    p = list(p)
+def _divmod(p: Sequence, m: Sequence, n: int | None = None) -> tuple[list, list]:
+    """Quotient and remainder of p by m, whose leading coefficient is 1 (mod n).
+
+    Mod n only the leading coefficient is reduced at each step, which
+    leaves the quotient reduced; the remainder is reduced once at the end.
+    """
+    r = list(p)
     dm = len(m) - 1
-    if dm == 0:
-        return p, []
-    quo = [0] * max(0, len(p) - dm)
-    while len(p) > dm:
-        c = p[-1]
-        k = len(p) - 1 - dm
+    if len(r) <= dm:
+        return [], _trim(r, n)
+    quo = [0] * (len(r) - dm)
+    for k in reversed(range(len(quo))):
+        c = r.pop()
+        if n is not None:
+            c %= n
         quo[k] = c
-        for i in range(dm + 1):
-            p[k + i] -= c * m[i]
-        _poly_trim(p)
-        if len(p) > k + dm:  # defensive; cancellation above removes the top
-            raise AssertionError("monic division failed to reduce degree")
-    return _poly_trim(quo), p
+        if c:
+            for i in range(dm):
+                r[k + i] -= c * m[i]
+    return _trim(quo), _trim(r, n)
 
 
-def _poly_gcd_q(p: Sequence[Fraction], q: Sequence[Fraction]) -> list[Fraction]:
-    """Monic gcd over Q."""
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in q]
-    _poly_trim(a)
-    _poly_trim(b)
+def _exact_quo(p: Sequence, m: Sequence, n: int | None = None) -> list:
+    """p / m for a monic m known to divide p."""
+    quo, rem = _divmod(p, m, n)
+    if rem:
+        raise AssertionError("inexact quotient")
+    return quo
+
+
+def _powmod(base: Sequence, e: int, m: Sequence, n: int | None = None) -> list:
+    """base**e modulo the monic m."""
+    out = [1]
+    base = _divmod(base, m, n)[1]
+    while e:
+        if e & 1:
+            out = _divmod(_mul(out, base), m, n)[1]
+        base = _divmod(_mul(base, base), m, n)[1]
+        e >>= 1
+    return out
+
+
+def _xgcd(p: Sequence, q: Sequence, n: int | None = None) -> tuple[list, list, list]:
+    """(g, u, v) with u*p + v*q = g and g monic, over Q or mod a prime n."""
+
+    def inverse(c):
+        return 1 / Fraction(c) if n is None else pow(c, -1, n)
+
+    a, b = _trim(list(p), n), _trim(list(q), n)
+    ua, va, ub, vb = [1], [], [], [1]
     while b:
-        lead = b[-1]
-        bm = [c / lead for c in b]
-        _, r = _poly_divmod_monic(a, bm)
-        a, b = bm, r
+        inv = inverse(b[-1])
+        quo, r = _divmod(a, _mul(b, [inv], n), n)
+        # a = quo * (b * inv) + r, so a - (quo * inv) * b = r
+        ql = _mul(quo, [inv], n)
+        a, b = b, r
+        ua, ub = ub, _sub(ua, _mul(ql, ub), n)
+        va, vb = vb, _sub(va, _mul(ql, vb), n)
     if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _poly_xgcd_q(p, q):
-    """Extended gcd over Q: returns (g, u, v) with u*p + v*q = g, g monic."""
-    a = [Fraction(c) for c in p]
-    b = [Fraction(c) for c in q]
-    _poly_trim(a)
-    _poly_trim(b)
-    ua, va = [Fraction(1)], []
-    ub, vb = [], [Fraction(1)]
-    while b:
-        lead = b[-1]
-        bm = [c / lead for c in b]
-        quo, r = _poly_divmod_monic(a, bm)
-        # a = quo*bm + r, with bm = b/lead  =>  a - (quo/lead)*b = r
-        ql = [c / lead for c in quo]
-        ur = [x - y for x, y in _zip_pad(ua, _poly_mul(ql, ub))]
-        vr = [x - y for x, y in _zip_pad(va, _poly_mul(ql, vb))]
-        a, b = b, _poly_trim(r)
-        ua, va = ub, vb
-        ub, vb = _poly_trim(ur), _poly_trim(vr)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-        ua = [c / lead for c in ua]
-        va = [c / lead for c in va]
+        inv = [inverse(a[-1])]
+        a, ua, va = _mul(a, inv, n), _mul(ua, inv, n), _mul(va, inv, n)
     return a, ua, va
 
 
-def _zip_pad(p, q):
-    n = max(len(p), len(q))
-    for i in range(n):
-        yield (p[i] if i < len(p) else Fraction(0), q[i] if i < len(q) else Fraction(0))
+def _resultant(p: Sequence, q: Sequence) -> Fraction:
+    """Resultant over Q, by the Euclidean remainder sequence.
 
-
-def _resultant_int(p: Sequence[int], q: Sequence[int]) -> Fraction:
-    """Resultant of integer polynomials, via a Sylvester determinant.
-
-    Robust and exact; the degrees here are tiny.
+    With q = quo * p + r: Res(p, q) = lc(p)^(deg q - deg r) Res(p, r), and
+    Res(p, q) = (-1)^(deg p deg q) Res(q, p).
     """
-    a = _poly_trim([int(c) for c in p])
-    b = _poly_trim([int(c) for c in q])
-    da, db = len(a) - 1, len(b) - 1
-    if da < 0 or db < 0:
-        return Fraction(0)
-    if da == 0:
-        return Fraction(a[0] ** db)
-    if db == 0:
-        return Fraction(b[0] ** da)
-    n = da + db
-    rows = []
-    for i in range(db):
-        row = [Fraction(0)] * n
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = Fraction(c)
-        rows.append(row)
-    for i in range(da):
-        row = [Fraction(0)] * n
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = Fraction(c)
-        rows.append(row)
-    # fraction-free enough for our sizes: plain Gaussian elimination over Q
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    rows[r][c] -= f * rows[col][c]
-    return det
+    a, b = _trim(list(p)), _trim(list(q))
+    res = Fraction(1)
+    while a and b:
+        da, db = len(a) - 1, len(b) - 1
+        if db == 0:
+            return res * Fraction(b[0]) ** da
+        lead = Fraction(b[-1])
+        r = _divmod(a, _mul(b, [1 / lead]))[1]
+        if not r:
+            break
+        res *= (-1) ** (da * db) * lead ** (da - len(r) + 1)
+        a, b = b, r
+    return Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,16 +176,13 @@ class HeckeRing:
             raise ValueError("modulus must be monic")
         self.modulus = mod
         self.degree = len(mod) - 1
-        deriv = [i * c for i, c in enumerate(mod)][1:]
-        g = _poly_gcd_q(mod, deriv)
-        if len(g) != 1:
-            raise ValueError("modulus must be squarefree over Q")
         self.discriminant = self._disc()
+        if self.discriminant == 0:
+            raise ValueError("modulus must be squarefree over Q")
 
     def _disc(self) -> int:
-        m = list(self.modulus)
-        dm = [i * c for i, c in enumerate(m)][1:]
-        res = _resultant_int(m, dm)
+        m = self.modulus
+        res = _resultant(m, [i * c for i, c in enumerate(m)][1:])
         g = self.degree
         sign = -1 if (g * (g - 1) // 2) % 2 else 1
         d = sign * res
@@ -207,8 +197,7 @@ class HeckeRing:
         fracs = [Fraction(c) for c in coords]
         if len(fracs) > self.degree:
             # reduce mod m over Q, then clear denominators
-            _, rem = _poly_divmod_monic(fracs, [Fraction(c) for c in self.modulus])
-            fracs = rem
+            fracs = _divmod(fracs, self.modulus)[1]
         fracs += [Fraction(0)] * (self.degree - len(fracs))
         lcm = 1
         for f in fracs:
@@ -328,8 +317,7 @@ class HeckeElem:
         if not isinstance(other, HeckeElem):
             return NotImplemented
         self._check(other)
-        prod = _poly_mul(list(self.num), list(other.num))
-        _, rem = _poly_divmod_monic(prod, list(self.ring.modulus))
+        rem = _divmod(_mul(self.num, other.num), self.ring.modulus)[1]
         rem += [0] * (self.ring.degree - len(rem))
         return HeckeElem(self.ring, tuple(rem), self.den * other.den)
 
@@ -339,7 +327,7 @@ class HeckeElem:
         """Inverse in the fraction field; fails on zero and on zero divisors."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        g, u, _ = _poly_xgcd_q(list(self.num), list(self.ring.modulus))
+        g, u, _ = _xgcd(self.num, self.ring.modulus)
         if len(g) != 1:
             raise ZeroDivisionError("element is a zero divisor (shares a factor with the modulus)")
         inv = self.ring.element([c * self.den for c in u])
@@ -386,7 +374,7 @@ class HeckeElem:
 
     def norm(self) -> Fraction:
         """Field norm down to Q (determinant of multiplication by self)."""
-        res = _resultant_int(list(self.ring.modulus), list(self.num))
+        res = _resultant(self.ring.modulus, self.num)
         return res / Fraction(self.den) ** self.ring.degree
 
     def apply_involution(self, kind: str) -> "HeckeElem":
@@ -444,89 +432,23 @@ class PrimeAboveL:
         return f"PrimeAboveL(ell={self.ell}, factor={list(self.local_factor)})"
 
 
-# polynomial arithmetic over Z/n (dense, ascending)
-
-
-def _pmod_trim(p, n):
-    p = [c % n for c in p]
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _pmod_mul(p, q, n, mod=None):
-    out = [0] * (len(p) + len(q) - 1) if p and q else []
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] = (out[i + j] + a * b) % n
-    out = _pmod_trim(out, n)
-    if mod is not None:
-        out = _pmod_rem(out, mod, n)
-    return out
-
-def _pmod_rem(p, m, n):
-    """Remainder mod a monic polynomial m, coefficients in Z/n."""
-    p = [c % n for c in p]
-    dm = len(m) - 1
-    while len(p) > dm:
-        c = p[-1]
-        k = len(p) - 1 - dm
-        if c:
-            for i in range(dm + 1):
-                p[k + i] = (p[k + i] - c * m[i]) % n
-        p.pop()
-        while p and p[-1] == 0:
-            p.pop()
-    return p
-
-
-def _pmod_pow(base, e, m, n):
-    out = [1]
-    base = _pmod_rem(base, m, n)
-    while e:
-        if e & 1:
-            out = _pmod_mul(out, base, n, m)
-        base = _pmod_mul(base, base, n, m)
-        e >>= 1
-    return out
-
-
-def _pmod_gcd(p, q, ell):
-    a = _pmod_trim(list(p), ell)
-    b = _pmod_trim(list(q), ell)
-    while b:
-        inv = pow(b[-1], ell - 2, ell)
-        bm = [(c * inv) % ell for c in b]
-        r = _pmod_rem(a, bm, ell)
-        a, b = bm, r
-    if a:
-        inv = pow(a[-1], ell - 2, ell)
-        a = [(c * inv) % ell for c in a]
-    return a
-
-
 def _factor_squarefree_mod(m, ell):
     """Factor a squarefree monic polynomial mod ell into monic irreducibles.
 
-    Distinct-degree splitting followed by deterministic-seeded
-    Cantor-Zassenhaus equal-degree splitting.
+    Distinct-degree splitting followed by Cantor-Zassenhaus equal-degree
+    splitting over a deterministic sweep of trial polynomials.
     """
-    m = _pmod_trim(list(m), ell)
-    inv = pow(m[-1], ell - 2, ell)
-    m = [(c * inv) % ell for c in m]
+    work = _trim(list(m), ell)
     factors = []
-    work = m
     d = 1
     xq = [0, 1]
     while len(work) - 1 >= 2 * d:
-        xq = _pmod_pow(xq, ell, work, ell)
-        diff = _pmod_trim([a - b for a, b in zip(xq + [0] * 2, [0, 1] + [0] * len(xq))], ell)
-        g = _pmod_gcd(work, diff, ell)
+        xq = _powmod(xq, ell, work, ell)
+        g = _xgcd(work, _sub(xq, [0, 1], ell), ell)[0]
         if len(g) > 1:
             factors.extend(_equal_degree_split(g, d, ell))
-            work = _pmod_quo(work, g, ell)
-            xq = _pmod_rem(xq, work, ell)
+            work = _exact_quo(work, g, ell)
+            xq = _divmod(xq, work, ell)[1]
         d += 1
     if len(work) > 1:
         factors.append(work)
@@ -534,49 +456,29 @@ def _factor_squarefree_mod(m, ell):
     return [tuple(f) for f in factors]
 
 
-def _pmod_quo(p, q, ell):
-    """Exact quotient p/q mod ell (q monic divides p)."""
-    p = list(p)
-    dq = len(q) - 1
-    quo = [0] * (len(p) - dq)
-    while len(p) - 1 >= dq:
-        c = p[-1]
-        k = len(p) - 1 - dq
-        quo[k] = c
-        for i in range(dq + 1):
-            p[k + i] = (p[k + i] - c * q[i]) % ell
-        while p and p[-1] == 0:
-            p.pop()
-        if len(p) - 1 >= k + dq:
-            raise AssertionError("inexact quotient")
-    return _pmod_trim(quo, ell)
-
-
 def _equal_degree_split(g, d, ell):
     """Split a product of degree-d irreducibles mod ell."""
-    n = len(g) - 1
-    if n == d:
-        return [g]
     out = []
     stack = [g]
-    attempt = 0
+    # the trial polynomial has the base-ell digits of the counter as its
+    # coefficients, so every residue mod f comes up; constants never split
+    attempt = ell
     while stack:
         f = stack.pop()
         if len(f) - 1 == d:
             out.append(f)
             continue
         while True:
+            a, rest = [], attempt
+            while rest:
+                rest, digit = divmod(rest, ell)
+                a.append(digit)
             attempt += 1
-            # deterministic sweep of trial polynomials
-            a = [(attempt * (i + 1) + i * i) % ell for i in range(d + 1)]
-            a = _pmod_trim(a, ell) or [1]
-            t = _pmod_pow(a, (ell ** d - 1) // 2, f, ell)
-            t = _pmod_trim([c for c in t], ell)
-            t = _pmod_trim([t[0] - 1] + t[1:], ell) if t else [ell - 1]
-            h = _pmod_gcd(f, t, ell)
+            t = _sub(_powmod(a, (ell ** d - 1) // 2, f, ell), [1], ell)
+            h = _xgcd(f, t, ell)[0]
             if 1 < len(h) < len(f):
                 stack.append(h)
-                stack.append(_pmod_quo(f, h, ell))
+                stack.append(_exact_quo(f, h, ell))
                 break
     return out
 
@@ -623,94 +525,25 @@ def _hensel_lift_factor(m, f0, ell, precision):
     Requires gcd(f0, m/f0) = 1 mod ell (automatic: m squarefree mod ell).
     Returns the lifted monic factor with coefficients mod ell**precision.
     """
-    f = _pmod_trim(list(f0), ell)
-    g = _pmod_quo(_pmod_trim(list(m), ell), f, ell)
+    f = _trim(list(f0), ell)
+    g = _exact_quo(_trim(list(m), ell), f, ell)
     # Bezout: s*f + t*g = 1 mod ell
-    one, s, t = _pmod_xgcd(f, g, ell)
+    one, s, t = _xgcd(f, g, ell)
     if one != [1]:
         raise AssertionError("factor not coprime to cofactor")
-    modulus = ell
-    while modulus < ell ** precision:
-        modulus = min(modulus * modulus, ell ** precision)
-        n = modulus
-        # e = m - f*g
-        fg = _poly_mul(f, g)
-        e = [(a - b) % n for a, b in _zip_pad_int(list(m), fg)]
-        # f += (t*e mod f), g += (s*e + carry)  -- classical quadratic step
-        te = _pmod_mul(t, e, n)
-        q, r = _pmod_divmod_monic_int(te, f, n)
-        f_new = [(a + b) % n for a, b in _zip_pad_int(f, r)]
-        se = _pmod_mul(s, e, n)
-        gq = _pmod_mul(g, q, n)
-        g_new = [(a + b + c) % n for a, b, c in _zip_pad_int3(g, se, gq)]
-        f, g = _pmod_trim(f_new, n), _pmod_trim(g_new, n)
+    n, target = ell, ell ** precision
+    while n < target:
+        n = min(n * n, target)
+        # classical quadratic step: with e = m - f*g and t*e = q*f + r,
+        # f += r and g += s*e + g*q
+        e = _sub(m, _mul(f, g), n)
+        q, r = _divmod(_mul(t, e), f, n)
+        f, g = _add(f, r, n), _add(g, _add(_mul(s, e), _mul(g, q)), n)
         # refresh Bezout data to the new modulus
-        one_d = [
-            (x - y) % n
-            for x, y in _zip_pad_int([1], _poly_mul(s, f) )
-        ]
-        d = [(x - y) % n for x, y in _zip_pad_int(one_d, _poly_mul(t, g))]
-        sd = _pmod_mul(s, d, n)
-        q2, r2 = _pmod_divmod_monic_int(sd, g, n)
-        s = _pmod_trim([(a + b) % n for a, b in _zip_pad_int(s, r2)], n)
-        td = _pmod_mul(t, d, n)
-        fq2 = _pmod_mul(f, q2, n)
-        t = _pmod_trim([(a + b + c) % n for a, b, c in _zip_pad_int3(t, td, fq2)], n)
-    return _pmod_trim(f, ell ** precision)
-
-
-def _zip_pad_int(p, q):
-    n = max(len(p), len(q))
-    return [((p[i] if i < len(p) else 0), (q[i] if i < len(q) else 0)) for i in range(n)]
-
-
-def _zip_pad_int3(p, q, r):
-    n = max(len(p), len(q), len(r))
-    return [
-        (
-            (p[i] if i < len(p) else 0),
-            (q[i] if i < len(q) else 0),
-            (r[i] if i < len(r) else 0),
-        )
-        for i in range(n)
-    ]
-
-
-def _pmod_divmod_monic_int(p, m, n):
-    p = [c % n for c in p]
-    dm = len(m) - 1
-    quo = [0] * max(0, len(p) - dm)
-    while len(p) - 1 >= dm and len(p) > dm:
-        c = p[-1]
-        k = len(p) - 1 - dm
-        quo[k] = c
-        for i in range(dm + 1):
-            p[k + i] = (p[k + i] - c * m[i]) % n
-        while p and p[-1] == 0:
-            p.pop()
-    return quo, p
-
-
-def _pmod_xgcd(p, q, ell):
-    a, b = _pmod_trim(list(p), ell), _pmod_trim(list(q), ell)
-    ua, va = [1], []
-    ub, vb = [], [1]
-    while b:
-        inv = pow(b[-1], ell - 2, ell)
-        bm = [(c * inv) % ell for c in b]
-        quo, r = _pmod_divmod_monic_int(a, bm, ell)
-        ql = [(c * inv) % ell for c in quo]
-        ur = [(x - y) % ell for x, y in _zip_pad_int(ua, _pmod_mul(ql, ub, ell))]
-        vr = [(x - y) % ell for x, y in _zip_pad_int(va, _pmod_mul(ql, vb, ell))]
-        a, b = b, _pmod_trim(r, ell)
-        ua, va = ub, vb
-        ub, vb = _pmod_trim(ur, ell), _pmod_trim(vr, ell)
-    if a:
-        inv = pow(a[-1], ell - 2, ell)
-        a = [(c * inv) % ell for c in a]
-        ua = [(c * inv) % ell for c in ua]
-        va = [(c * inv) % ell for c in va]
-    return a, ua, va
+        d = _sub(_sub([1], _mul(s, f)), _mul(t, g), n)
+        q2, r2 = _divmod(_mul(s, d), g, n)
+        s, t = _add(s, r2, n), _add(t, _add(_mul(t, d), _mul(f, q2)), n)
+    return f
 
 
 _LIFT_CACHE: dict[tuple, list[int]] = {}
@@ -736,7 +569,7 @@ def val_at(prime: PrimeAboveL, a: HeckeElem, cap: int = VAL_CAP) -> int | float:
             lifted = _hensel_lift_factor(list(ring.modulus), list(prime.local_factor), ell, precision)
         _LIFT_CACHE[key] = lifted
     n = ell ** precision
-    proj = _pmod_rem([c % n for c in a.num], lifted, n)
+    proj = _divmod(a.num, lifted, n)[1]
     if not proj:
         v = precision  # saturated
     else:

@@ -91,7 +91,7 @@ def test_hecke_inert_writes_the_library_action(tmp_path, capsys, synth_file, op,
 
 @pytest.mark.parametrize(
     "fault",
-    ["point before field", "coordinate count", "duplicate point", "zero denominator"],
+    ["point before field", "coordinate count", "duplicate point", "zero denominator", "out of bounds"],
 )
 def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault):
     nf, f = synth_file
@@ -108,6 +108,9 @@ def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault
         bad_line = last + 1
     elif fault == "duplicate point":
         lines.append(lines[last])
+        bad_line = len(lines)
+    elif fault == "out of bounds":
+        lines.append(f"point 5 5 0 0 {' '.join(parts[5:-2])} / 1")  # det 25 D > 100, diag 5 > 2
         bad_line = len(lines)
     else:
         lines[last] = " ".join(parts[:-1] + ["0"])

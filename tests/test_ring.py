@@ -1,11 +1,14 @@
 import math
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
-from hermlift.ring import HeckeRing, INF, primes_above, val_at
+from hermlift.ring import HeckeRing, INF, _hensel_lift_factor, primes_above, val_at
 
 
 GAUSS = HeckeRing([1, 0, 1])  # x^2 + 1
@@ -171,3 +174,103 @@ def test_involutions():
     assert e.apply_involution("negate-x") == GAUSS.from_int(3) - x * 2
     with pytest.raises(ValueError):
         FIB.one().apply_involution("negate-x")  # x^2-x-1 is neither even nor odd
+
+
+X = sympy.Symbol("x")
+
+
+def _sympy_poly(coeffs, **kw):
+    return sympy.Poly(list(reversed(coeffs)), X, **kw)
+
+
+def _sympy_factors_mod(m, ell):
+    """Monic irreducible factors of m mod ell, as ascending tuples in [0, ell)."""
+    lead, factors = _sympy_poly(m, modulus=ell).factor_list()
+    assert lead % ell == 1 and all(e == 1 for _, e in factors)
+    return sorted(tuple(int(c) % ell for c in reversed(f.all_coeffs())) for f, _ in factors)
+
+
+@contextmanager
+def _time_limit(seconds):
+    def fail(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fail)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("m, ell", [([3, 1, 1], 3), ([8, 19, -9, -6, -9, 1], 5)])
+def test_equal_degree_split_terminates(m, ell):
+    # every trial polynomial of a sweep with period ell failed to split these
+    with _time_limit(10):
+        got = sorted(p.local_factor for p in primes_above(HeckeRing(m), ell))
+    assert got == _sympy_factors_mod(m, ell)
+    if m == [3, 1, 1]:
+        assert got == [(0, 1), (1, 1)]
+
+
+ELLS = st.sampled_from([3, 5, 7, 11, 13, 31])
+monic = st.lists(st.integers(-20, 20), min_size=1, max_size=6).map(lambda c: c + [1])
+
+
+def _unramified(m, ell):
+    """The ring of m when ell does not divide its discriminant, else None."""
+    disc = sympy.discriminant(_sympy_poly(m))
+    if disc == 0 or disc % ell == 0:
+        return None
+    return HeckeRing(m)
+
+
+@settings(deadline=None)
+@given(monic, ELLS)
+def test_primes_above_matches_sympy(m, ell):
+    ring = _unramified(m, ell)
+    assume(ring is not None)
+    with _time_limit(10):
+        got = sorted(p.local_factor for p in primes_above(ring, ell))
+    assert got == _sympy_factors_mod(m, ell)
+
+
+@settings(deadline=None)
+@given(monic, ELLS, st.integers(1, 12))
+def test_hensel_lift_is_a_monic_factor_mod_ell_power(m, ell, precision):
+    ring = _unramified(m, ell)
+    assume(ring is not None)
+    n = ell**precision
+    for prime in primes_above(ring, ell):
+        f0 = list(prime.local_factor)
+        lifted = _hensel_lift_factor(m, f0, ell, precision)
+        assert len(lifted) == len(f0) and lifted[-1] == 1
+        assert [c % ell for c in lifted] == f0
+        assert all(0 <= c < n for c in lifted)
+        rem = _sympy_poly(m).rem(_sympy_poly(lifted))
+        assert all(c % n == 0 for c in rem.all_coeffs())
+
+
+coords = st.lists(st.integers(-30, 30), min_size=5, max_size=5)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-10, 10), min_size=1, max_size=5), coords, coords, st.integers(1, 6))
+def test_ring_over_random_moduli(m, ca, cb, den):
+    m = m + [1]
+    disc = sympy.discriminant(_sympy_poly(m))
+    if disc == 0:
+        with pytest.raises(ValueError):
+            HeckeRing(m)
+        return
+    ring = HeckeRing(m)
+    assert ring.discriminant == disc
+    a, b = ring.element(ca[: ring.degree], den), ring.element(cb[: ring.degree])
+    assert (a * b).norm() == a.norm() * b.norm()
+    for e in (a, b):
+        if e.norm() == 0:  # zero or a zero divisor
+            with pytest.raises(ZeroDivisionError):
+                e.inverse()
+        else:
+            assert e * e.inverse() == 1
