@@ -34,7 +34,7 @@ from .congr import build_eigen_system, maass_ideal_report
 from .elliptic import NewformData, parse_newform
 from .hecke import HeckeOpId, act_split_on_lift
 from .hermitian import HermPoint
-from .maass import CoeffTable, MaassTuple, build_lift, check_maass, descend, unconstrained_dets
+from .maass import CoeffTable, MaassTuple, build_lift, check_maass, descend
 from .lfun import bc_factor, std_factor_lift, verify_product134
 from .quadfield import ClassChar, FieldParams, QuadInt, char_values, chi_K, class_group
 from .ring import VAL_CAP, HeckeRing, _is_prime, primes_above
@@ -249,10 +249,10 @@ def cmd_hecke(args, out: Out) -> int:
 
 def cmd_check_maass(args, out: Out) -> int:
     table, _, _ = read_table(args.table)
-    ok, res = check_maass(table)
+    skipped: set[int] = set()
+    ok, res = check_maass(table, unconstrained=skipped)
     if ok:
-        skipped = sorted(unconstrained_dets(table))
-        record = {"maass": True, "alpha_support": len(res), "unconstrained": skipped}
+        record = {"maass": True, "alpha_support": len(res), "unconstrained": sorted(skipped)}
         note = f"; {len(skipped)} determinant values unconstrained" if skipped else ""
         out.emit(
             record,

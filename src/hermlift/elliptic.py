@@ -104,16 +104,6 @@ class QExpansion:
         n = min(self.n_max, other.n_max)
         return all(self.a(i) == other.a(i) for i in range(1, n + 1)) and self.n_max == other.n_max
 
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        n = min(self.n_max, other.n_max)
-        return QExpansion(
-            self.ring,
-            n,
-            {i: self.a(i) - other.a(i) for i in range(1, n + 1)},
-            self.weight,
-            self.level,
-        )
-
     def scaled(self, c) -> "QExpansion":
         return QExpansion(
             self.ring,
@@ -124,53 +114,35 @@ class QExpansion:
         )
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def extend_coeffs(f: NewformData, n_max: int) -> QExpansion:
     """All coefficients a(n), n <= n_max, from the eigenvalues by multiplicativity.
 
-    Prime powers follow a(p^(r+1)) = a(p) a(p^r) - chi(p) p^(k-2) a(p^(r-1)),
+    One pass over a smallest-prime-factor sieve: with p^e the power of the
+    smallest prime p exactly dividing n, a(n) = a(n / p^e) a(p^e) costs one
+    ring product.  Prime powers follow
+    a(p^(r+1)) = a(p) a(p^r) - chi(p) p^(k-2) a(p^(r-1)),
     which at the ramified prime collapses to a(D^r) = a(D)^r.
     """
     D, k = f.D, f.k
-    ring = f.ring
-    pp: dict[int, HeckeElem] = {}  # prime power -> coefficient
-
-    def prime_power(p: int, e: int) -> HeckeElem:
-        key = p ** e
-        if key in pp:
-            return pp[key]
-        ap = f.a(p)
-        c = chi_K(D, p)
-        vals = [ring.one(), ap]
-        scal = ring.from_int(c * p ** (k - 2)) if c else ring.zero()
-        for _ in range(2, e + 1):
-            vals.append(ap * vals[-1] - scal * vals[-2])
-        for i, v in enumerate(vals):
-            pp[p ** i] = v
-        return vals[e]
-
-    out = QExpansion(ring, n_max, weight=k - 1, level=D, label=f.label)
-    coeffs = out.coeffs
-    for n in range(1, n_max + 1):
-        acc = ring.one()
-        for p, e in _factorize(n):
-            acc = acc * prime_power(p, e)
-        coeffs[n] = acc
+    out = QExpansion(f.ring, n_max, weight=k - 1, level=D, label=f.label)
+    if n_max < 1:
+        return out
+    spf = _smallest_prime_factors(n_max)
+    a = out.coeffs
+    a[1] = f.ring.one()
+    ppow = [1] * (n_max + 1)  # ppow[n] = the power of spf[n] exactly dividing n
+    scal: dict[int, int] = {}  # p -> chi(p) p^(k-2)
+    for n in range(2, n_max + 1):
+        p = spf[n]
+        m = n // p
+        q = ppow[n] = ppow[m] * p if spf[m] == p else p
+        if q != n:
+            a[n] = a[n // q] * a[q]
+        elif n == p:
+            a[n] = f.a(p)
+            scal[p] = chi_K(D, p) * p ** (k - 2)
+        else:
+            a[n] = a[p] * a[m] - a[m // p] * scal[p]
     return out
 
 
@@ -184,12 +156,34 @@ def rho_conjugate(f: NewformData) -> NewformData:
 
 
 def antisymmetrize(f: NewformData, n_max: int) -> QExpansion:
-    """q-expansion of phi - phi^rho up to n_max."""
-    phi = extend_coeffs(f, n_max)
-    phi_rho = extend_coeffs(rho_conjugate(f), n_max)
-    out = phi - phi_rho
-    out.label = (f.label + " - conj") if f.label else ""
-    return out
+    """q-expansion of psi = phi - phi^rho up to n_max, from one expansion of phi.
+
+    For m prime to D, phi^rho(m D^e) = chi(m) a(m) a^rho(D)^e, so
+    psi(m D^e) = a(m) (a(D)^e - chi(m) a^rho(D)^e): at e = 0 that is 0
+    where chi(m) = 1 and 2 a(m) where chi(m) = -1.
+    """
+    D = f.D
+    a = extend_coeffs(f, n_max).coeffs
+    chi = [chi_K(D, r) for r in range(D)]
+    aD, aD_rho = f.aDK, rho_conjugate(f).aDK
+    factor = [{}]  # factor[e][c] = a(D)^e - c a^rho(D)^e for chi(m) = c
+    while D ** len(factor) <= n_max:
+        pw, pw_rho = aD ** len(factor), aD_rho ** len(factor)
+        factor.append({1: pw - pw_rho, -1: pw + pw_rho})
+    zero = f.ring.zero()
+    psi: dict[int, HeckeElem] = {}
+    for n in range(1, n_max + 1):
+        m, e = n, 0
+        while m % D == 0:
+            m //= D
+            e += 1
+        c = chi[m % D]
+        if e:
+            psi[n] = a[m] * factor[e][c]
+        else:
+            psi[n] = zero if c == 1 else a[n] * 2
+    label = (f.label + " - conj") if f.label else ""
+    return QExpansion(f.ring, n_max, psi, f.k - 1, D, label)
 
 
 def apply_Tp(q: QExpansion, p: int, k: int, D: int) -> QExpansion:
@@ -341,15 +335,18 @@ def synthetic_newform(
     return f
 
 
+def _smallest_prime_factors(n: int) -> list[int]:
+    """spf[i] = the smallest prime factor of i for 2 <= i <= n (spf[0] = 0, spf[1] = 1)."""
+    spf = list(range(n + 1))
+    # descending, so that the smallest prime writes last
+    for d in range(math.isqrt(n), 1, -1):
+        spf[d * d :: d] = [d] * len(range(d * d, n + 1, d))
+    return spf
+
+
 def _primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1] * (n + 1))
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, b in enumerate(sieve) if b]
+    spf = _smallest_prime_factors(max(n, 1))
+    return [p for p in range(2, n + 1) if spf[p] == p]
 
 
 def bundled_cm_form() -> NewformData:

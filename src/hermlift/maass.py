@@ -335,7 +335,9 @@ def _primitive_scan(t: CoeffTable, pts: list[HermPoint]) -> tuple[dict[int, Coef
     return alpha, dets - constrained
 
 
-def check_maass(t: CoeffTable, k: int | None = None) -> tuple[bool, dict[int, Coeff] | HermPoint]:
+def check_maass(
+    t: CoeffTable, k: int | None = None, unconstrained: set[int] | None = None
+) -> tuple[bool, dict[int, Coeff] | HermPoint]:
     """Test the divisor-sum membership condition on a full table.
 
     Extracts a candidate alpha from primitive points (content 1, first in
@@ -343,11 +345,14 @@ def check_maass(t: CoeffTable, k: int | None = None) -> tuple[bool, dict[int, Co
     condition at every point.  Returns (True, alpha) on success and
     (False, first offending point) on failure.  Determinant values not
     realised by any primitive point in range are unconstrained, and points
-    whose divisor sum reads one are skipped.
+    whose divisor sum reads one are skipped; a set passed as
+    ``unconstrained`` receives those values.
     """
     k = k if k is not None else t.params.k
     pts = t.points()
-    alpha, unconstrained = _primitive_scan(t, pts)
+    alpha, skipped = _primitive_scan(t, pts)
+    if unconstrained is not None:
+        unconstrained |= skipped
     zero = t.ring.zero()
     powers: dict[int, int] = {}
     for h in pts:
@@ -357,21 +362,12 @@ def check_maass(t: CoeffTable, k: int | None = None) -> tuple[bool, dict[int, Co
             continue
         det, eps = h.det_scaled(), content(h)
         # every det / d^2 is a determinant in range, since h / d is in bounds
-        if unconstrained and any(det // (d * d) in unconstrained for d in _divisors(eps)):
+        if skipped and any(det // (d * d) in skipped for d in _divisors(eps)):
             continue
         acc = _divisor_sum(alpha, det, eps, k, powers)
         if t.get(h) != (acc if acc is not None else zero):
             return False, h
     return True, alpha
-
-
-def unconstrained_dets(t: CoeffTable) -> set[int]:
-    """Determinant values in range not realised by any primitive point.
-
-    The membership test cannot pin alpha at these values; they are skipped
-    (and worth reporting when a table is meant to determine alpha fully).
-    """
-    return _primitive_scan(t, t.points())[1]
 
 
 def descend(t: MaassTuple, n_max: int) -> dict[int, tuple[int, QExpansion]]:

@@ -118,8 +118,11 @@ def _powmod(base: Sequence, e: int, m: Sequence, n: int | None = None) -> list:
     return out
 
 
-def _xgcd(p: Sequence, q: Sequence, n: int | None = None) -> tuple[list, list, list]:
-    """(g, u, v) with u*p + v*q = g and g monic, over Q or mod a prime n."""
+def _xgcd(
+    p: Sequence, q: Sequence, n: int | None = None, cofactors: bool = True
+) -> tuple[list, list | None, list | None]:
+    """(g, u, v) with u*p + v*q = g and g monic, over Q or mod a prime n;
+    with ``cofactors=False`` only g is computed, and u, v are None."""
 
     def inverse(c):
         return 1 / Fraction(c) if n is None else pow(c, -1, n)
@@ -129,15 +132,18 @@ def _xgcd(p: Sequence, q: Sequence, n: int | None = None) -> tuple[list, list, l
     while b:
         inv = inverse(b[-1])
         quo, r = _divmod(a, _mul(b, [inv], n), n)
-        # a = quo * (b * inv) + r, so a - (quo * inv) * b = r
-        ql = _mul(quo, [inv], n)
         a, b = b, r
-        ua, ub = ub, _sub(ua, _mul(ql, ub), n)
-        va, vb = vb, _sub(va, _mul(ql, vb), n)
+        if cofactors:
+            # a = quo * (b * inv) + r, so a - (quo * inv) * b = r
+            ql = _mul(quo, [inv], n)
+            ua, ub = ub, _sub(ua, _mul(ql, ub), n)
+            va, vb = vb, _sub(va, _mul(ql, vb), n)
     if a:
         inv = [inverse(a[-1])]
-        a, ua, va = _mul(a, inv, n), _mul(ua, inv, n), _mul(va, inv, n)
-    return a, ua, va
+        a = _mul(a, inv, n)
+        if cofactors:
+            ua, va = _mul(ua, inv, n), _mul(va, inv, n)
+    return (a, ua, va) if cofactors else (a, None, None)
 
 
 def _resultant(p: Sequence, q: Sequence) -> Fraction:
@@ -444,7 +450,7 @@ def _factor_squarefree_mod(m, ell):
     xq = [0, 1]
     while len(work) - 1 >= 2 * d:
         xq = _powmod(xq, ell, work, ell)
-        g = _xgcd(work, _sub(xq, [0, 1], ell), ell)[0]
+        g = _xgcd(work, _sub(xq, [0, 1], ell), ell, cofactors=False)[0]
         if len(g) > 1:
             factors.extend(_equal_degree_split(g, d, ell))
             work = _exact_quo(work, g, ell)
@@ -475,7 +481,7 @@ def _equal_degree_split(g, d, ell):
                 a.append(digit)
             attempt += 1
             t = _sub(_powmod(a, (ell ** d - 1) // 2, f, ell), [1], ell)
-            h = _xgcd(f, t, ell)[0]
+            h = _xgcd(f, t, ell, cofactors=False)[0]
             if 1 < len(h) < len(f):
                 stack.append(h)
                 stack.append(_exact_quo(f, h, ell))

@@ -127,6 +127,34 @@ def test_missing_table_exits_2(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_check_maass_enumerates_once_and_reports_unconstrained(tmp_path, capsys, synth_file, monkeypatch):
+    from hermlift import maass
+    from hermlift.hermitian import content, enumerate_points
+
+    nf, f = synth_file
+    tbl = tmp_path / "lift.tbl"
+    run(capsys, "lift", nf, tbl, "--bound-det", "200", "--bound-diag", "2")
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_points(*args)
+
+    monkeypatch.setattr(maass, "enumerate_points", counting)
+    code, out = run(capsys, "--json", "check-maass", tbl)
+    assert code == 0 and len(calls) == 1
+    # brute force: determinants in range that no primitive point realises
+    pts = [h for h in enumerate_points(7, 200, 2) if not h.is_zero()]
+    expected = sorted({h.det_scaled() for h in pts} - {h.det_scaled() for h in pts if content(h) == 1})
+    rec = json.loads(out.splitlines()[0])
+    assert expected and rec == {"maass": True, "alpha_support": rec["alpha_support"], "unconstrained": expected}
+    code, out = run(capsys, "check-maass", tbl)
+    assert out.splitlines()[0] == (
+        f"OK: table satisfies the divisor-sum condition (alpha on {rec['alpha_support']} indices; "
+        f"{len(expected)} determinant values unconstrained)"
+    )
+
+
 def test_check_maass_detects_fault(tmp_path, capsys, synth_file):
     nf, f = synth_file
     tbl = tmp_path / "lift.tbl"

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermlift.elliptic import (
     NewformData,
+    QExpansion,
     antisymmetrize,
     apply_Tp,
     bundled_cm_form,
@@ -14,9 +16,60 @@ from hermlift.elliptic import (
     synthetic_newform,
 )
 from hermlift.quadfield import FieldParams, chi_K
-from hermlift.ring import HeckeRing
+from hermlift.ring import HeckeRing, _is_prime
 
 GAUSS = HeckeRing([1, 0, 1])
+RINGS = [HeckeRing([0, 1]), GAUSS, HeckeRing([1, 0, 0, 0, 1])]  # Z, Z[i], Z[x]/(x^4 + 1)
+
+
+def _factorize(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def trial_division_coeffs(f, n_max):
+    """Reference a(n): factor each n by trial division, multiply its prime-power values."""
+    ring = f.ring
+
+    def prime_power(p, e):
+        c = chi_K(f.D, p)
+        vals = [ring.one(), f.a(p)]
+        for _ in range(2, e + 1):
+            vals.append(f.a(p) * vals[-1] - ring.from_int(c * p ** (f.k - 2)) * vals[-2])
+        return vals[e]
+
+    out = {}
+    for n in range(1, n_max + 1):
+        acc = ring.one()
+        for p, e in _factorize(n):
+            acc = acc * prime_power(p, e)
+        out[n] = acc
+    return out
+
+
+def raw(values):
+    return [(v.num, v.den) for v in values]
+
+
+def assert_matches_oracles(f, n_max):
+    q = extend_coeffs(f, n_max)
+    assert list(q.coeffs) == list(range(1, n_max + 1))
+    assert raw(q.coeffs.values()) == raw(trial_division_coeffs(f, n_max).values())
+    psi = antisymmetrize(f, n_max)
+    conj = extend_coeffs(rho_conjugate(f), n_max)
+    assert list(psi.coeffs) == list(range(1, n_max + 1))
+    assert raw(psi.coeffs.values()) == raw(q.a(n) - conj.a(n) for n in range(1, n_max + 1))
 
 
 def eta_product_oracle(n_max):
@@ -61,6 +114,40 @@ def test_missing_prime_data():
     f = bundled_cm_form()
     with pytest.raises(KeyError):
         f.a(1009)  # beyond the bundled range
+
+
+def test_expansions_refuse_primes_past_the_data():
+    f = bundled_cm_form()
+    last = f.p_max()
+    beyond = next(p for p in range(last + 1, 2 * last) if _is_prime(p))
+    assert extend_coeffs(f, beyond - 1).n_max == beyond - 1
+    for fn in (extend_coeffs, antisymmetrize):
+        with pytest.raises(KeyError, match=f"p = {beyond}"):
+            fn(f, beyond)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    D=st.sampled_from([7, 23, 47, 199]),
+    k=st.sampled_from([4, 6, 8]),
+    ring=st.sampled_from(RINGS),
+    involution=st.sampled_from(["trivial", "negate-x"]),
+    n_max=st.integers(1, 600),
+    seed=st.integers(0, 10**6),
+)
+def test_sieve_matches_trial_division_and_conjugate_difference(D, k, ring, involution, n_max, seed):
+    f = synthetic_newform(FieldParams(D, k), ring, involution, p_max=n_max, seed=seed)
+    assert_matches_oracles(f, n_max)
+    assert_matches_oracles(rho_conjugate(f), n_max)
+
+
+@pytest.mark.parametrize("D", [7, 23])
+@pytest.mark.parametrize("ring", RINGS, ids=["Z", "Z[i]", "Z[x]/(x^4+1)"])
+def test_sieve_edge_ranges(D, ring):
+    f = synthetic_newform(FieldParams(D, 6), ring, "negate-x", p_max=D * D, seed=D)
+    for n_max in (1, D, D * D, D * 2, D * 3):
+        assert_matches_oracles(f, n_max)
+    assert raw(extend_coeffs(f, 1).coeffs.values()) == raw([ring.one()])
 
 
 def test_parse_rejects_fact1_violations():
@@ -142,7 +229,7 @@ def test_tp_commute():
     params = FieldParams(11, 8)
     rng = random.Random(11)
     ring = GAUSS
-    q = __import__("hermlift.elliptic", fromlist=["QExpansion"]).QExpansion(
+    q = QExpansion(
         ring, 450, {n: ring.element([rng.randrange(-5, 6), rng.randrange(-5, 6)]) for n in range(1, 451)}
     )
     a = apply_Tp(apply_Tp(q, 2, 8, 11), 3, 8, 11)
