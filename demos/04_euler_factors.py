@@ -3,9 +3,11 @@
 The degree-4 standard Euler factor of a lift factors as a product of two
 shifted base-change factors of the underlying newform.  Both sides are
 computed by independent expansions (a Frobenius eigenvalue multiset
-versus products of shifted quadratics) and compared exactly, coefficient
-by coefficient, in the Hecke-ring fraction field tensored with formal
-roots of unity.
+versus products of shifted quadratics).  A class-character twist only
+substitutes X -> chi(P) X, the same on both sides, so they are compared
+exactly, coefficient by coefficient, in the fraction field of the Hecke
+ring; the printed coefficients carry the twist as powers z of a root of
+unity.
 """
 
 from hermlift import (

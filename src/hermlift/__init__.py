@@ -73,7 +73,7 @@ from .hecke import (
     maass_eigenvalue,
 )
 from .lfun import (
-    CycloElem,
+    ZetaTerm,
     SatakePair,
     EulerFactor,
     bc_factor,

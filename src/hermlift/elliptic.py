@@ -104,15 +104,6 @@ class QExpansion:
         n = min(self.n_max, other.n_max)
         return all(self.a(i) == other.a(i) for i in range(1, n + 1)) and self.n_max == other.n_max
 
-    def scaled(self, c) -> "QExpansion":
-        return QExpansion(
-            self.ring,
-            self.n_max,
-            {n: v * c for n, v in self.coeffs.items()},
-            self.weight,
-            self.level,
-        )
-
 
 def extend_coeffs(f: NewformData, n_max: int) -> QExpansion:
     """All coefficients a(n), n <= n_max, from the eigenvalues by multiplicativity.

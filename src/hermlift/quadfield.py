@@ -200,25 +200,13 @@ class BQF:
         return f"({self.A},{self.B},{self.C})"
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def _solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
     """Solutions of a*x = b (mod m) as x = u + v*Z; raises if unsolvable."""
-    g, d, _ = _xgcd(a, m)
-    q, r = divmod(b, g)
-    if r != 0:
+    g = math.gcd(a, m)
+    if b % g:
         raise ValueError("no solution")
-    return q * d % m, m // g
+    n = m // g
+    return b // g * pow(a // g, -1, n) % n, n
 
 
 def _square(f: BQF) -> BQF:

@@ -278,7 +278,7 @@ class HeckeElem:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "HeckeElem"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("mismatched rings")
 
     def __add__(self, other):

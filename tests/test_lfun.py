@@ -1,47 +1,58 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from hermlift.cli import main
 from hermlift.elliptic import bundled_cm_form, synthetic_newform
-from hermlift.lfun import CycloElem, EulerFactor, SatakePair, bc_factor, std_factor_lift, verify_product134
-from hermlift.quadfield import FieldParams, char_values, chi_K, class_group, trivial_char
+from hermlift.lfun import SatakePair, ZetaTerm, bc_factor, std_factor_lift, verify_product134
+from hermlift.quadfield import FieldParams, char_values, class_group, trivial_char
 from hermlift.ring import HeckeRing
 
 GAUSS = HeckeRing([1, 0, 1])
 ZZ = HeckeRing([0, 1])
+DATA = Path(__file__).parent / "data"
 
 
-def test_cyclo_arithmetic():
-    one = CycloElem.scalar(ZZ, ZZ.one(), 3)
-    z = CycloElem.zeta_power(ZZ, 3, 1)
-    z2 = CycloElem.zeta_power(ZZ, 3, 2)
-    # 1 + z + z^2 = 0 in the cyclotomic quotient
-    assert (one + z + z2).is_zero()
-    assert z * z == z2
-    assert z * z2 == one
-    assert z.conjugate_zeta() == z2
-    # canonicalisation is stable under mixed-order lifting
-    assert CycloElem.scalar(ZZ, ZZ.from_int(5)) * z == z * 5
+def printed(value, rem, x):
+    """The text of value * rem(x), rem a sympy remainder modulo Phi_d."""
+    if value.is_zero():
+        return "0"
+    terms = [(j, int(r)) for j, r in enumerate(reversed(rem.all_coeffs())) if r]
+    return " + ".join(f"({value * r})" + ("" if j == 0 else f"*z^{j}") for j, r in terms)
 
 
 @pytest.mark.parametrize("h", [3, 5, 9])
 def test_cyclo_reduces_modulo_phi_d(h):
+    # printing reduces value * zeta_d^m to the remainder of value * x^m modulo Phi_d
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     rng = random.Random(h)
     for d in (d for d in range(1, h + 1) if h % d == 0):
         phi = sympy.Poly(sympy.cyclotomic_poly(d, x), x)
-        assert CycloElem(ZZ, d, {e: ZZ.from_int(c) for e, c in enumerate(reversed(phi.all_coeffs()))}).is_zero()
-        for _ in range(20):
-            coeffs = [rng.randint(-3, 3) for _ in range(2 * d)]
-            elem = CycloElem(ZZ, d, {e: ZZ.from_int(c) for e, c in enumerate(coeffs)})
-            rem = sympy.rem(sympy.Poly(list(reversed(coeffs)), x), phi)
-            want = {e: c for e, c in enumerate(reversed(rem.all_coeffs())) if c}
-            assert {e: c.num[0] for e, c in elem.coeffs.items()} == want, (d, coeffs)
+        for m in range(d):
+            rem = sympy.rem(sympy.Poly(x**m, x), phi)
+            for value in (ZZ.one(), ZZ.from_int(rng.randint(-9, 9)), GAUSS.element([rng.randint(-9, 9), 1], 4)):
+                assert repr(ZetaTerm(value, m, d)) == printed(value, rem, x), (d, m, value)
     if h == 9:
-        z = [CycloElem.zeta_power(ZZ, 9, e) for e in range(9)]
-        assert (z[0] + z[3] + z[6]).is_zero()
+        # 1 + zeta^3 + zeta^6 = 0 at d = 9
+        assert repr(ZetaTerm(ZZ.one(), 6, 9)) == "(-1) + (-1)*z^3"
+
+
+def test_twisted_coefficients_print_modulo_phi_d():
+    # the X^j coefficient of a twisted factor is poly[j] zeta^(j e), printed modulo Phi_d
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f = synthetic_newform(FieldParams(199, 8), GAUSS, "negate-x", p_max=30, seed=2)
+    for chi in char_values(class_group(199)):
+        phi = sympy.Poly(sympy.cyclotomic_poly(chi.order, x), x)
+        for p in (2, 5, 7, 13):
+            for fac in bc_factor(f, p, chi) + std_factor_lift(f, chi, p):
+                assert fac.order == chi.order
+                for j, (c, term) in enumerate(zip(fac.poly, fac.coeffs)):
+                    rem = sympy.rem(sympy.Poly(x ** (j * fac.twist), x), phi)
+                    assert repr(term) == str(term) == printed(c, rem, x)
 
 
 def test_satake_power_sums():
@@ -60,16 +71,17 @@ def test_inert_zero_eigenvalue_factor_is_square():
     (fac,) = bc_factor(f, 3)
     assert fac.norm == 9 and fac.degree == 2
     # -(alpha^2 + beta^2) = -(e1^2 - 2 e2) = -(0 + 2*9) = -18
-    assert fac.coeffs[1] == CycloElem.scalar(f.ring, f.ring.from_int(-18))
-    assert fac.coeffs[2] == CycloElem.scalar(f.ring, f.ring.from_int(81))
+    assert fac.poly[1] == -18
+    assert fac.poly[2] == 81
+    assert [str(c) for c in fac.coeffs] == ["(1)", "(-18)", "(81)"]
 
 
 def test_shift_substitution():
     f = bundled_cm_form()
     (fac,) = bc_factor(f, 3)
     shifted = fac.substitute(1)
-    assert shifted.coeffs[1] == fac.coeffs[1] * 9
-    assert shifted.coeffs[2] == fac.coeffs[2] * 81
+    assert shifted.poly[1] == fac.poly[1] * 9
+    assert shifted.poly[2] == fac.poly[2] * 81
     assert bc_factor(f, 3, shift=0)[0] == fac
 
 
@@ -79,9 +91,27 @@ def test_split_factor_pair_and_combined():
     chars = char_values(cg)
     pair = bc_factor(f, 2, chars[0])
     assert len(pair) == 2 and all(fac.norm == 2 for fac in pair)
-    (combined,) = bc_factor(f, 2, chars[0], combine_split=True)
-    assert combined.degree == 4
-    assert combined == pair[0] * pair[1]
+    # h = 1: both primes are untwisted, and their product is the degree-4
+    # factor of L(BC(f)) at 2, the square of 1 - a(2) X + chi(2) 2^(k-2) X^2
+    combined = pair[0] * pair[1]
+    assert combined.degree == 4 and combined == pair[1] * pair[0]
+    sat = SatakePair.of(f, 2)
+    one, e1, e2 = f.ring.one(), sat.e1, sat.e2
+    assert combined.poly == [one, -(e1 * 2), e1 * e1 + e2 * 2, -(e1 * e2 * 2), e2 * e2]
+
+
+def test_mismatched_twists_raise():
+    f = synthetic_newform(FieldParams(23, 8), GAUSS, "negate-x", p_max=60, seed=3)
+    chi = next(c for c in char_values(class_group(23)) if not c.is_trivial())
+    a, b = bc_factor(f, 2, chi)  # the two primes above 2 lie in inverse classes
+    assert a.twist != b.twist and a.norm == b.norm
+    with pytest.raises(ValueError):
+        a * b
+    with pytest.raises(ValueError):
+        a.discrepancy(b)
+    (inert,) = bc_factor(f, 5, chi)  # another norm
+    with pytest.raises(ValueError):
+        inert * bc_factor(f, 3, chi)[0]
 
 
 def test_split_swap_invariance_trivial_twist():
@@ -93,8 +123,8 @@ def test_split_swap_invariance_trivial_twist():
 
 
 def test_functional_symmetry_under_conjugation():
-    # replacing a(p) by its conjugate and chi by its inverse conjugates
-    # the coefficients
+    # replacing a(p) by its conjugate and chi by its inverse conjugates the
+    # scalar coefficients and negates the twist
     D = 23
     params = FieldParams(D, 8)
     f = synthetic_newform(params, GAUSS, "negate-x", p_max=60, seed=5)
@@ -106,8 +136,8 @@ def test_functional_symmetry_under_conjugation():
         orig = bc_factor(f, p, chi)
         conj = bc_factor(rho_conjugate(f), p, chi.conjugate())
         for x, y in zip(orig, conj):
-            for cx, cy in zip(x.coeffs, y.coeffs):
-                assert cy == cx.conjugate_zeta().apply_involution(f.involution)
+            assert (y.norm, y.order, y.twist) == (x.norm, x.order, -x.twist % x.order)
+            assert y.poly == [c.apply_involution(f.involution) for c in x.poly]
 
 
 def test_product134_cm_form():
@@ -155,4 +185,13 @@ def test_constant_terms_are_one():
     f = bundled_cm_form()
     for p in (2, 3, 5, 11):
         for fac in bc_factor(f, p) + std_factor_lift(f, trivial_char(), p):
-            assert fac.coeffs[0] == CycloElem.scalar(f.ring, f.ring.one())
+            assert fac.poly[0] == 1 and repr(fac.coeffs[0]) == "(1)"
+
+
+@pytest.mark.parametrize("D", [23, 199])
+def test_euler_json_golden(D, capsys):
+    # chi 1 has order 3 at D = 23 and order 9 at D = 199
+    primes = [a for p in (2, 3, 5, 7, 11, 13, 29) for a in ("--p", str(p))]
+    code = main(["--json", "euler", str(DATA / f"euler_d{D}.nf"), *primes, "--chi", "1", "--verify-product134"])
+    assert code == 0
+    assert capsys.readouterr().out == (DATA / f"euler_d{D}_chi1.json").read_text()

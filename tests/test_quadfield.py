@@ -4,6 +4,7 @@ import pytest
 
 from hermlift.quadfield import (
     BQF,
+    _solve_linmod,
     FieldParams,
     QuadInt,
     SplitType,
@@ -159,3 +160,16 @@ def test_field_params_validation():
     with pytest.raises(ValueError):
         FieldParams(7, 8, 5)  # ell <= k
     FieldParams(23, 8, 13)  # 13 > 8, 13 coprime to 23*3
+
+
+def test_solve_linmod_brute_force():
+    for m in range(1, 25):
+        for a in range(-m, 2 * m):
+            for b in range(-m, m + 1):
+                sols = {x for x in range(m) if (a * x - b) % m == 0}
+                if not sols:
+                    with pytest.raises(ValueError):
+                        _solve_linmod(a, b, m)
+                    continue
+                u, v = _solve_linmod(a, b, m)
+                assert sols == {(u + v * i) % m for i in range(m)}, (a, b, m)

@@ -53,6 +53,9 @@ def test_division_by_unit_and_errors():
         GAUSS.zero().inverse()
     with pytest.raises(ValueError):
         GAUSS.one() + ZZ.one()
+    with pytest.raises(ValueError):
+        GAUSS.gen() * ZZ.one()
+    assert GAUSS.gen() * HeckeRing([1, 0, 1]).gen() == -GAUSS.one()  # an equal ring object
 
 
 def test_zero_divisor_rejected():
