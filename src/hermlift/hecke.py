@@ -29,6 +29,16 @@ the divisor-sum condition at points of content divisible by p, and only
 with them do the two generators descend consistently to polynomials in
 the classical T_p (see descend_op).
 
+All arguments of one term share a determinant: p^2 det(h) for the
+alpha-translates and c(p h), det(h)/p^2 for their quotients by p^2 and
+c(h/p), det(h) for the rest.  A lift's coefficient depends only on
+(det, content), by the divisor-sum condition (maass.py), so on a lift a
+term is its count of arguments per content times one memoised divisor sum
+per (det, content) key.  Tables and lazy sources (compositions, the outer
+T_p of U_p) are read one coefficient per argument; that per-coset reader
+is also the tests' reference for the keyed one.  Both read one walk over
+the coset arguments.
+
 Split primes act on lift data in closed form, on the generating function:
 relative to canonical class representatives,
 
@@ -46,15 +56,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cache
+from itertools import starmap
+from math import gcd
+from typing import Callable, Iterable
 
 from .elliptic import NewformData, QExpansion, apply_Tp
 from .hermitian import HermPoint
-from .maass import CoeffTable, Getter, MaassTuple, RangeError, _lift_getter, _tabulate
+from .maass import CoeffTable, Getter, MaassTuple, RangeError, _divisor_sum, _tabulate
 from .quadfield import (
     ClassChar,
     FieldParams,
-    QuadInt,
     SplitType,
     class_group,
     prime_class,
@@ -115,25 +127,12 @@ class HeckeOpId:
 # inert raw action
 
 
-def _inert_reps(D: int, p: int):
-    """Per-residue transform constants for a in O_K/p: (N(a), y, x, c1, c2)."""
-    q = (1 + D) // 4
-    reps = []
-    for x in range(p):
-        for y in range(p):
-            na = x * x + x * y + y * y * q
-            reps.append((na, x, y, -x - 2 * q * y, 2 * x + y))
-    return reps
-
-
 def _table_getter(table: CoeffTable) -> Getter:
     D = table.D
     zero = table.ring.zero()
     bd, bg = table.bound_det, table.bound_diag
     flat = {h.coords(): v for h, v in table.values.items()}
-    q = (1 + D) // 4
-
-    cuspidal = table.cuspidal
+    q, cuspidal = table.params.norm_c, table.cuspidal
 
     def get(t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
         det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
@@ -159,123 +158,139 @@ class LazyAction:
     ring: HeckeRing
 
 
-def _as_getter(src) -> tuple[Getter, FieldParams, HeckeRing]:
-    if isinstance(src, MaassTuple):
-        return _lift_getter(src.params, src.ring, src.alpha, src.alpha_max), src.params, src.ring
-    if isinstance(src, CoeffTable):
-        return _table_getter(src), src.params, src.ring
-    if isinstance(src, LazyAction):
-        return src.getter, src.params, src.ring
-    raise TypeError("expected a MaassTuple, CoeffTable or LazyAction")
+Slots = tuple[tuple[int | Fraction, int, list[tuple[int, int, int, int]]], ...]
 
 
-def _inert_value_T0(get: Getter, h: HermPoint, p: int, k: int, reps):
-    D = h.D
-    t1, t3, wa, wb = h.t1, h.t3, h.w.a, h.w.b
-    det = h.det_scaled()
-    # diagonal character sum; det = 0 counts as p | det
-    if det != 0 and det % p:
-        s = p - 1
-    elif h.is_zero() or (t1 % p == 0 and t3 % p == 0 and wa % p == 0 and wb % p == 0):
-        s = p ** 3 - p * p + p - 1
+def _coset_walk(kind: str, params: FieldParams, p: int) -> Callable[[int, int, int, int, int], Slots]:
+    """The coset images of h under T_{p,0} or T_p, one slot per term.
+
+    ``slots(t1, t3, wa, wb, det)`` gives (scalar, det, images) per term: the
+    arguments of c, all of determinant det, in the order the source is read."""
+    q = params.norm_c
+    # per-residue transform constants for a = x + y omega in O_K/p: (N(a), x, y, c1, c2)
+    reps = [(x * x + x * y + y * y * q, x, y, -x - 2 * q * y, 2 * x + y) for x in range(p) for y in range(p)]
+    pp, hi, lo = p * p, Fraction(p ** 4, p ** params.k), p ** params.k
+    if kind == "InertT0":
+
+        def slots(t1: int, t3: int, wa: int, wb: int, det: int) -> Slots:
+            up, down = [], []  # alpha-translates, and beta-translates (alpha / p^2)
+            for na, x, y, c1, c2 in reps:
+                u3 = na * t1 + t3 + wb * x - wa * y
+                va = t1 * c1 + wa  # w' = p*(va, vb)
+                vb = t1 * c2 + wb
+                up.append((pp * t1, u3, p * va, p * vb))
+                if u3 % pp == 0 and va % p == 0 and vb % p == 0:
+                    down.append((t1, u3 // pp, va // p, vb // p))
+            # the extra P^1 representative diag(1, p): h -> (t1, p^2 t3, p w)
+            up.append((t1, pp * t3, p * wa, p * wb))
+            if t1 % pp == 0 and wa % p == 0 and wb % p == 0:
+                down.append((t1 // pp, t3, wa // p, wb // p))
+            # diagonal character sum; det = 0 counts as p | det
+            if det != 0 and det % p:
+                s = p - 1
+            elif t1 % p == 0 and t3 % p == 0 and wa % p == 0 and wb % p == 0:
+                s = p ** 3 - pp + p - 1
+            else:
+                s = -pp + p - 1
+            return (hi, pp * det, up), (lo, det // pp, down), (s, det, [(t1, t3, wa, wb)])
+
     else:
-        s = -p * p + p - 1
-    acc_a = None  # sum over the alpha-translates
-    acc_b = None  # sum over the beta-translates  (alpha points / p^2)
-    pp = p * p
-    for na, x, y, c1, c2 in reps:
-        u1 = pp * t1
-        u3 = na * t1 + t3 + wb * x - wa * y
-        va = t1 * c1 + wa  # w' = p*(va, vb)
-        vb = t1 * c2 + wb
-        v = get(u1, u3, p * va, p * vb)
-        if not v.is_zero():
-            acc_a = v if acc_a is None else acc_a + v
-        if u3 % pp == 0 and va % p == 0 and vb % p == 0:
-            v = get(t1, u3 // pp, va // p, vb // p)
-            if not v.is_zero():
-                acc_b = v if acc_b is None else acc_b + v
-    # the extra P^1 representative diag(1, p): h -> (t1, p^2 t3, p w)
-    v = get(t1, pp * t3, p * wa, p * wb)
-    if not v.is_zero():
-        acc_a = v if acc_a is None else acc_a + v
-    if t1 % pp == 0 and wa % p == 0 and wb % p == 0:
-        v = get(t1 // pp, t3, wa // p, wb // p)
-        if not v.is_zero():
-            acc_b = v if acc_b is None else acc_b + v
-    out = get(t1, t3, wa, wb) * s
-    if acc_a is not None:
-        out = out + acc_a * Fraction(p ** 4, p ** k)
-    if acc_b is not None:
-        out = out + acc_b * p ** k
-    return out
+
+        def slots(t1: int, t3: int, wa: int, wb: int, det: int) -> Slots:
+            mid = []  # (alpha_a* h alpha_a) / p: t1-slot p*t1 when the rest divides
+            for na, x, y, c1, c2 in reps:
+                u3 = na * t1 + t3 + wb * x - wa * y
+                if u3 % p == 0:
+                    mid.append((p * t1, u3 // p, t1 * c1 + wa, t1 * c2 + wb))
+            if t1 % p == 0:
+                mid.append((t1 // p, p * t3, wa, wb))
+            divisible = t1 % p == 0 and t3 % p == 0 and wa % p == 0 and wb % p == 0
+            down = [(t1 // p, t3 // p, wa // p, wb // p)] if divisible else []
+            return (p, det, mid), (hi, pp * det, [(p * t1, p * t3, p * wa, p * wb)]), (lo, det // pp, down)
+
+    return slots
 
 
-def _inert_value_T(get: Getter, h: HermPoint, p: int, k: int, reps):
-    t1, t3, wa, wb = h.t1, h.t3, h.w.a, h.w.b
-    acc = None
-    pp = p * p
-    for na, x, y, c1, c2 in reps:
-        # (alpha_a* h alpha_a) / p: always has t1-slot p*t1; needs the rest
-        u3 = na * t1 + t3 + wb * x - wa * y
-        va = t1 * c1 + wa
-        vb = t1 * c2 + wb
-        if u3 % p == 0:
-            v = get(p * t1, u3 // p, va, vb)
-            if not v.is_zero():
-                acc = v if acc is None else acc + v
-    if t1 % p == 0:
-        v = get(t1 // p, p * t3, wa, wb)
-        if not v.is_zero():
-            acc = v if acc is None else acc + v
-    out = get(p * t1, p * t3, p * wa, p * wb) * Fraction(p ** 4, p ** k)
-    if t1 % p == 0 and t3 % p == 0 and wa % p == 0 and wb % p == 0:
-        out = out + get(t1 // p, t3 // p, wa // p, wb // p) * p ** k
-    if acc is not None:
-        out = out + acc * p
-    return out
+def _coset_sum(get: Getter, zero: HeckeElem) -> Callable[[Slots], HeckeElem]:
+    """Reads slots one source value per coset image: the reference reader."""
+
+    def read(slots: Slots) -> HeckeElem:
+        out = None
+        for scalar, _, images in slots:
+            acc = None
+            for image in images:
+                v = get(*image)
+                if not v.is_zero():
+                    acc = v if acc is None else acc + v
+            if acc is not None:
+                acc = acc * scalar
+                out = acc if out is None else out + acc
+        return zero if out is None else out
+
+    return read
+
+
+def _keyed_sum(t: MaassTuple) -> Callable[[Slots], HeckeElem]:
+    """Reads slots on a lift, whose value at an image depends only on its
+    (det, content): per slot, one memoised divisor sum per distinct content,
+    times the number of images that have it."""
+    alpha, alpha_max, k = t.alpha, t.alpha_max, t.k
+    zero = t.ring.zero()
+    powers: dict[int, int] = {}
+    memo: dict[tuple[int, int], HeckeElem | None] = {}
+
+    def lift_value(det: int, c: int) -> HeckeElem | None:
+        if (det, c) not in memo:
+            if det > alpha_max:
+                raise RangeError(f"alpha valid to {alpha_max}, needed at {det}")
+            memo[det, c] = _divisor_sum(alpha, det, c, k, powers)
+        return memo[det, c]
+
+    def read(slots: Slots) -> HeckeElem:
+        out = None
+        for scalar, det, images in slots:
+            acc = None
+            contents = list(starmap(gcd, images))
+            for c in set(contents):
+                v = lift_value(det, c)
+                if v is not None:
+                    n = contents.count(c)
+                    v = v if n == 1 else v * n
+                    acc = v if acc is None else acc + v
+            if acc is not None:
+                acc = acc * scalar
+                out = acc if out is None else out + acc
+        return zero if out is None else out
+
+    return read
 
 
 def _op_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
     """Memoized pointwise evaluator of an inert operator applied to src."""
     if kind == "InertUp":
         # U_p = T_p twice: T_p applied to the memoized T_p image
-        get, params, ring = _op_getter(src, "InertT", p)
-        fn = _inert_value_T
-    elif kind in ("InertT0", "InertT"):
-        get, params, ring = _as_getter(src)
-        fn = _inert_value_T0 if kind == "InertT0" else _inert_value_T
-    else:
+        src, kind = LazyAction(*_op_getter(src, "InertT", p)), "InertT"
+    if kind not in ("InertT0", "InertT"):
         raise ValueError(f"raw inert evaluation supports InertT0, InertT and InertUp, not {kind}")
-    D, k = params.D, params.k
+    if not isinstance(src, (MaassTuple, CoeffTable, LazyAction)):
+        raise TypeError("expected a MaassTuple, CoeffTable or LazyAction")
+    params, ring = src.params, src.ring
+    D, q, zero = params.D, params.norm_c, ring.zero()
     if split_type(D, p) is not SplitType.INERT:
         raise ValueError(f"p = {p} is not inert for discriminant {D}")
-    q = (1 + D) // 4
-    reps = _inert_reps(D, p)
-    zero = ring.zero()
+    slots = _coset_walk(kind, params, p)
+    if isinstance(src, MaassTuple):
+        read = _keyed_sum(src)
+    else:
+        read = _coset_sum(src.getter if isinstance(src, LazyAction) else _table_getter(src), zero)
 
     def value(t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
         det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
         if det < 0:
             return zero
-        h = HermPoint(t1, t3, QuadInt(wa, wb, D))
-        return fn(get, h, p, k, reps)
+        return read(slots(t1, t3, wa, wb, det))
 
-    return _memoize_getter(value), params, ring
-
-
-def _memoize_getter(fn: Getter) -> Getter:
-    cache: dict[tuple[int, int, int, int], HeckeElem] = {}
-
-    def wrapped(t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
-        key = (t1, t3, wa, wb)
-        v = cache.get(key)
-        if v is None:
-            v = fn(t1, t3, wa, wb)
-            cache[key] = v
-        return v
-
-    return wrapped
+    return cache(value), params, ring
 
 
 def eval_inert_raw(src, kind: str, p: int, points: Iterable[HermPoint]) -> dict[HermPoint, HeckeElem]:

@@ -87,13 +87,6 @@ class CoeffTable:
         v = self.values.get(h)
         return v if v is not None else self.ring.zero()
 
-    def in_bounds(self, h: HermPoint) -> bool:
-        return (
-            h.t1 <= self.bound_diag
-            and h.t3 <= self.bound_diag
-            and h.det_scaled() <= self.bound_det
-        )
-
     def points(self) -> list[HermPoint]:
         return enumerate_points(self.D, self.bound_det, self.bound_diag)
 
@@ -183,8 +176,7 @@ def lift_oracle(
 
 def _lift_getter(params: FieldParams, ring: HeckeRing, alpha: dict[int, Coeff], alpha_max: int) -> Getter:
     """lift_oracle on raw lattice coordinates (t1, t3, w.a, w.b)."""
-    D, k = params.D, params.k
-    q = (1 + D) // 4
+    D, k, q = params.D, params.k, params.norm_c
     zero = ring.zero()
     powers: dict[int, int] = {}
 
@@ -310,7 +302,7 @@ def random_alpha_tuple(
     alpha = {}
     for n in range(1, n_max + 1):
         coords = [rng.randrange(-spread, spread + 1) for _ in range(g)]
-        e = ring.element(coords)
+        e = HeckeElem(ring, tuple(coords))
         if not e.is_zero():
             alpha[n] = e
     return MaassTuple(params, chi, ring, alpha, n_max, source_label=f"random-{seed}")

@@ -116,9 +116,6 @@ class QuadInt:
     def norm(self) -> int:
         return self.a * self.a + self.a * self.b + self.b * self.b * (1 + self.D) // 4
 
-    def trace(self) -> int:
-        return 2 * self.a + self.b
-
     def omega_coef(self) -> int:
         """The coefficient of omega; equals (z - conj(z)) / sqrt(-D)."""
         return self.b

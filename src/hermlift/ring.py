@@ -430,10 +430,6 @@ class PrimeAboveL:
     def residue_degree(self) -> int:
         return len(self.local_factor) - 1
 
-    @property
-    def ramification_index(self) -> int:
-        return 1
-
     def __repr__(self) -> str:
         return f"PrimeAboveL(ell={self.ell}, factor={list(self.local_factor)})"
 

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermlift.elliptic import synthetic_newform
 from hermlift.hecke import (
     HeckeOpId,
+    LazyAction,
     RangeError,
     act_inert_T,
     act_inert_T0,
@@ -10,10 +12,11 @@ from hermlift.hecke import (
     act_split_on_lift,
     descend_op,
     eval_inert_raw,
+    inert_action,
     maass_eigenvalue,
 )
-from hermlift.hermitian import point
-from hermlift.maass import a_K, build_lift, check_maass, descend, random_alpha_tuple
+from hermlift.hermitian import enumerate_points, point
+from hermlift.maass import MaassTuple, _lift_getter, a_K, build_lift, check_maass, descend, random_alpha_tuple
 from hermlift.quadfield import (
     FieldParams,
     char_values,
@@ -89,7 +92,10 @@ def test_inert_range_error_names_deficit():
     for past_range in (
         lambda: t.oracle()(point(7, 3, 3)),
         lambda: act_inert_T0(t, 3, 49, 2),
+        lambda: act_inert_T(t, 3, 49, 2),
+        lambda: act_inert_Up(t, 3, 49, 2),
         lambda: eval_inert_raw(t, "InertT0", 3, [point(7, 1, 1)]),
+        lambda: inert_action(t, "InertT0", 3).getter(1, 1, 0, 0),
     ):
         with pytest.raises(RangeError, match="alpha valid to 50, needed at"):
             past_range()
@@ -178,14 +184,77 @@ def test_split_operators_commute():
 
 
 def test_inert_operators_commute():
-    from hermlift.hecke import inert_action
-
     params = FieldParams(7, 8)
     t = random_alpha_tuple(params, trivial_char(), ZZ, 7 * 4 * 225 + 50, seed=42, spread=4)
     bd, bg = 7 * 4, 2
     a = act_inert_T(inert_action(t, "InertT0", 3), 5, bd, bg)
     b = act_inert_T0(inert_action(t, "InertT", 5), 3, bd, bg)
     assert a.values == b.values
+
+
+INERT_PRIMES = {7: (3, 5), 11: (2, 7), 23: (5, 7)}  # the two smallest at each D
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_keyed_lift_kernel_matches_per_coset_reference(data):
+    # a lift read by (det, content) against the same lift read one coset
+    # image at a time through a lazy source, which takes the per-coset path
+    D = data.draw(st.sampled_from(sorted(INERT_PRIMES)), "D")
+    p = data.draw(st.sampled_from(INERT_PRIMES[D]), "p")
+    kind = data.draw(st.sampled_from(("InertT0", "InertT", "InertUp")), "kind")
+    ring = data.draw(st.sampled_from((ZZ, GAUSS)), "ring")
+    k = data.draw(st.sampled_from((8, 12)), "k")
+    reach = p ** (4 if kind == "InertUp" else 2)  # alpha read at reach * det
+    budget = 6000
+    # the zero point, det-0 points of content p and p^2, then drawn points of
+    # positive det with their multiples by 2, p and p^2 while alpha stays
+    # within the budget
+    pts = [point(D, 0, 0), point(D, p, 0), point(D, 0, p * p)]
+    pool = [h for h in enumerate_points(D, budget // reach, 2) if h.det_scaled() > 0]
+    for _ in range(data.draw(st.integers(1, 3), "npoints") if pool else 0):
+        h = data.draw(st.sampled_from(pool))
+        for c in (1, 2, p, p * p):
+            if reach * c * c * h.det_scaled() <= budget:
+                pts.append(point(D, c * h.t1, c * h.t3, c * h.w.a, c * h.w.b))
+    needed = reach * max(h.det_scaled() for h in pts)
+    short = data.draw(st.integers(1, 3), "short") if needed and data.draw(st.booleans()) else 0
+    t = random_alpha_tuple(FieldParams(D, k), trivial_char(), ring, needed - short, seed=data.draw(st.integers(0, 99)))
+    ref = LazyAction(_lift_getter(t.params, t.ring, t.alpha, t.alpha_max), t.params, t.ring)
+    if short:
+        with pytest.raises(RangeError) as keyed_err:
+            eval_inert_raw(t, kind, p, pts)
+        with pytest.raises(RangeError) as ref_err:
+            eval_inert_raw(ref, kind, p, pts)
+        assert str(keyed_err.value) == str(ref_err.value)
+    else:
+        assert eval_inert_raw(t, kind, p, pts) == eval_inert_raw(ref, kind, p, pts)
+
+
+def test_split_closed_forms_commute_with_raw_inert_T0():
+    # T1@2 and T2@2 in closed form against the raw T0@3, alpha read back
+    # through check_maass on both sides; every determinant up to bd has a
+    # primitive point within diagonal bg at D = 7
+    D, bd, bg, p_inert = 7, 42, 8, 3
+    params = FieldParams(D, 8)
+    t = random_alpha_tuple(params, trivial_char(), GAUSS, 4 * p_inert ** 2 * bd, seed=61, spread=4)
+
+    def raw_T0_alpha(src):
+        unconstrained = set()
+        ok, alpha = check_maass(act_inert_T0(src, p_inert, bd, bg), unconstrained=unconstrained)
+        assert ok and not unconstrained
+        return alpha
+
+    t0_alpha = raw_T0_alpha(t)
+    t0 = MaassTuple(params, t.chi, GAUSS, t0_alpha, bd, source_label="T0@3")
+    for kind in ("SplitT1", "SplitT2"):
+        op = HeckeOpId.make(kind, 2, D)
+        a = raw_T0_alpha(act_split_on_lift(t, op))
+        b = act_split_on_lift(t0, op)
+        assert b.alpha_max == bd // 2 ** op.reach
+        assert any(not v.is_zero() for v in b.alpha.values())
+        for n in range(1, b.alpha_max + 1):
+            assert a.get(n, GAUSS.zero()) == b.alpha_at(n), (kind, n)
 
 
 def test_eigenform_property_split():
