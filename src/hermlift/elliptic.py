@@ -137,13 +137,17 @@ def extend_coeffs(f: NewformData, n_max: int) -> QExpansion:
     return out
 
 
-def rho_conjugate(f: NewformData) -> NewformData:
-    """The form with conjugated coefficients: a(p) -> chi(p) a(p), a(D) -> D^(k-2)/a(D)."""
+def _aDK_rho(f: NewformData) -> HeckeElem:
+    """a^rho(D) = D^(k-2) / a(D)."""
     if f.aDK.is_zero():
         raise ValueError("a(D) = 0 contradicts |a(D)|^2 = D^(k-2)")
+    return (f.ring.from_int(f.D) ** (f.k - 2)) / f.aDK
+
+
+def rho_conjugate(f: NewformData) -> NewformData:
+    """The form with conjugated coefficients: a(p) -> chi(p) a(p), a(D) -> D^(k-2)/a(D)."""
     new_ap = {p: (a if chi_K(f.D, p) == 1 else -a) for p, a in f.ap.items()}
-    new_aDK = (f.ring.from_int(f.D) ** (f.k - 2)) / f.aDK
-    return replace(f, ap=new_ap, aDK=new_aDK, label=f.label + "^rho" if f.label else "")
+    return replace(f, ap=new_ap, aDK=_aDK_rho(f), label=f.label + "^rho" if f.label else "")
 
 
 def antisymmetrize(f: NewformData, n_max: int) -> QExpansion:
@@ -156,7 +160,7 @@ def antisymmetrize(f: NewformData, n_max: int) -> QExpansion:
     D = f.D
     a = extend_coeffs(f, n_max).coeffs
     chi = [chi_K(D, r) for r in range(D)]
-    aD, aD_rho = f.aDK, rho_conjugate(f).aDK
+    aD, aD_rho = f.aDK, _aDK_rho(f)
     factor = [{}]  # factor[e][c] = a(D)^e - c a^rho(D)^e for chi(m) = c
     while D ** len(factor) <= n_max:
         pw, pw_rho = aD ** len(factor), aD_rho ** len(factor)

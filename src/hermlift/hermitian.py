@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .quadfield import QuadInt, norm_ball
+from .quadfield import QuadInt
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,6 @@ class HermPoint:
 
     def sort_key(self):
         return (self.det_scaled(), self.t1, self.t3, self.w.a, self.w.b)
-
-    def scale(self, n: int) -> "HermPoint":
-        return HermPoint(self.t1 * n, self.t3 * n, self.w * n)
 
     def divide(self, n: int) -> Optional["HermPoint"]:
         """h/n if still a lattice point, else None."""
@@ -148,24 +145,28 @@ def enumerate_points(D: int, bound_det: int, bound_diag: int) -> list[HermPoint]
     """All lattice points with t1, t3 <= bound_diag and det_scaled <= bound_det.
 
     Includes the zero point and the singular (det 0) points; canonically
-    sorted so that table files are byte-stable.
+    sorted so that table files are byte-stable.  For each diagonal, w runs
+    over the annulus D t1 t3 - bound_det <= N(w) <= D t1 t3.
     """
     if bound_det < 0 or bound_diag < 0:
         raise ValueError("bounds must be nonnegative")
-    out = [point(D, 0, 0)]
-    zero = QuadInt(0, 0, D)
+    raw = [(0, 0, 0, 0, 0)]  # (det, t1, t3, a, b), the canonical sort key
     for t in range(1, bound_diag + 1):
-        out.append(HermPoint(t, 0, zero))
-        out.append(HermPoint(0, t, zero))
+        raw += [(0, t, 0, 0, 0), (0, 0, t, 0, 0)]
     for t1 in range(1, bound_diag + 1):
         for t3 in range(1, bound_diag + 1):
-            cap = D * t1 * t3
-            lo = cap - bound_det
-            for w in norm_ball(D, cap):
-                if w.norm() >= lo:
-                    out.append(HermPoint(t1, t3, w))
-    out.sort(key=HermPoint.sort_key)
-    return out
+            cap4 = 4 * D * t1 * t3
+            bmax = math.isqrt(4 * t1 * t3)
+            for b in range(-bmax, bmax + 1):
+                # 4 N(a + b omega) = u^2 + D b^2 with u = 2a + b, so u has the
+                # parity of b and outer >= u^2 >= inner
+                outer, inner = cap4 - D * b * b, cap4 - 4 * bound_det - D * b * b
+                lo = math.isqrt(inner - 1) + 1 if inner > 0 else 0
+                for u in range(lo + (lo - b) % 2, math.isqrt(outer) + 1, 2):
+                    det = (outer - u * u) // 4
+                    raw += [(det, t1, t3, (v - b) // 2, b) for v in ((u, -u) if u else (0,))]
+    raw.sort()
+    return [HermPoint(t1, t3, QuadInt(a, b, D)) for _, t1, t3, a, b in raw]
 
 
 # ---------------------------------------------------------------------------

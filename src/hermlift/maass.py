@@ -24,7 +24,7 @@ from math import gcd
 from typing import Callable
 
 from .elliptic import NewformData, QExpansion, antisymmetrize
-from .hermitian import HermPoint, content, enumerate_points
+from .hermitian import HermPoint, enumerate_points
 from .quadfield import ClassChar, FieldParams
 from .ring import HeckeElem, HeckeRing
 
@@ -249,20 +249,17 @@ def alpha_from_newform(f: NewformData, n_max: int) -> dict[int, Coeff]:
     rejected.
     """
     D = f.D
-    psi = antisymmetrize(f, n_max)
     alpha: dict[int, Coeff] = {}
-    for n in range(1, n_max + 1):
-        ak = a_K(D, n)
-        v = psi.a(n)
-        if ak == 0:
-            if not v.is_zero():
-                raise ValueError(
-                    f"input is not in the image of the descent: coefficient {n} "
-                    f"nonzero where the counting factor vanishes"
-                )
+    for n, v in antisymmetrize(f, n_max).coeffs.items():
+        if v.is_zero():
             continue
-        if not v.is_zero():
-            alpha[n] = v / ak if ak != 1 else v
+        ak = a_K(D, n)
+        if ak == 0:
+            raise ValueError(
+                f"input is not in the image of the descent: coefficient {n} "
+                f"nonzero where the counting factor vanishes"
+            )
+        alpha[n] = v / ak if ak != 1 else v
     return alpha
 
 
@@ -308,18 +305,17 @@ def random_alpha_tuple(
     return MaassTuple(params, chi, ring, alpha, n_max, source_label=f"random-{seed}")
 
 
-def _primitive_scan(t: CoeffTable, pts: list[HermPoint]) -> tuple[dict[int, Coeff], set[int]]:
+def _primitive_scan(t: CoeffTable, keyed: list[tuple]) -> tuple[dict[int, Coeff], set[int]]:
     """Nonzero alpha read at the first primitive point of each determinant,
-    and the nonzero determinants in range that no primitive point realises."""
+    and the determinants of nonzero points that no primitive point realises;
+    ``keyed`` lists (point, det, content) in canonical order."""
     alpha: dict[int, Coeff] = {}
     constrained: set[int] = set()
     dets: set[int] = set()
-    for h in pts:
-        if h.is_zero():
-            continue
-        det = h.det_scaled()
-        dets.add(det)
-        if det not in constrained and content(h) == 1:
+    for h, det, eps in keyed:
+        if eps:
+            dets.add(det)
+        if eps == 1 and det not in constrained:
             constrained.add(det)
             v = t.get(h)
             if not v.is_zero():
@@ -334,30 +330,32 @@ def check_maass(
 
     Extracts a candidate alpha from primitive points (content 1, first in
     canonical order for each determinant value), then verifies the
-    condition at every point.  Returns (True, alpha) on success and
-    (False, first offending point) on failure.  Determinant values not
-    realised by any primitive point in range are unconstrained, and points
-    whose divisor sum reads one are skipped; a set passed as
-    ``unconstrained`` receives those values.
+    condition at every point, with one divisor sum per (det, content).
+    Returns (True, alpha) on success and (False, first offending point) on
+    failure.  Determinant values not realised by any primitive point in
+    range are unconstrained, and points whose divisor sum reads one are
+    skipped; a set passed as ``unconstrained`` receives those values.
     """
     k = k if k is not None else t.params.k
-    pts = t.points()
-    alpha, skipped = _primitive_scan(t, pts)
+    # the zero point has content 0, which has no divisors: its sum is 0
+    keyed = [(h, h.det_scaled(), gcd(*h.coords())) for h in t.points()]
+    alpha, skipped = _primitive_scan(t, keyed)
     if unconstrained is not None:
         unconstrained |= skipped
     zero = t.ring.zero()
     powers: dict[int, int] = {}
-    for h in pts:
-        if h.is_zero():
-            if not t.get(h).is_zero():
-                return False, h
-            continue
-        det, eps = h.det_scaled(), content(h)
-        # every det / d^2 is a determinant in range, since h / d is in bounds
-        if skipped and any(det // (d * d) in skipped for d in _divisors(eps)):
-            continue
-        acc = _divisor_sum(alpha, det, eps, k, powers)
-        if t.get(h) != (acc if acc is not None else zero):
+    expected: dict[tuple[int, int], Coeff | None] = {}  # None: unconstrained
+    for h, det, eps in keyed:
+        key = (det, eps)
+        if key not in expected:
+            # every det / d^2 is a determinant in range, since h / d is in bounds
+            if skipped and any(det // (d * d) in skipped for d in _divisors(eps)):
+                expected[key] = None
+            else:
+                acc = _divisor_sum(alpha, det, eps, k, powers)
+                expected[key] = acc if acc is not None else zero
+        want = expected[key]
+        if want is not None and t.get(h) != want:
             return False, h
     return True, alpha
 
@@ -372,15 +370,17 @@ def descend(t: MaassTuple, n_max: int) -> dict[int, tuple[int, QExpansion]]:
     """
     if n_max > t.alpha_max:
         raise RangeError(f"alpha valid to {t.alpha_max}, needed at {n_max}")
-    D = t.D
+    D, alpha = t.D, t.alpha
     base = QExpansion(t.ring, n_max, weight=t.k - 1, level=D, label=t.source_label)
-    for n in range(1, n_max + 1):
-        ak = a_K(D, n)
-        if ak == 0:
-            continue
-        v = t.alpha.get(n)
+    support = range(1, n_max + 1)
+    if len(alpha) < n_max:
+        support = sorted(n for n in alpha if 1 <= n <= n_max)
+    for n in support:
+        v = alpha.get(n)
         if v is not None and not v.is_zero():
-            base.coeffs[n] = v * ak
+            ak = a_K(D, n)
+            if ak:
+                base.coeffs[n] = v * ak
     from .quadfield import class_group
 
     h = class_group(D).order

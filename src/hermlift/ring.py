@@ -14,12 +14,16 @@ at l and every valuation well-defined with ramification index 1.
 All polynomial work (reduction mod m, inverses, norms, the discriminant,
 Cantor-Zassenhaus factoring mod l and Hensel lifting) goes through one
 toolkit of dense coefficient lists that works over Z or Q, or over Z/n
-when given a modulus n.
+when given a modulus n.  Products of elements are the hot path: each ring
+takes the remainders of x^j mod m for g <= j <= 2g - 2 (g = deg m) from
+the toolkit's ``_divmod`` once, so that a product is one convolution
+followed by a fold of its top coefficients onto those rows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -71,8 +75,8 @@ def _mul(p: Sequence, q: Sequence, n: int | None = None) -> list:
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
+            for j, b in enumerate(q, i):
+                out[j] += a * b
     return _trim(out, n)
 
 
@@ -181,10 +185,13 @@ class HeckeRing:
         if mod[-1] != 1:
             raise ValueError("modulus must be monic")
         self.modulus = mod
-        self.degree = len(mod) - 1
+        self.degree = g = len(mod) - 1
         self.discriminant = self._disc()
         if self.discriminant == 0:
             raise ValueError("modulus must be squarefree over Q")
+        # fold[j - g] = x^j mod m, for the top coefficients of a product
+        self.fold = [_divmod([0] * j + [1], mod)[1] for j in range(g, 2 * g - 1)]
+        self._zero = HeckeElem(self, (0,) * g, 1)
 
     def _disc(self) -> int:
         m = self.modulus
@@ -213,7 +220,7 @@ class HeckeRing:
         return HeckeElem(self, num, den_total)
 
     def zero(self) -> "HeckeElem":
-        return HeckeElem(self, (0,) * self.degree, 1)
+        return self._zero
 
     def one(self) -> "HeckeElem":
         return self.from_int(1)
@@ -270,7 +277,7 @@ class HeckeElem:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.num)
+        return not any(self.num)
 
     def is_integral(self) -> bool:
         return self.den == 1
@@ -278,21 +285,27 @@ class HeckeElem:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "HeckeElem"):
-        if self.ring is not other.ring and self.ring != other.ring:
+        if self.ring != other.ring:
             raise ValueError("mismatched rings")
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
-        if not isinstance(other, HeckeElem):
-            return NotImplemented
-        self._check(other)
+    def _linear(self, other, op):
+        """self op other for op in (+, -), with ints promoted to the ring."""
+        if other.__class__ is not HeckeElem:
+            if isinstance(other, int):
+                other = self.ring.from_int(other)
+            elif not isinstance(other, HeckeElem):
+                return NotImplemented
+        if self.ring is not other.ring:
+            self._check(other)
         if self.den == other.den:
-            return HeckeElem(self.ring, tuple(a + b for a, b in zip(self.num, other.num)), self.den)
+            return HeckeElem(self.ring, tuple(map(op, self.num, other.num)), self.den)
         g = math.gcd(self.den, other.den)
         sa, sb = other.den // g, self.den // g
-        den = self.den * sa
-        return HeckeElem(self.ring, tuple(a * sa + b * sb for a, b in zip(self.num, other.num)), den)
+        num = tuple(op(a * sa, b * sb) for a, b in zip(self.num, other.num))
+        return HeckeElem(self.ring, num, self.den * sa)
+
+    def __add__(self, other):
+        return self._linear(other, operator.add)
 
     __radd__ = __add__
 
@@ -300,32 +313,38 @@ class HeckeElem:
         return HeckeElem(self.ring, tuple(-c for c in self.num), self.den, _norm=False)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
-        if not isinstance(other, HeckeElem):
-            return NotImplemented
-        return self + (-other)
+        return self._linear(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return self.ring.zero()
-            return HeckeElem(self.ring, tuple(c * other for c in self.num), self.den)
-        if isinstance(other, Fraction):
-            return HeckeElem(
-                self.ring,
-                tuple(c * other.numerator for c in self.num),
-                self.den * other.denominator,
-            )
-        if not isinstance(other, HeckeElem):
-            return NotImplemented
-        self._check(other)
-        rem = _divmod(_mul(self.num, other.num), self.ring.modulus)[1]
-        rem += [0] * (self.ring.degree - len(rem))
-        return HeckeElem(self.ring, tuple(rem), self.den * other.den)
+        if other.__class__ is not HeckeElem:
+            if isinstance(other, int):
+                if other == 0:
+                    return self.ring.zero()
+                return HeckeElem(self.ring, tuple(c * other for c in self.num), self.den)
+            if isinstance(other, Fraction):
+                num = tuple(c * other.numerator for c in self.num)
+                return HeckeElem(self.ring, num, self.den * other.denominator)
+            if not isinstance(other, HeckeElem):
+                return NotImplemented
+        ring = self.ring
+        if ring is not other.ring:
+            self._check(other)
+        # convolve, then fold the coefficients of x^g .. x^(2g-2) back down
+        g = ring.degree
+        prod = [0] * (2 * g - 1)
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in enumerate(other.num, i):
+                    prod[j] += a * b
+        out = prod[:g]
+        for c, row in zip(prod[g:], ring.fold):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return HeckeElem(ring, tuple(out), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -365,7 +384,8 @@ class HeckeElem:
             return self.den == 1 and self.num == (other,) + (0,) * (self.ring.degree - 1)
         if not isinstance(other, HeckeElem):
             return NotImplemented
-        return self.ring == other.ring and self.num == other.num and self.den == other.den
+        same_ring = self.ring is other.ring or self.ring == other.ring
+        return same_ring and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         # integral constants compare equal to their int, so hash like it

@@ -1,8 +1,13 @@
+import contextlib
+import functools
+import io
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermlift.cli import main, read_table, table_as_tuple, write_table
 from hermlift.elliptic import format_newform, synthetic_newform
@@ -237,3 +242,69 @@ def test_bad_file_nonzero_exit(tmp_path, capsys):
     code, _ = run(capsys, "lift", bad, out_tbl)
     assert code == 2
     assert not out_tbl.exists()  # no partial output
+
+
+JUNK = ["", "0", "1", "-1", "2", "3", "7", "x", "1/0", "3/2", "-3/4", "/", "#", "ap", "point", "1e3", "+1"]
+
+
+@st.composite
+def mutated(draw, text):
+    """text with one to three random line mutations."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        kind = draw(st.sampled_from(["drop", "dup", "swap", "token", "cut-token", "insert", "truncate"]))
+        if not lines:
+            lines = [draw(st.sampled_from(JUNK))]
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "dup":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "insert":
+            lines.insert(i, " ".join(draw(st.lists(st.sampled_from(JUNK), max_size=4))))
+        elif kind == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        else:
+            parts = lines[i].split() or [""]
+            j = draw(st.integers(0, len(parts) - 1))
+            if kind == "token":
+                parts[j] = draw(st.sampled_from(JUNK))
+            else:
+                del parts[j]
+            lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _fuzz_inputs():
+    """A valid newform file and a valid table file, by kind."""
+    f = synthetic_newform(FieldParams(7, 8), GAUSS, "negate-x", p_max=60, seed=3)
+    with tempfile.TemporaryDirectory() as d:
+        write_table(f"{d}/lift.tbl", build_lift(f, trivial_char(), 40), 40, 2)
+        return {"nf": format_newform(f), "tbl": Path(f"{d}/lift.tbl").read_text()}
+
+
+FUZZ_COMMANDS = {
+    "nf": [["lift", "{}", "{out}", "--bound-det", "30"], ["euler", "{}", "--p", "3", "--verify-product134"]],
+    "tbl": [["check-maass", "{}"], ["descend", "{}", "--n-max", "20"], ["hecke", "{}", "{out}", "--op", "T0@3"]],
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(FUZZ_COMMANDS)), st.data())
+def test_mutated_input_files_exit_cleanly(kind, data):
+    # malformed input exits 2 with a message, never with a traceback
+    text = data.draw(mutated(_fuzz_inputs()[kind]))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / f"input.{kind}"
+        path.write_text(text)
+        for argv in FUZZ_COMMANDS[kind]:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([a.format(str(path), out=f"{d}/out.tbl") for a in argv])
+            assert code in (0, 1, 2), (argv, code)
+            assert "Traceback" not in err.getvalue()
+            assert code != 2 or err.getvalue().startswith("error: ")

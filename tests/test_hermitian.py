@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -188,6 +189,24 @@ def test_enumerate_small():
         if QuadInt(a, b, 7).norm() <= 7
     }
     assert {h.coords() for h in inner} == brute
+
+
+@pytest.mark.parametrize("D, bound_det, bound_diag", [(3, 12, 3), (7, 28, 2), (7, 63, 3), (23, 92, 2), (23, 180, 4)])
+def test_enumerate_matches_brute_force(D, bound_det, bound_diag):
+    # N(a + b omega) <= D t1 t3 forces |b| <= 2 bound_diag and
+    # |a| <= (sqrt(D) + 1) bound_diag, so the box below holds every point
+    rb, ra = 2 * bound_diag, (math.isqrt(D) + 2) * bound_diag
+    brute = []
+    for t1 in range(bound_diag + 1):
+        for t3 in range(bound_diag + 1):
+            for a in range(-ra, ra + 1):
+                for b in range(-rb, rb + 1):
+                    det = D * t1 * t3 - QuadInt(a, b, D).norm()
+                    if 0 <= det <= bound_det:
+                        brute.append((det, t1, t3, a, b))
+    brute.sort()
+    assert any(key[0] == bound_det for key in brute)  # the closed end of the annulus
+    assert [h.sort_key() for h in enumerate_points(D, bound_det, bound_diag)] == brute
 
 
 def test_enumerate_symmetries_and_order():

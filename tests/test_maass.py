@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermlift.elliptic import bundled_cm_form, antisymmetrize, synthetic_newform
 from hermlift.hermitian import point
 from hermlift.maass import (
+    MaassTuple,
     a_K,
     alpha_from_newform,
     build_lift,
@@ -190,3 +192,57 @@ def test_lift_oracle_range_guard():
     oracle = t.oracle()
     with pytest.raises(ValueError, match="alpha valid to"):
         oracle(point(7, 2, 2, 0, 0))  # det 28 > 20
+
+
+def alpha_reference(f, n_max):
+    """alpha_from_newform as a loop over every n <= n_max."""
+    psi = antisymmetrize(f, n_max)
+    alpha = {}
+    for n in range(1, n_max + 1):
+        ak, v = a_K(f.D, n), psi.a(n)
+        if ak == 0:
+            if not v.is_zero():
+                raise ValueError("not in the image")
+            continue
+        if not v.is_zero():
+            alpha[n] = v / ak if ak != 1 else v
+    return alpha
+
+
+def descend_reference(t, n_max):
+    """descend's coefficients as a loop over every n <= n_max."""
+    out = {}
+    for n in range(1, n_max + 1):
+        ak, v = a_K(t.D, n), t.alpha.get(n)
+        if ak and v is not None and not v.is_zero():
+            out[n] = v * ak
+    return out
+
+
+RINGS = (HeckeRing([0, 1]), GAUSS, HeckeRing([1, 0, 0, 0, 1]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from([7, 23, 47]),
+    st.sampled_from(RINGS),
+    st.sampled_from(["trivial", "negate-x"]),
+    st.sampled_from([4, 8]),
+    st.integers(0, 10**6),
+    st.integers(1, 400),
+    st.data(),
+)
+def test_lift_loops_match_per_index_reference(D, ring, involution, k, seed, n_max, data):
+    f = synthetic_newform(FieldParams(D, k), ring, involution, p_max=n_max + 10, seed=seed)
+    alpha = alpha_from_newform(f, n_max)
+    assert list(alpha.items()) == list(alpha_reference(f, n_max).items())
+    # a sparse alpha with zeros, index 0 and indices past n_max takes the
+    # sorted-support branch; the full one takes the range branch
+    keep = data.draw(st.sets(st.sampled_from(sorted(alpha) or [1])))
+    sparse = {n: alpha[n] for n in keep if n in alpha}
+    sparse.update({0: ring.one(), n_max + 5: ring.one(), 2: ring.zero()})
+    for a in (alpha, sparse):
+        t = MaassTuple(f.params, TRIV, ring, a, n_max + 5)
+        cut = data.draw(st.integers(1, n_max + 5))
+        q = descend(t, cut)[0][1]
+        assert list(q.coeffs.items()) == list(descend_reference(t, cut).items())

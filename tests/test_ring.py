@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from hermlift.ring import HeckeRing, INF, _hensel_lift_factor, primes_above, val_at
+from hermlift.ring import HeckeElem, HeckeRing, INF, _divmod, _hensel_lift_factor, _mul, primes_above, val_at
 
 
 GAUSS = HeckeRing([1, 0, 1])  # x^2 + 1
@@ -277,3 +277,57 @@ def test_ring_over_random_moduli(m, ca, cb, den):
                 e.inverse()
         else:
             assert e * e.inverse() == 1
+
+
+def _canonical(ring, coords):
+    """(num, den) in lowest terms of the element with these rational coordinates."""
+    coords = [Fraction(c) for c in coords] + [Fraction(0)] * (ring.degree - len(coords))
+    den = math.lcm(*(c.denominator for c in coords))
+    return tuple(int(c * den) for c in coords), den
+
+
+def _as_pair(e):
+    return e.num, e.den
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_elem_kernel_matches_toolkit_reference(data):
+    # a squarefree monic modulus of degree 1-6; the reference is the toolkit's
+    # _divmod(_mul(a, b), m) on numerators, over the product of the denominators
+    m = data.draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(lambda c: c + [1]))
+    try:
+        ring = HeckeRing(m)
+    except ValueError:
+        assume(False)
+    g = ring.degree
+    coord = st.lists(st.integers(-40, 40), min_size=g, max_size=g)
+    den = st.integers(1, 12).flatmap(lambda d: st.sampled_from([d, -d]))
+    a, b = (HeckeElem(ring, tuple(data.draw(coord)), data.draw(den)) for _ in range(2))
+    for x in (a, b):
+        assert x.den > 0 and math.gcd(*x.num, x.den) == 1
+        assert x.is_zero() == all(c == 0 for c in x.num)
+    rem = _divmod(_mul(a.num, b.num), ring.modulus)[1]
+    assert _as_pair(a * b) == _canonical(ring, [Fraction(c, a.den * b.den) for c in rem])
+    ca, cb = a.coords(), b.coords()
+    assert _as_pair(a + b) == _canonical(ring, [x + y for x, y in zip(ca, cb)])
+    assert _as_pair(a - b) == _canonical(ring, [x - y for x, y in zip(ca, cb)])
+    assert (a - a).is_zero() and (a * ring.zero()).is_zero()
+    # an equal ring that is a different object mixes freely
+    twin = HeckeElem(HeckeRing(m), b.num, b.den)
+    assert a * twin == a * b and a + twin == a + b and a - twin == a - b
+    s = data.draw(st.one_of(st.integers(-50, 50), st.booleans(), st.fractions(max_denominator=20)))
+    scaled = _canonical(ring, [c * s for c in ca])
+    assert _as_pair(a * s) == _as_pair(s * a) == scaled
+    if isinstance(s, int):
+        shifted = [ca[0] + s, *ca[1:]]
+        assert _as_pair(a + s) == _as_pair(s + a) == _canonical(ring, shifted)
+        assert _as_pair(a - s) == _canonical(ring, [ca[0] - s, *ca[1:]])
+        assert _as_pair(s - a) == _canonical(ring, [s - ca[0], *(-c for c in ca[1:])])
+    else:
+        with pytest.raises(TypeError):
+            a + s
+    stranger = next(r for r in (ZZ, GAUSS) if r != ring).one()
+    for op in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(ValueError, match="mismatched rings"):
+            op(a, stranger)
