@@ -56,7 +56,6 @@ from .maass import (
     random_alpha_tuple,
     check_maass,
     descend,
-    lift_oracle,
 )
 from .hecke import (
     HeckeOpId,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import hecke
@@ -96,11 +95,11 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
                 elif key == "ring":
                     ring = HeckeRing([int(c) for c in parts[1:]])
                 elif key == "chiorder":
-                    chiorder = int(parts[1])
+                    chiorder, chi_line = int(parts[1]), lineno
                 elif key == "chi":
-                    chi_exps = tuple(int(e) for e in parts[1:])
+                    chi_exps, chi_line = tuple(int(e) for e in parts[1:]), lineno
                 elif key == "zetaexp":
-                    zetaexp = int(parts[1])
+                    zetaexp, zeta_line = int(parts[1]), lineno
                 elif key == "bound_det":
                     bound_det = int(parts[1])
                 elif key == "bound_diag":
@@ -128,8 +127,13 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
     if None in (D, k, bound_det, bound_diag) or ring is None:
         raise CommandError(f"{path}: missing table header fields")
     params = FieldParams(D, k)
-    table = CoeffTable(params, ring, bound_det, bound_diag, values)
-    return table, ClassChar(chiorder, chi_exps), zetaexp
+    chi = ClassChar(chiorder, chi_exps)
+    if not (chiorder == 1 and chi.is_trivial()) and chi not in char_values(class_group(D)):
+        raise CommandError(f"{path}:{chi_line}: malformed table line (no character of the class group of "
+                           f"D = {D} has order {chiorder} and exponents {list(chi_exps)})")
+    if not 0 <= zetaexp < max(chiorder, 1):
+        raise CommandError(f"{path}:{zeta_line}: malformed table line (zetaexp {zetaexp} outside 0..{max(chiorder, 1) - 1})")
+    return CoeffTable(params, ring, bound_det, bound_diag, values), chi, zetaexp
 
 
 def table_as_tuple(table: CoeffTable, chi: ClassChar, zetaexp: int) -> MaassTuple:
@@ -348,18 +352,7 @@ def cmd_congruence(args, out: Out) -> int:
 # argument parsing
 
 
-def _config_defaults() -> dict:
-    path = os.environ.get("HERMLIFT_CONFIG")
-    if not path:
-        return {}
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CommandError(f"config {path}: {exc}") from exc
-
-
-def build_parser(defaults: dict) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermlift",
         description="Exact Maass lifts on U(2,2): Hecke action, descent, L-factors, congruences.",
@@ -375,8 +368,8 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("newform")
     p.add_argument("output")
     p.add_argument("--chi", type=int, default=0, help="class character index")
-    p.add_argument("--bound-det", type=int, default=defaults.get("bound_det", 200))
-    p.add_argument("--bound-diag", type=int, default=defaults.get("bound_diag", 2))
+    p.add_argument("--bound-det", type=int, default=200)
+    p.add_argument("--bound-diag", type=int, default=2)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("hecke", help="apply Hecke operators to a table file")
@@ -392,7 +385,7 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
 
     p = sub.add_parser("descend", help="descend a lift table to elliptic q-expansions")
     p.add_argument("table")
-    p.add_argument("--n-max", type=int, default=defaults.get("n_max"))
+    p.add_argument("--n-max", type=int)
     p.set_defaults(func=cmd_descend)
 
     p = sub.add_parser("euler", help="Euler factors of a lift, with optional verification")
@@ -406,8 +399,8 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("newforms", nargs="+")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--chi", type=int, default=0)
-    p.add_argument("--p-max", type=int, default=defaults.get("p_max", 20))
-    p.add_argument("--cap", type=int, default=defaults.get("cap", VAL_CAP))
+    p.add_argument("--p-max", type=int, default=20)
+    p.add_argument("--cap", type=int, default=VAL_CAP)
     p.set_defaults(func=cmd_congruence)
 
     return parser
@@ -415,9 +408,7 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        defaults = _config_defaults()
-        parser = build_parser(defaults)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         out = Out(args.json)
         return args.func(args, out)
     except CommandError as exc:

@@ -32,12 +32,13 @@ the classical T_p (see descend_op).
 All arguments of one term share a determinant: p^2 det(h) for the
 alpha-translates and c(p h), det(h)/p^2 for their quotients by p^2 and
 c(h/p), det(h) for the rest.  A lift's coefficient depends only on
-(det, content), by the divisor-sum condition (maass.py), so on a lift a
-term is its count of arguments per content times one memoised divisor sum
-per (det, content) key.  Tables and lazy sources (compositions, the outer
-T_p of U_p) are read one coefficient per argument; that per-coset reader
-is also the tests' reference for the keyed one.  Both read one walk over
-the coset arguments.
+(det, content), by the divisor-sum condition, so on a lift a term is its
+count of arguments per content times one lift value per (det, content)
+key, read from ``maass._lift_values``, the evaluator every lift reader
+shares.  Tables and lazy sources (compositions, the outer T_p of U_p) are
+read one coefficient per argument; that per-coset reader is also the
+tests' reference for the keyed one.  Both read one walk over the coset
+arguments.
 
 Split primes act on lift data in closed form, on the generating function:
 relative to canonical class representatives,
@@ -63,7 +64,7 @@ from typing import Callable, Iterable
 
 from .elliptic import NewformData, QExpansion, apply_Tp
 from .hermitian import HermPoint
-from .maass import CoeffTable, Getter, MaassTuple, RangeError, _divisor_sum, _tabulate
+from .maass import CoeffTable, Getter, MaassTuple, RangeError, _lift_values, _tabulate
 from .quadfield import (
     ClassChar,
     FieldParams,
@@ -232,19 +233,10 @@ def _coset_sum(get: Getter, zero: HeckeElem) -> Callable[[Slots], HeckeElem]:
 
 def _keyed_sum(t: MaassTuple) -> Callable[[Slots], HeckeElem]:
     """Reads slots on a lift, whose value at an image depends only on its
-    (det, content): per slot, one memoised divisor sum per distinct content,
-    times the number of images that have it."""
-    alpha, alpha_max, k = t.alpha, t.alpha_max, t.k
+    (det, content): per slot, one lift value per distinct content, times the
+    number of images that have it."""
     zero = t.ring.zero()
-    powers: dict[int, int] = {}
-    memo: dict[tuple[int, int], HeckeElem | None] = {}
-
-    def lift_value(det: int, c: int) -> HeckeElem | None:
-        if (det, c) not in memo:
-            if det > alpha_max:
-                raise RangeError(f"alpha valid to {alpha_max}, needed at {det}")
-            memo[det, c] = _divisor_sum(alpha, det, c, k, powers)
-        return memo[det, c]
+    value = _lift_values(t.alpha, t.alpha_max, t.k, zero)
 
     def read(slots: Slots) -> HeckeElem:
         out = None
@@ -252,8 +244,8 @@ def _keyed_sum(t: MaassTuple) -> Callable[[Slots], HeckeElem]:
             acc = None
             contents = list(starmap(gcd, images))
             for c in set(contents):
-                v = lift_value(det, c)
-                if v is not None:
+                v = value(det, c)
+                if v is not zero:
                     n = contents.count(c)
                     v = v if n == 1 else v * n
                     acc = v if acc is None else acc + v
@@ -330,67 +322,39 @@ def act_split_on_lift(t: MaassTuple, op: HeckeOpId) -> MaassTuple:
     D, k = t.D, t.k
     if split_type(D, p) is not SplitType.SPLIT:
         raise ValueError(f"p = {p} is not split for discriminant {D}")
-    cg = class_group(D)
-    cls = prime_class(cg, p)
-    chi_e = t.chi.exponent(cls)
-    d = t.chi.order
-    ring = t.ring
-    alpha = t.alpha
-
-    def a(n: int) -> HeckeElem | None:
-        v = alpha.get(n)
-        return v if v is not None and not v.is_zero() else None
-
-    new_alpha: dict[int, HeckeElem] = {}
-    new_max = t.alpha_max // p ** op.reach
+    chi_e = t.chi.exponent(prime_class(class_group(D), p))
+    # terms (mul, div, c): alpha'(n) gets c alpha(n mul / div) when div | n
     if op.kind == "SplitT1":
         c_hi = Fraction(p + 1) * Fraction(p ** 2, p ** (k // 2))
         c_lo = (p + 1) * p ** (k // 2)
-        for n in range(1, new_max + 1):
-            acc = None
-            v = a(n * p)
-            if v is not None:
-                acc = v * c_hi
-            if n % p == 0:
-                v = a(n // p)
-                if v is not None:
-                    w = v * c_lo
-                    acc = w if acc is None else acc + w
-            if acc is not None:
-                new_alpha[n] = acc
+        terms = ((p, 1, c_hi), (1, p, c_lo))
         shift = chi_e
     elif op.kind == "SplitT2":
         c_hi = Fraction(p ** 4, p ** k)
         c_mid = p ** 3 + p ** 2 + p
-        for n in range(1, new_max + 1):
-            acc = None
-            v = a(n * p * p)
-            if v is not None:
-                acc = v * c_hi
-            v = a(n)
-            if v is not None:
-                c = c_mid
-                if n % p == 0:
-                    c += p * p
-                w = v * c
-                acc = w if acc is None else acc + w
-            if n % (p * p) == 0:
-                v = a(n // (p * p))
-                if v is not None:
-                    w = v * p ** k
-                    acc = w if acc is None else acc + w
-            if acc is not None:
-                new_alpha[n] = acc
+        terms = ((p * p, 1, c_hi), (1, 1, c_mid), (p, p, p * p), (1, p * p, p ** k))
         shift = 2 * chi_e
     else:
         raise ValueError(f"act_split_on_lift supports SplitT1 and SplitT2, not {op.kind}")
+    new_alpha: dict[int, HeckeElem] = {}
+    new_max = t.alpha_max // p ** op.reach
+    for n in range(1, new_max + 1):
+        acc = None
+        for mul, div, c in terms:
+            if n % div == 0:
+                v = t.alpha.get(n * mul // div)
+                if v is not None and not v.is_zero():
+                    v = v * c
+                    acc = v if acc is None else acc + v
+        if acc is not None:
+            new_alpha[n] = acc
     return MaassTuple(
         params=t.params,
         chi=t.chi,
-        ring=ring,
+        ring=t.ring,
         alpha=new_alpha,
         alpha_max=new_max,
-        zeta_exp=(t.zeta_exp + shift) % d if d > 1 else 0,
+        zeta_exp=(t.zeta_exp + shift) % t.chi.order if t.chi.order > 1 else 0,
         source_label=f"{op}({t.source_label})",
     )
 

@@ -9,7 +9,10 @@ inconsistency.  Coefficient tables satisfy the divisor-sum condition
 
 for a single function alpha on determinant values; that condition is the
 membership criterion, and alpha is what descends to an elliptic
-q-expansion via the counting factor a_K.
+q-expansion via the counting factor a_K.  One evaluator, ``_lift_values``,
+computes the right-hand side per (det, content) for every reader: the
+lift's oracle and tables, the membership test, and the keyed inert Hecke
+reader (hecke.py).
 
 Normalisation: the exact global unit i/sqrt(D) relating alpha to the
 elliptic coefficients is dropped throughout; it is independent of the
@@ -20,6 +23,7 @@ statement checked here is invariant under it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd
 from typing import Callable
 
@@ -144,13 +148,16 @@ class MaassTuple:
         return self.alpha.get(n, self.ring.zero())
 
     def oracle(self) -> Oracle:
-        return lift_oracle(self.params, self.ring, self.alpha, self.alpha_max)
+        """Pointwise coefficient function, evaluated on demand so Hecke
+        operators can reach outside any materialised table; past
+        ``alpha_max`` it raises RangeError."""
+        get = _lift_getter(self)
+        return lambda h: get(h.t1, h.t3, h.w.a, h.w.b)
 
     def identity_table(self, bound_det: int, bound_diag: int) -> CoeffTable:
         if bound_det > self.alpha_max:
             raise RangeError(f"alpha valid to {self.alpha_max}, needed at {bound_det}")
-        get = _lift_getter(self.params, self.ring, self.alpha, self.alpha_max)
-        return _tabulate(get, self.params, self.ring, bound_det, bound_diag)
+        return _tabulate(_lift_getter(self), self.params, self.ring, bound_det, bound_diag)
 
     def component_exponent(self, index: int) -> int:
         """zeta exponent of the component at a class index (identity table scaled)."""
@@ -161,56 +168,45 @@ class MaassTuple:
         return all(v.is_zero() for v in self.alpha.values())
 
 
-def lift_oracle(
-    params: FieldParams, ring: HeckeRing, alpha: dict[int, Coeff], alpha_max: int
-) -> Oracle:
-    """Pointwise coefficient function of the lift generated by alpha.
-
-    Evaluates the divisor-sum condition on demand, so Hecke operators can
-    reach outside any materialised table; past ``alpha_max`` it raises
-    RangeError.
-    """
-    get = _lift_getter(params, ring, alpha, alpha_max)
-    return lambda h: get(h.t1, h.t3, h.w.a, h.w.b)
-
-
-def _lift_getter(params: FieldParams, ring: HeckeRing, alpha: dict[int, Coeff], alpha_max: int) -> Getter:
-    """lift_oracle on raw lattice coordinates (t1, t3, w.a, w.b)."""
-    D, k, q = params.D, params.k, params.norm_c
-    zero = ring.zero()
-    powers: dict[int, int] = {}
+def _lift_getter(t: MaassTuple) -> Getter:
+    """The lift's coefficient function on raw lattice coordinates (t1, t3, w.a, w.b)."""
+    D, q = t.D, t.params.norm_c
+    zero = t.ring.zero()
+    value = _lift_values(t.alpha, t.alpha_max, t.k, zero)
 
     def get(t1: int, t3: int, wa: int, wb: int) -> Coeff:
         det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
         if det < 0:
             return zero
-        if det > alpha_max:
-            raise RangeError(f"alpha valid to {alpha_max}, needed at {det}")
-        # the zero point has content 0, which has no divisors
-        acc = _divisor_sum(alpha, det, gcd(gcd(t1, t3), gcd(wa, wb)), k, powers)
-        return acc if acc is not None else zero
+        return value(det, gcd(t1, t3, wa, wb))
 
     return get
 
 
-def _divisor_sum(alpha: dict[int, Coeff], det: int, eps: int, k: int, powers: dict[int, int]) -> Coeff | None:
-    """sum_{d | eps} d^(k-1) alpha(det / d^2), or None if every term vanishes.
+def _lift_values(alpha: dict[int, Coeff], alpha_max: int, k: int, zero: Coeff) -> Callable[[int, int], Coeff]:
+    """The lift's coefficient at scaled determinant det and content c,
 
-    Missing alpha values are zero; ``powers`` memoises d^(k-1) across calls.
+        sum_{d | c} d^(k-1) alpha(det / d^2),
+
+    memoised for the one reader that builds it.  Missing alpha values are
+    zero; when no term contributes (content 0, the zero point, has no
+    divisors) the value is ``zero`` itself.  Past ``alpha_max`` it raises
+    RangeError.
     """
-    acc = None
-    for d in _divisors(eps):
-        v = alpha.get(det // (d * d))
-        if v is None or v.is_zero():
-            continue
-        if d != 1:
-            c = powers.get(d)
-            if c is None:
-                c = d ** (k - 1)
-                powers[d] = c
-            v = v * c
-        acc = v if acc is None else acc + v
-    return acc
+
+    @cache
+    def value(det: int, c: int) -> Coeff:
+        if det > alpha_max:
+            raise RangeError(f"alpha valid to {alpha_max}, needed at {det}")
+        acc = zero
+        for d in _divisors(c):
+            v = alpha.get(det // (d * d))
+            if v is not None and not v.is_zero():
+                v = v if d == 1 else v * d ** (k - 1)
+                acc = v if acc is zero else acc + v
+        return acc
+
+    return value
 
 
 def _tabulate(get: Getter, params: FieldParams, ring: HeckeRing, bound_det: int, bound_diag: int) -> CoeffTable:
@@ -323,39 +319,32 @@ def _primitive_scan(t: CoeffTable, keyed: list[tuple]) -> tuple[dict[int, Coeff]
     return alpha, dets - constrained
 
 
-def check_maass(
-    t: CoeffTable, k: int | None = None, unconstrained: set[int] | None = None
-) -> tuple[bool, dict[int, Coeff] | HermPoint]:
+def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[bool, dict[int, Coeff] | HermPoint]:
     """Test the divisor-sum membership condition on a full table.
 
     Extracts a candidate alpha from primitive points (content 1, first in
     canonical order for each determinant value), then verifies the
-    condition at every point, with one divisor sum per (det, content).
+    condition at every point against the lift values of that alpha.
     Returns (True, alpha) on success and (False, first offending point) on
     failure.  Determinant values not realised by any primitive point in
     range are unconstrained, and points whose divisor sum reads one are
     skipped; a set passed as ``unconstrained`` receives those values.
     """
-    k = k if k is not None else t.params.k
-    # the zero point has content 0, which has no divisors: its sum is 0
     keyed = [(h, h.det_scaled(), gcd(*h.coords())) for h in t.points()]
     alpha, skipped = _primitive_scan(t, keyed)
     if unconstrained is not None:
         unconstrained |= skipped
-    zero = t.ring.zero()
-    powers: dict[int, int] = {}
-    expected: dict[tuple[int, int], Coeff | None] = {}  # None: unconstrained
+    value = _lift_values(alpha, t.bound_det, t.params.k, t.ring.zero())
+
+    @cache
+    def reads_unconstrained(det: int, eps: int) -> bool:
+        # every det / d^2 is a determinant in range, since h / d is in bounds
+        return any(det // (d * d) in skipped for d in _divisors(eps))
+
     for h, det, eps in keyed:
-        key = (det, eps)
-        if key not in expected:
-            # every det / d^2 is a determinant in range, since h / d is in bounds
-            if skipped and any(det // (d * d) in skipped for d in _divisors(eps)):
-                expected[key] = None
-            else:
-                acc = _divisor_sum(alpha, det, eps, k, powers)
-                expected[key] = acc if acc is not None else zero
-        want = expected[key]
-        if want is not None and t.get(h) != want:
+        if skipped and reads_unconstrained(det, eps):
+            continue
+        if t.get(h) != value(det, eps):
             return False, h
     return True, alpha
 

@@ -146,8 +146,8 @@ def test_acceptance_2_split_descent_diagram():
 
 def test_acceptance_3_inert_descent_diagram():
     """Raw inert coset action against the descended closed form: the two
-    sides go through independent code paths (coset transforms + divisor
-    sums vs classical Hecke recursion on q-expansions)."""
+    sides go through independent code paths (the coset walk and the lift
+    evaluator vs classical Hecke recursion on q-expansions)."""
     t0 = time.time()
     D, N = 23, 200
     cg = class_group(D)

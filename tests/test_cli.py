@@ -94,18 +94,37 @@ def test_hecke_inert_writes_the_library_action(tmp_path, capsys, synth_file, op,
     assert got.values == want.values and got.values
 
 
+# header lines that are no character of the class group of D = 23, or a
+# zeta exponent outside 0..order-1
+HEADER_FAULTS = ("chi 0", "chi 0 1 7", "chiorder 0", "zetaexp 3")
+
+
 @pytest.mark.parametrize(
     "fault",
-    ["point before field", "coordinate count", "duplicate point", "zero denominator", "out of bounds"],
+    ["point before field", "coordinate count", "duplicate point", "zero denominator", "out of bounds",
+     *HEADER_FAULTS],
 )
 def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault):
     nf, f = synth_file
     tbl = tmp_path / "lift.tbl"
-    run(capsys, "lift", nf, tbl, "--bound-det", "100", "--bound-diag", "2")
+    if fault in HEADER_FAULTS:
+        # a D = 23 table of the order-3 character chi_1
+        nf = tmp_path / "d23.nf"
+        nf.write_text(format_newform(synthetic_newform(FieldParams(23, 8), GAUSS, "negate-x", p_max=120, seed=2)))
+        run(capsys, "lift", nf, tbl, "--chi", "1", "--bound-det", "100", "--bound-diag", "2")
+    else:
+        run(capsys, "lift", nf, tbl, "--bound-det", "100", "--bound-diag", "2")
     lines = tbl.read_text().splitlines()
     last = max(i for i, line in enumerate(lines) if line.startswith("point"))
     parts = lines[last].split()
-    if fault == "point before field":
+    header = {line.split()[0]: i for i, line in enumerate(lines)}
+    if fault in HEADER_FAULTS:
+        assert lines[header["chiorder"]] == "chiorder 3"
+        key = fault.split()[0]
+        lines[header[key]] = fault
+        # a character is reported at the later of its two lines
+        bad_line = header["zetaexp" if key == "zetaexp" else "chi"] + 1
+    elif fault == "point before field":
         lines.insert(0, lines.pop(last))
         bad_line = 1
     elif fault == "coordinate count":
@@ -121,9 +140,18 @@ def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault
         lines[last] = " ".join(parts[:-1] + ["0"])
         bad_line = last + 1
     tbl.write_text("\n".join(lines) + "\n")
-    code = main(["check-maass", str(tbl)])
-    assert code == 2
-    assert f"{tbl}:{bad_line}:" in capsys.readouterr().err
+    for command in ("check-maass", "descend"):
+        code = main([command, str(tbl)])
+        assert code == 2
+        assert f"{tbl}:{bad_line}:" in capsys.readouterr().err
+
+
+def test_config_environment_variable_is_not_read(tmp_path, monkeypatch):
+    # flag defaults are constants: a file named by HERMLIFT_CONFIG is ignored
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")
+    monkeypatch.setenv("HERMLIFT_CONFIG", str(config))
+    assert main(["classgroup", "7"]) == 0
 
 
 def test_missing_table_exits_2(tmp_path, capsys):
@@ -280,16 +308,25 @@ def mutated(draw, text):
 
 @functools.cache
 def _fuzz_inputs():
-    """A valid newform file and a valid table file, by kind."""
+    """A valid newform file, a D = 7 table file and a D = 23 table file of an
+    order-3 class character, by kind."""
     f = synthetic_newform(FieldParams(7, 8), GAUSS, "negate-x", p_max=60, seed=3)
+    g = synthetic_newform(FieldParams(23, 8), GAUSS, "negate-x", p_max=60, seed=3)
+    chi = char_values(class_group(23))[1]
     with tempfile.TemporaryDirectory() as d:
         write_table(f"{d}/lift.tbl", build_lift(f, trivial_char(), 40), 40, 2)
-        return {"nf": format_newform(f), "tbl": Path(f"{d}/lift.tbl").read_text()}
+        write_table(f"{d}/lift23.tbl", build_lift(g, chi, 24), 24, 1)
+        return {
+            "nf": format_newform(f),
+            "tbl": Path(f"{d}/lift.tbl").read_text(),
+            "tbl23": Path(f"{d}/lift23.tbl").read_text(),
+        }
 
 
 FUZZ_COMMANDS = {
     "nf": [["lift", "{}", "{out}", "--bound-det", "30"], ["euler", "{}", "--p", "3", "--verify-product134"]],
     "tbl": [["check-maass", "{}"], ["descend", "{}", "--n-max", "20"], ["hecke", "{}", "{out}", "--op", "T0@3"]],
+    "tbl23": [["check-maass", "{}"], ["descend", "{}", "--n-max", "20"], ["hecke", "{}", "{out}", "--op", "T1@2"]],
 }
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from hermlift.quadfield import (
     char_values,
     class_group,
     norm_ball,
+    prime_class,
     trivial_char,
 )
 from hermlift.ring import HeckeRing
@@ -220,7 +223,7 @@ def test_keyed_lift_kernel_matches_per_coset_reference(data):
     needed = reach * max(h.det_scaled() for h in pts)
     short = data.draw(st.integers(1, 3), "short") if needed and data.draw(st.booleans()) else 0
     t = random_alpha_tuple(FieldParams(D, k), trivial_char(), ring, needed - short, seed=data.draw(st.integers(0, 99)))
-    ref = LazyAction(_lift_getter(t.params, t.ring, t.alpha, t.alpha_max), t.params, t.ring)
+    ref = LazyAction(_lift_getter(t), t.params, t.ring)
     if short:
         with pytest.raises(RangeError) as keyed_err:
             eval_inert_raw(t, kind, p, pts)
@@ -229,6 +232,88 @@ def test_keyed_lift_kernel_matches_per_coset_reference(data):
         assert str(keyed_err.value) == str(ref_err.value)
     else:
         assert eval_inert_raw(t, kind, p, pts) == eval_inert_raw(ref, kind, p, pts)
+
+
+def split_reference(t, op):
+    """act_split_on_lift as the two hand-written loops, one per kind, that it
+    replaced: (alpha, alpha_max, zeta_exp) of the image."""
+    p = op.p
+    D, k = t.D, t.k
+    chi_e = t.chi.exponent(prime_class(class_group(D), p))
+    d = t.chi.order
+    alpha = t.alpha
+
+    def a(n):
+        v = alpha.get(n)
+        return v if v is not None and not v.is_zero() else None
+
+    new_alpha = {}
+    new_max = t.alpha_max // p ** op.reach
+    if op.kind == "SplitT1":
+        c_hi = Fraction(p + 1) * Fraction(p ** 2, p ** (k // 2))
+        c_lo = (p + 1) * p ** (k // 2)
+        for n in range(1, new_max + 1):
+            acc = None
+            v = a(n * p)
+            if v is not None:
+                acc = v * c_hi
+            if n % p == 0:
+                v = a(n // p)
+                if v is not None:
+                    w = v * c_lo
+                    acc = w if acc is None else acc + w
+            if acc is not None:
+                new_alpha[n] = acc
+        shift = chi_e
+    else:
+        c_hi = Fraction(p ** 4, p ** k)
+        c_mid = p ** 3 + p ** 2 + p
+        for n in range(1, new_max + 1):
+            acc = None
+            v = a(n * p * p)
+            if v is not None:
+                acc = v * c_hi
+            v = a(n)
+            if v is not None:
+                c = c_mid
+                if n % p == 0:
+                    c += p * p
+                w = v * c
+                acc = w if acc is None else acc + w
+            if n % (p * p) == 0:
+                v = a(n // (p * p))
+                if v is not None:
+                    w = v * p ** k
+                    acc = w if acc is None else acc + w
+            if acc is not None:
+                new_alpha[n] = acc
+        shift = 2 * chi_e
+    return new_alpha, new_max, (t.zeta_exp + shift) % d if d > 1 else 0
+
+
+SPLIT_PRIMES = {7: (2, 11), 23: (2, 3)}  # the two smallest at each D
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_split_term_table_matches_hand_written_loops(data):
+    D = data.draw(st.sampled_from(sorted(SPLIT_PRIMES)), "D")
+    p = data.draw(st.sampled_from(SPLIT_PRIMES[D]), "p")
+    op = HeckeOpId.make(data.draw(st.sampled_from(("SplitT1", "SplitT2")), "kind"), p, D)
+    chi = data.draw(st.sampled_from(char_values(class_group(D))), "chi")
+    k = data.draw(st.sampled_from((8, 12)), "k")
+    zeta_exp = data.draw(st.integers(0, chi.order - 1), "zeta_exp")
+    # alpha_max from below p^reach (an empty image) to a few multiples of it;
+    # alpha with gaps and explicit zeros
+    alpha_max = data.draw(st.integers(0, 4 * p ** op.reach), "alpha_max")
+    coords = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    drawn = data.draw(st.dictionaries(st.integers(0, alpha_max), coords, max_size=80), "alpha")
+    alpha = {n: GAUSS.element(list(c)) for n, c in drawn.items()}
+    t = MaassTuple(FieldParams(D, k), chi, GAUSS, alpha, alpha_max, zeta_exp)
+    got = act_split_on_lift(t, op)
+    want_alpha, want_max, want_exp = split_reference(t, op)
+    assert (got.alpha_max, got.zeta_exp) == (want_max, want_exp)
+    assert {n: (v.num, v.den) for n, v in got.alpha.items()} == {n: (v.num, v.den) for n, v in want_alpha.items()}
 
 
 def test_split_closed_forms_commute_with_raw_inert_T0():

@@ -1,0 +1,79 @@
+"""Static hygiene of src/hermlift, read with the stdlib ast module.
+
+Two rules: a module uses every name it imports (``__init__`` imports only
+to re-export), and every private module-level function or class is
+referenced by some module of the package, so a helper left behind by a
+refactor fails here rather than lingering.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).parent.parent / "src" / "hermlift"
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _annotation_names(node):
+    """Names inside a string annotation such as ``"Getter"``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            return {n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name)}
+        except SyntaxError:
+            return set()
+    return set()
+
+
+def used_names(tree):
+    """Every identifier a module reads: names, attributes and string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names |= _annotation_names(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            names |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names |= _annotation_names(node.returns)
+    return names
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_every_import_is_used():
+    unused = [
+        f"{name}: {imported}"
+        for name, tree in MODULES.items()
+        if name != "__init__"
+        for imported in imported_names(tree)
+        if imported not in used_names(tree)
+    ]
+    assert not unused, unused
+
+
+def test_every_private_function_and_class_is_referenced():
+    referenced = set()
+    for tree in MODULES.values():
+        referenced |= used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    dead = [
+        f"{name}.{node.name}"
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in referenced
+    ]
+    assert not dead, dead

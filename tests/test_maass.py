@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermlift.elliptic import bundled_cm_form, antisymmetrize, synthetic_newform
-from hermlift.hermitian import point
+from hermlift.hecke import LazyAction, eval_inert_raw
+from hermlift.hermitian import content, det_scaled, enumerate_points, point
 from hermlift.maass import (
     MaassTuple,
+    RangeError,
     a_K,
     alpha_from_newform,
     build_lift,
     check_maass,
     descend,
-    lift_oracle,
     random_alpha_tuple,
 )
 from hermlift.quadfield import ClassChar, FieldParams, QuadInt, char_values, chi_K, class_group
@@ -246,3 +247,68 @@ def test_lift_loops_match_per_index_reference(D, ring, involution, k, seed, n_ma
         cut = data.draw(st.integers(1, n_max + 5))
         q = descend(t, cut)[0][1]
         assert list(q.coeffs.items()) == list(descend_reference(t, cut).items())
+
+
+def lift_value_reference(alpha, h, k, ring):
+    """The divisor-sum condition at one point, as a plain loop over d <= content."""
+    if h.is_zero():
+        return ring.zero()
+    n, c = det_scaled(h), content(h)
+    acc = ring.zero()
+    for d in range(1, c + 1):
+        if c % d == 0:
+            acc = acc + alpha.get(n // (d * d), ring.zero()) * d ** (k - 1)
+    return acc
+
+
+INERT = {7: 3, 23: 5}
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from([7, 23]),
+    st.sampled_from([8, 12]),
+    st.integers(1, 6),
+    st.integers(0, 160),
+    st.data(),
+)
+def test_lift_values_match_per_point_divisor_sum(D, k, bound_diag, bound_det, data):
+    # alpha with gaps (missing keys) and explicit zeros, index 0 included
+    alpha_max = bound_det + data.draw(st.integers(0, 20))
+    coords = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    drawn = data.draw(st.dictionaries(st.integers(0, alpha_max), coords, max_size=alpha_max + 1))
+    alpha = {n: GAUSS.element(list(c)) for n, c in drawn.items()}
+    t = MaassTuple(FieldParams(D, k), TRIV, GAUSS, alpha, alpha_max)
+
+    def want(h):
+        return lift_value_reference(alpha, h, k, GAUSS)
+
+    table = t.identity_table(bound_det, bound_diag)
+    oracle = t.oracle()
+    pts = enumerate_points(D, bound_det, bound_diag)
+    assert set(table.values) <= set(pts)
+    assert not any(v.is_zero() for v in table.values.values())
+    for h in pts:
+        assert table.get(h) == want(h) == oracle(h), h.coords()
+
+    # the keyed inert reader against a per-coset read of the reference
+    p = INERT[D]
+    q = t.params.norm_c
+
+    def ref_get(t1, t3, wa, wb):
+        det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
+        if det > alpha_max:
+            raise RangeError(f"alpha valid to {alpha_max}, needed at {det}")
+        return want(point(D, t1, t3, wa, wb))
+
+    ref = LazyAction(ref_get, t.params, GAUSS)
+    near = [h for h in pts if h.det_scaled() * p * p <= alpha_max]
+    for kind in ("InertT0", "InertT"):
+        assert eval_inert_raw(t, kind, p, near) == eval_inert_raw(ref, kind, p, near)
+
+    # past alpha_max the oracle and the table raise, never read a zero
+    t3 = alpha_max // D + 1
+    with pytest.raises(RangeError, match=f"^alpha valid to {alpha_max}, needed at {D * t3}$"):
+        oracle(point(D, 1, t3))
+    with pytest.raises(RangeError, match=f"alpha valid to {alpha_max}, needed at {alpha_max + 1}"):
+        t.identity_table(alpha_max + 1, bound_diag)
