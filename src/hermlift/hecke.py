@@ -35,10 +35,17 @@ c(h/p), det(h) for the rest.  A lift's coefficient depends only on
 (det, content), by the divisor-sum condition, so on a lift a term is its
 count of arguments per content times one lift value per (det, content)
 key, read from ``maass._lift_values``, the evaluator every lift reader
-shares.  Tables and lazy sources (compositions, the outer T_p of U_p) are
-read one coefficient per argument; that per-coset reader is also the
-tests' reference for the keyed one.  Both read one walk over the coset
-arguments.
+shares.  Only the translates by isotropic residues (p | u3, the t3-slot of
+alpha_a* h alpha_a) need their own content: the others keep h's, since
+alpha_a is invertible away from p and p | content(h) forces p | u3, so
+T_{p,0} counts them as one key.  Isotropy depends on h mod p alone, and
+unless h = 0 mod p at most p + 1 points of P^1 are isotropic (p + 1 for a
+nondegenerate h mod p, one at rank 1); the walk reads them from a list
+memoised by h mod p for one application, and so does T_p's.  Tables and
+lazy sources (compositions, the outer T_p of U_p) are read one coefficient
+per argument, with every translate of T_{p,0} listed; that per-coset reader
+is also the tests' reference for the keyed one.  Scalars are integers over
+the common denominator p^k, and each value is one ``ring.lincomb``.
 
 Split primes act on lift data in closed form, on the generating function:
 relative to canonical class representatives,
@@ -58,7 +65,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import starmap
 from math import gcd
 from typing import Callable, Iterable
 
@@ -73,7 +79,7 @@ from .quadfield import (
     prime_class,
     split_type,
 )
-from .ring import HeckeElem, HeckeRing
+from .ring import HeckeElem, HeckeRing, lincomb
 
 # kind -> (short name, p-power reach)
 _KINDS = {
@@ -159,23 +165,41 @@ class LazyAction:
     ring: HeckeRing
 
 
-Slots = tuple[tuple[int | Fraction, int, list[tuple[int, int, int, int]]], ...]
+Slots = tuple[tuple[int, int, list[tuple[int, int, int, int]]], ...]
 
 
-def _coset_walk(kind: str, params: FieldParams, p: int) -> Callable[[int, int, int, int, int], Slots]:
-    """The coset images of h under T_{p,0} or T_p, one slot per term.
+def _isotropic(params: FieldParams, p: int) -> Callable[[int, int, int, int], tuple[tuple[int, ...], ...]]:
+    """The residues a = x + y omega of O_K/p at which p divides u3, the
+    t3-slot of alpha_a* h alpha_a, as a function of h mod p, memoised per
+    class; each entry is (N(a), x, y, c1, c2).  At h = 0 every residue is."""
+    q = params.norm_c
+    reps = [(x * x + x * y + y * y * q, x, y, -x - 2 * q * y, 2 * x + y) for x in range(p) for y in range(p)]
+
+    @cache
+    def iso(r1: int, r3: int, ra: int, rb: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(r for r in reps if (r[0] * r1 + r3 + rb * r[1] - ra * r[2]) % p == 0)
+
+    return iso
+
+
+def _coset_walk(kind: str, params: FieldParams, p: int, full: bool = True) -> tuple[Callable[..., Slots], int]:
+    """The coset images of h under T_{p,0} or T_p, one slot per term, and
+    the denominator p^k of the slots' integer scalars.
 
     ``slots(t1, t3, wa, wb, det)`` gives (scalar, det, images) per term: the
-    arguments of c, all of determinant det, in the order the source is read."""
-    q = params.norm_c
-    # per-residue transform constants for a = x + y omega in O_K/p: (N(a), x, y, c1, c2)
-    reps = [(x * x + x * y + y * y * q, x, y, -x - 2 * q * y, 2 * x + y) for x in range(p) for y in range(p)]
-    pp, hi, lo = p * p, Fraction(p ** 4, p ** params.k), p ** params.k
+    arguments of c, all of determinant det, in the order the source is read.
+    With ``full`` off (lift sources, which are read by content) T_{p,0}
+    lists only the isotropic alpha-translates and adds the others as one
+    term (count * scalar, p^2 det, [h]), since they keep h's content."""
+    iso = _isotropic(params, p)
+    pp, k = p * p, params.k
+    den, hi, lo = p ** k, p ** 4, p ** (2 * k)  # hi, lo: p^(4-k), p^k times den
     if kind == "InertT0":
 
         def slots(t1: int, t3: int, wa: int, wb: int, det: int) -> Slots:
             up, down = [], []  # alpha-translates, and beta-translates (alpha / p^2)
-            for na, x, y, c1, c2 in reps:
+            res = iso(0, 0, 0, 0) if full else iso(t1 % p, t3 % p, wa % p, wb % p)
+            for na, x, y, c1, c2 in res:
                 u3 = na * t1 + t3 + wb * x - wa * y
                 va = t1 * c1 + wa  # w' = p*(va, vb)
                 vb = t1 * c2 + wb
@@ -193,66 +217,44 @@ def _coset_walk(kind: str, params: FieldParams, p: int) -> Callable[[int, int, i
                 s = p ** 3 - pp + p - 1
             else:
                 s = -pp + p - 1
-            return (hi, pp * det, up), (lo, det // pp, down), (s, det, [(t1, t3, wa, wb)])
+            h = [(t1, t3, wa, wb)]
+            bulk = (hi * (pp - len(res)), pp * det, h if len(res) < pp else [])
+            return (hi, pp * det, up), bulk, (lo, det // pp, down), (s * den, det, h)
 
     else:
 
         def slots(t1: int, t3: int, wa: int, wb: int, det: int) -> Slots:
-            mid = []  # (alpha_a* h alpha_a) / p: t1-slot p*t1 when the rest divides
-            for na, x, y, c1, c2 in reps:
+            mid = []  # (alpha_a* h alpha_a) / p, integral exactly at the isotropic residues
+            for na, x, y, c1, c2 in iso(t1 % p, t3 % p, wa % p, wb % p):
                 u3 = na * t1 + t3 + wb * x - wa * y
-                if u3 % p == 0:
-                    mid.append((p * t1, u3 // p, t1 * c1 + wa, t1 * c2 + wb))
+                mid.append((p * t1, u3 // p, t1 * c1 + wa, t1 * c2 + wb))
             if t1 % p == 0:
                 mid.append((t1 // p, p * t3, wa, wb))
             divisible = t1 % p == 0 and t3 % p == 0 and wa % p == 0 and wb % p == 0
             down = [(t1 // p, t3 // p, wa // p, wb // p)] if divisible else []
-            return (p, det, mid), (hi, pp * det, [(p * t1, p * t3, p * wa, p * wb)]), (lo, det // pp, down)
+            up = [(p * t1, p * t3, p * wa, p * wb)]
+            return (p * den, det, mid), (hi, pp * det, up), (lo, det // pp, down)
 
-    return slots
+    return slots, den
 
 
-def _coset_sum(get: Getter, zero: HeckeElem) -> Callable[[Slots], HeckeElem]:
+def _coset_sum(get: Getter, ring: HeckeRing, den: int) -> Callable[[Slots], HeckeElem]:
     """Reads slots one source value per coset image: the reference reader."""
-
-    def read(slots: Slots) -> HeckeElem:
-        out = None
-        for scalar, _, images in slots:
-            acc = None
-            for image in images:
-                v = get(*image)
-                if not v.is_zero():
-                    acc = v if acc is None else acc + v
-            if acc is not None:
-                acc = acc * scalar
-                out = acc if out is None else out + acc
-        return zero if out is None else out
-
-    return read
+    return lambda slots: lincomb(ring, [(s, get(*image)) for s, _, images in slots for image in images], den)
 
 
-def _keyed_sum(t: MaassTuple) -> Callable[[Slots], HeckeElem]:
+def _keyed_sum(t: MaassTuple, den: int) -> Callable[[Slots], HeckeElem]:
     """Reads slots on a lift, whose value at an image depends only on its
-    (det, content): per slot, one lift value per distinct content, times the
-    number of images that have it."""
-    zero = t.ring.zero()
-    value = _lift_values(t.alpha, t.alpha_max, t.k, zero)
+    (det, content): one integer multiplier and one lift value per key."""
+    value = _lift_values(t.alpha, t.alpha_max, t.k, t.ring)
 
     def read(slots: Slots) -> HeckeElem:
-        out = None
+        mult: dict[tuple[int, int], int] = {}
         for scalar, det, images in slots:
-            acc = None
-            contents = list(starmap(gcd, images))
-            for c in set(contents):
-                v = value(det, c)
-                if v is not zero:
-                    n = contents.count(c)
-                    v = v if n == 1 else v * n
-                    acc = v if acc is None else acc + v
-            if acc is not None:
-                acc = acc * scalar
-                out = acc if out is None else out + acc
-        return zero if out is None else out
+            for image in images:
+                key = (det, gcd(*image))
+                mult[key] = mult.get(key, 0) + scalar
+        return lincomb(t.ring, [(m, value(*key)) for key, m in mult.items()], den)
 
     return read
 
@@ -270,11 +272,12 @@ def _op_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
     D, q, zero = params.D, params.norm_c, ring.zero()
     if split_type(D, p) is not SplitType.INERT:
         raise ValueError(f"p = {p} is not inert for discriminant {D}")
-    slots = _coset_walk(kind, params, p)
-    if isinstance(src, MaassTuple):
-        read = _keyed_sum(src)
+    keyed = isinstance(src, MaassTuple)
+    slots, den = _coset_walk(kind, params, p, full=not keyed)
+    if keyed:
+        read = _keyed_sum(src, den)
     else:
-        read = _coset_sum(src.getter if isinstance(src, LazyAction) else _table_getter(src), zero)
+        read = _coset_sum(src.getter if isinstance(src, LazyAction) else _table_getter(src), ring, den)
 
     def value(t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
         det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
@@ -339,15 +342,10 @@ def act_split_on_lift(t: MaassTuple, op: HeckeOpId) -> MaassTuple:
     new_alpha: dict[int, HeckeElem] = {}
     new_max = t.alpha_max // p ** op.reach
     for n in range(1, new_max + 1):
-        acc = None
-        for mul, div, c in terms:
-            if n % div == 0:
-                v = t.alpha.get(n * mul // div)
-                if v is not None and not v.is_zero():
-                    v = v * c
-                    acc = v if acc is None else acc + v
-        if acc is not None:
-            new_alpha[n] = acc
+        read = [(c, t.alpha.get(n * mul // div)) for mul, div, c in terms if n % div == 0]
+        nonzero = [(c, v) for c, v in read if v is not None and not v.is_zero()]
+        if nonzero:
+            new_alpha[n] = lincomb(t.ring, nonzero)
     return MaassTuple(
         params=t.params,
         chi=t.chi,
@@ -390,9 +388,7 @@ class DescendedOp:
             powers.append(apply_Tp(powers[-1], p, k, D))
         out = QExpansion(q.ring, n_out, weight=q.weight, level=q.level)
         for n in range(1, n_out + 1):
-            acc = q.ring.zero()
-            for deg, coeff in self.tp_poly:
-                acc = acc + powers[deg].a(n) * coeff
+            acc = lincomb(q.ring, [(coeff, powers[deg].a(n)) for deg, coeff in self.tp_poly])
             if not acc.is_zero():
                 out.coeffs[n] = acc
         return out
@@ -451,7 +447,4 @@ def maass_eigenvalue(f: NewformData, chi: ClassChar, op: HeckeOpId) -> tuple[Hec
         raise ValueError("eigenvalue undefined: the form is self-conjugate, its lift vanishes")
     d = descend_op(op, f.k)
     ap = f.a(op.p)
-    acc = f.ring.zero()
-    for deg, coeff in d.tp_poly:
-        acc = acc + ap ** deg * coeff
-    return acc, d.zeta_exponent(chi, f.D)
+    return lincomb(f.ring, [(coeff, ap ** deg) for deg, coeff in d.tp_poly]), d.zeta_exponent(chi, f.D)

@@ -30,7 +30,7 @@ from typing import Callable
 from .elliptic import NewformData, QExpansion, antisymmetrize
 from .hermitian import HermPoint, enumerate_points
 from .quadfield import ClassChar, FieldParams
-from .ring import HeckeElem, HeckeRing
+from .ring import HeckeElem, HeckeRing, lincomb
 
 Coeff = HeckeElem
 Oracle = Callable[[HermPoint], Coeff]
@@ -172,7 +172,7 @@ def _lift_getter(t: MaassTuple) -> Getter:
     """The lift's coefficient function on raw lattice coordinates (t1, t3, w.a, w.b)."""
     D, q = t.D, t.params.norm_c
     zero = t.ring.zero()
-    value = _lift_values(t.alpha, t.alpha_max, t.k, zero)
+    value = _lift_values(t.alpha, t.alpha_max, t.k, t.ring)
 
     def get(t1: int, t3: int, wa: int, wb: int) -> Coeff:
         det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
@@ -183,28 +183,22 @@ def _lift_getter(t: MaassTuple) -> Getter:
     return get
 
 
-def _lift_values(alpha: dict[int, Coeff], alpha_max: int, k: int, zero: Coeff) -> Callable[[int, int], Coeff]:
+def _lift_values(alpha: dict[int, Coeff], alpha_max: int, k: int, ring: HeckeRing) -> Callable[[int, int], Coeff]:
     """The lift's coefficient at scaled determinant det and content c,
 
         sum_{d | c} d^(k-1) alpha(det / d^2),
 
     memoised for the one reader that builds it.  Missing alpha values are
-    zero; when no term contributes (content 0, the zero point, has no
-    divisors) the value is ``zero`` itself.  Past ``alpha_max`` it raises
-    RangeError.
+    zero; a vanishing sum (content 0, the zero point, has no divisors) is
+    the ring's shared zero.  Past ``alpha_max`` it raises RangeError.
     """
 
     @cache
     def value(det: int, c: int) -> Coeff:
         if det > alpha_max:
             raise RangeError(f"alpha valid to {alpha_max}, needed at {det}")
-        acc = zero
-        for d in _divisors(c):
-            v = alpha.get(det // (d * d))
-            if v is not None and not v.is_zero():
-                v = v if d == 1 else v * d ** (k - 1)
-                acc = v if acc is zero else acc + v
-        return acc
+        terms = ((d ** (k - 1), alpha.get(det // (d * d))) for d in _divisors(c))
+        return lincomb(ring, [(m, v) for m, v in terms if v is not None])
 
     return value
 
@@ -334,7 +328,7 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
     alpha, skipped = _primitive_scan(t, keyed)
     if unconstrained is not None:
         unconstrained |= skipped
-    value = _lift_values(alpha, t.bound_det, t.params.k, t.ring.zero())
+    value = _lift_values(alpha, t.bound_det, t.params.k, t.ring)
 
     @cache
     def reads_unconstrained(det: int, eps: int) -> bool:

@@ -429,6 +429,27 @@ class HeckeElem:
         return s if self.den == 1 else f"({s})/{self.den}"
 
 
+def lincomb(ring: HeckeRing, terms: Iterable[tuple[int | Fraction, HeckeElem]], den: int = 1) -> HeckeElem:
+    """(sum of c e over the pairs (c, e) of terms) / den as one element: the
+    numerators are summed over a common denominator and normalised once.
+    The one Q-linear summation of the hermitian side; a vanishing sum is the
+    ring's shared zero."""
+    num, lcm = [0] * ring.degree, 1
+    for c, e in terms:
+        n, d = c.numerator, c.denominator * e.den
+        if d != lcm:
+            if lcm % d:  # widen the common denominator to lcm(lcm, d)
+                grow = d // math.gcd(lcm, d)
+                num = [a * grow for a in num]
+                lcm *= grow
+            n *= lcm // d
+        for i, a in enumerate(e.num):
+            num[i] += n * a
+    if not any(num):
+        return ring._zero
+    return HeckeElem(ring, tuple(num), lcm * den)
+
+
 # ---------------------------------------------------------------------------
 # primes above l and valuations
 

@@ -275,12 +275,24 @@ def test_bad_file_nonzero_exit(tmp_path, capsys):
 JUNK = ["", "0", "1", "-1", "2", "3", "7", "x", "1/0", "3/2", "-3/4", "/", "#", "ap", "point", "1e3", "+1"]
 
 
+def _header_lines(lines):
+    """Indices of the lines whose keyword occurs once in the file."""
+    keys = [(line.split() or [""])[0] for line in lines]
+    return [i for i, key in enumerate(keys) if keys.count(key) == 1]
+
+
 @st.composite
 def mutated(draw, text):
-    """text with one to three random line mutations."""
+    """text with one to three random line mutations, half of them on a header
+    line (one whose keyword occurs once): a uniform pick would spend nearly
+    all of them on the point and coefficient lines."""
     lines = text.splitlines()
     for _ in range(draw(st.integers(1, 3))):
-        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        header = _header_lines(lines)
+        if header and draw(st.booleans()):
+            i = draw(st.sampled_from(header))
+        else:
+            i = draw(st.integers(0, max(len(lines) - 1, 0)))
         kind = draw(st.sampled_from(["drop", "dup", "swap", "token", "cut-token", "insert", "truncate"]))
         if not lines:
             lines = [draw(st.sampled_from(JUNK))]
@@ -330,11 +342,9 @@ FUZZ_COMMANDS = {
 }
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.sampled_from(sorted(FUZZ_COMMANDS)), st.data())
-def test_mutated_input_files_exit_cleanly(kind, data):
-    # malformed input exits 2 with a message, never with a traceback
-    text = data.draw(mutated(_fuzz_inputs()[kind]))
+def _assert_exits_cleanly(kind, text):
+    """Every command of the file kind on text exits 0, 1 or 2, never with a
+    traceback, and 2 only with an error message."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / f"input.{kind}"
         path.write_text(text)
@@ -342,6 +352,27 @@ def test_mutated_input_files_exit_cleanly(kind, data):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main([a.format(str(path), out=f"{d}/out.tbl") for a in argv])
-            assert code in (0, 1, 2), (argv, code)
+            assert code in (0, 1, 2), (argv, code, text)
             assert "Traceback" not in err.getvalue()
             assert code != 2 or err.getvalue().startswith("error: ")
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(FUZZ_COMMANDS)), st.data())
+def test_mutated_input_files_exit_cleanly(kind, data):
+    # malformed input exits 2 with a message, never with a traceback
+    _assert_exits_cleanly(kind, data.draw(mutated(_fuzz_inputs()[kind])))
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_COMMANDS))
+def test_every_header_edit_exits_cleanly(kind):
+    # each header line dropped, cut by its last token, extended by one, and
+    # with its first value replaced: the edits a random line pick seldom makes
+    lines = _fuzz_inputs()[kind].splitlines()
+    for i in _header_lines(lines):
+        key, *values = lines[i].split()
+        edits = [None, " ".join([key, *values[:-1]]), f"{lines[i]} 1"]
+        edits += [" ".join([key, junk, *values[1:]]) for junk in ("-1", "x")] if values else []
+        for edit in edits:
+            text = lines[:i] + ([] if edit is None else [edit]) + lines[i + 1:]
+            _assert_exits_cleanly(kind, "\n".join(text) + "\n")

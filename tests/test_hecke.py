@@ -1,13 +1,17 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermlift import hecke
 from hermlift.elliptic import synthetic_newform
 from hermlift.hecke import (
     HeckeOpId,
     LazyAction,
     RangeError,
+    _coset_walk,
+    _isotropic,
     act_inert_T,
     act_inert_T0,
     act_inert_Up,
@@ -17,14 +21,17 @@ from hermlift.hecke import (
     inert_action,
     maass_eigenvalue,
 )
-from hermlift.hermitian import enumerate_points, point
+from hermlift.hermitian import enumerate_points, point, transform_integral
 from hermlift.maass import MaassTuple, _lift_getter, a_K, build_lift, check_maass, descend, random_alpha_tuple
 from hermlift.quadfield import (
     FieldParams,
+    QuadInt,
+    SplitType,
     char_values,
     class_group,
     norm_ball,
     prime_class,
+    split_type,
     trivial_char,
 )
 from hermlift.ring import HeckeRing
@@ -211,13 +218,16 @@ def test_keyed_lift_kernel_matches_per_coset_reference(data):
     reach = p ** (4 if kind == "InertUp" else 2)  # alpha read at reach * det
     budget = 6000
     # the zero point, det-0 points of content p and p^2, then drawn points of
-    # positive det with their multiples by 2, p and p^2 while alpha stays
-    # within the budget
+    # positive det with their multiples by 2, p, 2p, p^2 and p^3 while alpha
+    # stays within the budget; one drawn point has rank 1 mod p (p | det, h
+    # nonzero mod p), where a single point of P^1 is isotropic
     pts = [point(D, 0, 0), point(D, p, 0), point(D, 0, p * p)]
     pool = [h for h in enumerate_points(D, budget // reach, 2) if h.det_scaled() > 0]
-    for _ in range(data.draw(st.integers(1, 3), "npoints") if pool else 0):
-        h = data.draw(st.sampled_from(pool))
-        for c in (1, 2, p, p * p):
+    rank1 = [h for h in pool if h.det_scaled() % p == 0 and any(c % p for c in h.coords())]
+    drawn = [data.draw(st.sampled_from(pool)) for _ in range(data.draw(st.integers(1, 3), "npoints"))] if pool else []
+    drawn += [data.draw(st.sampled_from(rank1), "rank1")] if rank1 else []
+    for h in drawn:
+        for c in (1, 2, p, 2 * p, p * p, p ** 3):
             if reach * c * c * h.det_scaled() <= budget:
                 pts.append(point(D, c * h.t1, c * h.t3, c * h.w.a, c * h.w.b))
     needed = reach * max(h.det_scaled() for h in pts)
@@ -232,6 +242,57 @@ def test_keyed_lift_kernel_matches_per_coset_reference(data):
         assert str(keyed_err.value) == str(ref_err.value)
     else:
         assert eval_inert_raw(t, kind, p, pts) == eval_inert_raw(ref, kind, p, pts)
+
+
+@pytest.mark.parametrize("D, p", [(7, 3), (7, 5), (7, 7), (23, 3), (23, 5), (23, 7)])
+def test_isotropic_residues_match_full_scan(D, p):
+    # for every h mod p: the memoised list is exactly the residues a = x + y
+    # omega at which alpha_a* h alpha_a has t3 divisible by p, with t3 from
+    # QuadInt arithmetic (and from transform_integral at one class).  At an
+    # inert p the isotropic points of P^1 (the residues, and diag(1, p) when
+    # p | t1) number p^2 + 1 at h = 0 mod p, one when p | det, and p + 1
+    # otherwise.  The per-coset T_{p,0} walk lists all p^2 + 1
+    # alpha-translates; the one for lifts lists the isotropic ones and counts
+    # the rest in one term read at h
+    params = FieldParams(D, 8)
+    iso = _isotropic(params, p)
+    full, _ = _coset_walk("InertT0", params, p)
+    keyed, _ = _coset_walk("InertT0", params, p, full=False)
+    residues = [QuadInt(x, y, D) for x in range(p) for y in range(p)]
+    t3_pad = p * p * (params.norm_c + 2)  # keeps every representative positive
+    for r1, r3, ra, rb in itertools.product(range(p), repeat=4):
+        h = point(D, r1 + p, r3 + t3_pad, ra, rb)
+        # t3 of alpha_a* h alpha_a, the (2, 2) entry: t1 N(a) + t3 + 2 Re(conj(a) w / sqrt(-D))
+        scan = [(a.a, a.b) for a in residues if (h.t1 * a.norm() + h.t3 + (h.w * a.conj()).omega_coef()) % p == 0]
+        assert [(x, y) for _, x, y, _, _ in iso(r1, r3, ra, rb)] == scan
+        if r1 == r3 == ra == rb == p - 1:  # the formula against the transform, at one class
+            alpha = [((QuadInt(p, 0, D), a), (QuadInt(0, 0, D), QuadInt(1, 0, D))) for a in residues]
+            assert [(a.a, a.b) for a, g in zip(residues, alpha) if transform_integral(h, g).t3 % p == 0] == scan
+        det = h.det_scaled()
+        if split_type(D, p) is SplitType.INERT:
+            lines = len(scan) + (r1 == 0)
+            assert lines == (p * p + 1 if (r1, r3, ra, rb) == (0, 0, 0, 0) else 1 if det % p == 0 else p + 1)
+        up, bulk = full(*h.coords(), det)[:2]
+        assert len(up[2]) == p * p + 1 and not bulk[2]
+        up, bulk = keyed(*h.coords(), det)[:2]
+        assert len(up[2]) == len(scan) + 1 and bulk[0] == up[0] * (p * p - len(scan))
+        assert bulk[2] == ([h.coords()] if len(scan) < p * p else [])
+
+
+def test_isotropic_memo_holds_one_list_per_class_mod_p(monkeypatch):
+    # every operator application builds one memo; it is keyed by h mod p, so
+    # it never holds more than p^4 lists, and deep tables reuse them
+    made = []
+    real = hecke._isotropic
+    monkeypatch.setattr(hecke, "_isotropic", lambda params, p: made.append(real(params, p)) or made[-1])
+    params = FieldParams(7, 8)
+    t = random_alpha_tuple(params, trivial_char(), ZZ, 81 * 7 * 9 + 40, seed=8, spread=4)
+    act_inert_T0(t, 3, 7 * 36, 6)
+    act_inert_Up(t, 3, 7 * 9, 3)
+    assert len(made) == 3  # T0 on the lift, then U_p's inner T (keyed) and outer T (per coset)
+    for memo in made:
+        info = memo.cache_info()
+        assert 0 < info.currsize <= 3 ** 4 and info.hits > info.currsize
 
 
 def split_reference(t, op):

@@ -77,3 +77,14 @@ def test_every_private_function_and_class_is_referenced():
         and node.name not in referenced
     ]
     assert not dead, dead
+
+
+LINE_CAP = 3544  # ROADMAP item 5: 10% under the 3938 lines of the initial import
+
+
+def test_source_stays_within_the_line_cap():
+    lines = sum(path.read_text().count("\n") for path in SRC.glob("*.py"))
+    assert lines <= LINE_CAP, (
+        f"src/hermlift has {lines} lines, over the cap of {LINE_CAP} set by ROADMAP item 5 "
+        f"(less code for the same behaviour); offset new code before adding it"
+    )

@@ -8,7 +8,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from hermlift.ring import HeckeElem, HeckeRing, INF, _divmod, _hensel_lift_factor, _mul, primes_above, val_at
+from hermlift.ring import HeckeElem, HeckeRing, INF, _divmod, _hensel_lift_factor, _mul, lincomb, primes_above, val_at
 
 
 GAUSS = HeckeRing([1, 0, 1])  # x^2 + 1
@@ -331,3 +331,31 @@ def test_elem_kernel_matches_toolkit_reference(data):
     for op in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x - y):
         with pytest.raises(ValueError, match="mismatched rings"):
             op(a, stranger)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_lincomb_matches_fold_of_add_and_mul(data):
+    # lincomb(ring, terms, den) against acc + e * c over the terms, then / den,
+    # in (num, den); no terms, mixed denominators, rational scalars, negative
+    # den, and terms followed by their negatives (a sum that cancels to zero)
+    ring = data.draw(st.sampled_from((ZZ, GAUSS, FIB, HeckeRing([1, 0, 0, 0, 1]))), "ring")
+    elem = st.builds(
+        lambda num, d: HeckeElem(ring, tuple(num), d),
+        st.lists(st.integers(-30, 30), min_size=ring.degree, max_size=ring.degree),
+        st.integers(1, 12),
+    )
+    scalar = st.one_of(st.integers(-20, 20), st.fractions(max_denominator=12))
+    terms = data.draw(st.lists(st.tuples(scalar, elem), max_size=6), "terms")
+    cancel = data.draw(st.booleans(), "cancel")
+    if cancel:
+        terms += [(-c, e) for c, e in terms]
+    den = data.draw(st.integers(1, 30).flatmap(lambda d: st.sampled_from([d, -d])), "den")
+    acc = ring.zero()
+    for c, e in terms:
+        acc = acc + e * c
+    got = lincomb(ring, iter(terms), den)
+    assert _as_pair(got) == _as_pair(acc / den)
+    assert got.den > 0 and math.gcd(*got.num, got.den) == 1
+    if cancel or not terms:
+        assert got is ring.zero()
