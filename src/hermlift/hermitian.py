@@ -2,14 +2,17 @@
 
 A lattice point is a positive semidefinite matrix
 
-    [[t1,          w/sqrt(-D)],
-     [conj(w)/sqrt(-D)... ,  t3]]
+    [[t1,                w/sqrt(-D)],
+     [conj(w/sqrt(-D)),  t3        ]]
 
 with t1, t3 nonnegative integers and w integral; the scaled determinant
 D*t1*t3 - N(w) is then a nonnegative integer.  The module provides the
 content (largest integer divisor), congruence transforms h -> g* h g with
 denominators allowed in g, enumeration up to bounds in a canonical order,
-and certified diagonalisation modulo prime powers.
+and certified diagonalisation modulo l^n.  Diagonalisation is one shear
+algorithm for every prime l not dividing D: it uses only a unit integer
+pivot and the invertibility of sqrt(-D) mod l, so split and inert l (and
+l = 2) need no separate treatment.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .quadfield import QuadInt
+from .ring import _is_prime
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,9 @@ def content(h: HermPoint) -> int:
 
 
 def content_p(h: HermPoint, p: int) -> int:
+    """The exponent of p in content(h); p must be at least 2."""
+    if p < 2:
+        raise ValueError(f"p = {p} must be at least 2")
     c = content(h)
     v = 0
     while c % p == 0:
@@ -97,7 +104,7 @@ def transform_integral(h: HermPoint, G: Sequence[Sequence[QuadInt]]) -> HermPoin
     Written out on lattice coordinates: with G = [[A,B],[C,D]],
         t1' = t1 N(A) + t3 N(C) + omega_coef(w conj(A) C)
         t3' = t1 N(B) + t3 N(D) + omega_coef(w conj(B) D)
-        w'  = (2w-1... ) sqrt(-D) (t1 conj(A)B + t3 conj(C)D) + w conj(A)D - conj(w) B conj(C)
+        w'  = sqrt(-D) (t1 conj(A)B + t3 conj(C)D) + w conj(A)D - conj(w) B conj(C)
     where sqrt(-D) = 2*omega - 1.
     """
     (A, B), (C, D) = G
@@ -210,103 +217,20 @@ class DiagCert:
         )
 
 
-def _crt_split_data(D: int, ell: int, n: int):
-    """Hensel root of x^2 - x + (1+D)/4 mod ell^n and CRT helpers for split ell."""
-    ln = ell ** n
-    c = (1 + D) // 4
-    rho = next(r for r in range(ell) if (r * r - r + c) % ell == 0)
-    # Newton lift: f(x) = x^2 - x + c, f'(x) = 2x - 1
-    mod = ell
-    while mod < ln:
-        mod = min(mod * mod, ln)
-        f = (rho * rho - rho + c) % mod
-        fp = (2 * rho - 1) % mod
-        rho = (rho - f * pow(fp, -1, mod)) % mod
-    return rho
-
-
-def _to_components(z: QuadInt, rho: int, ln: int) -> tuple[int, int]:
-    """(z mod lambda^n, z mod conj(lambda)^n) as integers mod l^n."""
-    return (z.a + z.b * rho) % ln, (z.a + z.b * (1 - rho)) % ln
-
-
-def _from_components(x: int, y: int, rho: int, ln: int, D: int) -> QuadInt:
-    inv = pow((2 * rho - 1) % ln, -1, ln)
-    b = (x - y) * inv % ln
-    a = (x - b * rho) % ln
-    return QuadInt(a, b, D)
-
-
-def _sl2_reduce_zmod(M: list[list[int]], ln: int, ell: int):
-    """A2^t M A1 = diag(alpha, delta) over Z/l^n with alpha a unit; M has a unit entry.
-
-    Returns (A1, A2, alpha, delta) with det A1 = det A2 = 1 mod l^n.
-    """
-    A1 = [[1, 0], [0, 1]]
-    A2 = [[1, 0], [0, 1]]
-
-    def mul(X, Y):
-        return [
-            [(X[0][0] * Y[0][0] + X[0][1] * Y[1][0]) % ln, (X[0][0] * Y[0][1] + X[0][1] * Y[1][1]) % ln],
-            [(X[1][0] * Y[0][0] + X[1][1] * Y[1][0]) % ln, (X[1][0] * Y[0][1] + X[1][1] * Y[1][1]) % ln],
-        ]
-
-    def col_op(j_src, j_dst, factor):  # col_dst += factor * col_src (right mult on M and A1)
-        E = [[1, 0], [0, 1]]
-        E[j_src][j_dst] = factor % ln
-        nonlocal A1
-        M[0][j_dst] = (M[0][j_dst] + factor * M[0][j_src]) % ln
-        M[1][j_dst] = (M[1][j_dst] + factor * M[1][j_src]) % ln
-        A1 = mul(A1, E)
-
-    def row_op(i_src, i_dst, factor):  # row_dst += factor * row_src (left mult; A2^t tracked)
-        E = [[1, 0], [0, 1]]
-        E[i_dst][i_src] = factor % ln
-        nonlocal A2
-        M[i_dst][0] = (M[i_dst][0] + factor * M[i_src][0]) % ln
-        M[i_dst][1] = (M[i_dst][1] + factor * M[i_src][1]) % ln
-        A2 = mul(A2, [[E[0][0], E[1][0]], [E[0][1], E[1][1]]])  # A2 right-multiplied by E^t
-
-    S = [[0, ln - 1], [1, 0]]  # det 1 swap
-
-    def swap_cols():
-        nonlocal A1
-        M[0][0], M[0][1] = M[0][1], (-M[0][0]) % ln
-        M[1][0], M[1][1] = M[1][1], (-M[1][0]) % ln
-        A1 = mul(A1, S)
-
-    def swap_rows():
-        nonlocal A2
-        M[0][0], M[1][0] = M[1][0], (-M[0][0]) % ln
-        M[0][1], M[1][1] = M[1][1], (-M[0][1]) % ln
-        A2 = mul(A2, S)
-
-    # move a unit entry to (0,0); pivot preference (0,0), (1,1), then off-diagonal
-    if M[0][0] % ell:
-        pass
-    elif M[1][1] % ell:
-        swap_rows()
-        swap_cols()
-    elif M[0][1] % ell:
-        swap_cols()
-    elif M[1][0] % ell:
-        swap_rows()
-    else:
-        raise ValueError("matrix has no unit entry mod l")
-    inv = pow(M[0][0], -1, ln)
-    col_op(0, 1, -M[0][1] * inv)
-    row_op(0, 1, -M[1][0] * inv)
-    return A1, A2, M[0][0] % ln, M[1][1] % ln
-
-
 def diagonalize_mod(h: HermPoint, ell: int, n: int) -> DiagCert:
     """Certified diagonalisation u* h u = l^eps diag(a, d) mod l^n, l not dividing a.
 
-    Split l goes through the two residue components; inert l pivots on a
-    unit entry and clears the off-diagonal with hermitian shears.
+    One algorithm for every prime l not dividing D, split or inert: move a
+    unit integer pivot t1 into place (t1 itself, else a swap to t3, else a
+    shear [[1, 0], [s, 1]] with s found by a search over the order mod l),
+    then clear the off-diagonal with the shear [[1, s], [0, 1]],
+    s = -w / (sqrt(-D) t1) mod l^n.  The argument needs only a unit t1 and
+    sqrt(-D) invertible mod l (its norm is D); neither asks whether l splits.
     """
     if h.is_zero():
         raise ValueError("cannot diagonalize the zero point")
+    if not _is_prime(ell):
+        raise ValueError(f"l = {ell} is not prime")
     D = h.D
     if D % ell == 0:
         raise ValueError("l must not divide the field discriminant")
@@ -315,39 +239,6 @@ def diagonalize_mod(h: HermPoint, ell: int, n: int) -> DiagCert:
     eps = content_p(h, ell)
     if eps >= n:
         return DiagCert(h, ell, n, identity_matrix(D), a=0, d=0, epsilon=n, saturated=True)
-    le = ell ** eps
-    h0 = h.divide(le)
-    ln = ell ** n
-    from .quadfield import chi_K  # local import to avoid cycles at module load
-
-    if chi_K(D, ell) == 1:
-        rho = _crt_split_data(D, ell, n)
-        # component matrix M of h0 at the first place; the second place gets M^t
-        m11, _ = _to_components(QuadInt(h0.t1, 0, D), rho, ln)
-        m22, _ = _to_components(QuadInt(h0.t3, 0, D), rho, ln)
-        # off-diagonal entries are w/sqrt(-D) and conj(w)/conj(sqrt(-D));
-        # sqrt(-D) = 2 omega - 1 and conj(sqrt(-D)) = -sqrt(-D)
-        delta = QuadInt(-1, 2, D)
-        delta_1 = _to_components(delta, rho, ln)[0]
-        t2_1 = _to_components(h0.w, rho, ln)[0] * pow(delta_1, -1, ln) % ln
-        t2bar_1 = _to_components(h0.w.conj(), rho, ln)[0] * pow(-delta_1 % ln, -1, ln) % ln
-        M = [[m11, t2_1], [t2bar_1, m22]]
-        A1, A2, alpha, dd = _sl2_reduce_zmod(M, ln, ell)
-        # u = CRT(A1 at lambda, conj-component A2 at conj(lambda))
-        u = tuple(
-            tuple(_from_components(A1[i][j], A2[i][j], rho, ln, D) for j in range(2))
-            for i in range(2)
-        )
-        cert = DiagCert(h, ell, n, u, a=alpha, d=dd, epsilon=eps)
-    else:
-        cert = _diagonalize_inert(h, h0, ell, n, eps)
-    if not cert.verify():
-        raise AssertionError("diagonalisation certificate failed to verify")
-    return cert
-
-
-def _diagonalize_inert(h: HermPoint, h0: HermPoint, ell: int, n: int, eps: int) -> DiagCert:
-    D = h0.D
     ln = ell ** n
     one, zero = QuadInt(1, 0, D), QuadInt(0, 0, D)
     u = [[one, zero], [zero, one]]
@@ -358,7 +249,7 @@ def _diagonalize_inert(h: HermPoint, h0: HermPoint, ell: int, n: int, eps: int) 
             [X[1][0] * Y[0][0] + X[1][1] * Y[1][0], X[1][0] * Y[0][1] + X[1][1] * Y[1][1]],
         ]
 
-    cur = h0
+    cur = h.divide(ell ** eps)
     # pivot preference: t1, then t3, then make t1 a unit using the off-diagonal
     if cur.t1 % ell:
         pass
@@ -367,8 +258,8 @@ def _diagonalize_inert(h: HermPoint, h0: HermPoint, ell: int, n: int, eps: int) 
         cur = transform_integral(cur, swap)
         u = matmul(u, [list(r) for r in swap])
     else:
-        # t1, t3 = 0 mod l but w is a unit: shear by [[1,0],[s,1]] to make
-        # t1' = t1 + tr(w conj(s)/sqrt(-D)) + t3 N(s) a unit; small search
+        # t1, t3 = 0 mod l but w is not: shear by [[1,0],[s,1]] to make
+        # t1' = t1 + omega_coef(w s) + t3 N(s) a unit (s = 1 or omega works)
         found = False
         for sb in range(ell):
             for sa in range(ell):
@@ -396,7 +287,8 @@ def _diagonalize_inert(h: HermPoint, h0: HermPoint, ell: int, n: int, eps: int) 
     shear = ((one, s), (zero, one))
     cur = transform_integral(cur, shear)
     u = matmul(u, [list(r) for r in shear])
-    a = cur.t1 % ln
-    d = cur.t3 % ln
     uu = tuple(tuple(QuadInt(z.a % ln, z.b % ln, D) for z in row) for row in u)
-    return DiagCert(h, ell, n, uu, a=a, d=d, epsilon=eps)
+    cert = DiagCert(h, ell, n, uu, a=cur.t1 % ln, d=cur.t3 % ln, epsilon=eps)
+    if not cert.verify():
+        raise AssertionError("diagonalisation certificate failed to verify")
+    return cert

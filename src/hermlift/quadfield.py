@@ -206,19 +206,8 @@ def _solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
     return b // g * pow(a // g, -1, n) % n, n
 
 
-def _square(f: BQF) -> BQF:
-    a, b, c = f.A, f.B, f.C
-    mu = _solve_linmod(b, c, a)[0]
-    A = a * a
-    B = b - 2 * a * mu
-    C = mu * mu - (b * mu - c) // a
-    return BQF(A, B, C).reduced()
-
-
 def _compose(f: BQF, g: BQF) -> BQF:
     """Gaussian composition of primitive forms of equal discriminant."""
-    if f == g:
-        return _square(f)
     a, b, c = f.A, f.B, f.C
     alpha, beta, _gamma = g.A, g.B, g.C
     gg = (b + beta) // 2
@@ -261,17 +250,6 @@ class ClassGroup:
 
     def inv(self, i: int) -> int:
         return self.inverse[i]
-
-    def power(self, i: int, n: int) -> int:
-        if n < 0:
-            return self.power(self.inv(i), -n)
-        out = self.identity_index
-        while n:
-            if n & 1:
-                out = self.compose(out, i)
-            i = self.compose(i, i)
-            n >>= 1
-        return out
 
     def element_order(self, i: int) -> int:
         n, j = 1, i

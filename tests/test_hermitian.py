@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from hermlift.hermitian import (
     transform,
     transform_integral,
 )
-from hermlift.quadfield import QuadInt
+from hermlift.quadfield import QuadInt, chi_K
 
 
 def qi(a, b, D=7):
@@ -259,3 +260,84 @@ def test_diagonalize_rejects():
         diagonalize_mod(point(7, 0, 0), 3, 1)
     with pytest.raises(ValueError):
         diagonalize_mod(point(7, 1, 1), 7, 1)  # l = D
+
+
+def _bounded(seconds, call, *args):
+    """call(*args) under an alarm, so a call that never returns fails the test."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{call.__name__}{args} did not return in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_content_p_refuses_p_below_two():
+    h = point(7, 2, 4, 2, 0)
+    for p in (1, 0, -1, -2):  # p = 1 looped forever on c % 1 == 0
+        with pytest.raises(ValueError):
+            _bounded(2, content_p, h, p)
+    assert content_p(h, 2) == 1
+
+
+def test_diagonalize_refuses_non_prime_ell():
+    h = point(7, 2, 4, 1, 0)
+    for ell in (1, 0, -3, 4, 9, 15):
+        with pytest.raises(ValueError, match="not prime"):
+            _bounded(2, diagonalize_mod, h, ell, 2)
+
+
+def _integral(x, y):
+    """Whether x + y sqrt(-D) lies in the order: it is (x - y) + 2y omega."""
+    return (2 * y).denominator == 1 and (x - y).denominator == 1
+
+
+def test_diagonalize_sweep_against_matrix_oracle():
+    # every point of a small table (det-0 points included), points with
+    # t1 = t3 = 0 mod l that need the pivot shear, and their multiples by l
+    # and l^2; each certificate is read back through the rational matrix
+    # oracle, not only through DiagCert.verify
+    kinds = set()
+    for D in (7, 11):  # l = 2, 3, 5 split at one D and stay inert at the other
+        table = [h for h in enumerate_points(D, D, 1) if not h.is_zero()]
+        for ell in (2, 3, 5, 7, 11):
+            if D % ell == 0:
+                continue
+            side = "split" if chi_K(D, ell) == 1 else "inert"
+            base = table + [
+                point(D, ell, ell, wa, wb)
+                for wa in range(-1, 2)
+                for wb in range(-1, 2)
+                if (wa, wb) != (0, 0) and D * ell * ell >= QuadInt(wa, wb, D).norm()
+            ]
+            for n in range(1, 5):
+                ln = ell ** n
+                for h0 in base:
+                    for m in (1, ell, ell * ell):
+                        h = HermPoint(m * h0.t1, m * h0.t3, h0.w * m)
+                        cert = diagonalize_mod(h, ell, n)
+                        eps = content_p(h, ell)
+                        if cert.saturated:
+                            assert eps >= n and cert.epsilon == n
+                            kinds.add("saturated")
+                            continue
+                        assert cert.epsilon == eps and cert.a % ell != 0
+                        (u11, u12), (u21, u22) = [[_sym(z) for z in row] for row in cert.u]
+                        det = [x - y for x, y in zip(_sym_mul(u11, u22, D), _sym_mul(u12, u21, D))]
+                        assert _integral((det[0] - 1) / ln, det[1] / ln), (h, ell, n)
+                        t1, t3, wu, wv = _oracle_transform(h, cert.u)
+                        le = ell ** eps
+                        assert t1.denominator == 1 and (t1 - le * cert.a) % ln == 0
+                        assert t3.denominator == 1 and (t3 - le * cert.d) % ln == 0
+                        assert _integral(wu / ln, wv / ln), (h, ell, n)
+                        kinds.add(side)
+                        if h0.det_scaled() == 0:
+                            kinds.add("det 0")
+                        if h0.t1 % ell == 0 and h0.t3 % ell == 0:
+                            kinds.add("shear pivot, " + side)
+    assert kinds == {"split", "inert", "saturated", "det 0", "shear pivot, split", "shear pivot, inert"}

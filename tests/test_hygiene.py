@@ -1,15 +1,20 @@
 """Static hygiene of src/hermlift, read with the stdlib ast module.
 
-Two rules: a module uses every name it imports (``__init__`` imports only
-to re-export), and every private module-level function or class is
-referenced by some module of the package, so a helper left behind by a
-refactor fails here rather than lingering.
+Three rules: a module uses every name it imports (``__init__`` imports only
+to re-export); every private module-level function or class is referenced
+by some module of the package; and every function, method and class is
+referenced by name outside its own body somewhere in src, tests, demos or
+perfbench.  A helper left behind by a refactor fails here rather than
+lingering.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).parent.parent / "src" / "hermlift"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "hermlift"
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
@@ -77,6 +82,46 @@ def test_every_private_function_and_class_is_referenced():
         and node.name not in referenced
     ]
     assert not dead, dead
+
+
+IDENTIFIER_PATH = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def name_references(tree):
+    """How often each name is referenced in a tree.
+
+    A reference is a name, an attribute, an imported name, or a component of
+    a string constant that reads as a dotted identifier path, since the CLI
+    and the benchmark's tracer look functions up by string.
+    """
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if IDENTIFIER_PATH.fullmatch(node.value):
+                refs.update(node.value.split("."))
+    return refs
+
+
+def test_every_definition_is_referenced_outside_its_own_body():
+    everywhere = Counter()
+    for top in ("src", "tests", "demos", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            everywhere += name_references(ast.parse(path.read_text(), str(path)))
+    unreferenced = [
+        f"{module}.{node.name} (line {node.lineno})"
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and everywhere[node.name] <= name_references(node)[node.name]
+    ]
+    assert not unreferenced, unreferenced
 
 
 LINE_CAP = 3544  # ROADMAP item 5: 10% under the 3938 lines of the initial import

@@ -4,6 +4,7 @@ import pytest
 
 from hermlift.quadfield import (
     BQF,
+    _compose,
     _solve_linmod,
     FieldParams,
     QuadInt,
@@ -17,6 +18,7 @@ from hermlift.quadfield import (
     reduced_forms,
     split_type,
 )
+from hermlift.ring import _is_prime
 
 
 def test_chi_examples_d7():
@@ -98,6 +100,22 @@ def test_group_axioms():
             assert cg.compose(cg.inv(i), i) == e
             for j in range(h):
                 assert cg.compose(i, j) == cg.compose(j, i)
+
+
+def test_squaring_is_the_general_composition():
+    # g = (a, b + 2a, a + b + c) is f moved by x -> x + y: the same class but
+    # not the same tuple, so compose(f, g) takes the general formula at any
+    # version of _compose, and compose(f, f) must agree with it
+    checked = 0
+    for D in range(3, 500, 4):
+        if not _is_prime(D):
+            continue
+        for f in reduced_forms(D):
+            g = BQF(f.A, f.B + 2 * f.A, f.A + f.B + f.C)
+            assert g != f and g.reduced() == f and g.disc == f.disc == -D
+            assert _compose(f, f) == _compose(f, g), (D, f)
+            checked += 1
+    assert checked > 300
 
 
 def test_prime_class_examples():
