@@ -27,7 +27,6 @@ from .hermitian import (
     HermPoint,
     DiagCert,
     point,
-    det_scaled,
     content,
     content_p,
     transform,

@@ -62,8 +62,7 @@ def write_table(path: str, t: MaassTuple, bound_det: int, bound_diag: int) -> Co
         f"bound_diag {bound_diag}",
         f"normalization {NORMALIZATION_NOTE}",
     ]
-    for h in sorted(table.values, key=HermPoint.sort_key):
-        v = table.values[h]
+    for h, v in table.values.items():  # canonical order, as enumerated
         coords = " ".join(str(c) for c in v.num)
         lines.append(f"point {h.t1} {h.t3} {h.w.a} {h.w.b} {coords} / {v.den}")
     with open(path, "w") as fh:
@@ -90,8 +89,9 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
             try:
                 if key == "field":
                     D = int(parts[1])
+                    class_group(D)  # refuses a D that is not a prime = 3 (mod 4)
                 elif key == "k":
-                    k = int(parts[1])
+                    k, k_line = int(parts[1]), lineno
                 elif key == "ring":
                     ring = HeckeRing([int(c) for c in parts[1:]])
                 elif key == "chiorder":
@@ -126,7 +126,10 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
                 raise CommandError(f"{path}:{lineno}: malformed table line ({exc})") from exc
     if None in (D, k, bound_det, bound_diag) or ring is None:
         raise CommandError(f"{path}: missing table header fields")
-    params = FieldParams(D, k)
+    try:
+        params = FieldParams(D, k)
+    except ValueError as exc:
+        raise CommandError(f"{path}:{k_line}: malformed table line ({exc})") from exc
     chi = ClassChar(chiorder, chi_exps)
     if not (chiorder == 1 and chi.is_trivial()) and chi not in char_values(class_group(D)):
         raise CommandError(f"{path}:{chi_line}: malformed table line (no character of the class group of "

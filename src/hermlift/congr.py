@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 from .elliptic import NewformData
 from .hecke import HeckeOpId, descend_op, maass_eigenvalue
@@ -26,11 +27,7 @@ class EigenSystem:
     label: str
     ring: HeckeRing
     values: dict[str, tuple[HeckeElem, int]]
-    is_maass: bool = False
     unit_powers: dict[str, Fraction] = field(default_factory=dict)
-
-    def ops(self) -> set[str]:
-        return set(self.values)
 
 
 def build_eigen_system(
@@ -45,7 +42,7 @@ def build_eigen_system(
         d = descend_op(op, f.k)
         if d.unit_power != 1:
             unit_powers[str(op)] = d.unit_power
-    return EigenSystem(label or f.label, f.ring, values, is_maass=True, unit_powers=unit_powers)
+    return EigenSystem(label or f.label, f.ring, values, unit_powers)
 
 
 def _clamp(v, cap: int):
@@ -77,7 +74,6 @@ def eigen_congruence(
     e1: EigenSystem,
     e2: EigenSystem,
     prime: PrimeAboveL,
-    ops: list[str] | None = None,
     cap: int = VAL_CAP,
 ) -> dict[str, tuple[int, bool]]:
     """Per-operator valuations of eigenvalue differences, plus the "min" entry.
@@ -88,15 +84,12 @@ def eigen_congruence(
     """
     if e1.ring != e2.ring:
         raise ValueError("eigen systems live over different rings")
-    if ops is None:
-        ops = sorted(e1.ops() & e2.ops())
-        if not ops:
-            raise KeyError("no common operators to compare")
+    ops = sorted(e1.values.keys() & e2.values.keys())
+    if not ops:
+        raise KeyError("no common operators to compare")
     out: dict[str, tuple[int, bool]] = {}
     depth: int | float = INF
     for op in ops:
-        if op not in e1.values or op not in e2.values:
-            raise KeyError(f"operator {op} missing from one of the systems")
         (v1, z1), (v2, z2) = e1.values[op], e2.values[op]
         if z1 != z2:
             raise ValueError(f"operator {op}: incomparable character exponents {z1} != {z2}")
@@ -124,7 +117,7 @@ class DepthReport:
     prime_tag: str
     cap: int
     entries: list[dict] = field(default_factory=list)
-    kind: str = "lower-bound ledger"
+    kind: ClassVar[str] = "lower-bound ledger"
 
     @property
     def max_depth(self) -> int:
@@ -147,7 +140,6 @@ def maass_ideal_report(
     phi_system: EigenSystem,
     others: list[EigenSystem],
     prime: PrimeAboveL,
-    ops: list[str] | None = None,
     cap: int = VAL_CAP,
 ) -> DepthReport:
     """Depth ledger of a lift's eigenvalue system against ingested systems.
@@ -162,7 +154,7 @@ def maass_ideal_report(
         cap=cap,
     )
     for g in others:
-        per_op = eigen_congruence(phi_system, g, prime, ops=ops, cap=cap)
+        per_op = eigen_congruence(phi_system, g, prime, cap=cap)
         depth, capped = per_op.pop("min")
         entry = {
             "label": g.label,

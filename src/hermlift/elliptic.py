@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .quadfield import FieldParams, chi_K
+from .quadfield import FieldParams, chi_K, class_group
 from .ring import HeckeElem, HeckeRing, _is_prime
 
 
@@ -86,9 +86,6 @@ class QExpansion:
     ring: HeckeRing
     n_max: int
     coeffs: dict[int, HeckeElem] = field(default_factory=dict)
-    weight: int | None = None
-    level: int | None = None
-    label: str = ""
 
     def a(self, n: int) -> HeckeElem:
         if n < 1 or n > self.n_max:
@@ -115,7 +112,7 @@ def extend_coeffs(f: NewformData, n_max: int) -> QExpansion:
     which at the ramified prime collapses to a(D^r) = a(D)^r.
     """
     D, k = f.D, f.k
-    out = QExpansion(f.ring, n_max, weight=k - 1, level=D, label=f.label)
+    out = QExpansion(f.ring, n_max)
     if n_max < 1:
         return out
     spf = _smallest_prime_factors(n_max)
@@ -177,8 +174,7 @@ def antisymmetrize(f: NewformData, n_max: int) -> QExpansion:
             psi[n] = a[m] * factor[e][c]
         else:
             psi[n] = zero if c == 1 else a[n] * 2
-    label = (f.label + " - conj") if f.label else ""
-    return QExpansion(f.ring, n_max, psi, f.k - 1, D, label)
+    return QExpansion(f.ring, n_max, psi)
 
 
 def apply_Tp(q: QExpansion, p: int, k: int, D: int) -> QExpansion:
@@ -194,7 +190,7 @@ def apply_Tp(q: QExpansion, p: int, k: int, D: int) -> QExpansion:
         if scal is not None and n % p == 0:
             v = v + scal * q.a(n // p)
         coeffs[n] = v
-    return QExpansion(q.ring, n_out, coeffs, q.weight, q.level)
+    return QExpansion(q.ring, n_out, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +220,9 @@ def parse_newform(text: str) -> NewformData:
         try:
             if key == "field":
                 D = int(parts[1])
+                class_group(D)  # refuses a D that is not a prime = 3 (mod 4)
             elif key == "weight":
-                k = int(parts[1]) + 1
+                k, k_line = int(parts[1]) + 1, (lineno, raw)
             elif key == "ring":
                 ring = HeckeRing([int(c) for c in parts[1:]])
             elif key == "involution":
@@ -242,7 +239,11 @@ def parse_newform(text: str) -> NewformData:
             raise ValueError(f"malformed newform line {lineno}: {raw!r} ({exc})") from exc
     if D is None or k is None or ring is None or aDK is None:
         raise ValueError("newform file must define field, weight, ring and aDK")
-    params = FieldParams(D, k)
+    try:
+        params = FieldParams(D, k)
+    except ValueError as exc:
+        lineno, raw = k_line
+        raise ValueError(f"malformed newform line {lineno}: {raw!r} ({exc})") from exc
     if involution not in ("trivial", "negate-x"):
         raise ValueError(f"unknown involution {involution!r}")
     ap = {}
@@ -289,7 +290,6 @@ def synthetic_newform(
     p_max: int,
     seed: int = 0,
     spread: int = 9,
-    label: str | None = None,
 ) -> NewformData:
     """Random eigenvalue data subject to the conjugation symmetry.
 
@@ -318,14 +318,7 @@ def synthetic_newform(
                     coords[i] = rng.randrange(-spread, spread + 1)
             ap[p] = ring.element(coords)
     aDK = ring.from_int(rng.choice((1, -1)) * params.D ** ((params.k - 2) // 2))
-    f = NewformData(
-        params,
-        ring,
-        ap,
-        aDK,
-        involution,
-        label or f"synthetic-D{params.D}-k{params.k}-s{seed}",
-    )
+    f = NewformData(params, ring, ap, aDK, involution, f"synthetic-D{params.D}-k{params.k}-s{seed}")
     f.validate()
     return f
 

@@ -89,7 +89,6 @@ _KINDS = {
     "InertT": ("T", 2),
     "InertUp": ("Up", 4),
 }
-OP_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ class HeckeOpId:
 
     @staticmethod
     def make(kind: str, p: int, D: int, ell: int | None = None) -> "HeckeOpId":
-        if kind not in OP_KINDS:
+        if kind not in _KINDS:
             raise ValueError(f"unknown operator kind {kind!r}")
         st = split_type(D, p)
         if st is SplitType.RAMIFIED:
@@ -120,14 +119,14 @@ class HeckeOpId:
         return f"{_KINDS[self.kind][0]}@{self.p}"
 
     @staticmethod
-    def parse(text: str, D: int, ell: int | None = None) -> "HeckeOpId":
+    def parse(text: str, D: int) -> "HeckeOpId":
         try:
             name, p_text = text.split("@")
             kind = {short: kind for kind, (short, _) in _KINDS.items()}[name]
             p = int(p_text)
         except (KeyError, ValueError) as exc:
             raise ValueError(f"bad operator name {text!r} (use e.g. T0@3, T1@2)") from exc
-        return HeckeOpId.make(kind, p, D, ell)
+        return HeckeOpId.make(kind, p, D)
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +138,11 @@ def _table_getter(table: CoeffTable) -> Getter:
     zero = table.ring.zero()
     bd, bg = table.bound_det, table.bound_diag
     flat = {h.coords(): v for h, v in table.values.items()}
-    q, cuspidal = table.params.norm_c, table.cuspidal
+    q = table.params.norm_c
 
     def get(t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
         det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
-        if det < 0 or (det == 0 and cuspidal):
+        if det <= 0:  # coefficients at singular points vanish identically
             return zero
         if t1 > bg or t3 > bg or det > bd:
             raise RangeError(
@@ -352,7 +351,7 @@ def act_split_on_lift(t: MaassTuple, op: HeckeOpId) -> MaassTuple:
         ring=t.ring,
         alpha=new_alpha,
         alpha_max=new_max,
-        zeta_exp=(t.zeta_exp + shift) % t.chi.order if t.chi.order > 1 else 0,
+        zeta_exp=(t.zeta_exp + shift) % t.chi.order,
         source_label=f"{op}({t.source_label})",
     )
 
@@ -367,7 +366,6 @@ class DescendedOp:
     classical T_p, a character twist, and a tracked p-power unit."""
 
     op: HeckeOpId
-    k: int
     tp_poly: tuple[tuple[int, Fraction], ...]  # (degree, coefficient)
     chi_class_multiplier: int  # multiples of the exponent at the prime class
     unit_power: Fraction  # tracked p-power ambiguity (1 except for InertUp)
@@ -386,7 +384,7 @@ class DescendedOp:
         powers = [q]
         for _ in range(max_deg):
             powers.append(apply_Tp(powers[-1], p, k, D))
-        out = QExpansion(q.ring, n_out, weight=q.weight, level=q.level)
+        out = QExpansion(q.ring, n_out)
         for n in range(1, n_out + 1):
             acc = lincomb(q.ring, [(coeff, powers[deg].a(n)) for deg, coeff in self.tp_poly])
             if not acc.is_zero():
@@ -413,19 +411,19 @@ def descend_op(op: HeckeOpId, k: int) -> DescendedOp:
     p = op.p
     if op.kind == "SplitT1":
         poly = ((1, Fraction(p + 1) * Fraction(p ** 2, p ** (k // 2))),)
-        return DescendedOp(op, k, poly, 1, Fraction(1))
+        return DescendedOp(op, poly, 1, Fraction(1))
     if op.kind == "SplitT2":
         poly = ((2, Fraction(p ** 4, p ** k)), (0, Fraction(p ** 3 + p)))
-        return DescendedOp(op, k, poly, 2, Fraction(1))
+        return DescendedOp(op, poly, 2, Fraction(1))
     if op.kind == "InertT0":
         poly = (
             (2, Fraction(p ** 4, p ** k) * (p * p + 1)),
             (0, Fraction(2 * p ** 4 + p ** 3 + p ** 2 + p - 1)),
         )
-        return DescendedOp(op, k, poly, 0, Fraction(1))
+        return DescendedOp(op, poly, 0, Fraction(1))
     if op.kind == "InertT":
         poly = ((2, Fraction(p ** 4, p ** k)), (0, Fraction(p * (p + 1) ** 2)))
-        return DescendedOp(op, k, poly, 0, Fraction(1))
+        return DescendedOp(op, poly, 0, Fraction(1))
     if op.kind == "InertUp":
         u = Fraction(p ** 8, p ** (2 * k))
         poly = (
@@ -433,7 +431,7 @@ def descend_op(op: HeckeOpId, k: int) -> DescendedOp:
             (2, 2 * Fraction(p ** 5, p ** k) * (p + 1) ** 2),
             (0, Fraction(p ** 2 * (p + 1) ** 4)),
         )
-        return DescendedOp(op, k, poly, 0, unit_power=u)
+        return DescendedOp(op, poly, 0, unit_power=u)
     raise ValueError(f"no closed descent formula for {op.kind}")
 
 

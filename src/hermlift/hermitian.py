@@ -71,10 +71,6 @@ def point(D: int, t1: int, t3: int, wa: int = 0, wb: int = 0) -> HermPoint:
     return HermPoint(t1, t3, QuadInt(wa, wb, D))
 
 
-def det_scaled(h: HermPoint) -> int:
-    return h.det_scaled()
-
-
 def content(h: HermPoint) -> int:
     """Largest q with h/q still a lattice point (gcd of the coordinates)."""
     if h.is_zero():

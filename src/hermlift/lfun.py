@@ -162,25 +162,21 @@ def _places(f: NewformData, p: int, chi: ClassChar) -> list[tuple[int, int, int]
     return [(p, 1, chi.exponent(idx)) for idx in (cls, cg.inv(cls))]
 
 
-def bc_factor(
-    f: NewformData, p: int, chi: ClassChar | None = None, shift: Fraction | int = 0
-) -> list[EulerFactor]:
+def bc_factor(f: NewformData, p: int, chi: ClassChar | None = None) -> list[EulerFactor]:
     """Base-change Euler factors at the primes of K above p (p != D).
 
     Split p gives two degree-2 factors in X = p^(-s) (the distinguished
     prime first, its conjugate second), inert p one degree-2 factor in
     X = p^(-2s) whose parameters are the squares.  The twist multiplies X
-    by the character value at the prime's class; ``shift`` substitutes
-    X -> Np^shift X, giving the factor of L(BC(f), s - shift).
+    by the character value at the prime's class; ``EulerFactor.substitute``
+    gives the factor of L(BC(f), s - shift).
     """
     if p == f.D:
         raise ValueError("base-change factors are defined away from the level")
     chi = chi if chi is not None else trivial_char()
     sat = SatakePair.of(f, p)
     return [
-        EulerFactor(
-            f.ring, norm, [f.ring.one(), -sat.power_sum(d), sat.product_power(d)], chi.order, twist
-        ).substitute(shift)
+        EulerFactor(f.ring, norm, [f.ring.one(), -sat.power_sum(d), sat.product_power(d)], chi.order, twist)
         for norm, d, twist in _places(f, p, chi)
     ]
 

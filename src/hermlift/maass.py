@@ -29,7 +29,7 @@ from typing import Callable
 
 from .elliptic import NewformData, QExpansion, antisymmetrize
 from .hermitian import HermPoint, enumerate_points
-from .quadfield import ClassChar, FieldParams
+from .quadfield import ClassChar, FieldParams, chi_K, class_group
 from .ring import HeckeElem, HeckeRing, lincomb
 
 Coeff = HeckeElem
@@ -41,26 +41,17 @@ class RangeError(ValueError):
     """A coefficient was needed outside the range its source determines."""
 
 
-_AK_CACHE: dict[int, set[int]] = {}
-
-
 def a_K(D: int, n: int) -> int:
     """Number of residues beta mod sqrt(-D) with N(beta) = -n (mod D).
 
     The quotient by sqrt(-D) has D elements on which the norm is the square
     of the integer residue, so this counts square roots of -n mod D: it is
-    1 when D | n, 2 when -n is a nonzero square, 0 otherwise.
+    1 when D | n, 2 when -n is a nonzero square, 0 otherwise.  Since
+    chi_K(-1) = -1 for D = 3 mod 4, that is 1 - chi_K(n) away from D.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    squares = _AK_CACHE.get(D)
-    if squares is None:
-        squares = {(b * b) % D for b in range(1, D)}
-        _AK_CACHE[D] = squares
-    r = (-n) % D
-    if r == 0:
-        return 1
-    return 2 if r in squares else 0
+    return 1 if n % D == 0 else 1 - chi_K(D, n)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +72,6 @@ class CoeffTable:
     bound_det: int
     bound_diag: int
     values: dict[HermPoint, Coeff] = field(default_factory=dict)
-    cuspidal: bool = True  # coefficients at singular points vanish identically
 
     @property
     def D(self) -> int:
@@ -109,7 +99,6 @@ class CoeffTable:
             self.bound_det,
             self.bound_diag,
             {h: v * c for h, v in self.values.items()},
-            self.cuspidal,
         )
 
 
@@ -161,8 +150,7 @@ class MaassTuple:
 
     def component_exponent(self, index: int) -> int:
         """zeta exponent of the component at a class index (identity table scaled)."""
-        d = self.chi.order
-        return (self.chi.exponent(index) + self.zeta_exp) % d if d > 1 else 0
+        return (self.chi.exponent(index) + self.zeta_exp) % self.chi.order
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.alpha.values())
@@ -253,19 +241,9 @@ def alpha_from_newform(f: NewformData, n_max: int) -> dict[int, Coeff]:
     return alpha
 
 
-def build_lift(
-    f: NewformData, chi: ClassChar, n_max: int, label: str | None = None
-) -> MaassTuple:
+def build_lift(f: NewformData, chi: ClassChar, n_max: int) -> MaassTuple:
     """The lift of a newform as a MaassTuple with alpha valid to n_max."""
-    alpha = alpha_from_newform(f, n_max)
-    return MaassTuple(
-        params=f.params,
-        chi=chi,
-        ring=f.ring,
-        alpha=alpha,
-        alpha_max=n_max,
-        source_label=label or f.label,
-    )
+    return MaassTuple(f.params, chi, f.ring, alpha_from_newform(f, n_max), n_max, source_label=f.label)
 
 
 def random_alpha_tuple(
@@ -353,18 +331,12 @@ def descend(t: MaassTuple, n_max: int) -> dict[int, tuple[int, QExpansion]]:
     """
     if n_max > t.alpha_max:
         raise RangeError(f"alpha valid to {t.alpha_max}, needed at {n_max}")
-    D, alpha = t.D, t.alpha
-    base = QExpansion(t.ring, n_max, weight=t.k - 1, level=D, label=t.source_label)
-    support = range(1, n_max + 1)
-    if len(alpha) < n_max:
-        support = sorted(n for n in alpha if 1 <= n <= n_max)
-    for n in support:
-        v = alpha.get(n)
-        if v is not None and not v.is_zero():
-            ak = a_K(D, n)
-            if ak:
-                base.coeffs[n] = v * ak
-    from .quadfield import class_group
-
-    h = class_group(D).order
-    return {b: (t.component_exponent(b), base) for b in range(h)}
+    base = QExpansion(t.ring, n_max)
+    for n in sorted(t.alpha):
+        if n > n_max:
+            break
+        v = t.alpha[n]
+        ak = a_K(t.D, n) if n >= 1 else 0
+        if ak and not v.is_zero():
+            base.coeffs[n] = v * ak
+    return {b: (t.component_exponent(b), base) for b in range(class_group(t.D).order)}

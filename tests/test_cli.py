@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hermlift.cli import main, read_table, table_as_tuple, write_table
 from hermlift.elliptic import format_newform, synthetic_newform
 from hermlift.hecke import act_inert_T, act_inert_Up
+from hermlift.hermitian import point
 from hermlift.maass import build_lift
 from hermlift.quadfield import FieldParams, char_values, class_group, trivial_char
 from hermlift.ring import HeckeRing
@@ -94,9 +95,10 @@ def test_hecke_inert_writes_the_library_action(tmp_path, capsys, synth_file, op,
     assert got.values == want.values and got.values
 
 
-# header lines that are no character of the class group of D = 23, or a
-# zeta exponent outside 0..order-1
-HEADER_FAULTS = ("chi 0", "chi 0 1 7", "chiorder 0", "zetaexp 3")
+# header lines that are no character of the class group of D = 23, a zeta
+# exponent outside 0..order-1, a field that is no prime = 3 (mod 4), or a
+# weight that is no positive multiple of 2
+HEADER_FAULTS = ("chi 0", "chi 0 1 7", "chiorder 0", "zetaexp 3", "field 21", "k 7")
 
 
 @pytest.mark.parametrize(
@@ -123,7 +125,7 @@ def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault
         key = fault.split()[0]
         lines[header[key]] = fault
         # a character is reported at the later of its two lines
-        bad_line = header["zetaexp" if key == "zetaexp" else "chi"] + 1
+        bad_line = header["chi" if key == "chiorder" else key] + 1
     elif fault == "point before field":
         lines.insert(0, lines.pop(last))
         bad_line = 1
@@ -144,6 +146,18 @@ def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault
         code = main([command, str(tbl)])
         assert code == 2
         assert f"{tbl}:{bad_line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault", ["field 21", "weight 6"])
+def test_malformed_newform_header_exits_2_at_its_line(tmp_path, capsys, synth_file, fault):
+    nf, f = synth_file
+    lines = nf.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.split()[0] == fault.split()[0])
+    lines[i] = fault
+    nf.write_text("\n".join(lines) + "\n")
+    code = main(["lift", str(nf), str(tmp_path / "lift.tbl")])
+    assert code == 2
+    assert f"{nf}: malformed newform line {i + 1}:" in capsys.readouterr().err
 
 
 def test_config_environment_variable_is_not_read(tmp_path, monkeypatch):
@@ -257,6 +271,10 @@ def test_table_roundtrip_byte_stable(tmp_path, synth_file):
     t2 = build_lift(f, trivial_char(), 100)
     write_table(str(p2), t2, 100, 2)
     assert p1.read_bytes() == p2.read_bytes()
+    # written in canonical point order
+    points = [line.split()[1:5] for line in p1.read_text().splitlines() if line.startswith("point")]
+    keys = [point(7, *map(int, c)).sort_key() for c in points]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     # read back equals what was written
     assert {h: v for h, v in table.values.items()} == {
         h: v for h, v in t.identity_table(100, 2).values.items()

@@ -56,13 +56,11 @@ def imported_names(tree):
 
 
 def test_every_import_is_used():
-    unused = [
-        f"{name}: {imported}"
-        for name, tree in MODULES.items()
-        if name != "__init__"
-        for imported in imported_names(tree)
-        if imported not in used_names(tree)
-    ]
+    unused = []
+    for name, tree in MODULES.items():
+        if name != "__init__":
+            used = used_names(tree)
+            unused += [f"{name}: {imported}" for imported in imported_names(tree) if imported not in used]
     assert not unused, unused
 
 

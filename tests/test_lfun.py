@@ -82,7 +82,7 @@ def test_shift_substitution():
     shifted = fac.substitute(1)
     assert shifted.poly[1] == fac.poly[1] * 9
     assert shifted.poly[2] == fac.poly[2] * 81
-    assert bc_factor(f, 3, shift=0)[0] == fac
+    assert fac.substitute(0) == fac
 
 
 def test_split_factor_pair_and_combined():
@@ -166,7 +166,7 @@ def test_product134_detects_misuse():
     chi = trivial_char()
     k = f.k
     lhs = std_factor_lift(f, chi, 3)[0]
-    b = bc_factor(f, 3, chi, shift=Fraction(2 - k // 2))[0]
+    b = bc_factor(f, 3, chi)[0].substitute(Fraction(2 - k // 2))
     wrong = b * b
     assert lhs != wrong
     d = lhs.discrepancy(wrong)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hermlift.elliptic import bundled_cm_form, antisymmetrize, synthetic_newform
 from hermlift.hecke import LazyAction, eval_inert_raw
-from hermlift.hermitian import content, det_scaled, enumerate_points, point
+from hermlift.hermitian import content, enumerate_points, point
 from hermlift.maass import (
     MaassTuple,
     RangeError,
@@ -49,6 +49,16 @@ def test_a_K_brute_force_and_characterisation(D):
             assert val == 1
         else:
             assert (val == 0) == (chi_K(D, n) == 1)
+
+
+PRIMES_3_MOD_4 = [D for D in range(3, 500, 4) if all(D % d for d in range(2, int(D ** 0.5) + 1))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(PRIMES_3_MOD_4), st.data())
+def test_a_K_counts_square_roots_of_minus_n(D, data):
+    n = data.draw(st.integers(0, 10 * D - 1))
+    assert a_K(D, n) == sum(1 for b in range(D) if (b * b + n) % D == 0)
 
 
 def test_a_K_examples_d7():
@@ -237,8 +247,8 @@ def test_lift_loops_match_per_index_reference(D, ring, involution, k, seed, n_ma
     f = synthetic_newform(FieldParams(D, k), ring, involution, p_max=n_max + 10, seed=seed)
     alpha = alpha_from_newform(f, n_max)
     assert list(alpha.items()) == list(alpha_reference(f, n_max).items())
-    # a sparse alpha with zeros, index 0 and indices past n_max takes the
-    # sorted-support branch; the full one takes the range branch
+    # a sparse alpha, unsorted, with zeros, index 0 and indices past n_max,
+    # and the full one
     keep = data.draw(st.sets(st.sampled_from(sorted(alpha) or [1])))
     sparse = {n: alpha[n] for n in keep if n in alpha}
     sparse.update({0: ring.one(), n_max + 5: ring.one(), 2: ring.zero()})
@@ -253,7 +263,7 @@ def lift_value_reference(alpha, h, k, ring):
     """The divisor-sum condition at one point, as a plain loop over d <= content."""
     if h.is_zero():
         return ring.zero()
-    n, c = det_scaled(h), content(h)
+    n, c = h.det_scaled(), content(h)
     acc = ring.zero()
     for d in range(1, c + 1):
         if c % d == 0:
