@@ -36,7 +36,7 @@ from .hermitian import HermPoint
 from .maass import CoeffTable, MaassTuple, build_lift, check_maass, descend
 from .lfun import bc_factor, std_factor_lift, verify_product134
 from .quadfield import ClassChar, FieldParams, QuadInt, char_values, chi_K, class_group
-from .ring import VAL_CAP, HeckeRing, _is_prime, primes_above
+from .ring import VAL_CAP, HeckeElem, HeckeRing, _is_prime, primes_above
 
 NORMALIZATION_NOTE = "unit i/sqrt(-D_K) dropped"
 
@@ -119,7 +119,7 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
                         raise ValueError(f"point {h.coords()} outside bound_det {bound_det}, bound_diag {bound_diag}")
                     if h in values:
                         raise ValueError(f"duplicate point {h.coords()}")
-                    values[h] = ring.element(num, int(parts[slash + 1]))
+                    values[h] = HeckeElem(ring, tuple(num), int(parts[slash + 1]))
                 else:
                     raise ValueError(f"unknown key {key!r}")
             except (IndexError, ValueError, ZeroDivisionError) as exc:

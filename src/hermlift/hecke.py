@@ -45,7 +45,9 @@ memoised by h mod p for one application, and so does T_p's.  Tables and
 lazy sources (compositions, the outer T_p of U_p) are read one coefficient
 per argument, with every translate of T_{p,0} listed; that per-coset reader
 is also the tests' reference for the keyed one.  Scalars are integers over
-the common denominator p^k, and each value is one ``ring.lincomb``.
+the common denominator p^k, and each value is one ``ring.lincomb``; on a
+lift, points with the same (key, multiplier) signature share that sum
+within one application.
 
 Split primes act on lift data in closed form, on the generating function:
 relative to canonical class representatives,
@@ -70,7 +72,7 @@ from typing import Callable, Iterable
 
 from .elliptic import NewformData, QExpansion, apply_Tp
 from .hermitian import HermPoint
-from .maass import CoeffTable, Getter, MaassTuple, RangeError, _lift_values, _tabulate
+from .maass import CoeffTable, Getter, MaassTuple, RangeError, _by_coords, _lift_values, _tabulate
 from .quadfield import (
     ClassChar,
     FieldParams,
@@ -137,7 +139,7 @@ def _table_getter(table: CoeffTable) -> Getter:
     D = table.D
     zero = table.ring.zero()
     bd, bg = table.bound_det, table.bound_diag
-    flat = {h.coords(): v for h, v in table.values.items()}
+    flat = _by_coords(table)
     q = table.params.norm_c
 
     def get(t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
@@ -170,13 +172,43 @@ Slots = tuple[tuple[int, int, list[tuple[int, int, int, int]]], ...]
 def _isotropic(params: FieldParams, p: int) -> Callable[[int, int, int, int], tuple[tuple[int, ...], ...]]:
     """The residues a = x + y omega of O_K/p at which p divides u3, the
     t3-slot of alpha_a* h alpha_a, as a function of h mod p, memoised per
-    class; each entry is (N(a), x, y, c1, c2).  At h = 0 every residue is."""
+    class; each entry is (N(a), x, y, c1, c2), x-major, then y.  At h = 0
+    every residue is.
+
+    For fixed x, u3 = r1 N(a) + r3 + rb x - ra y mod p is the quadratic
+    A y^2 + B y + C in y with A = r1 q, B = r1 x - ra, C = r1 x^2 + rb x + r3
+    (linear at p = 2, where y^2 = y), so a class costs p root solves, not a
+    scan of all p^2 residues."""
     q = params.norm_c
-    reps = [(x * x + x * y + y * y * q, x, y, -x - 2 * q * y, 2 * x + y) for x in range(p) for y in range(p)]
+    reps = [[(x * x + x * y + y * y * q, x, y, -x - 2 * q * y, 2 * x + y) for y in range(p)] for x in range(p)]
+    inv = [0] + [pow(b, -1, p) for b in range(1, p)]
+    root = [0] * p  # a square root of each nonzero square mod p, 0 at the others
+    for r in range(1, p // 2 + 1):
+        root[r * r % p] = r
 
     @cache
     def iso(r1: int, r3: int, ra: int, rb: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(r for r in reps if (r[0] * r1 + r3 + rb * r[1] - ra * r[2]) % p == 0)
+        A, shift = (0, r1 * q) if p == 2 else (r1 * q % p, 0)
+        out: list[tuple[int, ...]] = []
+        if A:  # y = (r - B) / 2A over the square roots r of B^2 - 4AC
+            ia = inv[2 * A % p]
+            for x, row in enumerate(reps):
+                B = r1 * x - ra
+                disc = (B * B - 4 * A * (r1 * x * x + rb * x + r3)) % p
+                r = root[disc]
+                if disc == 0:
+                    out.append(row[-B * ia % p])
+                elif r:
+                    y1, y2 = (r - B) * ia % p, (-r - B) * ia % p
+                    out += (row[y1], row[y2]) if y1 < y2 else (row[y2], row[y1])
+        else:
+            for x, row in enumerate(reps):
+                B, C = (r1 * x - ra + shift) % p, (r1 * x * x + rb * x + r3) % p
+                if B:
+                    out.append(row[-C * inv[B] % p])
+                elif not C:
+                    out += row
+        return tuple(out)
 
     return iso
 
@@ -244,8 +276,13 @@ def _coset_sum(get: Getter, ring: HeckeRing, den: int) -> Callable[[Slots], Heck
 
 def _keyed_sum(t: MaassTuple, den: int) -> Callable[[Slots], HeckeElem]:
     """Reads slots on a lift, whose value at an image depends only on its
-    (det, content): one integer multiplier and one lift value per key."""
+    (det, content): one integer multiplier and one lift value per key.
+
+    The sum is a function of the (key, multiplier) pairs alone, so it is
+    memoised by that signature for the one reader; each point still walks
+    its own cosets, and a point whose slots differ gets its own sum."""
     value = _lift_values(t.alpha, t.alpha_max, t.k, t.ring)
+    sums: dict[tuple, HeckeElem] = {}
 
     def read(slots: Slots) -> HeckeElem:
         mult: dict[tuple[int, int], int] = {}
@@ -253,7 +290,11 @@ def _keyed_sum(t: MaassTuple, den: int) -> Callable[[Slots], HeckeElem]:
             for image in images:
                 key = (det, gcd(*image))
                 mult[key] = mult.get(key, 0) + scalar
-        return lincomb(t.ring, [(m, value(*key)) for key, m in mult.items()], den)
+        signature = tuple(mult.items())
+        v = sums.get(signature)
+        if v is None:
+            v = sums[signature] = lincomb(t.ring, [(m, value(*key)) for key, m in signature], den)
+        return v
 
     return read
 

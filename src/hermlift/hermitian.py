@@ -148,8 +148,17 @@ def enumerate_points(D: int, bound_det: int, bound_diag: int) -> list[HermPoint]
     """All lattice points with t1, t3 <= bound_diag and det_scaled <= bound_det.
 
     Includes the zero point and the singular (det 0) points; canonically
-    sorted so that table files are byte-stable.  For each diagonal, w runs
-    over the annulus D t1 t3 - bound_det <= N(w) <= D t1 t3.
+    sorted so that table files are byte-stable.
+    """
+    return [HermPoint(t1, t3, QuadInt(a, b, D)) for _, t1, t3, a, b in _lattice(D, bound_det, bound_diag)]
+
+
+def _lattice(D: int, bound_det: int, bound_diag: int) -> list[tuple[int, int, int, int, int]]:
+    """The points of ``enumerate_points`` as raw sort keys (det, t1, t3, w.a,
+    w.b), in the same canonical order, for walks that need no ``HermPoint``.
+
+    For each diagonal, w runs over the annulus
+    D t1 t3 - bound_det <= N(w) <= D t1 t3.
     """
     if bound_det < 0 or bound_diag < 0:
         raise ValueError("bounds must be nonnegative")
@@ -169,7 +178,7 @@ def enumerate_points(D: int, bound_det: int, bound_diag: int) -> list[HermPoint]
                     det = (outer - u * u) // 4
                     raw += [(det, t1, t3, (v - b) // 2, b) for v in ((u, -u) if u else (0,))]
     raw.sort()
-    return [HermPoint(t1, t3, QuadInt(a, b, D)) for _, t1, t3, a, b in raw]
+    return raw
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from math import gcd
 from typing import Callable
 
 from .elliptic import NewformData, QExpansion, antisymmetrize
-from .hermitian import HermPoint, enumerate_points
-from .quadfield import ClassChar, FieldParams, chi_K, class_group
+from .hermitian import HermPoint, _lattice, enumerate_points
+from .quadfield import ClassChar, FieldParams, QuadInt, chi_K, class_group
 from .ring import HeckeElem, HeckeRing, lincomb
 
 Coeff = HeckeElem
@@ -193,12 +193,17 @@ def _lift_values(alpha: dict[int, Coeff], alpha_max: int, k: int, ring: HeckeRin
 
 def _tabulate(get: Getter, params: FieldParams, ring: HeckeRing, bound_det: int, bound_diag: int) -> CoeffTable:
     """The table of a coefficient function on raw coordinates, zeros omitted."""
-    values = {}
-    for h in enumerate_points(params.D, bound_det, bound_diag):
-        v = get(h.t1, h.t3, h.w.a, h.w.b)
+    D, values = params.D, {}
+    for _, t1, t3, a, b in _lattice(D, bound_det, bound_diag):
+        v = get(t1, t3, a, b)
         if not v.is_zero():
-            values[h] = v
+            values[HermPoint(t1, t3, QuadInt(a, b, D))] = v
     return CoeffTable(params, ring, bound_det, bound_diag, values)
+
+
+def _by_coords(t: CoeffTable) -> dict[tuple[int, int, int, int], Coeff]:
+    """The table's stored values keyed by raw coordinates (t1, t3, w.a, w.b)."""
+    return {h.coords(): v for h, v in t.values.items()}
 
 
 def _divisors(n: int) -> list[int]:
@@ -273,20 +278,20 @@ def random_alpha_tuple(
     return MaassTuple(params, chi, ring, alpha, n_max, source_label=f"random-{seed}")
 
 
-def _primitive_scan(t: CoeffTable, keyed: list[tuple]) -> tuple[dict[int, Coeff], set[int]]:
+def _primitive_scan(flat: dict[tuple, Coeff], keyed: list[tuple]) -> tuple[dict[int, Coeff], set[int]]:
     """Nonzero alpha read at the first primitive point of each determinant,
     and the determinants of nonzero points that no primitive point realises;
-    ``keyed`` lists (point, det, content) in canonical order."""
+    ``keyed`` lists (det, content, coordinates) in canonical order."""
     alpha: dict[int, Coeff] = {}
     constrained: set[int] = set()
     dets: set[int] = set()
-    for h, det, eps in keyed:
+    for det, eps, coords in keyed:
         if eps:
             dets.add(det)
         if eps == 1 and det not in constrained:
             constrained.add(det)
-            v = t.get(h)
-            if not v.is_zero():
+            v = flat.get(coords)
+            if v is not None and not v.is_zero():
                 alpha[det] = v
     return alpha, dets - constrained
 
@@ -302,8 +307,10 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
     range are unconstrained, and points whose divisor sum reads one are
     skipped; a set passed as ``unconstrained`` receives those values.
     """
-    keyed = [(h, h.det_scaled(), gcd(*h.coords())) for h in t.points()]
-    alpha, skipped = _primitive_scan(t, keyed)
+    flat, zero = _by_coords(t), t.ring.zero()
+    lattice = _lattice(t.D, t.bound_det, t.bound_diag)
+    keyed = [(det, gcd(t1, t3, a, b), (t1, t3, a, b)) for det, t1, t3, a, b in lattice]
+    alpha, skipped = _primitive_scan(flat, keyed)
     if unconstrained is not None:
         unconstrained |= skipped
     value = _lift_values(alpha, t.bound_det, t.params.k, t.ring)
@@ -313,11 +320,12 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
         # every det / d^2 is a determinant in range, since h / d is in bounds
         return any(det // (d * d) in skipped for d in _divisors(eps))
 
-    for h, det, eps in keyed:
+    for det, eps, coords in keyed:
         if skipped and reads_unconstrained(det, eps):
             continue
-        if t.get(h) != value(det, eps):
-            return False, h
+        if flat.get(coords, zero) != value(det, eps):
+            t1, t3, a, b = coords
+            return False, HermPoint(t1, t3, QuadInt(a, b, t.D))
     return True, alpha
 
 

@@ -176,7 +176,7 @@ def test_missing_table_exits_2(tmp_path, capsys):
 
 def test_check_maass_enumerates_once_and_reports_unconstrained(tmp_path, capsys, synth_file, monkeypatch):
     from hermlift import maass
-    from hermlift.hermitian import content, enumerate_points
+    from hermlift.hermitian import _lattice, content, enumerate_points
 
     nf, f = synth_file
     tbl = tmp_path / "lift.tbl"
@@ -185,9 +185,9 @@ def test_check_maass_enumerates_once_and_reports_unconstrained(tmp_path, capsys,
 
     def counting(*args):
         calls.append(args)
-        return enumerate_points(*args)
+        return _lattice(*args)
 
-    monkeypatch.setattr(maass, "enumerate_points", counting)
+    monkeypatch.setattr(maass, "_lattice", counting)
     code, out = run(capsys, "--json", "check-maass", tbl)
     assert code == 0 and len(calls) == 1
     # brute force: determinants in range that no primitive point realises

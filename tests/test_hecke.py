@@ -244,7 +244,7 @@ def test_keyed_lift_kernel_matches_per_coset_reference(data):
         assert eval_inert_raw(t, kind, p, pts) == eval_inert_raw(ref, kind, p, pts)
 
 
-@pytest.mark.parametrize("D, p", [(7, 3), (7, 5), (7, 7), (23, 3), (23, 5), (23, 7)])
+@pytest.mark.parametrize("D, p", [(7, 3), (7, 5), (7, 7), (23, 3), (23, 5), (23, 7), (11, 2)])
 def test_isotropic_residues_match_full_scan(D, p):
     # for every h mod p: the memoised list is exactly the residues a = x + y
     # omega at which alpha_a* h alpha_a has t3 divisible by p, with t3 from

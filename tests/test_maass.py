@@ -7,6 +7,7 @@ from hermlift.elliptic import bundled_cm_form, antisymmetrize, synthetic_newform
 from hermlift.hecke import LazyAction, eval_inert_raw
 from hermlift.hermitian import content, enumerate_points, point
 from hermlift.maass import (
+    CoeffTable,
     MaassTuple,
     RangeError,
     a_K,
@@ -136,11 +137,56 @@ def test_check_maass_roundtrip_and_fault():
 
 def test_check_maass_zero_table():
     params = FieldParams(7, 8)
-    from hermlift.maass import CoeffTable
-
     table = CoeffTable(params, GAUSS, 40, 2)
     ok, alpha = check_maass(table)
     assert ok and alpha == {}
+
+
+def check_maass_reference(table):
+    """check_maass as a loop over enumerate_points in canonical order: alpha
+    from the first primitive point of each determinant, then the first point
+    whose value differs from its divisor sum, skipping points that read a
+    determinant no primitive point realises."""
+    pts = enumerate_points(table.D, table.bound_det, table.bound_diag)
+    alpha, primitive = {}, set()
+    for h in pts:
+        if not h.is_zero() and content(h) == 1 and h.det_scaled() not in primitive:
+            primitive.add(h.det_scaled())
+            if not table.get(h).is_zero():
+                alpha[h.det_scaled()] = table.get(h)
+    free = {h.det_scaled() for h in pts if not h.is_zero()} - primitive
+    for h in pts:
+        c = 0 if h.is_zero() else content(h)
+        if any(c % d == 0 and h.det_scaled() // (d * d) in free for d in range(1, c + 1)):
+            continue
+        if table.get(h) != lift_value_reference(alpha, h, table.params.k, table.ring):
+            return False, h
+    return True, alpha
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_check_maass_witness_matches_canonical_reference(seed):
+    # check_maass walks raw coordinates and builds a point only for its
+    # witness.  A nonzero value planted at a point the table omits as zero,
+    # or a stored value removed, must give the reference's first offending
+    # point, which need not be the corrupted one when alpha is read there
+    params = FieldParams(7, 8)
+    t = random_alpha_tuple(params, TRIV, GAUSS, 7 * 12, seed=seed, spread=1)
+    table = t.identity_table(7 * 12, 3)
+    ok, alpha = check_maass(table)
+    assert ok and (ok, alpha) == check_maass_reference(table)
+    rng = random.Random(seed)
+    omitted = [h for h in table.points() if h not in table.values and not h.is_zero()]
+    failures = 0
+    for h in rng.sample(omitted, 6) + rng.sample(list(table.values), 6):
+        values = dict(table.values)
+        if values.pop(h, None) is None:
+            values[h] = GAUSS.one()
+        bad = CoeffTable(params, GAUSS, table.bound_det, table.bound_diag, values)
+        got = check_maass(bad)
+        assert got == check_maass_reference(bad), h
+        failures += not got[0]
+    assert failures >= 6
 
 
 def test_descend_roundtrip_trivial_chi():
