@@ -14,13 +14,14 @@ from hermlift import (
     HeckeRing,
     FieldParams,
     a_K,
-    antisymmetrize,
     build_lift,
     bundled_cm_form,
     check_maass,
     content,
     descend,
+    extend_coeffs,
     point,
+    rho_conjugate,
     synthetic_newform,
     trivial_char,
 )
@@ -35,8 +36,9 @@ print("lift of the CM form is zero:", build_lift(cm, trivial_char(), 100).is_zer
 params = FieldParams(7, 8)
 ring = HeckeRing([1, 0, 1])  # Z[x]/(x^2+1)
 f = synthetic_newform(params, ring, "negate-x", p_max=800, seed=1)
-psi = antisymmetrize(f, 30)
-print("\nsynthetic phi - phi^rho:", {n: str(psi.a(n)) for n in range(1, 15) if not psi.a(n).is_zero()})
+phi, phi_rho = extend_coeffs(f, 30), extend_coeffs(rho_conjugate(f), 30)
+psi = {n: phi.a(n) - phi_rho.a(n) for n in range(1, 31)}
+print("\nsynthetic phi - phi^rho:", {n: str(v) for n, v in psi.items() if n < 15 and not v.is_zero()})
 print("a_K(n) for n = 1..14:", [a_K(7, n) for n in range(1, 15)])
 
 t = build_lift(f, trivial_char(), 700)
@@ -51,6 +53,6 @@ ok, alpha = check_maass(table)
 print("\ntable passes the membership check:", ok)
 print("alpha extracted on", len(alpha), "indices")
 
-# and the descent returns the antisymmetrised eigenform exactly
+# and the descent returns the difference of the two expansions exactly
 exp, q = descend(t, 30)[0]
-print("descend equals phi - phi^rho:", all(q.a(n) == psi.a(n) for n in range(1, 31)))
+print("descend equals phi - phi^rho:", all(q.a(n) == psi[n] for n in range(1, 31)))

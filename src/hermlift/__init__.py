@@ -41,7 +41,6 @@ from .elliptic import (
     format_newform,
     extend_coeffs,
     rho_conjugate,
-    antisymmetrize,
     apply_Tp,
     synthetic_newform,
     bundled_cm_form,
@@ -51,6 +50,7 @@ from .maass import (
     CoeffTable,
     a_K,
     alpha_from_newform,
+    antisymmetrize,
     build_lift,
     random_alpha_tuple,
     check_maass,

@@ -4,8 +4,9 @@ Eigenform data is ingested (or generated synthetically), never computed
 from scratch: a newform here is its level D (an odd prime), its weight
 k-1, the quadratic nebentypus of conductor D, and Hecke eigenvalues a(p)
 in an exact coefficient ring.  The conjugate form has coefficients
-a(p) -> chi(p) a(p) away from D, which pins everything needed for the
-antisymmetrisation phi - phi^rho that feeds the lift.
+a(p) -> chi(p) a(p) away from D and a(D) -> D^(k-2) / a(D).  One
+expansion of phi therefore determines phi - phi^rho, whose quotient by the
+counting factor generates the lift (maass.alpha_from_newform).
 """
 
 from __future__ import annotations
@@ -145,36 +146,6 @@ def rho_conjugate(f: NewformData) -> NewformData:
     """The form with conjugated coefficients: a(p) -> chi(p) a(p), a(D) -> D^(k-2)/a(D)."""
     new_ap = {p: (a if chi_K(f.D, p) == 1 else -a) for p, a in f.ap.items()}
     return replace(f, ap=new_ap, aDK=_aDK_rho(f), label=f.label + "^rho" if f.label else "")
-
-
-def antisymmetrize(f: NewformData, n_max: int) -> QExpansion:
-    """q-expansion of psi = phi - phi^rho up to n_max, from one expansion of phi.
-
-    For m prime to D, phi^rho(m D^e) = chi(m) a(m) a^rho(D)^e, so
-    psi(m D^e) = a(m) (a(D)^e - chi(m) a^rho(D)^e): at e = 0 that is 0
-    where chi(m) = 1 and 2 a(m) where chi(m) = -1.
-    """
-    D = f.D
-    a = extend_coeffs(f, n_max).coeffs
-    chi = [chi_K(D, r) for r in range(D)]
-    aD, aD_rho = f.aDK, _aDK_rho(f)
-    factor = [{}]  # factor[e][c] = a(D)^e - c a^rho(D)^e for chi(m) = c
-    while D ** len(factor) <= n_max:
-        pw, pw_rho = aD ** len(factor), aD_rho ** len(factor)
-        factor.append({1: pw - pw_rho, -1: pw + pw_rho})
-    zero = f.ring.zero()
-    psi: dict[int, HeckeElem] = {}
-    for n in range(1, n_max + 1):
-        m, e = n, 0
-        while m % D == 0:
-            m //= D
-            e += 1
-        c = chi[m % D]
-        if e:
-            psi[n] = a[m] * factor[e][c]
-        else:
-            psi[n] = zero if c == 1 else a[n] * 2
-    return QExpansion(f.ring, n_max, psi)
 
 
 def apply_Tp(q: QExpansion, p: int, k: int, D: int) -> QExpansion:

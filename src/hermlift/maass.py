@@ -27,9 +27,9 @@ from functools import cache
 from math import gcd
 from typing import Callable
 
-from .elliptic import NewformData, QExpansion, antisymmetrize
+from .elliptic import NewformData, QExpansion, _aDK_rho, extend_coeffs
 from .hermitian import HermPoint, _lattice, enumerate_points
-from .quadfield import ClassChar, FieldParams, QuadInt, chi_K, class_group
+from .quadfield import ClassChar, FieldParams, QuadInt, chi_K, class_group, trivial_char
 from .ring import HeckeElem, HeckeRing, lincomb
 
 Coeff = HeckeElem
@@ -226,23 +226,34 @@ def _divisors(n: int) -> list[int]:
 def alpha_from_newform(f: NewformData, n_max: int) -> dict[int, Coeff]:
     """The one-variable generating function of the lift of a newform.
 
-    alpha(n) = (phi - phi^rho)(n) / a_K(n) where the count is nonzero, and
-    0 where it vanishes; inputs whose antisymmetrisation does not vanish at
-    an index with a_K = 0 are outside the image of the descent and are
-    rejected.
+    alpha(n) = (phi - phi^rho)(n) / a_K(n), read from one expansion of phi.
+    For m prime to D, phi^rho(m D^e) = chi(m) a(m) a^rho(D)^e, so alpha is
+    a(n) where chi(n) = -1 (the difference 2 a(n) over a_K = 2),
+    a(m) (a(D)^e - chi(m) a^rho(D)^e) at n = m D^e with e >= 1 (a_K = 1),
+    and 0 where chi(n) = +1, where the difference vanishes.  Zero values
+    are omitted; keys ascend.
     """
     D = f.D
+    chi = [chi_K(D, r) for r in range(D)]
+    aD, aD_rho = f.aDK, _aDK_rho(f)
+    factor = [{}]  # factor[e][c] = a(D)^e - c a^rho(D)^e for chi(m) = c
+    while D ** len(factor) <= n_max:
+        pw, pw_rho = aD ** len(factor), aD_rho ** len(factor)
+        factor.append({1: pw - pw_rho, -1: pw + pw_rho})
+    a = extend_coeffs(f, n_max).coeffs
     alpha: dict[int, Coeff] = {}
-    for n, v in antisymmetrize(f, n_max).coeffs.items():
-        if v.is_zero():
+    for n, v in a.items():
+        c = chi[n % D]
+        if c == 1:
             continue
-        ak = a_K(D, n)
-        if ak == 0:
-            raise ValueError(
-                f"input is not in the image of the descent: coefficient {n} "
-                f"nonzero where the counting factor vanishes"
-            )
-        alpha[n] = v / ak if ak != 1 else v
+        if c == 0:
+            m, e = n // D, 1
+            while m % D == 0:
+                m //= D
+                e += 1
+            v = a[m] * factor[e][chi[m % D]]
+        if not v.is_zero():
+            alpha[n] = v
     return alpha
 
 
@@ -334,17 +345,31 @@ def descend(t: MaassTuple, n_max: int) -> dict[int, tuple[int, QExpansion]]:
 
     The zeta exponent carries the chi(b) scalar of the component; the
     global unit i/sqrt(D) of the exact descent is dropped (see module
-    docstring).  Round trip: descend(build_lift(f, chi)) equals
-    chi(b) (phi - phi^rho) per component.
+    docstring).  a_K is read from one residue table of chi_K: 2 where
+    chi(n) = -1, 1 where D | n, 0 where chi(n) = +1.  Round trip:
+    descend(build_lift(f, chi)) equals chi(b) (phi - phi^rho) per component.
     """
     if n_max > t.alpha_max:
         raise RangeError(f"alpha valid to {t.alpha_max}, needed at {n_max}")
+    D = t.D
+    chi = [chi_K(D, r) for r in range(D)]
     base = QExpansion(t.ring, n_max)
     for n in sorted(t.alpha):
         if n > n_max:
             break
         v = t.alpha[n]
-        ak = a_K(t.D, n) if n >= 1 else 0
-        if ak and not v.is_zero():
-            base.coeffs[n] = v * ak
-    return {b: (t.component_exponent(b), base) for b in range(class_group(t.D).order)}
+        if n < 1 or v.is_zero():
+            continue
+        c = chi[n % D]
+        if c == -1:
+            base.coeffs[n] = v + v
+        elif c == 0:
+            base.coeffs[n] = v
+    return {b: (t.component_exponent(b), base) for b in range(class_group(D).order)}
+
+
+def antisymmetrize(f: NewformData, n_max: int) -> QExpansion:
+    """q-expansion of psi = phi - phi^rho = a_K alpha up to n_max: the
+    descent of the lift under the trivial character.  Zero values are
+    omitted."""
+    return descend(build_lift(f, trivial_char(), n_max), n_max)[0][1]

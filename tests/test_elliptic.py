@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from hermlift.elliptic import (
     NewformData,
     QExpansion,
-    antisymmetrize,
     apply_Tp,
     bundled_cm_form,
     extend_coeffs,
@@ -15,6 +14,7 @@ from hermlift.elliptic import (
     rho_conjugate,
     synthetic_newform,
 )
+from hermlift.maass import alpha_from_newform, antisymmetrize
 from hermlift.quadfield import FieldParams, chi_K
 from hermlift.ring import HeckeRing, _is_prime
 
@@ -66,10 +66,11 @@ def assert_matches_oracles(f, n_max):
     q = extend_coeffs(f, n_max)
     assert list(q.coeffs) == list(range(1, n_max + 1))
     assert raw(q.coeffs.values()) == raw(trial_division_coeffs(f, n_max).values())
+    # psi is the descent of the lift, sparse like descend: compare it at
+    # every index, not key by key
     psi = antisymmetrize(f, n_max)
     conj = extend_coeffs(rho_conjugate(f), n_max)
-    assert list(psi.coeffs) == list(range(1, n_max + 1))
-    assert raw(psi.coeffs.values()) == raw(q.a(n) - conj.a(n) for n in range(1, n_max + 1))
+    assert raw(psi.a(n) for n in range(1, n_max + 1)) == raw(q.a(n) - conj.a(n) for n in range(1, n_max + 1))
 
 
 def eta_product_oracle(n_max):
@@ -121,7 +122,7 @@ def test_expansions_refuse_primes_past_the_data():
     last = f.p_max()
     beyond = next(p for p in range(last + 1, 2 * last) if _is_prime(p))
     assert extend_coeffs(f, beyond - 1).n_max == beyond - 1
-    for fn in (extend_coeffs, antisymmetrize):
+    for fn in (extend_coeffs, antisymmetrize, alpha_from_newform):
         with pytest.raises(KeyError, match=f"p = {beyond}"):
             fn(f, beyond)
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlift.elliptic import bundled_cm_form, antisymmetrize, synthetic_newform
+from hermlift.elliptic import bundled_cm_form, extend_coeffs, rho_conjugate, synthetic_newform
 from hermlift.hecke import LazyAction, eval_inert_raw
 from hermlift.hermitian import content, enumerate_points, point
 from hermlift.maass import (
@@ -81,24 +81,11 @@ def test_alpha_synthetic_example():
     assert alpha[3] == f.a(3)
 
 
-def test_alpha_rejects_non_image_input(monkeypatch):
-    # corrupt the antisymmetrisation at an index with a_K = 0 (chi = +1)
-    # and check the image guard trips
-    import hermlift.maass as mm
-
-    params = FieldParams(7, 8)
-    f = synthetic_newform(params, GAUSS, "negate-x", p_max=60, seed=5)
-    n0 = next(n for n in range(2, 50) if n % 7 and chi_K(7, n) == 1)
-    orig = mm.antisymmetrize
-
-    def corrupted(form, n_max):
-        q = orig(form, n_max)
-        q.coeffs[n0] = f.ring.one()
-        return q
-
-    monkeypatch.setattr(mm, "antisymmetrize", corrupted)
-    with pytest.raises(ValueError, match="not in the image"):
-        alpha_from_newform(f, 50)
+def psi_oracle(f, n_max):
+    """[None, psi(1), ..., psi(n_max)] for psi = phi - phi^rho, from two
+    separate expansions, never from the lift."""
+    phi, phi_rho = extend_coeffs(f, n_max), extend_coeffs(rho_conjugate(f), n_max)
+    return [None] + [phi.a(n) - phi_rho.a(n) for n in range(1, n_max + 1)]
 
 
 def test_build_lift_divisor_sum_examples():
@@ -193,13 +180,13 @@ def test_descend_roundtrip_trivial_chi():
     params = FieldParams(7, 8)
     f = synthetic_newform(params, GAUSS, "negate-x", p_max=520, seed=9)
     t = build_lift(f, TRIV, 500)
-    psi = antisymmetrize(f, 500)
+    psi = psi_oracle(f, 500)
     comps = descend(t, 500)
     assert set(comps) == {0}
     exp, q = comps[0]
     assert exp == 0
     for n in range(1, 501):
-        assert q.a(n) == psi.a(n), n
+        assert q.a(n) == psi[n], n
 
 
 def test_descend_components_differ_by_zeta_only():
@@ -252,11 +239,12 @@ def test_lift_oracle_range_guard():
 
 
 def alpha_reference(f, n_max):
-    """alpha_from_newform as a loop over every n <= n_max."""
-    psi = antisymmetrize(f, n_max)
+    """alpha_from_newform as a loop over every n <= n_max, dividing the
+    two-expansion oracle by the counting factor."""
+    psi = psi_oracle(f, n_max)
     alpha = {}
     for n in range(1, n_max + 1):
-        ak, v = a_K(f.D, n), psi.a(n)
+        ak, v = a_K(f.D, n), psi[n]
         if ak == 0:
             if not v.is_zero():
                 raise ValueError("not in the image")
@@ -303,6 +291,35 @@ def test_lift_loops_match_per_index_reference(D, ring, involution, k, seed, n_ma
         cut = data.draw(st.integers(1, n_max + 5))
         q = descend(t, cut)[0][1]
         assert list(q.coeffs.items()) == list(descend_reference(t, cut).items())
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from([7, 23, 47]),
+    st.sampled_from(RINGS),
+    st.sampled_from(["trivial", "negate-x"]),
+    st.sampled_from([4, 8]),
+    st.integers(0, 10**6),
+    st.integers(1, 400),
+    st.data(),
+)
+def test_lift_descends_to_two_expansion_oracle(D, ring, involution, k, seed, n_max, data):
+    # synthetic_newform validates the conjugation symmetry of its data
+    f = synthetic_newform(FieldParams(D, k), ring, involution, p_max=n_max + 10, seed=seed)
+    psi = psi_oracle(f, n_max)
+    chi = data.draw(st.sampled_from(char_values(class_group(D))))
+    t = build_lift(f, chi, n_max)
+    for n in range(1, n_max + 1):
+        if a_K(D, n) == 0:
+            # phi - phi^rho is in the image of the descent, and the lift
+            # puts nothing where the counting factor vanishes
+            assert psi[n].is_zero() and t.alpha_at(n).is_zero(), n
+    comps = descend(t, n_max)
+    assert sorted(comps) == list(range(class_group(D).order))
+    for b, (exp, q) in comps.items():
+        assert exp == chi.exponent(b), b
+        for n in range(1, n_max + 1):
+            assert q.a(n) == psi[n], (b, n)
 
 
 def lift_value_reference(alpha, h, k, ring):
