@@ -55,7 +55,8 @@ def table_congruence(t1: CoeffTable, t2: CoeffTable, prime: PrimeAboveL, cap: in
     """min over lattice points of val(difference); (depth, capped_flag).
 
     The capped flag distinguishes "at least cap" (e.g. equal tables) from an
-    exact depth.
+    exact depth.  Each valuation is capped at the running minimum: only a
+    smaller one can lower it, so no point is valued past the depth so far.
     """
     if not t1.same_shape(t2):
         raise ValueError("tables must share bounds and ring")
@@ -64,7 +65,7 @@ def table_congruence(t1: CoeffTable, t2: CoeffTable, prime: PrimeAboveL, cap: in
         d = t1.get(h) - t2.get(h)
         if d.is_zero():
             continue
-        depth = min(depth, val_at(prime, d, cap=cap))
+        depth = min(depth, val_at(prime, d, cap=min(cap, depth)))
         if depth <= 0:
             break
     return _clamp(depth, cap)

@@ -7,13 +7,14 @@ e2 = chi(p) p^(k-2), so no splitting field is ever constructed.  A class
 character twist only substitutes X -> chi(P) X, so every factor is
 P(zeta^e X) with P over Frac(R) and e the character's exponent at the
 prime's class; the root of unity is reduced modulo Phi_d only when a
-coefficient is printed.  s-shifts are substitutions X -> Np^c X with
-exact rational powers.
+coefficient is printed.  s-shifts are substitutions X -> Np^c X: every
+coefficient is scaled by an integer power of the integer Np, a product or
+an exact division, never a rational power.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -40,6 +41,11 @@ def _zeta_reductions(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(
         tuple((j, r) for j, r in enumerate(_divmod([0] * e + [1], phi)[1]) if r) for e in range(d)
     )
+
+
+def _times_power(c: HeckeElem, n: int, e: int) -> HeckeElem:
+    """c * n^e for an integer e of either sign."""
+    return c * n**e if e >= 0 else c / n**-e
 
 
 @dataclass(frozen=True)
@@ -124,22 +130,21 @@ class EulerFactor:
         for i, a in enumerate(self.poly):
             for j, b in enumerate(other.poly):
                 out[i + j] = out[i + j] + a * b
-        return replace(self, poly=out)
+        return EulerFactor(self.ring, self.norm, out, self.order, self.twist)
 
     def substitute(self, shift: Fraction | int) -> "EulerFactor":
         """X -> Np^shift X: the factor of L(., s - shift) in X = Np^(-s).
 
-        Only integral total exponents arise (k is even), so the scaling
-        stays an exact rational.
+        Only integral total exponents arise (k is even), so poly[j] is
+        scaled by the integer power Np^(shift j), multiplying or dividing.
         """
-        shift = Fraction(shift)
+        num, den = shift.numerator, shift.denominator
         out = []
         for j, c in enumerate(self.poly):
-            e = shift * j
-            if e.denominator != 1:
-                raise ValueError(f"non-integral substitution exponent {e}")
-            out.append(c * Fraction(self.norm) ** int(e))
-        return replace(self, poly=out)
+            if num * j % den:
+                raise ValueError(f"non-integral substitution exponent {Fraction(num * j, den)}")
+            out.append(_times_power(c, self.norm, num * j // den))
+        return EulerFactor(self.ring, self.norm, out, self.order, self.twist)
 
     def discrepancy(self, other: "EulerFactor") -> list[HeckeElem]:
         """poly minus other.poly; all zero exactly when the two factors agree."""
@@ -151,15 +156,15 @@ class EulerFactor:
         return [x - y for x, y in zip(a, b)]
 
 
-def _places(f: NewformData, p: int, chi: ClassChar) -> list[tuple[int, int, int]]:
-    """(norm, residue degree, chi exponent at its class) of each prime of K
-    above p: the distinguished prime first when p splits.  An inert prime is
-    principal, so its exponent is 0."""
+def _places(f: NewformData, p: int, chi: ClassChar) -> tuple[int, int, list[int]]:
+    """(norm, residue degree, chi exponents at their classes) of the primes
+    of K above p, which share norm and degree: the distinguished prime
+    first when p splits.  An inert prime is principal, so its exponent is 0."""
     if split_type(f.D, p) is SplitType.INERT:
-        return [(p * p, 2, 0)]
+        return p * p, 2, [0]
     cg = class_group(f.D)
     cls = prime_class(cg, p)
-    return [(p, 1, chi.exponent(idx)) for idx in (cls, cg.inv(cls))]
+    return p, 1, [chi.exponent(idx) for idx in (cls, cg.inv(cls))]
 
 
 def bc_factor(f: NewformData, p: int, chi: ClassChar | None = None) -> list[EulerFactor]:
@@ -175,10 +180,9 @@ def bc_factor(f: NewformData, p: int, chi: ClassChar | None = None) -> list[Eule
         raise ValueError("base-change factors are defined away from the level")
     chi = chi if chi is not None else trivial_char()
     sat = SatakePair.of(f, p)
-    return [
-        EulerFactor(f.ring, norm, [f.ring.one(), -sat.power_sum(d), sat.product_power(d)], chi.order, twist)
-        for norm, d, twist in _places(f, p, chi)
-    ]
+    norm, d, twists = _places(f, p, chi)
+    poly = [f.ring.one(), -sat.power_sum(d), sat.product_power(d)]
+    return [EulerFactor(f.ring, norm, list(poly), chi.order, twist) for twist in twists]
 
 
 def std_factor_lift(f: NewformData, chi: ClassChar, p: int) -> list[EulerFactor]:
@@ -193,22 +197,20 @@ def std_factor_lift(f: NewformData, chi: ClassChar, p: int) -> list[EulerFactor]
     if f.k % 2:
         raise ValueError("k must be even")
     sat = SatakePair.of(f, p)
-    out = []
-    for norm, d, twist in _places(f, p, chi):
-        P = sat.power_sum(d)  # A + B
-        Q = sat.product_power(d)  # A B
-        N = Fraction(norm)
-        t = -(N ** (2 - f.k // 2))
-        # elementary symmetric functions of {A, B, N A, N B}
-        s = [
-            f.ring.one(),
-            P * (1 + N),
-            Q * (1 + N * N) + P * P * N,
-            P * Q * (N + N * N),
-            Q * Q * N * N,
-        ]
-        out.append(EulerFactor(f.ring, norm, [c * t**j for j, c in enumerate(s)], chi.order, twist))
-    return out
+    N, d, twists = _places(f, p, chi)
+    P = sat.power_sum(d)  # A + B
+    Q = sat.product_power(d)  # A B
+    # prod (1 - x Y) over x in {A, B, N A, N B}: signed elementary symmetric functions
+    s = [
+        f.ring.one(),
+        -(P * (1 + N)),
+        Q * (1 + N * N) + P * P * N,
+        -(P * Q * (N + N * N)),
+        Q * Q * (N * N),
+    ]
+    # Y = chi(P) N^(2 - k/2) X; the twist stays in the tag
+    poly = [_times_power(c, N, j * (2 - f.k // 2)) for j, c in enumerate(s)]
+    return [EulerFactor(f.ring, N, list(poly), chi.order, twist) for twist in twists]
 
 
 def verify_product134(
@@ -225,7 +227,16 @@ def verify_product134(
     discrepancies).
     """
     shift = 2 - f.k // 2
-    lhs = std_factor_lift(f, chi, p)
-    rhs = [b.substitute(shift) * b.substitute(shift + 1) for b in bc_factor(f, p, chi)]
-    discrepancies = [left.discrepancy(right) for left, right in zip(lhs, rhs)]
+    discrepancies = []
+    verified = None  # (std poly, bc poly, discrepancy) of the last place expanded
+    for left, b in zip(std_factor_lift(f, chi, p), bc_factor(f, p, chi)):
+        # conjugate primes above a split p share their scalar polynomials:
+        # the product is expanded once, and reused only after checking that
+        if verified is not None and verified[0] == left.poly and verified[1] == b.poly:
+            left._same_place(b)
+            discrepancies.append(list(verified[2]))
+            continue
+        d = left.discrepancy(b.substitute(shift) * b.substitute(shift + 1))
+        verified = (left.poly, b.poly, d)
+        discrepancies.append(d)
     return all(c.is_zero() for d in discrepancies for c in d), discrepancies

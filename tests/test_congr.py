@@ -14,7 +14,7 @@ from hermlift.elliptic import synthetic_newform
 from hermlift.hecke import HeckeOpId
 from hermlift.maass import build_lift, random_alpha_tuple
 from hermlift.quadfield import FieldParams, chi_K, trivial_char
-from hermlift.ring import VAL_CAP, HeckeRing, primes_above
+from hermlift.ring import INF, VAL_CAP, HeckeElem, HeckeRing, primes_above, val_at
 
 GAUSS = HeckeRing([1, 0, 1])
 
@@ -75,6 +75,41 @@ def test_table_congruence_basics():
     t4.bound_det += 1
     with pytest.raises(ValueError):
         table_congruence(table, t4, prime)
+
+
+def reference_depth(t1, t2, prime, cap=VAL_CAP):
+    """The minimum of full-cap valuations over every point, then clamped."""
+    vals = [val_at(prime, t1.get(h) - t2.get(h), cap=cap) for h in t1.points()]
+    depth = min(vals, default=INF)
+    return (cap, True) if depth >= cap else (depth, False)
+
+
+@pytest.mark.parametrize(
+    "modulus,ell", [([1, 0, 1], 13), ([1, 0, 1], 11), ([1, 0, 0, 0, 1], 17)], ids=["Z[i]-13", "Z[i]-11", "x4+1-17"]
+)
+def test_running_cap_depth_equals_full_cap_minimum(modulus, ell):
+    # each point is valued only up to the depth so far; the minimum, and
+    # whether it reached the cap, must be those of the full-cap valuations
+    ring = HeckeRing(modulus)
+    rng = random.Random(ell)
+    table = random_alpha_tuple(FieldParams(7, 8), trivial_char(), ring, 7 * 4, seed=ell).identity_table(7 * 4, 2)
+    points = table.points()
+    for prime in primes_above(ring, ell):
+        assert table_congruence(table, table, prime) == reference_depth(table, table, prime) == (VAL_CAP, True)
+        unit = table.scaled(ring.from_int(2))
+        assert table_congruence(table, unit, prime) == reference_depth(table, unit, prime) == (0, False)
+        for m in (1, 2, 3):
+            for trial in range(4):
+                moved = table.scaled(ring.one())
+                # half the points moved by ell^(m + r) u, r random, so the depth so far drops in steps
+                for h in rng.sample(points, len(points) // 2):
+                    u = HeckeElem(ring, tuple(rng.randrange(-ell, ell) for _ in modulus[1:]))
+                    moved.values[h] = moved.get(h) + u * ell ** (m + rng.randrange(4))
+                got = table_congruence(table, moved, prime)
+                assert got == reference_depth(table, moved, prime), (prime.local_factor, m, trial)
+                assert got[0] >= m
+                for cap in (m, m + 1):
+                    assert table_congruence(table, moved, prime, cap=cap) == reference_depth(table, moved, prime, cap)
 
 
 @pytest.mark.parametrize("ell,m", [(13, 1), (13, 2), (17, 1), (17, 2)])

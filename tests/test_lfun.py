@@ -1,13 +1,24 @@
 import random
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hermlift import lfun
 from hermlift.cli import main
 from hermlift.elliptic import bundled_cm_form, synthetic_newform
 from hermlift.lfun import SatakePair, ZetaTerm, bc_factor, std_factor_lift, verify_product134
-from hermlift.quadfield import FieldParams, char_values, class_group, trivial_char
+from hermlift.quadfield import (
+    FieldParams,
+    SplitType,
+    char_values,
+    class_group,
+    prime_class,
+    split_type,
+    trivial_char,
+)
 from hermlift.ring import HeckeRing
 
 GAUSS = HeckeRing([1, 0, 1])
@@ -188,10 +199,88 @@ def test_constant_terms_are_one():
             assert fac.poly[0] == 1 and repr(fac.coeffs[0]) == "(1)"
 
 
-@pytest.mark.parametrize("D", [23, 199])
+@pytest.mark.parametrize("D", ["23", "199", "23_k2", "23_k4"])
 def test_euler_json_golden(D, capsys):
-    # chi 1 has order 3 at D = 23 and order 9 at D = 199
+    # chi 1 has order 3 at D = 23 and order 9 at D = 199; the k = 8 files
+    # substitute X -> Np^c X with c < 0, the k = 2 and k = 4 files with c >= 0
     primes = [a for p in (2, 3, 5, 7, 11, 13, 29) for a in ("--p", str(p))]
     code = main(["--json", "euler", str(DATA / f"euler_d{D}.nf"), *primes, "--chi", "1", "--verify-product134"])
     assert code == 0
     assert capsys.readouterr().out == (DATA / f"euler_d{D}_chi1.json").read_text()
+
+
+@cache
+def oracle_form(D, k, seed):
+    return synthetic_newform(FieldParams(D, k), GAUSS, "negate-x", p_max=40, seed=seed)
+
+
+def reference_places(D, p, chi):
+    """(norm, twist) of each prime above p, the distinguished one first."""
+    if split_type(D, p) is SplitType.INERT:
+        return [(p * p, 0)]
+    cg = class_group(D)
+    cls = prime_class(cg, p)
+    return [(p, chi.exponent(cls)), (p, chi.exponent(cg.inv(cls)))]
+
+
+def reference_std(f, p, norm):
+    # the Frobenius multiset expansion, every scaling a Fraction power of the norm
+    sat = SatakePair.of(f, p)
+    d = 1 if norm == p else 2
+    P, Q, N = sat.power_sum(d), sat.product_power(d), Fraction(norm)
+    t = -(N ** (2 - f.k // 2))
+    s = [f.ring.one(), P * (1 + N), Q * (1 + N * N) + P * P * N, P * Q * (N + N * N), Q * Q * N * N]
+    return [c * t**j for j, c in enumerate(s)]
+
+
+def reference_shifted_bc(f, p, norm, c):
+    sat = SatakePair.of(f, p)
+    d = 1 if norm == p else 2
+    poly = [f.ring.one(), -sat.power_sum(d), sat.product_power(d)]
+    return [a * Fraction(norm) ** (c * j) for j, a in enumerate(poly)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([23, 199]),
+    st.sampled_from([2, 4, 6, 8, 12]),
+    st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 29, 31, 37]),
+    st.integers(0, 2),
+)
+def test_factors_match_fraction_power_oracle(D, k, p, seed):
+    f = oracle_form(D, k, seed)
+    for chi in char_values(class_group(D)):
+        places = reference_places(D, p, chi)
+        std, bc = std_factor_lift(f, chi, p), bc_factor(f, p, chi)
+        assert [(x.norm, x.twist) for x in std] == [(x.norm, x.twist) for x in bc] == places
+        for (norm, _), left, b in zip(places, std, bc):
+            assert left.poly == reference_std(f, p, norm)
+            for c in (2 - k // 2, 3 - k // 2):
+                assert b.substitute(c).poly == reference_shifted_bc(f, p, norm, c)
+            with pytest.raises(ValueError):
+                b.substitute(Fraction(1, 2))
+        for side in (std, bc):
+            if len(side) == 2:
+                # one polynomial for both primes above a split p, in two lists
+                a, b = side
+                assert a.poly == b.poly and a.poly is not b.poly
+        assert verify_product134(f, chi, p)[0]
+
+
+def test_corrupted_conjugate_place_fails(monkeypatch):
+    # the expansion at the distinguished prime is reused at its conjugate only
+    # when both sides' polynomials there are equal to the ones already checked
+    f = oracle_form(23, 8, 0)
+    chi = char_values(class_group(23))[1]
+
+    def corrupted(f, chi, p):
+        out = std_factor_lift(f, chi, p)
+        out[1].poly[2] = out[1].poly[2] + 1
+        return out
+
+    monkeypatch.setattr(lfun, "std_factor_lift", corrupted)
+    for p in (2, 3, 13):  # split at 23
+        ok, disc = verify_product134(f, chi, p)
+        assert not ok
+        assert all(c.is_zero() for c in disc[0])
+        assert [c.is_zero() for c in disc[1]] == [True, True, False, True, True]
