@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import ClassVar
 
 from .elliptic import NewformData
 from .hecke import HeckeOpId, descend_op, maass_eigenvalue
 from .maass import CoeffTable
 from .quadfield import ClassChar
-from .ring import VAL_CAP, HeckeElem, HeckeRing, INF, PrimeAboveL, val_at
+from .ring import VAL_CAP, HeckeElem, HeckeRing, INF, PrimeAboveL, _val_int, val_at
 
 
 @dataclass
@@ -55,19 +56,31 @@ def table_congruence(t1: CoeffTable, t2: CoeffTable, prime: PrimeAboveL, cap: in
     """min over lattice points of val(difference); (depth, capped_flag).
 
     The capped flag distinguishes "at least cap" (e.g. equal tables) from an
-    exact depth.  Each valuation is capped at the running minimum: only a
-    smaller one can lower it, so no point is valued past the depth so far.
+    exact depth.  A difference with ell^e in its denominator has valuation
+    at least -e, so it is valued only when that bound is below the running
+    minimum, and capped there: nothing else can lower the minimum, whatever
+    the order of the points.  The walk stops once the minimum reaches the
+    lowest bound over both tables, which is 0 for integral tables.
     """
     if not t1.same_shape(t2):
         raise ValueError("tables must share bounds and ring")
+    ell, values1, values2 = prime.ell, t1.values, t2.values
+    differences = chain(
+        (v if (w := values2.get(h)) is None else v - w for h, v in values1.items()),
+        (-w for h, w in values2.items() if h not in values1),
+    )
     depth: int | float = INF
-    for h in set(t1.values) | set(t2.values):
-        d = t1.get(h) - t2.get(h)
-        if d.is_zero():
+    floor = None  # the lowest bound, <= 0, taken once the depth first reaches 0
+    for d in differences:
+        running = min(cap, depth)
+        if d.is_zero() or -_val_int(d.den, ell) >= running:
             continue
-        depth = min(depth, val_at(prime, d, cap=min(cap, depth)))
+        depth = min(depth, val_at(prime, d, cap=running))
         if depth <= 0:
-            break
+            if floor is None:
+                floor = -max((_val_int(v.den, ell) for t in (values1, values2) for v in t.values()), default=0)
+            if depth <= floor:
+                break
     return _clamp(depth, cap)
 
 

@@ -292,12 +292,7 @@ def class_group(D: int) -> ClassGroup:
     if h % 2 == 0:
         raise AssertionError("class number of a prime discriminant must be odd")
     identity = forms.index(BQF(1, 1, (1 + D) // 4))
-    table = [[0] * h for _ in range(h)]
-    for i, fi in enumerate(forms):
-        for j, fj in enumerate(forms):
-            fk = _compose(fi, fj)
-            k = forms.index(fk)
-            table[i][j] = k
+    table = [[forms.index(_compose(fi, fj)) for fj in forms] for fi in forms]
     inverse = [0] * h
     for i in range(h):
         invs = [j for j in range(h) if table[i][j] == identity]

@@ -14,10 +14,11 @@ at l and every valuation well-defined with ramification index 1.
 All polynomial work (reduction mod m, inverses, norms, the discriminant,
 Cantor-Zassenhaus factoring mod l and Hensel lifting) goes through one
 toolkit of dense coefficient lists that works over Z or Q, or over Z/n
-when given a modulus n.  Products of elements are the hot path: each ring
-takes the remainders of x^j mod m for g <= j <= 2g - 2 (g = deg m) from
-the toolkit's ``_divmod`` once, so that a product is one convolution
-followed by a fold of its top coefficients onto those rows.
+when given a modulus n.  Products of elements are the hot path, so each
+ring compiles its own product once (``_product_kernel``): straight-line
+code that forms the 2g - 1 convolution sums of two numerators (g = deg m)
+and returns each coordinate as the integer combination of those sums
+given by the rows x^j mod m, with no loop and no zero term.
 """
 
 from __future__ import annotations
@@ -31,15 +32,6 @@ from typing import Iterable, Sequence
 VAL_CAP = 64
 
 INF = math.inf
-
-
-def _gcd_many(values: Iterable[int]) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-        if g == 1:
-            return 1
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +167,31 @@ def _resultant(p: Sequence, q: Sequence) -> Fraction:
 # the ring
 
 
+def _product_kernel(mod: tuple[int, ...]):
+    """product(a, b): the coordinates of a b mod m for coordinate tuples a, b
+    of Z[x]/(m), compiled once from the integer modulus as straight-line code.
+
+    With the convolution sums c_j = sum_{i + l = j} a_i b_l, coordinate i is
+    c_i plus r c_j for each nonzero coefficient r of x^i in x^j mod m,
+    g <= j <= 2g - 2.
+    """
+    g = len(mod) - 1
+    conv = [
+        " + ".join(f"a{i} * b{j - i}" for i in range(max(0, j - g + 1), min(j, g - 1) + 1))
+        for j in range(2 * g - 1)
+    ]
+    out = conv[:g]
+    for j in range(g, 2 * g - 1):
+        for i, r in enumerate(_divmod([0] * j + [1], mod)[1]):
+            if r:
+                out[i] += f" {'-' if r < 0 else '+'} {'' if abs(r) == 1 else f'{abs(r)} * '}c{j}"
+    body = [f"{''.join(f'{v}{i}, ' for i in range(g))}= {v}" for v in "ab"]  # a0, a1, ... = a
+    body += [f"c{j} = {conv[j]}" for j in range(g, 2 * g - 1)] + [f"return ({''.join(f'{o}, ' for o in out)})"]
+    namespace: dict = {}
+    exec("def product(a, b):\n    " + "\n    ".join(body), {}, namespace)
+    return namespace["product"]
+
+
 class HeckeRing:
     """The order Z[x]/(m(x)), m monic and squarefree over Q."""
 
@@ -189,8 +206,7 @@ class HeckeRing:
         self.discriminant = self._disc()
         if self.discriminant == 0:
             raise ValueError("modulus must be squarefree over Q")
-        # fold[j - g] = x^j mod m, for the top coefficients of a product
-        self.fold = [_divmod([0] * j + [1], mod)[1] for j in range(g, 2 * g - 1)]
+        self.product = _product_kernel(mod)
         self._zero = HeckeElem(self, (0,) * g, 1)
 
     def _disc(self) -> int:
@@ -212,9 +228,7 @@ class HeckeRing:
             # reduce mod m over Q, then clear denominators
             fracs = _divmod(fracs, self.modulus)[1]
         fracs += [Fraction(0)] * (self.degree - len(fracs))
-        lcm = 1
-        for f in fracs:
-            lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
+        lcm = math.lcm(*(f.denominator for f in fracs))
         den_total = int(den) * lcm
         num = tuple(int(f * lcm) for f in fracs)
         return HeckeElem(self, num, den_total)
@@ -265,8 +279,7 @@ class HeckeElem:
             num = tuple(-c for c in num)
             den = -den
         if _norm and den != 1:
-            g = _gcd_many(num)
-            g = math.gcd(g, den)
+            g = math.gcd(*num, den)
             if g > 1:
                 num = tuple(c // g for c in num)
                 den //= g
@@ -284,10 +297,6 @@ class HeckeElem:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other: "HeckeElem"):
-        if self.ring != other.ring:
-            raise ValueError("mismatched rings")
-
     def _linear(self, other, op):
         """self op other for op in (+, -), with ints promoted to the ring."""
         if other.__class__ is not HeckeElem:
@@ -295,8 +304,8 @@ class HeckeElem:
                 other = self.ring.from_int(other)
             elif not isinstance(other, HeckeElem):
                 return NotImplemented
-        if self.ring is not other.ring:
-            self._check(other)
+        if self.ring is not other.ring and self.ring != other.ring:
+            raise ValueError("mismatched rings")
         if self.den == other.den:
             return HeckeElem(self.ring, tuple(map(op, self.num, other.num)), self.den)
         g = math.gcd(self.den, other.den)
@@ -330,21 +339,9 @@ class HeckeElem:
             if not isinstance(other, HeckeElem):
                 return NotImplemented
         ring = self.ring
-        if ring is not other.ring:
-            self._check(other)
-        # convolve, then fold the coefficients of x^g .. x^(2g-2) back down
-        g = ring.degree
-        prod = [0] * (2 * g - 1)
-        for i, a in enumerate(self.num):
-            if a:
-                for j, b in enumerate(other.num, i):
-                    prod[j] += a * b
-        out = prod[:g]
-        for c, row in zip(prod[g:], ring.fold):
-            if c:
-                for i, r in enumerate(row):
-                    out[i] += c * r
-        return HeckeElem(ring, tuple(out), self.den * other.den)
+        if ring is not other.ring and ring != other.ring:
+            raise ValueError("mismatched rings")
+        return HeckeElem(ring, ring.product(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -611,14 +608,9 @@ def val_at(prime: PrimeAboveL, a: HeckeElem, cap: int = VAL_CAP) -> int | float:
         else:
             lifted = _hensel_lift_factor(list(ring.modulus), list(prime.local_factor), ell, precision)
         _LIFT_CACHE[key] = lifted
-    n = ell ** precision
-    proj = _divmod(a.num, lifted, n)[1]
-    if not proj:
-        v = precision  # saturated
-    else:
-        v = min(_val_int(c, ell) if c else precision for c in proj)
-    v -= _val_int(a.den, ell)
-    return min(v, cap)
+    proj = _divmod(a.num, lifted, ell**precision)[1]
+    v = min((_val_int(c, ell) if c else precision for c in proj), default=precision)  # saturated if empty
+    return min(v - _val_int(a.den, ell), cap)
 
 
 def _val_int(n: int, ell: int) -> int:

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -110,6 +112,21 @@ def test_running_cap_depth_equals_full_cap_minimum(modulus, ell):
                 assert got[0] >= m
                 for cap in (m, m + 1):
                     assert table_congruence(table, moved, prime, cap=cap) == reference_depth(table, moved, prime, cap)
+
+
+def test_table_congruence_with_ell_in_denominators_is_order_free():
+    # differences 1/13 at one point and 1/169 at another: the depth is -2
+    # wherever the two sit, the minimum of the full-cap valuations
+    table = random_alpha_tuple(FieldParams(7, 8), trivial_char(), GAUSS, 7 * 4, seed=1).identity_table(7 * 4, 2)
+    points = table.points()[:7]
+    missing = next(h for h in table.points() if h not in table.values)
+    for prime in primes_above(GAUSS, 13):
+        for h1, h2 in itertools.permutations(points + [missing], 2):
+            moved = table.scaled(GAUSS.one())
+            moved.values[h1] = moved.get(h1) + GAUSS.from_rational(Fraction(1, 13))
+            moved.values[h2] = moved.get(h2) + GAUSS.from_rational(Fraction(1, 169))
+            for t1, t2 in ((table, moved), (moved, table)):
+                assert table_congruence(t1, t2, prime) == reference_depth(t1, t2, prime) == (-2, False)
 
 
 @pytest.mark.parametrize("ell,m", [(13, 1), (13, 2), (17, 1), (17, 2)])

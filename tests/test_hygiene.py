@@ -1,11 +1,12 @@
 """Static hygiene of src/hermlift, read with the stdlib ast module.
 
-Three rules: a module uses every name it imports (``__init__`` imports only
+Four rules: a module uses every name it imports (``__init__`` imports only
 to re-export); every private module-level function or class is referenced
-by some module of the package; and every function, method and class is
+by some module of the package; every function, method and class is
 referenced by name outside its own body somewhere in src, tests, demos or
-perfbench.  A helper left behind by a refactor fails here rather than
-lingering.
+perfbench; and ``exec``, ``eval`` and ``compile`` are named only inside
+``ring._product_kernel``.  A helper left behind by a refactor fails here
+rather than lingering.
 """
 
 import ast
@@ -120,6 +121,25 @@ def test_every_definition_is_referenced_outside_its_own_body():
         and everywhere[node.name] <= name_references(node)[node.name]
     ]
     assert not unreferenced, unreferenced
+
+
+DYNAMIC_CODE = {"exec", "eval", "compile"}
+
+
+def test_code_is_compiled_only_by_the_product_kernel_builder():
+    # ring._product_kernel compiles each ring's product from its integer
+    # modulus; no other place in the package builds code from strings
+    kernel = next(
+        node for node in MODULES["ring"].body if isinstance(node, ast.FunctionDef) and node.name == "_product_kernel"
+    )
+    allowed = {id(node) for node in ast.walk(kernel)}
+    found = [
+        f"{module}: {node.id} (line {node.lineno})"
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in DYNAMIC_CODE and id(node) not in allowed
+    ]
+    assert not found, found
 
 
 LINE_CAP = 3544  # ROADMAP item 5: 10% under the 3938 lines of the initial import

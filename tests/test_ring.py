@@ -333,6 +333,40 @@ def test_elem_kernel_matches_toolkit_reference(data):
             op(a, stranger)
 
 
+def _check_product_against_sympy(m, a_num, a_den, b_num, b_den):
+    """a * b in (num, den) against sympy's remainder of the numerators'
+    product by m, in two equal rings built separately."""
+    ring, twin = HeckeRing(m), HeckeRing(m)
+    a, b = HeckeElem(ring, tuple(a_num), a_den), HeckeElem(twin, tuple(b_num), b_den)
+    rem = (_sympy_poly(a.num) * _sympy_poly(b.num)).rem(_sympy_poly(m))
+    want = _canonical(ring, [Fraction(int(c), a.den * b.den) for c in reversed(rem.all_coeffs())])
+    assert _as_pair(a * b) == _as_pair(b * a) == want
+    assert (a * b).ring is ring and (b * a).ring is twin
+
+
+BIG = st.integers(-(10**30), 10**30)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_product_kernel_matches_sympy_remainder(data):
+    # monic squarefree moduli of degree 1-8, coordinates up to 10^30
+    g = data.draw(st.integers(1, 8), "degree")
+    m = data.draw(st.lists(st.integers(-9, 9), min_size=g, max_size=g), "m") + [1]
+    assume(sympy.discriminant(_sympy_poly(m)) != 0)
+    coord = st.lists(BIG, min_size=g, max_size=g)
+    den = st.integers(1, 10**6)
+    _check_product_against_sympy(m, data.draw(coord), data.draw(den), data.draw(coord), data.draw(den))
+
+
+@pytest.mark.parametrize("m0", [5, -3, 10**30])
+def test_product_kernel_on_x_plus_constant(m0):
+    # Z[x]/(x + m0) is Z with x = -m0; a product is one integer product
+    _check_product_against_sympy([m0, 1], [10**30 + 7], 3, [-(10**29)], 10)
+    x = HeckeRing([m0, 1]).gen()
+    assert x * x == m0 * m0
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_lincomb_matches_fold_of_add_and_mul(data):
