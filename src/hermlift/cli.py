@@ -32,10 +32,9 @@ from . import hecke
 from .congr import build_eigen_system, maass_ideal_report
 from .elliptic import NewformData, parse_newform
 from .hecke import HeckeOpId, act_split_on_lift
-from .hermitian import HermPoint
 from .maass import CoeffTable, MaassTuple, build_lift, check_maass, descend
 from .lfun import bc_factor, std_factor_lift, verify_product134
-from .quadfield import ClassChar, FieldParams, QuadInt, char_values, chi_K, class_group
+from .quadfield import ClassChar, FieldParams, char_values, chi_K, class_group
 from .ring import VAL_CAP, HeckeElem, HeckeRing, _is_prime, primes_above
 
 NORMALIZATION_NOTE = "unit i/sqrt(-D_K) dropped"
@@ -62,19 +61,21 @@ def write_table(path: str, t: MaassTuple, bound_det: int, bound_diag: int) -> Co
         f"bound_diag {bound_diag}",
         f"normalization {NORMALIZATION_NOTE}",
     ]
-    for h, v in table.values.items():  # canonical order, as enumerated
-        coords = " ".join(str(c) for c in v.num)
-        lines.append(f"point {h.t1} {h.t3} {h.w.a} {h.w.b} {coords} / {v.den}")
+    zero = table.ring.zero()
+    for (_, t1, t3, a, b), v in zip(table.lattice, table.vals):  # canonical order
+        if v is not zero:
+            lines.append(f"point {t1} {t3} {a} {b} {' '.join(map(str, v.num))} / {v.den}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return table
 
 
 def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
-    D = k = bound_det = bound_diag = None
-    ring = None
+    """A table file's table, class character and zeta exponent.  The shape is fixed
+    at the first point, after the field, k, ring and bound lines."""
+    D = k = params = bound_det = bound_diag = ring = table = None
     chiorder, chi_exps, zetaexp = 1, (0,), 0
-    values = {}
+    placed: set[int] = set()
     try:
         fh = open(path)
     except OSError as exc:
@@ -87,11 +88,13 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
             parts = line.split()
             key = parts[0]
             try:
+                if table is not None and key in ("field", "k", "ring", "bound_det", "bound_diag"):
+                    raise ValueError(f"{key} line after the first point")
                 if key == "field":
                     D = int(parts[1])
                     class_group(D)  # refuses a D that is not a prime = 3 (mod 4)
                 elif key == "k":
-                    k, k_line = int(parts[1]), lineno
+                    k = int(parts[1])
                 elif key == "ring":
                     ring = HeckeRing([int(c) for c in parts[1:]])
                 elif key == "chiorder":
@@ -100,43 +103,48 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
                     chi_exps, chi_line = tuple(int(e) for e in parts[1:]), lineno
                 elif key == "zetaexp":
                     zetaexp, zeta_line = int(parts[1]), lineno
-                elif key == "bound_det":
-                    bound_det = int(parts[1])
-                elif key == "bound_diag":
-                    bound_diag = int(parts[1])
+                elif key in ("bound_det", "bound_diag"):
+                    bound = int(parts[1])
+                    if bound < 0:
+                        raise ValueError(f"{key} {bound} is negative")
+                    bound_det, bound_diag = (bound, bound_diag) if key == "bound_det" else (bound_det, bound)
                 elif key == "normalization":
                     pass
                 elif key == "point":
-                    if None in (D, bound_det, bound_diag) or ring is None:
-                        raise ValueError("point before the field, ring and bound lines")
+                    if table is None:
+                        if None in (params, bound_det, bound_diag, ring):
+                            raise ValueError("point before the field, k, ring and bound lines")
+                        table = CoeffTable(params, ring, bound_det, bound_diag)
+                        index, vals, zero, q = table.index, table.vals, ring.zero(), params.norm_c
                     t1, t3, wa, wb = (int(x) for x in parts[1:5])
                     slash = parts.index("/")
                     num = [int(c) for c in parts[5:slash]]
                     if len(num) != ring.degree:
                         raise ValueError(f"{len(num)} numerator coordinates for a ring of degree {ring.degree}")
-                    h = HermPoint(t1, t3, QuadInt(wa, wb, D))
-                    if max(t1, t3) > bound_diag or h.det_scaled() > bound_det:
-                        raise ValueError(f"point {h.coords()} outside bound_det {bound_det}, bound_diag {bound_diag}")
-                    if h in values:
-                        raise ValueError(f"duplicate point {h.coords()}")
-                    values[h] = HeckeElem(ring, tuple(num), int(parts[slash + 1]))
+                    i = index.get((D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q), t1, t3, wa, wb))
+                    if i is None:
+                        raise ValueError(f"point {(t1, t3, wa, wb)} outside bound_det {bound_det}, "
+                                         f"bound_diag {bound_diag}")
+                    if i in placed:
+                        raise ValueError(f"duplicate point {(t1, t3, wa, wb)}")
+                    placed.add(i)
+                    v = HeckeElem(ring, tuple(num), int(parts[slash + 1]))
+                    vals[i] = zero if v.is_zero() else v
                 else:
                     raise ValueError(f"unknown key {key!r}")
+                if key in ("field", "k") and None not in (D, k):
+                    params = FieldParams(D, k)  # refused at the later of the two lines
             except (IndexError, ValueError, ZeroDivisionError) as exc:
                 raise CommandError(f"{path}:{lineno}: malformed table line ({exc})") from exc
-    if None in (D, k, bound_det, bound_diag) or ring is None:
+    if None in (params, bound_det, bound_diag, ring):
         raise CommandError(f"{path}: missing table header fields")
-    try:
-        params = FieldParams(D, k)
-    except ValueError as exc:
-        raise CommandError(f"{path}:{k_line}: malformed table line ({exc})") from exc
     chi = ClassChar(chiorder, chi_exps)
     if not (chiorder == 1 and chi.is_trivial()) and chi not in char_values(class_group(D)):
         raise CommandError(f"{path}:{chi_line}: malformed table line (no character of the class group of "
                            f"D = {D} has order {chiorder} and exponents {list(chi_exps)})")
     if not 0 <= zetaexp < max(chiorder, 1):
         raise CommandError(f"{path}:{zeta_line}: malformed table line (zetaexp {zetaexp} outside 0..{max(chiorder, 1) - 1})")
-    return CoeffTable(params, ring, bound_det, bound_diag, values), chi, zetaexp
+    return table if table is not None else CoeffTable(params, ring, bound_det, bound_diag), chi, zetaexp
 
 
 def table_as_tuple(table: CoeffTable, chi: ClassChar, zetaexp: int) -> MaassTuple:
@@ -272,9 +280,11 @@ def cmd_check_maass(args, out: Out) -> int:
 
 
 def cmd_descend(args, out: Out) -> int:
+    if args.n_max is not None and args.n_max < 1:
+        raise CommandError(f"--n-max {args.n_max} must be at least 1")
     table, chi, zetaexp = read_table(args.table)
     t = table_as_tuple(table, chi, zetaexp)
-    n_max = min(args.n_max or t.alpha_max, t.alpha_max)
+    n_max = t.alpha_max if args.n_max is None else min(args.n_max, t.alpha_max)
     comps = descend(t, n_max)
     for b, (exp, q) in sorted(comps.items()):
         coeffs = {n: str(q.a(n)) for n in range(1, n_max + 1) if not q.a(n).is_zero()}

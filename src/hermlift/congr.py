@@ -56,29 +56,29 @@ def table_congruence(t1: CoeffTable, t2: CoeffTable, prime: PrimeAboveL, cap: in
     """min over lattice points of val(difference); (depth, capped_flag).
 
     The capped flag distinguishes "at least cap" (e.g. equal tables) from an
-    exact depth.  A difference with ell^e in its denominator has valuation
-    at least -e, so it is valued only when that bound is below the running
-    minimum, and capped there: nothing else can lower the minimum, whatever
-    the order of the points.  The walk stops once the minimum reaches the
-    lowest bound over both tables, which is 0 for integral tables.
+    exact depth.  The two value lists are zipped over their common lattice,
+    and a pair holding one object (shared zeros) differs by nothing.  A
+    difference with ell^e in its denominator has valuation at least -e, so
+    it is valued only when that bound is below the running minimum, and
+    capped there: nothing else can lower the minimum, whatever the order of
+    the points.  The walk stops once the minimum reaches the lowest bound
+    over both tables, which is 0 for integral tables.
     """
     if not t1.same_shape(t2):
         raise ValueError("tables must share bounds and ring")
-    ell, values1, values2 = prime.ell, t1.values, t2.values
-    differences = chain(
-        (v if (w := values2.get(h)) is None else v - w for h, v in values1.items()),
-        (-w for h, w in values2.items() if h not in values1),
-    )
+    ell = prime.ell
     depth: int | float = INF
     floor = None  # the lowest bound, <= 0, taken once the depth first reaches 0
-    for d in differences:
-        running = min(cap, depth)
+    for v, w in zip(t1.vals, t2.vals):
+        if v is w:
+            continue
+        d, running = v - w, min(cap, depth)
         if d.is_zero() or -_val_int(d.den, ell) >= running:
             continue
         depth = min(depth, val_at(prime, d, cap=running))
         if depth <= 0:
             if floor is None:
-                floor = -max((_val_int(v.den, ell) for t in (values1, values2) for v in t.values()), default=0)
+                floor = -max(_val_int(x.den, ell) for x in chain(t1.vals, t2.vals))
             if depth <= floor:
                 break
     return _clamp(depth, cap)

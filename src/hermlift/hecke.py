@@ -72,7 +72,7 @@ from typing import Callable, Iterable
 
 from .elliptic import NewformData, QExpansion, apply_Tp
 from .hermitian import HermPoint
-from .maass import CoeffTable, Getter, MaassTuple, RangeError, _by_coords, _lift_values, _tabulate
+from .maass import CoeffTable, Getter, MaassTuple, RangeError, _lift_values, _tabulate
 from .quadfield import (
     ClassChar,
     FieldParams,
@@ -136,11 +136,9 @@ class HeckeOpId:
 
 
 def _table_getter(table: CoeffTable) -> Getter:
-    D = table.D
-    zero = table.ring.zero()
+    D, q, zero = table.D, table.params.norm_c, table.ring.zero()
     bd, bg = table.bound_det, table.bound_diag
-    flat = _by_coords(table)
-    q = table.params.norm_c
+    index, vals = table.index, table.vals
 
     def get(t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
         det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
@@ -151,7 +149,7 @@ def _table_getter(table: CoeffTable) -> Getter:
                 f"input table bounds (det<={bd}, diag<={bg}) do not cover the "
                 f"needed point ({t1},{t3},{wa},{wb}) with det {det}"
             )
-        return flat.get((t1, t3, wa, wb), zero)
+        return vals[index[det, t1, t3, wa, wb]]
 
     return get
 

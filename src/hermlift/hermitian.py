@@ -155,7 +155,7 @@ def enumerate_points(D: int, bound_det: int, bound_diag: int) -> list[HermPoint]
 
 def _lattice(D: int, bound_det: int, bound_diag: int) -> list[tuple[int, int, int, int, int]]:
     """The points of ``enumerate_points`` as raw sort keys (det, t1, t3, w.a,
-    w.b), in the same canonical order, for walks that need no ``HermPoint``.
+    w.b), in the same order: the list a ``CoeffTable`` aligns its values with.
 
     For each diagonal, w runs over the annulus
     D t1 t3 - bound_det <= N(w) <= D t1 t3.

@@ -22,10 +22,11 @@ statement checked here is invariant under it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 from math import gcd
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .elliptic import NewformData, QExpansion, _aDK_rho, extend_coeffs
 from .hermitian import HermPoint, _lattice, enumerate_points
@@ -58,48 +59,57 @@ def a_K(D: int, n: int) -> int:
 # coefficient tables
 
 
-@dataclass
 class CoeffTable:
-    """One classical component: a finite map from lattice points to coefficients.
-
-    Bounds are honest: every lattice point with diagonal entries at most
-    ``bound_diag`` and scaled determinant at most ``bound_det`` has an entry
-    (zero entries may be omitted from ``values`` but count as present).
+    """One classical component: its shape (D, ``bound_det``, ``bound_diag``)
+    and ``vals``, one value for every point of ``lattice``, the shape's
+    ``_lattice``, zeros as the ring's shared zero; ``get`` refuses a point
+    outside the shape with RangeError.  Built from a HermPoint mapping
+    (points outside the shape refused, points left out zero) or by
+    ``_tabulate`` in one pass, and not changed after; ``values`` is the
+    read-only HermPoint view of the nonzero entries, in canonical order.
     """
 
-    params: FieldParams
-    ring: HeckeRing
-    bound_det: int
-    bound_diag: int
-    values: dict[HermPoint, Coeff] = field(default_factory=dict)
+    def __init__(self, params: FieldParams, ring: HeckeRing, bound_det: int, bound_diag: int,
+                 values: Mapping[HermPoint, Coeff] = MappingProxyType({})):
+        self.params, self.D, self.ring, self.bound_det, self.bound_diag = params, params.D, ring, bound_det, bound_diag
+        self.lattice, self._view = _lattice(params.D, bound_det, bound_diag), None
+        self.vals = [ring.zero()] * len(self.lattice)
+        for h, v in values.items():
+            self.vals[self._position(h)] = ring.zero() if v.is_zero() else v
 
-    @property
-    def D(self) -> int:
-        return self.params.D
+    @cached_property
+    def index(self) -> dict[tuple[int, int, int, int, int], int]:
+        """The position in ``lattice`` of each raw key (det, t1, t3, w.a, w.b)."""
+        return dict(zip(self.lattice, range(len(self.lattice))))
+
+    def _position(self, h: HermPoint) -> int:
+        i = self.index.get(h.sort_key()) if h.D == self.D else None
+        if i is None:
+            raise RangeError(f"point {h} outside the table (D = {self.D}, bound_det {self.bound_det}, "
+                             f"bound_diag {self.bound_diag})")
+        return i
 
     def get(self, h: HermPoint) -> Coeff:
-        v = self.values.get(h)
-        return v if v is not None else self.ring.zero()
+        return self.vals[self._position(h)]
+
+    @property
+    def values(self) -> Mapping[HermPoint, Coeff]:
+        if self._view is None:
+            D, zero = self.D, self.ring.zero()
+            self._view = MappingProxyType({HermPoint(t1, t3, QuadInt(a, b, D)): v
+                                           for (_, t1, t3, a, b), v in zip(self.lattice, self.vals) if v is not zero})
+        return self._view
 
     def points(self) -> list[HermPoint]:
         return enumerate_points(self.D, self.bound_det, self.bound_diag)
 
     def same_shape(self, other: "CoeffTable") -> bool:
-        return (
-            self.D == other.D
-            and self.ring == other.ring
-            and self.bound_det == other.bound_det
-            and self.bound_diag == other.bound_diag
-        )
+        shape = (self.D, self.ring, self.bound_det, self.bound_diag)
+        return shape == (other.D, other.ring, other.bound_det, other.bound_diag)
 
     def scaled(self, c) -> "CoeffTable":
-        return CoeffTable(
-            self.params,
-            self.ring,
-            self.bound_det,
-            self.bound_diag,
-            {h: v * c for h, v in self.values.items()},
-        )
+        values = {h: v * c for h, v in self.values.items()}
+        return CoeffTable(self.params, self.ring, self.bound_det, self.bound_diag, values)
 
 
 @dataclass
@@ -192,18 +202,10 @@ def _lift_values(alpha: dict[int, Coeff], alpha_max: int, k: int, ring: HeckeRin
 
 
 def _tabulate(get: Getter, params: FieldParams, ring: HeckeRing, bound_det: int, bound_diag: int) -> CoeffTable:
-    """The table of a coefficient function on raw coordinates, zeros omitted."""
-    D, values = params.D, {}
-    for _, t1, t3, a, b in _lattice(D, bound_det, bound_diag):
-        v = get(t1, t3, a, b)
-        if not v.is_zero():
-            values[HermPoint(t1, t3, QuadInt(a, b, D))] = v
-    return CoeffTable(params, ring, bound_det, bound_diag, values)
-
-
-def _by_coords(t: CoeffTable) -> dict[tuple[int, int, int, int], Coeff]:
-    """The table's stored values keyed by raw coordinates (t1, t3, w.a, w.b)."""
-    return {h.coords(): v for h, v in t.values.items()}
+    """The table of a coefficient function on raw coordinates, in one pass."""
+    t, zero = CoeffTable(params, ring, bound_det, bound_diag), ring.zero()
+    t.vals = [zero if v.is_zero() else v for v in (get(t1, t3, a, b) for _, t1, t3, a, b in t.lattice)]
+    return t
 
 
 def _divisors(n: int) -> list[int]:
@@ -289,24 +291,6 @@ def random_alpha_tuple(
     return MaassTuple(params, chi, ring, alpha, n_max, source_label=f"random-{seed}")
 
 
-def _primitive_scan(flat: dict[tuple, Coeff], keyed: list[tuple]) -> tuple[dict[int, Coeff], set[int]]:
-    """Nonzero alpha read at the first primitive point of each determinant,
-    and the determinants of nonzero points that no primitive point realises;
-    ``keyed`` lists (det, content, coordinates) in canonical order."""
-    alpha: dict[int, Coeff] = {}
-    constrained: set[int] = set()
-    dets: set[int] = set()
-    for det, eps, coords in keyed:
-        if eps:
-            dets.add(det)
-        if eps == 1 and det not in constrained:
-            constrained.add(det)
-            v = flat.get(coords)
-            if v is not None and not v.is_zero():
-                alpha[det] = v
-    return alpha, dets - constrained
-
-
 def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[bool, dict[int, Coeff] | HermPoint]:
     """Test the divisor-sum membership condition on a full table.
 
@@ -318,10 +302,17 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
     range are unconstrained, and points whose divisor sum reads one are
     skipped; a set passed as ``unconstrained`` receives those values.
     """
-    flat, zero = _by_coords(t), t.ring.zero()
-    lattice = _lattice(t.D, t.bound_det, t.bound_diag)
-    keyed = [(det, gcd(t1, t3, a, b), (t1, t3, a, b)) for det, t1, t3, a, b in lattice]
-    alpha, skipped = _primitive_scan(flat, keyed)
+    keys = [(det, gcd(t1, t3, a, b)) for det, t1, t3, a, b in t.lattice]
+    # alpha at each determinant's first primitive point; skipped: determinants no primitive point has
+    alpha, constrained, dets, zero = {}, set(), set(), t.ring.zero()
+    for (det, eps), v in zip(keys, t.vals):
+        if eps:
+            dets.add(det)
+        if eps == 1 and det not in constrained:
+            constrained.add(det)
+            if v is not zero:
+                alpha[det] = v
+    skipped = dets - constrained
     if unconstrained is not None:
         unconstrained |= skipped
     value = _lift_values(alpha, t.bound_det, t.params.k, t.ring)
@@ -331,11 +322,11 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
         # every det / d^2 is a determinant in range, since h / d is in bounds
         return any(det // (d * d) in skipped for d in _divisors(eps))
 
-    for det, eps, coords in keyed:
-        if skipped and reads_unconstrained(det, eps):
+    for key, v, raw in zip(keys, t.vals, t.lattice):
+        if skipped and reads_unconstrained(*key):
             continue
-        if flat.get(coords, zero) != value(det, eps):
-            t1, t3, a, b = coords
+        if v != value(*key):
+            _, t1, t3, a, b = raw
             return False, HermPoint(t1, t3, QuadInt(a, b, t.D))
     return True, alpha
 

@@ -4,6 +4,7 @@ import io
 import json
 import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,12 @@ from hermlift.cli import main, read_table, table_as_tuple, write_table
 from hermlift.elliptic import extend_coeffs, format_newform, rho_conjugate, synthetic_newform
 from hermlift.hecke import act_inert_T, act_inert_Up
 from hermlift.hermitian import point
-from hermlift.maass import build_lift
+from hermlift.maass import CoeffTable, RangeError, build_lift, check_maass, random_alpha_tuple
 from hermlift.quadfield import FieldParams, char_values, class_group, trivial_char
 from hermlift.ring import HeckeRing
 
 GAUSS = HeckeRing([1, 0, 1])
+ZZ = HeckeRing([0, 1])
 CM_PATH = Path(__file__).parent.parent / "src" / "hermlift" / "data" / "cm_d7_w3.nf"
 
 
@@ -96,9 +98,9 @@ def test_hecke_inert_writes_the_library_action(tmp_path, capsys, synth_file, op,
 
 
 # header lines that are no character of the class group of D = 23, a zeta
-# exponent outside 0..order-1, a field that is no prime = 3 (mod 4), or a
-# weight that is no positive multiple of 2
-HEADER_FAULTS = ("chi 0", "chi 0 1 7", "chiorder 0", "zetaexp 3", "field 21", "k 7")
+# exponent outside 0..order-1, a field that is no prime = 3 (mod 4), a
+# weight that is no positive multiple of 2, or a negative bound
+HEADER_FAULTS = ("chi 0", "chi 0 1 7", "chiorder 0", "zetaexp 3", "field 21", "k 7", "bound_det -4", "bound_diag -1")
 
 
 @pytest.mark.parametrize(
@@ -278,6 +280,69 @@ def test_table_roundtrip_byte_stable(tmp_path, synth_file):
     assert {h: v for h, v in table.values.items()} == {
         h: v for h, v in t.identity_table(100, 2).values.items()
     }
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    D=st.sampled_from([7, 23]),
+    ring=st.sampled_from([ZZ, GAUSS]),
+    bound_diag=st.integers(0, 3),
+    det_excess=st.integers(-30, 10),
+    seed=st.integers(0, 10**6),
+)
+def test_table_file_round_trip_and_values_view(D, ring, bound_diag, det_excess, seed):
+    bound_det = max(0, D * bound_diag * bound_diag + det_excess)
+    t = random_alpha_tuple(FieldParams(D, 8), trivial_char(), ring, bound_det, seed=seed, spread=2)
+    # a file carries no alpha at determinants that no primitive point realises
+    skipped = set()
+    check_maass(t.identity_table(bound_det, bound_diag), unconstrained=skipped)
+    t = replace(t, alpha={n: v for n, v in t.alpha.items() if n not in skipped})
+    want = t.identity_table(bound_det, bound_diag)
+    with tempfile.TemporaryDirectory() as d:
+        first, second = Path(d) / "a.tbl", Path(d) / "b.tbl"
+        write_table(str(first), t, bound_det, bound_diag)
+        table, chi, ze = read_table(str(first))
+        write_table(str(second), table_as_tuple(table, chi, ze), bound_det, bound_diag)
+        assert first.read_bytes() == second.read_bytes()
+    assert table.values == want.values and table.values is table.values
+    keys = [h.sort_key() for h in table.values]
+    assert keys == sorted(keys)
+    assert not any(v.is_zero() for v in table.values.values())
+    with pytest.raises(TypeError):
+        table.values[point(D, 0, 0)] = ring.one()
+    for outside in (point(D, bound_diag + 1, 0), point(7 if D == 23 else 23, 0, 0)):
+        with pytest.raises(RangeError):
+            CoeffTable(table.params, ring, bound_det, bound_diag, {outside: ring.one()})
+        with pytest.raises(RangeError):
+            table.get(outside)
+
+
+def test_get_outside_the_table_raises_range_error(tmp_path, synth_file):
+    # a read table answers inside its bounds and refuses beyond them
+    nf, f = synth_file
+    write_table(str(tmp_path / "h.tbl"), build_lift(f, trivial_char(), 20), 20, 2)
+    table, _, _ = read_table(str(tmp_path / "h.tbl"))
+    assert table.get(point(7, 1, 1, 0, 0)) == build_lift(f, trivial_char(), 20).oracle()(point(7, 1, 1, 0, 0))
+    for h in (point(7, 3, 1, 0, 0), point(7, 2, 2, 0, 0), point(23, 1, 1, 0, 0)):  # diag 3 > 2, det 28 > 20, D
+        with pytest.raises(RangeError):
+            table.get(h)
+
+
+def test_descend_n_max_default_is_the_full_range_and_below_one_exits_2(tmp_path, capsys, synth_file):
+    nf, f = synth_file
+    tbl = tmp_path / "lift.tbl"
+    run(capsys, "lift", nf, tbl, "--bound-det", "120", "--bound-diag", "2")
+    code, out = run(capsys, "--json", "descend", tbl)
+    full = json.loads(out.splitlines()[0])["coeffs"]
+    code, out = run(capsys, "--json", "descend", tbl, "--n-max", "120")
+    assert code == 0 and json.loads(out.splitlines()[0])["coeffs"] == full
+    code, out = run(capsys, "--json", "descend", tbl, "--n-max", "20")
+    short = json.loads(out.splitlines()[0])["coeffs"]
+    assert code == 0 and short == {n: v for n, v in full.items() if int(n) <= 20} != full
+    for n_max in ("0", "-3"):
+        assert main(["descend", str(tbl), "--n-max", n_max]) == 2
+        out, err = capsys.readouterr()
+        assert not out and f"--n-max {n_max} must be at least 1" in err
 
 
 def test_bad_file_nonzero_exit(tmp_path, capsys):

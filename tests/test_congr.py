@@ -14,7 +14,7 @@ from hermlift.congr import (
 )
 from hermlift.elliptic import synthetic_newform
 from hermlift.hecke import HeckeOpId
-from hermlift.maass import build_lift, random_alpha_tuple
+from hermlift.maass import CoeffTable, build_lift, random_alpha_tuple
 from hermlift.quadfield import FieldParams, chi_K, trivial_char
 from hermlift.ring import INF, VAL_CAP, HeckeElem, HeckeRing, primes_above, val_at
 
@@ -62,11 +62,8 @@ def test_table_congruence_basics():
     assert depth == VAL_CAP and capped
 
     # one entry moved by ell
-    import copy
-
-    t2 = copy.deepcopy(table)
-    h0 = next(iter(t2.values))
-    t2.values[h0] = t2.values[h0] + GAUSS.from_int(13)
+    h0 = next(iter(table.values))
+    t2 = moved_table(table, {h0: GAUSS.from_int(13)})
     assert table_congruence(table, t2, prime) == (1, False)
 
     # scaling by a unit mod the prime gives depth 0
@@ -77,6 +74,12 @@ def test_table_congruence_basics():
     t4.bound_det += 1
     with pytest.raises(ValueError):
         table_congruence(table, t4, prime)
+
+
+def moved_table(table, shifts):
+    """A new table of the same shape with shifts[h] added at each point h."""
+    values = {**table.values, **{h: table.get(h) + s for h, s in shifts.items()}}
+    return CoeffTable(table.params, table.ring, table.bound_det, table.bound_diag, values)
 
 
 def reference_depth(t1, t2, prime, cap=VAL_CAP):
@@ -102,11 +105,12 @@ def test_running_cap_depth_equals_full_cap_minimum(modulus, ell):
         assert table_congruence(table, unit, prime) == reference_depth(table, unit, prime) == (0, False)
         for m in (1, 2, 3):
             for trial in range(4):
-                moved = table.scaled(ring.one())
                 # half the points moved by ell^(m + r) u, r random, so the depth so far drops in steps
+                shifts = {}
                 for h in rng.sample(points, len(points) // 2):
                     u = HeckeElem(ring, tuple(rng.randrange(-ell, ell) for _ in modulus[1:]))
-                    moved.values[h] = moved.get(h) + u * ell ** (m + rng.randrange(4))
+                    shifts[h] = u * ell ** (m + rng.randrange(4))
+                moved = moved_table(table, shifts)
                 got = table_congruence(table, moved, prime)
                 assert got == reference_depth(table, moved, prime), (prime.local_factor, m, trial)
                 assert got[0] >= m
@@ -122,9 +126,8 @@ def test_table_congruence_with_ell_in_denominators_is_order_free():
     missing = next(h for h in table.points() if h not in table.values)
     for prime in primes_above(GAUSS, 13):
         for h1, h2 in itertools.permutations(points + [missing], 2):
-            moved = table.scaled(GAUSS.one())
-            moved.values[h1] = moved.get(h1) + GAUSS.from_rational(Fraction(1, 13))
-            moved.values[h2] = moved.get(h2) + GAUSS.from_rational(Fraction(1, 169))
+            shifts = {h1: GAUSS.from_rational(Fraction(1, 13)), h2: GAUSS.from_rational(Fraction(1, 169))}
+            moved = moved_table(table, shifts)
             for t1, t2 in ((table, moved), (moved, table)):
                 assert table_congruence(t1, t2, prime) == reference_depth(t1, t2, prime) == (-2, False)
 

@@ -117,7 +117,8 @@ def test_check_maass_roundtrip_and_fault():
 
     # perturb one coefficient at a content-2 point
     h2 = next(h for h in table.points() if not h.is_zero() and h.t1 % 2 == 0 and h.t3 % 2 == 0 and h.w.a % 2 == 0 and h.w.b % 2 == 0)
-    table.values[h2] = table.get(h2) + GAUSS.one()
+    faulty = {**table.values, h2: table.get(h2) + GAUSS.one()}
+    table = CoeffTable(params, GAUSS, table.bound_det, table.bound_diag, faulty)
     ok2, witness = check_maass(table)
     assert not ok2 and witness == h2
 
