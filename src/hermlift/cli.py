@@ -8,7 +8,9 @@ deterministic text mode and a ``--json`` line-record mode, and exits 0
 exactly when all checks pass.
 
 Newform files are line oriented (see ``hermlift.elliptic.parse_newform``).
-Table files store one classical component in canonical point order::
+Table files store one classical component in canonical point order;
+``write_table`` writes a ``CoeffTable`` with its class character and zeta
+exponent, and ``read_table`` gives those three back::
 
     field 23
     k 8
@@ -20,6 +22,13 @@ Table files store one classical component in canonical point order::
     bound_diag 2
     normalization unit i/sqrt(-D_K) dropped
     point <t1> <t3> <wa> <wb> <numerator coords> / <denominator>
+
+A point line gives the coordinates of a lattice point; ``read_table`` is
+the one place its scaled determinant is computed, and the library reads
+every table by the lattice key (det, t1, t3, wa, wb) from then on.
+``hecke`` writes the table its last inert operator computed, after that
+table passed the membership check, and tabulates from the generating
+function only after a final split operator.
 """
 
 from __future__ import annotations
@@ -48,17 +57,17 @@ class CommandError(Exception):
 # table file format
 
 
-def write_table(path: str, t: MaassTuple, bound_det: int, bound_diag: int) -> CoeffTable:
-    table = t.identity_table(bound_det, bound_diag)
+def write_table(path: str, table: CoeffTable, chi: ClassChar, zetaexp: int) -> None:
+    """Write a table, its class character and zeta exponent: the inverse of ``read_table``."""
     lines = [
-        f"field {t.D}",
-        f"k {t.k}",
-        "ring " + " ".join(str(c) for c in t.ring.modulus),
-        f"chiorder {t.chi.order}",
-        "chi " + " ".join(str(e) for e in t.chi.exponents),
-        f"zetaexp {t.zeta_exp}",
-        f"bound_det {bound_det}",
-        f"bound_diag {bound_diag}",
+        f"field {table.D}",
+        f"k {table.params.k}",
+        "ring " + " ".join(str(c) for c in table.ring.modulus),
+        f"chiorder {chi.order}",
+        "chi " + " ".join(str(e) for e in chi.exponents),
+        f"zetaexp {zetaexp}",
+        f"bound_det {table.bound_det}",
+        f"bound_diag {table.bound_diag}",
         f"normalization {NORMALIZATION_NOTE}",
     ]
     zero = table.ring.zero()
@@ -67,7 +76,6 @@ def write_table(path: str, t: MaassTuple, bound_det: int, bound_diag: int) -> Co
             lines.append(f"point {t1} {t3} {a} {b} {' '.join(map(str, v.num))} / {v.den}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    return table
 
 
 def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
@@ -225,7 +233,7 @@ def cmd_lift(args, out: Out) -> int:
     warn = None
     if t.is_zero():
         warn = "self-conjugate input: the lift vanishes identically"
-    write_table(args.output, t, args.bound_det, args.bound_diag)
+    write_table(args.output, t.identity_table(args.bound_det, args.bound_diag), chi, t.zeta_exp)
     support = sorted(t.alpha)
     record = {
         "output": args.output,
@@ -245,18 +253,20 @@ def cmd_lift(args, out: Out) -> int:
 def cmd_hecke(args, out: Out) -> int:
     table, chi, zetaexp = read_table(args.table)
     ops = [HeckeOpId.parse(name, table.D) for name in args.op]
-    t = table_as_tuple(table, chi, zetaexp)
+    t, bound_diag = table_as_tuple(table, chi, zetaexp), table.bound_diag
     for op in ops:
         if op.kind in ("SplitT1", "SplitT2"):
-            t = act_split_on_lift(t, op)
+            t, table = act_split_on_lift(t, op), None
         else:
             # act on the lift, materialise on the shrunken range, then
             # re-extract the generating function; looked up by name at run
             # time, so a wrapper installed on the hecke module is honoured
             act = getattr(hecke, op.kind.replace("Inert", "act_inert_"))
-            acted = act(t, op.p, t.alpha_max // op.p ** op.reach, table.bound_diag)
-            t = table_as_tuple(acted, chi, t.zeta_exp)
-    write_table(args.output, t, t.alpha_max, args.bound_diag or table.bound_diag)
+            table = act(t, op.p, t.alpha_max // op.p ** op.reach, bound_diag)
+            t = table_as_tuple(table, chi, t.zeta_exp)
+    if table is None:
+        table = t.identity_table(t.alpha_max, bound_diag)
+    write_table(args.output, table, chi, t.zeta_exp)
     record = {"output": args.output, "ops": [str(o) for o in ops], "alpha_max": t.alpha_max, "zetaexp": t.zeta_exp}
     out.emit(record, f"wrote {args.output} after {' '.join(str(o) for o in ops)} (alpha valid to {t.alpha_max})")
     return 0
@@ -284,8 +294,8 @@ def cmd_descend(args, out: Out) -> int:
         raise CommandError(f"--n-max {args.n_max} must be at least 1")
     table, chi, zetaexp = read_table(args.table)
     t = table_as_tuple(table, chi, zetaexp)
-    n_max = t.alpha_max if args.n_max is None else min(args.n_max, t.alpha_max)
-    comps = descend(t, n_max)
+    n_max = t.alpha_max if args.n_max is None else args.n_max
+    comps = descend(t, n_max)  # refuses an n_max past alpha_max
     for b, (exp, q) in sorted(comps.items()):
         coeffs = {n: str(q.a(n)) for n in range(1, n_max + 1) if not q.a(n).is_zero()}
         record = {"component": b, "zeta_exp": exp, "coeffs": coeffs}
@@ -389,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table")
     p.add_argument("output")
     p.add_argument("--op", action="append", required=True, help="e.g. T0@3, T1@2, Up@5")
-    p.add_argument("--bound-diag", type=int, default=None)
     p.set_defaults(func=cmd_hecke)
 
     p = sub.add_parser("check-maass", help="verify the divisor-sum condition on a table")
@@ -424,10 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         out = Out(args.json)
         return args.func(args, out)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (CommandError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

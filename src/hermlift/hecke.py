@@ -136,13 +136,11 @@ class HeckeOpId:
 
 
 def _table_getter(table: CoeffTable) -> Getter:
-    D, q, zero = table.D, table.params.norm_c, table.ring.zero()
-    bd, bg = table.bound_det, table.bound_diag
+    zero, bd, bg = table.ring.zero(), table.bound_det, table.bound_diag
     index, vals = table.index, table.vals
 
-    def get(t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
-        det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
-        if det <= 0:  # coefficients at singular points vanish identically
+    def get(det: int, t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
+        if not det:  # coefficients at singular points vanish identically
             return zero
         if t1 > bg or t3 > bg or det > bd:
             raise RangeError(
@@ -215,8 +213,9 @@ def _coset_walk(kind: str, params: FieldParams, p: int, full: bool = True) -> tu
     """The coset images of h under T_{p,0} or T_p, one slot per term, and
     the denominator p^k of the slots' integer scalars.
 
-    ``slots(t1, t3, wa, wb, det)`` gives (scalar, det, images) per term: the
-    arguments of c, all of determinant det, in the order the source is read.
+    ``slots(det, t1, t3, wa, wb)``, on h's lattice key, gives (scalar, det,
+    images) per term: the coordinates (t1, t3, w.a, w.b) of the arguments
+    of c, all of determinant det, in the order the source is read.
     With ``full`` off (lift sources, which are read by content) T_{p,0}
     lists only the isotropic alpha-translates and adds the others as one
     term (count * scalar, p^2 det, [h]), since they keep h's content."""
@@ -225,7 +224,7 @@ def _coset_walk(kind: str, params: FieldParams, p: int, full: bool = True) -> tu
     den, hi, lo = p ** k, p ** 4, p ** (2 * k)  # hi, lo: p^(4-k), p^k times den
     if kind == "InertT0":
 
-        def slots(t1: int, t3: int, wa: int, wb: int, det: int) -> Slots:
+        def slots(det: int, t1: int, t3: int, wa: int, wb: int) -> Slots:
             up, down = [], []  # alpha-translates, and beta-translates (alpha / p^2)
             res = iso(0, 0, 0, 0) if full else iso(t1 % p, t3 % p, wa % p, wb % p)
             for na, x, y, c1, c2 in res:
@@ -252,7 +251,7 @@ def _coset_walk(kind: str, params: FieldParams, p: int, full: bool = True) -> tu
 
     else:
 
-        def slots(t1: int, t3: int, wa: int, wb: int, det: int) -> Slots:
+        def slots(det: int, t1: int, t3: int, wa: int, wb: int) -> Slots:
             mid = []  # (alpha_a* h alpha_a) / p, integral exactly at the isotropic residues
             for na, x, y, c1, c2 in iso(t1 % p, t3 % p, wa % p, wb % p):
                 u3 = na * t1 + t3 + wb * x - wa * y
@@ -268,8 +267,9 @@ def _coset_walk(kind: str, params: FieldParams, p: int, full: bool = True) -> tu
 
 
 def _coset_sum(get: Getter, ring: HeckeRing, den: int) -> Callable[[Slots], HeckeElem]:
-    """Reads slots one source value per coset image: the reference reader."""
-    return lambda slots: lincomb(ring, [(s, get(*image)) for s, _, images in slots for image in images], den)
+    """Reads slots one source value per coset image, at the image's lattice
+    key (the term's det, then its coordinates): the reference reader."""
+    return lambda slots: lincomb(ring, [(s, get(det, *image)) for s, det, images in slots for image in images], den)
 
 
 def _keyed_sum(t: MaassTuple, den: int) -> Callable[[Slots], HeckeElem]:
@@ -298,7 +298,7 @@ def _keyed_sum(t: MaassTuple, den: int) -> Callable[[Slots], HeckeElem]:
 
 
 def _op_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
-    """Memoized pointwise evaluator of an inert operator applied to src."""
+    """Memoized evaluator of an inert operator applied to src, on lattice keys."""
     if kind == "InertUp":
         # U_p = T_p twice: T_p applied to the memoized T_p image
         src, kind = LazyAction(*_op_getter(src, "InertT", p)), "InertT"
@@ -307,9 +307,8 @@ def _op_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
     if not isinstance(src, (MaassTuple, CoeffTable, LazyAction)):
         raise TypeError("expected a MaassTuple, CoeffTable or LazyAction")
     params, ring = src.params, src.ring
-    D, q, zero = params.D, params.norm_c, ring.zero()
-    if split_type(D, p) is not SplitType.INERT:
-        raise ValueError(f"p = {p} is not inert for discriminant {D}")
+    if split_type(params.D, p) is not SplitType.INERT:
+        raise ValueError(f"p = {p} is not inert for discriminant {params.D}")
     keyed = isinstance(src, MaassTuple)
     slots, den = _coset_walk(kind, params, p, full=not keyed)
     if keyed:
@@ -317,19 +316,13 @@ def _op_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
     else:
         read = _coset_sum(src.getter if isinstance(src, LazyAction) else _table_getter(src), ring, den)
 
-    def value(t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
-        det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
-        if det < 0:
-            return zero
-        return read(slots(t1, t3, wa, wb, det))
-
-    return cache(value), params, ring
+    return cache(lambda *key: read(slots(*key))), params, ring
 
 
 def eval_inert_raw(src, kind: str, p: int, points: Iterable[HermPoint]) -> dict[HermPoint, HeckeElem]:
     """Raw coset action evaluated at selected points (no table materialised)."""
     get, _, _ = _op_getter(src, kind, p)
-    return {h: get(h.t1, h.t3, h.w.a, h.w.b) for h in points}
+    return {h: get(*h.sort_key()) for h in points}
 
 
 def inert_action(src, kind: str, p: int) -> LazyAction:

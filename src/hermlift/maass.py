@@ -35,7 +35,7 @@ from .ring import HeckeElem, HeckeRing, lincomb
 
 Coeff = HeckeElem
 Oracle = Callable[[HermPoint], Coeff]
-Getter = Callable[[int, int, int, int], Coeff]
+Getter = Callable[[int, int, int, int, int], Coeff]  # on lattice keys (det, t1, t3, w.a, w.b)
 
 
 class RangeError(ValueError):
@@ -151,7 +151,7 @@ class MaassTuple:
         operators can reach outside any materialised table; past
         ``alpha_max`` it raises RangeError."""
         get = _lift_getter(self)
-        return lambda h: get(h.t1, h.t3, h.w.a, h.w.b)
+        return lambda h: get(*h.sort_key())
 
     def identity_table(self, bound_det: int, bound_diag: int) -> CoeffTable:
         if bound_det > self.alpha_max:
@@ -167,18 +167,10 @@ class MaassTuple:
 
 
 def _lift_getter(t: MaassTuple) -> Getter:
-    """The lift's coefficient function on raw lattice coordinates (t1, t3, w.a, w.b)."""
-    D, q = t.D, t.params.norm_c
-    zero = t.ring.zero()
+    """The lift's coefficient function on lattice keys (det, t1, t3, w.a, w.b):
+    the lift value at the key's det and the content of its coordinates."""
     value = _lift_values(t.alpha, t.alpha_max, t.k, t.ring)
-
-    def get(t1: int, t3: int, wa: int, wb: int) -> Coeff:
-        det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
-        if det < 0:
-            return zero
-        return value(det, gcd(t1, t3, wa, wb))
-
-    return get
+    return lambda det, t1, t3, wa, wb: value(det, gcd(t1, t3, wa, wb))
 
 
 def _lift_values(alpha: dict[int, Coeff], alpha_max: int, k: int, ring: HeckeRing) -> Callable[[int, int], Coeff]:
@@ -202,9 +194,10 @@ def _lift_values(alpha: dict[int, Coeff], alpha_max: int, k: int, ring: HeckeRin
 
 
 def _tabulate(get: Getter, params: FieldParams, ring: HeckeRing, bound_det: int, bound_diag: int) -> CoeffTable:
-    """The table of a coefficient function on raw coordinates, in one pass."""
+    """The table of a coefficient function, read once at each lattice key
+    (det, t1, t3, w.a, w.b) of the shape, in ``_lattice`` order."""
     t, zero = CoeffTable(params, ring, bound_det, bound_diag), ring.zero()
-    t.vals = [zero if v.is_zero() else v for v in (get(t1, t3, a, b) for _, t1, t3, a, b in t.lattice)]
+    t.vals = [zero if v.is_zero() else v for v in (get(*key) for key in t.lattice)]
     return t
 
 

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from hermlift.cli import main, read_table, table_as_tuple, write_table
 from hermlift.elliptic import extend_coeffs, format_newform, rho_conjugate, synthetic_newform
-from hermlift.hecke import act_inert_T, act_inert_Up
+from hermlift import hecke, maass
+from hermlift.hecke import HeckeOpId, act_inert_T, act_inert_T0, act_inert_Up, act_split_on_lift
 from hermlift.hermitian import point
 from hermlift.maass import CoeffTable, RangeError, build_lift, check_maass, random_alpha_tuple
 from hermlift.quadfield import FieldParams, char_values, class_group, trivial_char
@@ -95,6 +96,50 @@ def test_hecke_inert_writes_the_library_action(tmp_path, capsys, synth_file, op,
     got, _, _ = read_table(str(out_tbl))
     assert (got.bound_det, got.bound_diag) == (want.bound_det, want.bound_diag)
     assert got.values == want.values and got.values
+
+
+@pytest.fixture
+def lift_567(tmp_path, capsys):
+    """A D = 7 lift table at bound_det 567 = 7 * 81, bound_diag 3."""
+    nf, tbl = tmp_path / "f.nf", tmp_path / "lift.tbl"
+    nf.write_text(format_newform(synthetic_newform(FieldParams(7, 8), GAUSS, "negate-x", p_max=600, seed=1)))
+    assert run(capsys, "lift", nf, tbl, "--bound-det", "567", "--bound-diag", "3")[0] == 0
+    return tbl
+
+
+def test_hecke_writes_the_inert_image_of_its_own_lift(tmp_path, capsys, lift_567):
+    # at (63, 3) the content-3 points of det 45, 54 and 63 are unconstrained:
+    # a table tabulated again from the re-extracted alpha reads zero there
+    out_tbl = tmp_path / "t0.tbl"
+    assert run(capsys, "hecke", lift_567, out_tbl, "--op", "T0@3")[0] == 0
+    assert run(capsys, "check-maass", out_tbl)[0] == 0
+    want = act_inert_T0(table_as_tuple(*read_table(str(lift_567))), 3, 63, 3)
+    got, chi, ze = read_table(str(out_tbl))
+    assert (got.bound_det, got.bound_diag, chi, ze) == (63, 3, trivial_char(), 0)
+    assert got.vals == want.vals and got.values
+
+
+def test_inert_hecke_tabulates_once_and_a_final_split_tabulates_alpha(tmp_path, capsys, lift_567, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return tabulate(*args)
+
+    tabulate = maass._tabulate
+    monkeypatch.setattr(maass, "_tabulate", counting)
+    monkeypatch.setattr(hecke, "_tabulate", counting)
+    out_tbl = tmp_path / "out.tbl"
+    assert run(capsys, "hecke", lift_567, out_tbl, "--op", "T0@3")[0] == 0
+    assert len(calls) == 1
+    # after a final split operator the table is tabulated from its alpha
+    assert run(capsys, "hecke", lift_567, out_tbl, "--op", "T0@3", "--op", "T1@2")[0] == 0
+    t = table_as_tuple(*read_table(str(lift_567)))
+    acted = table_as_tuple(act_inert_T0(t, 3, 63, 3), t.chi, t.zeta_exp)
+    split = act_split_on_lift(acted, HeckeOpId.parse("T1@2", 7))
+    got, chi, ze = read_table(str(out_tbl))
+    assert split.alpha_max == 31 and (chi, ze) == (split.chi, split.zeta_exp)
+    assert got.vals == split.identity_table(split.alpha_max, 3).vals
 
 
 # header lines that are no character of the class group of D = 23, a zeta
@@ -267,10 +312,10 @@ def test_table_roundtrip_byte_stable(tmp_path, synth_file):
     nf, f = synth_file
     t = build_lift(f, trivial_char(), 100)
     p1, p2 = tmp_path / "a.tbl", tmp_path / "b.tbl"
-    write_table(str(p1), t, 100, 2)
+    write_table(str(p1), t.identity_table(100, 2), t.chi, t.zeta_exp)
     table, chi, ze = read_table(str(p1))
     t2 = build_lift(f, trivial_char(), 100)
-    write_table(str(p2), t2, 100, 2)
+    write_table(str(p2), t2.identity_table(100, 2), t2.chi, t2.zeta_exp)
     assert p1.read_bytes() == p2.read_bytes()
     # written in canonical point order
     points = [line.split()[1:5] for line in p1.read_text().splitlines() if line.startswith("point")]
@@ -300,9 +345,11 @@ def test_table_file_round_trip_and_values_view(D, ring, bound_diag, det_excess, 
     want = t.identity_table(bound_det, bound_diag)
     with tempfile.TemporaryDirectory() as d:
         first, second = Path(d) / "a.tbl", Path(d) / "b.tbl"
-        write_table(str(first), t, bound_det, bound_diag)
+        write_table(str(first), want, t.chi, t.zeta_exp)
         table, chi, ze = read_table(str(first))
-        write_table(str(second), table_as_tuple(table, chi, ze), bound_det, bound_diag)
+        # the generating function re-extracted and tabulated again
+        again = table_as_tuple(table, chi, ze).identity_table(bound_det, bound_diag)
+        write_table(str(second), again, chi, ze)
         assert first.read_bytes() == second.read_bytes()
     assert table.values == want.values and table.values is table.values
     keys = [h.sort_key() for h in table.values]
@@ -320,7 +367,7 @@ def test_table_file_round_trip_and_values_view(D, ring, bound_diag, det_excess, 
 def test_get_outside_the_table_raises_range_error(tmp_path, synth_file):
     # a read table answers inside its bounds and refuses beyond them
     nf, f = synth_file
-    write_table(str(tmp_path / "h.tbl"), build_lift(f, trivial_char(), 20), 20, 2)
+    write_table(str(tmp_path / "h.tbl"), build_lift(f, trivial_char(), 20).identity_table(20, 2), trivial_char(), 0)
     table, _, _ = read_table(str(tmp_path / "h.tbl"))
     assert table.get(point(7, 1, 1, 0, 0)) == build_lift(f, trivial_char(), 20).oracle()(point(7, 1, 1, 0, 0))
     for h in (point(7, 3, 1, 0, 0), point(7, 2, 2, 0, 0), point(23, 1, 1, 0, 0)):  # diag 3 > 2, det 28 > 20, D
@@ -334,8 +381,12 @@ def test_descend_n_max_default_is_the_full_range_and_below_one_exits_2(tmp_path,
     run(capsys, "lift", nf, tbl, "--bound-det", "120", "--bound-diag", "2")
     code, out = run(capsys, "--json", "descend", tbl)
     full = json.loads(out.splitlines()[0])["coeffs"]
-    code, out = run(capsys, "--json", "descend", tbl, "--n-max", "120")
+    code, out = run(capsys, "--json", "descend", tbl, "--n-max", "120")  # alpha_max itself
     assert code == 0 and json.loads(out.splitlines()[0])["coeffs"] == full
+    # past alpha_max descend refuses rather than printing up to alpha_max
+    assert main(["descend", str(tbl), "--n-max", "500"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == "error: alpha valid to 120, needed at 500\n"
     code, out = run(capsys, "--json", "descend", tbl, "--n-max", "20")
     short = json.loads(out.splitlines()[0])["coeffs"]
     assert code == 0 and short == {n: v for n, v in full.items() if int(n) <= 20} != full
@@ -408,8 +459,8 @@ def _fuzz_inputs():
     g = synthetic_newform(FieldParams(23, 8), GAUSS, "negate-x", p_max=60, seed=3)
     chi = char_values(class_group(23))[1]
     with tempfile.TemporaryDirectory() as d:
-        write_table(f"{d}/lift.tbl", build_lift(f, trivial_char(), 40), 40, 2)
-        write_table(f"{d}/lift23.tbl", build_lift(g, chi, 24), 24, 1)
+        write_table(f"{d}/lift.tbl", build_lift(f, trivial_char(), 40).identity_table(40, 2), trivial_char(), 0)
+        write_table(f"{d}/lift23.tbl", build_lift(g, chi, 24).identity_table(24, 1), chi, 0)
         return {
             "nf": format_newform(f),
             "tbl": Path(f"{d}/lift.tbl").read_text(),

@@ -105,7 +105,7 @@ def test_inert_range_error_names_deficit():
         lambda: act_inert_T(t, 3, 49, 2),
         lambda: act_inert_Up(t, 3, 49, 2),
         lambda: eval_inert_raw(t, "InertT0", 3, [point(7, 1, 1)]),
-        lambda: inert_action(t, "InertT0", 3).getter(1, 1, 0, 0),
+        lambda: inert_action(t, "InertT0", 3).getter(7, 1, 1, 0, 0),
     ):
         with pytest.raises(RangeError, match="alpha valid to 50, needed at"):
             past_range()
@@ -272,9 +272,9 @@ def test_isotropic_residues_match_full_scan(D, p):
         if split_type(D, p) is SplitType.INERT:
             lines = len(scan) + (r1 == 0)
             assert lines == (p * p + 1 if (r1, r3, ra, rb) == (0, 0, 0, 0) else 1 if det % p == 0 else p + 1)
-        up, bulk = full(*h.coords(), det)[:2]
+        up, bulk = full(*h.sort_key())[:2]
         assert len(up[2]) == p * p + 1 and not bulk[2]
-        up, bulk = keyed(*h.coords(), det)[:2]
+        up, bulk = keyed(*h.sort_key())[:2]
         assert len(up[2]) == len(scan) + 1 and bulk[0] == up[0] * (p * p - len(scan))
         assert bulk[2] == ([h.coords()] if len(scan) < p * p else [])
 

@@ -1,12 +1,13 @@
 """Static hygiene of src/hermlift, read with the stdlib ast module.
 
-Four rules: a module uses every name it imports (``__init__`` imports only
+Five rules: a module uses every name it imports (``__init__`` imports only
 to re-export); every private module-level function or class is referenced
 by some module of the package; every function, method and class is
 referenced by name outside its own body somewhere in src, tests, demos or
-perfbench; and ``exec``, ``eval`` and ``compile`` are named only inside
-``ring._product_kernel``.  A helper left behind by a refactor fails here
-rather than lingering.
+perfbench; ``exec``, ``eval`` and ``compile`` are named only inside
+``ring._product_kernel``; and a scaled determinant is computed from raw
+coordinates only where coordinates enter the library.  A helper left
+behind by a refactor fails here rather than lingering.
 """
 
 import ast
@@ -140,6 +141,35 @@ def test_code_is_compiled_only_by_the_product_kernel_builder():
         if isinstance(node, ast.Name) and node.id in DYNAMIC_CODE and id(node) not in allowed
     ]
     assert not found, found
+
+
+def _names(node):
+    """The identifiers (names and attribute names) a subtree reads."""
+    nodes = ast.walk(node)
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _scaled_dets(tree):
+    """The innermost function around each D t1 t3 - N(w), a difference whose
+    left side is a product reading D, t1 and t3, by line."""
+    found = {}
+    for func in ast.walk(tree):  # outer functions come first, inner ones overwrite
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                        and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
+                        and {"D", "t1", "t3"} <= _names(node.left)):
+                    found[node.lineno] = func.name
+    return found.values()
+
+
+def test_scaled_determinant_is_computed_only_where_coordinates_enter():
+    # the library reads points by the lattice key (det, t1, t3, w.a, w.b);
+    # a det is derived from coordinates only for a table file's point lines
+    # and for a HermPoint built at the public boundary, each function once
+    allowed = {("cli", "read_table"), ("hermitian", "det_scaled")}
+    found = [(module, func) for module, tree in MODULES.items() for func in _scaled_dets(tree)]
+    assert sorted(found) == sorted(allowed), found
 
 
 LINE_CAP = 3544  # ROADMAP item 5: 10% under the 3938 lines of the initial import

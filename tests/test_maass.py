@@ -369,8 +369,9 @@ def test_lift_values_match_per_point_divisor_sum(D, k, bound_diag, bound_det, da
     p = INERT[D]
     q = t.params.norm_c
 
-    def ref_get(t1, t3, wa, wb):
-        det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
+    def ref_get(det, t1, t3, wa, wb):
+        # the slots' determinants, checked against the coordinates
+        assert det == D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q), (det, t1, t3, wa, wb)
         if det > alpha_max:
             raise RangeError(f"alpha valid to {alpha_max}, needed at {det}")
         return want(point(D, t1, t3, wa, wb))
