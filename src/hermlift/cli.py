@@ -53,6 +53,13 @@ class CommandError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refusals of the command line reach ``main`` as ``CommandError``, exit 2."""
+
+    def error(self, message):
+        raise CommandError(message)
+
+
 # ---------------------------------------------------------------------------
 # table file format
 
@@ -342,6 +349,7 @@ def cmd_congruence(args, out: Out) -> int:
     D = ref.D
     if any(g.D != D or g.ring != ref.ring for g in others):
         raise CommandError("all newforms must share the field and the coefficient ring")
+    FieldParams(D, ref.k, args.ell)  # ell an odd prime above k, prime to D and to h
     chi = _resolve_chi(D, args.chi)
     ops = []
     for p in range(2, args.p_max + 1):
@@ -376,7 +384,7 @@ def cmd_congruence(args, out: Out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hermlift",
         description="Exact Maass lifts on U(2,2): Hecke action, descent, L-factors, congruences.",
     )

@@ -453,17 +453,12 @@ def descend_op(op: HeckeOpId, k: int) -> DescendedOp:
             (0, Fraction(2 * p ** 4 + p ** 3 + p ** 2 + p - 1)),
         )
         return DescendedOp(op, poly, 0, Fraction(1))
-    if op.kind == "InertT":
-        poly = ((2, Fraction(p ** 4, p ** k)), (0, Fraction(p * (p + 1) ** 2)))
-        return DescendedOp(op, poly, 0, Fraction(1))
-    if op.kind == "InertUp":
-        u = Fraction(p ** 8, p ** (2 * k))
-        poly = (
-            (4, u),
-            (2, 2 * Fraction(p ** 5, p ** k) * (p + 1) ** 2),
-            (0, Fraction(p ** 2 * (p + 1) ** 4)),
-        )
-        return DescendedOp(op, poly, 0, unit_power=u)
+    if op.kind in ("InertT", "InertUp"):
+        a, b = Fraction(p ** 4, p ** k), Fraction(p * (p + 1) ** 2)  # T_p -> a T^2 + b
+        if op.kind == "InertT":
+            return DescendedOp(op, ((2, a), (0, b)), 0, Fraction(1))
+        poly = ((4, a * a), (2, 2 * a * b), (0, b * b))  # (a T^2 + b)^2
+        return DescendedOp(op, poly, 0, unit_power=poly[0][1])
     raise ValueError(f"no closed descent formula for {op.kind}")
 
 

@@ -12,7 +12,9 @@ denominators allowed in g, enumeration up to bounds in a canonical order,
 and certified diagonalisation modulo l^n.  Diagonalisation is one shear
 algorithm for every prime l not dividing D: it uses only a unit integer
 pivot and the invertibility of sqrt(-D) mod l, so split and inert l (and
-l = 2) need no separate treatment.
+l = 2) need no separate treatment.  The pivot is the first of four fixed
+matrices (identity, swap, shears by 1 and by omega) that makes t1 a unit;
+on a primitive point one of them always does.
 """
 
 from __future__ import annotations
@@ -225,12 +227,14 @@ class DiagCert:
 def diagonalize_mod(h: HermPoint, ell: int, n: int) -> DiagCert:
     """Certified diagonalisation u* h u = l^eps diag(a, d) mod l^n, l not dividing a.
 
-    One algorithm for every prime l not dividing D, split or inert: move a
-    unit integer pivot t1 into place (t1 itself, else a swap to t3, else a
-    shear [[1, 0], [s, 1]] with s found by a search over the order mod l),
-    then clear the off-diagonal with the shear [[1, s], [0, 1]],
-    s = -w / (sqrt(-D) t1) mod l^n.  The argument needs only a unit t1 and
-    sqrt(-D) invertible mod l (its norm is D); neither asks whether l splits.
+    One algorithm for every prime l not dividing D, split or inert.  The
+    pivot is the first of four fixed matrices giving h/l^eps a unit t1: the
+    identity, the swap [[0, -1], [1, 0]] (t1' = t3), and the shears
+    [[1, 0], [s, 1]] for s = 1 and omega (t1' = w.b and w.a + w.b mod l when
+    t1 = t3 = 0 mod l; h/l^eps is primitive, so one is a unit).  Then
+    [[1, s], [0, 1]], s = -w / (sqrt(-D) t1) mod l^n, clears the off-diagonal,
+    and u is the pivot times that shear.  Only a unit t1 and sqrt(-D)
+    invertible mod l (its norm is D) are used; neither asks whether l splits.
     """
     if h.is_zero():
         raise ValueError("cannot diagonalize the zero point")
@@ -245,55 +249,22 @@ def diagonalize_mod(h: HermPoint, ell: int, n: int) -> DiagCert:
     if eps >= n:
         return DiagCert(h, ell, n, identity_matrix(D), a=0, d=0, epsilon=n, saturated=True)
     ln = ell ** n
-    one, zero = QuadInt(1, 0, D), QuadInt(0, 0, D)
-    u = [[one, zero], [zero, one]]
-
-    def matmul(X, Y):
-        return [
-            [X[0][0] * Y[0][0] + X[0][1] * Y[1][0], X[0][0] * Y[0][1] + X[0][1] * Y[1][1]],
-            [X[1][0] * Y[0][0] + X[1][1] * Y[1][0], X[1][0] * Y[0][1] + X[1][1] * Y[1][1]],
-        ]
-
-    cur = h.divide(ell ** eps)
-    # pivot preference: t1, then t3, then make t1 a unit using the off-diagonal
-    if cur.t1 % ell:
-        pass
-    elif cur.t3 % ell:
-        swap = ((zero, QuadInt(-1, 0, D)), (one, zero))
-        cur = transform_integral(cur, swap)
-        u = matmul(u, [list(r) for r in swap])
-    else:
-        # t1, t3 = 0 mod l but w is not: shear by [[1,0],[s,1]] to make
-        # t1' = t1 + omega_coef(w s) + t3 N(s) a unit (s = 1 or omega works)
-        found = False
-        for sb in range(ell):
-            for sa in range(ell):
-                s = QuadInt(sa, sb, D)
-                shear = ((one, zero), (s, one))
-                cand = transform_integral(cur, shear)
-                if cand.t1 % ell:
-                    cur = cand
-                    u = matmul(u, [list(r) for r in shear])
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            raise AssertionError("no unit pivot found for a primitive point")
-    # clear the off-diagonal: column op with s = -t2'/t1' computed mod l^n.
-    # t2 = w/sqrt(-D); work with numerators: need s with t1*s = -t2, i.e.
-    # t1 * s * sqrt(-D) = -w, so s = -w * inv(sqrt(-D)) * inv(t1) mod l^n.
-    delta = QuadInt(-1, 2, D)
-    delta_norm_inv = pow(D % ln, -1, ln)  # delta * conj(delta) = D
-    t1inv = pow(cur.t1 % ln, -1, ln)
-    # inv(delta) = conj(delta)/D = -delta/D
-    w_over_delta = cur.w * delta.conj() * delta_norm_inv
-    s = QuadInt((-w_over_delta.a * t1inv) % ln, (-w_over_delta.b * t1inv) % ln, D)
-    shear = ((one, s), (zero, one))
-    cur = transform_integral(cur, shear)
-    u = matmul(u, [list(r) for r in shear])
-    uu = tuple(tuple(QuadInt(z.a % ln, z.b % ln, D) for z in row) for row in u)
-    cert = DiagCert(h, ell, n, uu, a=cur.t1 % ln, d=cur.t3 % ln, epsilon=eps)
+    one, zero, omega = QuadInt(1, 0, D), QuadInt(0, 0, D), QuadInt(0, 1, D)
+    base = h.divide(ell ** eps)
+    for pivot in (((one, zero), (zero, one)), ((zero, -one), (one, zero)),
+                  ((one, zero), (one, one)), ((one, zero), (omega, one))):
+        cur = transform_integral(base, pivot)
+        if cur.t1 % ell:
+            break
+    # clear the off-diagonal t2 = w/sqrt(-D) with t1 s = -t2 mod l^n, using
+    # 1/sqrt(-D) = conj(sqrt(-D))/D = (1 - 2 omega)/D
+    c, x = -pow(cur.t1 * D % ln, -1, ln), cur.w * QuadInt(1, -2, D)
+    s = QuadInt(x.a * c % ln, x.b * c % ln, D)
+    (p11, p12), (p21, p22) = pivot
+    u = tuple(tuple(QuadInt(z.a % ln, z.b % ln, D) for z in row)
+              for row in ((p11, p11 * s + p12), (p21, p21 * s + p22)))
+    d = transform_integral(cur, ((one, s), (zero, one))).t3  # the shear keeps t1
+    cert = DiagCert(h, ell, n, u, a=cur.t1 % ln, d=d % ln, epsilon=eps)
     if not cert.verify():
         raise AssertionError("diagonalisation certificate failed to verify")
     return cert

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlift.cli import main, read_table, table_as_tuple, write_table
+from hermlift.cli import CommandError, build_parser, main, read_table, table_as_tuple, write_table
 from hermlift.elliptic import extend_coeffs, format_newform, rho_conjugate, synthetic_newform
 from hermlift import hecke, maass
 from hermlift.hecke import HeckeOpId, act_inert_T, act_inert_T0, act_inert_Up, act_split_on_lift
@@ -306,6 +306,54 @@ def test_congruence_report(tmp_path, capsys):
     assert code == 0
     recs = [json.loads(line) for line in out.splitlines()]
     assert all(r["max_depth"] >= 2 for r in recs)
+
+
+@pytest.mark.parametrize("k, ell, message", [
+    (8, 5, "ell = 5 must exceed k = 8"),
+    (8, 3, "ell = 3 must exceed k = 8"),  # 3 is also h(23)
+    (8, 23, "ell must not divide the field discriminant"),
+    (2, 3, "ell must not divide the class number"),
+    (8, 15, "ell must be an odd prime"),
+])
+def test_congruence_refuses_ell_outside_the_paper_range(tmp_path, capsys, k, ell, message):
+    paths = []
+    for seed in (1, 2):
+        f = synthetic_newform(FieldParams(23, k), GAUSS, "negate-x", p_max=20, seed=seed)
+        paths.append(tmp_path / f"f{seed}.nf")
+        paths[-1].write_text(format_newform(f))
+    assert main(["congruence", *map(str, paths), "--ell", str(ell)]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hecke", "a.tbl", "b.tbl", "--op", "T0@3", "--bound-diag", "2"], "unrecognized arguments: --bound-diag 2"),
+    (["hecke", "a.tbl", "b.tbl"], "the following arguments are required: --op"),
+    (["congruence", "f.nf"], "the following arguments are required: --ell"),
+    (["lift", "f.nf", "o.tbl", "--bound-det", "many"], "invalid int value: 'many'"),
+    (["classgroup", "x"], "invalid int value: 'x'"),
+    (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+])
+def test_command_line_refusals_return_2(capsys, argv, message):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error:") and message in err
+    assert "usage:" not in err
+
+
+def test_parser_error_raises_instead_of_exiting():
+    with pytest.raises(CommandError, match="boom"):
+        build_parser().error("boom")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["hecke", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
 
 
 def test_table_roundtrip_byte_stable(tmp_path, synth_file):

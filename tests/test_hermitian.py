@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermlift import hermitian
 from hermlift.hermitian import (
     DiagCert,
     HermPoint,
@@ -12,6 +13,7 @@ from hermlift.hermitian import (
     content_p,
     diagonalize_mod,
     enumerate_points,
+    identity_matrix,
     point,
     transform,
     transform_integral,
@@ -341,3 +343,92 @@ def test_diagonalize_sweep_against_matrix_oracle():
                         if h0.t1 % ell == 0 and h0.t3 % ell == 0:
                             kinds.add("shear pivot, " + side)
     assert kinds == {"split", "inert", "saturated", "det 0", "shear pivot, split", "shear pivot, inert"}
+
+
+def _reference_diagonalize(h, ell, n):
+    """The residue search that the four fixed pivots replaced: t1, else a swap
+    to t3, else the first shear [[1, 0], [s, 1]] over s = sa + sb omega mod l
+    (sb outer, sa inner) making t1 a unit; then the clearing shear."""
+    D = h.D
+    eps = content_p(h, ell)
+    if eps >= n:
+        return DiagCert(h, ell, n, identity_matrix(D), a=0, d=0, epsilon=n, saturated=True)
+    ln = ell ** n
+    one, zero = QuadInt(1, 0, D), QuadInt(0, 0, D)
+
+    def matmul(X, Y):
+        return [[X[i][0] * Y[0][j] + X[i][1] * Y[1][j] for j in range(2)] for i in range(2)]
+
+    u = [[one, zero], [zero, one]]
+    cur = h.divide(ell ** eps)
+    if cur.t1 % ell == 0 and cur.t3 % ell:
+        swap = ((zero, QuadInt(-1, 0, D)), (one, zero))
+        cur, u = transform_integral(cur, swap), matmul(u, swap)
+    elif cur.t1 % ell == 0:
+        shears = (((one, zero), (QuadInt(sa, sb, D), one)) for sb in range(ell) for sa in range(ell))
+        shear = next(g for g in shears if transform_integral(cur, g).t1 % ell)
+        cur, u = transform_integral(cur, shear), matmul(u, shear)
+    delta = QuadInt(-1, 2, D)
+    t1inv = pow(cur.t1 % ln, -1, ln)
+    w_over_delta = cur.w * delta.conj() * pow(D % ln, -1, ln)
+    s = QuadInt((-w_over_delta.a * t1inv) % ln, (-w_over_delta.b * t1inv) % ln, D)
+    shear = ((one, s), (zero, one))
+    cur, u = transform_integral(cur, shear), matmul(u, shear)
+    uu = tuple(tuple(QuadInt(z.a % ln, z.b % ln, D) for z in row) for row in u)
+    return DiagCert(h, ell, n, uu, a=cur.t1 % ln, d=cur.t3 % ln, epsilon=eps)
+
+
+def _pivot_kind(h, ell):
+    """Which pivot the primitive part of h needs, read off its coordinates."""
+    if content_p(h, ell) >= 2:  # saturated at n <= 2
+        return "saturated"
+    c = h.divide(ell ** content_p(h, ell))
+    if c.t1 % ell:
+        return "identity"
+    if c.t3 % ell:
+        return "swap"
+    return "shear 1" if c.w.b % ell else "shear omega"
+
+
+def test_fixed_pivots_match_the_residue_search():
+    kinds = {}
+    for D in (3, 7, 11, 23):
+        table = [h for h in enumerate_points(D, D, 1) if not h.is_zero()]
+        for ell in (2, 3, 5, 7):
+            if D % ell == 0:
+                continue
+            base = table + [
+                point(D, ell, ell, wa, wb)
+                for wa in range(-2, 3)
+                for wb in range(-2, 3)
+                if (wa, wb) != (0, 0) and D * ell * ell >= QuadInt(wa, wb, D).norm()
+            ]
+            for h0 in base:
+                for m in (1, ell, ell * ell):
+                    h = HermPoint(m * h0.t1, m * h0.t3, h0.w * m)
+                    kinds.setdefault(ell, set()).add(_pivot_kind(h, ell))
+                    for n in (1, 2):
+                        got, want = diagonalize_mod(h, ell, n), _reference_diagonalize(h, ell, n)
+                        assert (got.u, got.a, got.d, got.epsilon, got.saturated) == (
+                            want.u, want.a, want.d, want.epsilon, want.saturated
+                        ), (h, ell, n)
+    for ell in (2, 3, 5, 7):
+        assert kinds[ell] == {"identity", "swap", "shear 1", "shear omega", "saturated"}, ell
+
+
+def test_diagonalize_at_large_ell_makes_few_transforms(monkeypatch):
+    # t1 = t3 = w.b = 0 mod l: the residue search scanned all l shears with
+    # sb = 0 before omega; the fixed pivots try four and clear with one more
+    ell = 10007
+    h = point(7, ell, ell, 1, ell)
+    calls = []
+    real = hermitian.transform_integral
+
+    def counted(h, G):
+        calls.append(G)
+        return real(h, G)
+
+    monkeypatch.setattr(hermitian, "transform_integral", counted)
+    cert = diagonalize_mod(h, ell, 2)
+    assert len(calls) <= 6  # the self-check through verify() included
+    assert cert.verify() and not cert.saturated and cert.epsilon == 0
