@@ -32,22 +32,28 @@ the classical T_p (see descend_op).
 All arguments of one term share a determinant: p^2 det(h) for the
 alpha-translates and c(p h), det(h)/p^2 for their quotients by p^2 and
 c(h/p), det(h) for the rest.  A lift's coefficient depends only on
-(det, content), by the divisor-sum condition, so on a lift a term is its
-count of arguments per content times one lift value per (det, content)
-key, read from ``maass._lift_values``, the evaluator every lift reader
-shares.  Only the translates by isotropic residues (p | u3, the t3-slot of
-alpha_a* h alpha_a) need their own content: the others keep h's, since
-alpha_a is invertible away from p and p | content(h) forces p | u3, so
-T_{p,0} counts them as one key.  Isotropy depends on h mod p alone, and
-unless h = 0 mod p at most p + 1 points of P^1 are isotropic (p + 1 for a
-nondegenerate h mod p, one at rank 1); the walk reads them from a list
-memoised by h mod p for one application, and so does T_p's.  Tables and
-lazy sources (compositions, the outer T_p of U_p) are read one coefficient
-per argument, with every translate of T_{p,0} listed; that per-coset reader
-is also the tests' reference for the keyed one.  Scalars are integers over
-the common denominator p^k, and each value is one ``ring.lincomb``; on a
-lift, points with the same (key, multiplier) signature share that sum
-within one application.
+(det, content), by the divisor-sum condition, so on a lift one pass per
+point takes h's coordinates straight to a (det, content) -> multiplier
+dict, read through ``maass._lift_values``, the evaluator every lift
+reader shares.  Contents known from c = content(h) take no gcd (p h has
+p c, h/p has c/p, a quotient by p^2 its translate's over p^2).  alpha_a
+lies in GL_2 away from p, so it keeps every l-content for l != p, and at
+a residue that is not isotropic (isotropic: p | u3, the t3-slot of
+alpha_a* h alpha_a) the image is nonzero mod p: if h is too, the image
+keeps content c, so T_{p,0} counts those translates as one key
+(p^2 det, c), and T_p has none (their quotient by p is not integral).  At
+h = p h' the same holds for h': alpha_a* h alpha_a = p alpha_a* h' alpha_a,
+so the residues outside iso(h' mod p) give T_{p,0} the key (p^2 det, c)
+and T_p one term (p^2 - |iso(h' mod p)|) p p^k at (det, c/p); U_p's inner
+T_p is read at p h for every outer h.  Isotropy depends on h mod p alone,
+and unless h = 0 mod p at most p + 1 points of P^1 are isotropic (p + 1
+for a nondegenerate h mod p, one at rank 1), read from a list memoised by
+the class mod p for one application.  Tables and lazy sources
+(compositions, the outer T_p of U_p) are read one coefficient per
+argument, every translate listed; that per-coset reader is also the tests'
+reference for the keyed one.  Scalars are integers over the common
+denominator p^k, and each value is one ``ring.lincomb``; on a lift, points
+with the same multiplier dict share that sum within one application.
 
 Split primes act on lift data in closed form, on the generating function:
 relative to canonical class representatives,
@@ -209,25 +215,24 @@ def _isotropic(params: FieldParams, p: int) -> Callable[[int, int, int, int], tu
     return iso
 
 
-def _coset_walk(kind: str, params: FieldParams, p: int, full: bool = True) -> tuple[Callable[..., Slots], int]:
+def _coset_walk(kind: str, params: FieldParams, p: int) -> tuple[Callable[..., Slots], int]:
     """The coset images of h under T_{p,0} or T_p, one slot per term, and
-    the denominator p^k of the slots' integer scalars.
+    the denominator p^k of the slots' integer scalars: how tables and lazy
+    sources are read, and the reference for ``_keyed_walk``.
 
     ``slots(det, t1, t3, wa, wb)``, on h's lattice key, gives (scalar, det,
     images) per term: the coordinates (t1, t3, w.a, w.b) of the arguments
-    of c, all of determinant det, in the order the source is read.
-    With ``full`` off (lift sources, which are read by content) T_{p,0}
-    lists only the isotropic alpha-translates and adds the others as one
-    term (count * scalar, p^2 det, [h]), since they keep h's content."""
+    of c, all of determinant det, in the order the source is read; T_{p,0}
+    lists every alpha-translate."""
     iso = _isotropic(params, p)
+    every = iso(0, 0, 0, 0)
     pp, k = p * p, params.k
     den, hi, lo = p ** k, p ** 4, p ** (2 * k)  # hi, lo: p^(4-k), p^k times den
     if kind == "InertT0":
 
         def slots(det: int, t1: int, t3: int, wa: int, wb: int) -> Slots:
             up, down = [], []  # alpha-translates, and beta-translates (alpha / p^2)
-            res = iso(0, 0, 0, 0) if full else iso(t1 % p, t3 % p, wa % p, wb % p)
-            for na, x, y, c1, c2 in res:
+            for na, x, y, c1, c2 in every:
                 u3 = na * t1 + t3 + wb * x - wa * y
                 va = t1 * c1 + wa  # w' = p*(va, vb)
                 vb = t1 * c2 + wb
@@ -238,16 +243,8 @@ def _coset_walk(kind: str, params: FieldParams, p: int, full: bool = True) -> tu
             up.append((t1, pp * t3, p * wa, p * wb))
             if t1 % pp == 0 and wa % p == 0 and wb % p == 0:
                 down.append((t1 // pp, t3, wa // p, wb // p))
-            # diagonal character sum; det = 0 counts as p | det
-            if det != 0 and det % p:
-                s = p - 1
-            elif t1 % p == 0 and t3 % p == 0 and wa % p == 0 and wb % p == 0:
-                s = p ** 3 - pp + p - 1
-            else:
-                s = -pp + p - 1
-            h = [(t1, t3, wa, wb)]
-            bulk = (hi * (pp - len(res)), pp * det, h if len(res) < pp else [])
-            return (hi, pp * det, up), bulk, (lo, det // pp, down), (s * den, det, h)
+            s = _diagonal_sum(p, det, gcd(t1, t3, wa, wb))
+            return (hi, pp * det, up), (lo, det // pp, down), (s * den, det, [(t1, t3, wa, wb)])
 
     else:
 
@@ -272,29 +269,73 @@ def _coset_sum(get: Getter, ring: HeckeRing, den: int) -> Callable[[Slots], Heck
     return lambda slots: lincomb(ring, [(s, get(det, *image)) for s, det, images in slots for image in images], den)
 
 
-def _keyed_sum(t: MaassTuple, den: int) -> Callable[[Slots], HeckeElem]:
-    """Reads slots on a lift, whose value at an image depends only on its
-    (det, content): one integer multiplier and one lift value per key.
+def _diagonal_sum(p: int, det: int, c: int) -> int:
+    """S(h) from det(h) and c = content(h); det = 0 counts as p | det."""
+    if det % p:
+        return p - 1
+    return p ** 3 - p * p + p - 1 if c % p == 0 else -p * p + p - 1
 
-    The sum is a function of the (key, multiplier) pairs alone, so it is
-    memoised by that signature for the one reader; each point still walks
-    its own cosets, and a point whose slots differ gets its own sum."""
+
+def _keyed_walk(t: MaassTuple, kind: str, p: int) -> Getter:
+    """T_{p,0} or T_p on a lift, one pass per point from h's lattice key to
+    the (det, content) -> multiplier dict of its coset images (see the module
+    docstring), then one ``lincomb`` per distinct dict for the application.
+    Dets enter the dict in the order ``_coset_walk`` reads them, so a short
+    alpha raises the RangeError the per-coset reader raises."""
+    iso = _isotropic(t.params, p)
     value = _lift_values(t.alpha, t.alpha_max, t.k, t.ring)
+    ring, pp, k, t0 = t.ring, p * p, t.k, kind == "InertT0"
+    den, hi, lo, mid = p ** k, p ** 4, p ** (2 * k), p ** (k + 1)  # p^(4-k), p^k, p times den
     sums: dict[tuple, HeckeElem] = {}
 
-    def read(slots: Slots) -> HeckeElem:
+    def walk(det: int, t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
+        c = gcd(t1, t3, wa, wb)
+        if c % p:
+            res = iso(t1 % p, t3 % p, wa % p, wb % p)
+        else:  # h = p h': the residues off iso(h' mod p) are lumped below
+            res = iso(t1 // p % p, t3 // p % p, wa // p % p, wb // p % p)
+        rest = pp - len(res)
         mult: dict[tuple[int, int], int] = {}
-        for scalar, det, images in slots:
-            for image in images:
-                key = (det, gcd(*image))
-                mult[key] = mult.get(key, 0) + scalar
+        get = mult.get
+        if t0:
+            up, downs = pp * det, []
+            for na, x, y, c1, c2 in res:
+                u3 = na * t1 + t3 + wb * x - wa * y
+                va, vb = t1 * c1 + wa, t1 * c2 + wb
+                key = (up, gcd(pp * t1, u3, p * va, p * vb))
+                mult[key] = get(key, 0) + hi
+                if u3 % pp == 0 and va % p == 0 and vb % p == 0:
+                    downs.append(key[1] // pp)  # the beta-translate is the alpha-translate / p^2
+            key = (up, gcd(t1, pp * t3, p * wa, p * wb))  # diag(1, p)
+            mult[key] = get(key, 0) + hi
+            if t1 % pp == 0 and wa % p == 0 and wb % p == 0:
+                downs.append(key[1] // pp)
+            if rest:  # the non-isotropic translates keep h's content
+                mult[up, c] = get((up, c), 0) + hi * rest
+            for e in downs:
+                key = (det // pp, e)
+                mult[key] = get(key, 0) + lo
+            mult[det, c] = get((det, c), 0) + _diagonal_sum(p, det, c) * den
+        else:
+            for na, x, y, c1, c2 in res:
+                u3 = na * t1 + t3 + wb * x - wa * y
+                key = (det, gcd(p * t1, u3 // p, t1 * c1 + wa, t1 * c2 + wb))
+                mult[key] = get(key, 0) + mid
+            if t1 % p == 0:
+                key = (det, gcd(t1 // p, p * t3, wa, wb))
+                mult[key] = get(key, 0) + mid
+            if c % p == 0 and rest:  # h = p h': the non-isotropic translates of h' keep its content
+                mult[det, c // p] = get((det, c // p), 0) + mid * rest
+            mult[pp * det, p * c] = get((pp * det, p * c), 0) + hi
+            if c % p == 0:
+                mult[det // pp, c // p] = get((det // pp, c // p), 0) + lo
         signature = tuple(mult.items())
         v = sums.get(signature)
         if v is None:
-            v = sums[signature] = lincomb(t.ring, [(m, value(*key)) for key, m in signature], den)
+            v = sums[signature] = lincomb(ring, [(m, value(*key)) for key, m in signature], den)
         return v
 
-    return read
+    return walk
 
 
 def _op_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
@@ -309,13 +350,10 @@ def _op_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
     params, ring = src.params, src.ring
     if split_type(params.D, p) is not SplitType.INERT:
         raise ValueError(f"p = {p} is not inert for discriminant {params.D}")
-    keyed = isinstance(src, MaassTuple)
-    slots, den = _coset_walk(kind, params, p, full=not keyed)
-    if keyed:
-        read = _keyed_sum(src, den)
-    else:
-        read = _coset_sum(src.getter if isinstance(src, LazyAction) else _table_getter(src), ring, den)
-
+    if isinstance(src, MaassTuple):
+        return cache(_keyed_walk(src, kind, p)), params, ring
+    slots, den = _coset_walk(kind, params, p)
+    read = _coset_sum(src.getter if isinstance(src, LazyAction) else _table_getter(src), ring, den)
     return cache(lambda *key: read(slots(*key))), params, ring
 
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from hermlift.hecke import (
     inert_action,
     maass_eigenvalue,
 )
-from hermlift.hermitian import enumerate_points, point, transform_integral
+from hermlift.hermitian import HermPoint, enumerate_points, point, transform_integral
 from hermlift.maass import MaassTuple, _lift_getter, a_K, build_lift, check_maass, descend, random_alpha_tuple
 from hermlift.quadfield import (
     FieldParams,
@@ -202,6 +204,15 @@ def test_inert_operators_commute():
     assert a.values == b.values
 
 
+def keyed_multipliers(monkeypatch, t, kind, p):
+    """_keyed_walk on t with its sum replaced by the (det, content) ->
+    multiplier dict it sums: every lift value is its own key, and lincomb
+    hands back its terms."""
+    monkeypatch.setattr(hecke, "_lift_values", lambda *args: lambda det, c: (det, c))
+    monkeypatch.setattr(hecke, "lincomb", lambda ring, terms, den: {key: m for m, key in terms})
+    return hecke._keyed_walk(t, kind, p)
+
+
 INERT_PRIMES = {7: (3, 5), 11: (2, 7), 23: (5, 7)}  # the two smallest at each D
 
 
@@ -245,19 +256,20 @@ def test_keyed_lift_kernel_matches_per_coset_reference(data):
 
 
 @pytest.mark.parametrize("D, p", [(7, 3), (7, 5), (7, 7), (23, 3), (23, 5), (23, 7), (11, 2)])
-def test_isotropic_residues_match_full_scan(D, p):
+def test_isotropic_residues_match_full_scan(D, p, monkeypatch):
     # for every h mod p: the memoised list is exactly the residues a = x + y
     # omega at which alpha_a* h alpha_a has t3 divisible by p, with t3 from
     # QuadInt arithmetic (and from transform_integral at one class).  At an
     # inert p the isotropic points of P^1 (the residues, and diag(1, p) when
     # p | t1) number p^2 + 1 at h = 0 mod p, one when p | det, and p + 1
     # otherwise.  The per-coset T_{p,0} walk lists all p^2 + 1
-    # alpha-translates; the one for lifts lists the isotropic ones and counts
-    # the rest in one term read at h
+    # alpha-translates; the keyed walk on a lift walks the isotropic ones and
+    # lumps the rest, so its multipliers at det p^2 det(h) still add up to
+    # p^(4-k) (p^2 + 1) over the denominator p^k
     params = FieldParams(D, 8)
     iso = _isotropic(params, p)
     full, _ = _coset_walk("InertT0", params, p)
-    keyed, _ = _coset_walk("InertT0", params, p, full=False)
+    keyed = keyed_multipliers(monkeypatch, random_alpha_tuple(params, trivial_char(), ZZ, 1), "InertT0", p)
     residues = [QuadInt(x, y, D) for x in range(p) for y in range(p)]
     t3_pad = p * p * (params.norm_c + 2)  # keeps every representative positive
     for r1, r3, ra, rb in itertools.product(range(p), repeat=4):
@@ -272,11 +284,8 @@ def test_isotropic_residues_match_full_scan(D, p):
         if split_type(D, p) is SplitType.INERT:
             lines = len(scan) + (r1 == 0)
             assert lines == (p * p + 1 if (r1, r3, ra, rb) == (0, 0, 0, 0) else 1 if det % p == 0 else p + 1)
-        up, bulk = full(*h.sort_key())[:2]
-        assert len(up[2]) == p * p + 1 and not bulk[2]
-        up, bulk = keyed(*h.sort_key())[:2]
-        assert len(up[2]) == len(scan) + 1 and bulk[0] == up[0] * (p * p - len(scan))
-        assert bulk[2] == ([h.coords()] if len(scan) < p * p else [])
+        assert len(full(*h.sort_key())[0][2]) == p * p + 1
+        assert sum(m for (d, _), m in keyed(*h.sort_key()).items() if d == p * p * det) == p ** 4 * (p * p + 1)
 
 
 def test_isotropic_memo_holds_one_list_per_class_mod_p(monkeypatch):
@@ -293,6 +302,63 @@ def test_isotropic_memo_holds_one_list_per_class_mod_p(monkeypatch):
     for memo in made:
         info = memo.cache_info()
         assert 0 < info.currsize <= 3 ** 4 and info.hits > info.currsize
+
+
+def lumped_case_points(D, p):
+    """h = p h' with h' generic (p does not divide det h'), of rank 1 mod p
+    (p | det h', h' nonzero mod p) and zero mod p, each of least positive
+    det: (name, h)."""
+    pool = sorted((h for h in enumerate_points(D, 8 * D, 2) if h.det_scaled() > 0), key=HermPoint.sort_key)
+    generic = next(h for h in pool if h.det_scaled() % p)
+    rank1 = next(h for h in pool if h.det_scaled() % p == 0 and any(c % p for c in h.coords()))
+    times = lambda c, h: point(D, c * h.t1, c * h.t3, c * h.w.a, c * h.w.b)
+    return [(name, times(p, h)) for name, h in (("generic", generic), ("rank 1", rank1), ("zero", times(p, generic)))]
+
+
+@pytest.mark.parametrize("D, p", [(7, 3), (23, 5), (11, 2)])
+def test_lumped_translates_match_the_per_coset_reference(D, p):
+    # at h = p h' the keyed walk reads only the residues isotropic for h'
+    # and lumps the others; the per-coset reader walks all p^2.  At p = 2
+    # the isotropic residues solve a linear equation, not a quadratic.  With
+    # alpha one index short of the deepest read, both raise the same error
+    reach = {"InertT0": p ** 2, "InertT": p ** 2, "InertUp": p ** 4}  # alpha read at reach * det
+    cases = [(kind, name, h) for name, h in lumped_case_points(D, p) for kind in reach]
+    cases = [case for case in cases if reach[case[0]] * case[2].det_scaled() <= 120000]
+    assert {name for kind, name, _ in cases if kind == "InertUp"} >= {"generic", "rank 1"}
+    n_max = max(reach[kind] * h.det_scaled() for kind, _, h in cases)
+    for ring in (ZZ, GAUSS):
+        full = random_alpha_tuple(FieldParams(D, 8), trivial_char(), ring, n_max, seed=D + p)
+        for kind, name, h in cases:
+            needed = reach[kind] * h.det_scaled()
+            for t in (replace(full, alpha_max=needed), replace(full, alpha_max=needed - 1)):
+                ref = LazyAction(_lift_getter(t), t.params, t.ring)
+                if t.alpha_max < needed:
+                    with pytest.raises(RangeError) as keyed_err:
+                        eval_inert_raw(t, kind, p, [h])
+                    with pytest.raises(RangeError) as ref_err:
+                        eval_inert_raw(ref, kind, p, [h])
+                    assert str(keyed_err.value) == str(ref_err.value), (kind, name)
+                else:
+                    value = eval_inert_raw(t, kind, p, [h])[h]
+                    assert not value.is_zero() and value == eval_inert_raw(ref, kind, p, [h])[h], (kind, name)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_keyed_T_at_p_times_a_generic_point_takes_few_gcds(p, monkeypatch):
+    # h = p h' with p not dividing det h': p + 1 points of P^1 are isotropic
+    # for h', so the walk takes content(h), at most p + 1 mid-translates and
+    # no gcd for p h or h / p; the residues off iso(h' mod p) take none
+    D = 7
+    calls = []
+    monkeypatch.setattr(hecke, "gcd", lambda *args: calls.append(args) or math.gcd(*args))
+    pts = [h for h in enumerate_points(D, 4 * D, 2) if h.det_scaled() % p]
+    t = random_alpha_tuple(FieldParams(D, 8), trivial_char(), ZZ, p ** 4 * 4 * D, seed=p)
+    get = inert_action(t, "InertT", p).getter
+    for h in pts:
+        calls.clear()
+        get(p * p * h.det_scaled(), p * h.t1, p * h.t3, p * h.w.a, p * h.w.b)
+        assert len(calls) <= p + 4, h
+    assert len(pts) >= 4
 
 
 def split_reference(t, op):
