@@ -15,7 +15,7 @@ from itertools import chain
 from typing import ClassVar
 
 from .elliptic import NewformData
-from .hecke import HeckeOpId, descend_op, maass_eigenvalue
+from .hecke import HeckeOpId, _check_lift, _eigenvalue, descend_op
 from .maass import CoeffTable
 from .quadfield import ClassChar
 from .ring import VAL_CAP, HeckeElem, HeckeRing, INF, PrimeAboveL, _val_int, val_at
@@ -35,12 +35,11 @@ def build_eigen_system(
     f: NewformData, chi: ClassChar, ops: list[HeckeOpId], label: str | None = None
 ) -> EigenSystem:
     """Eigenvalue system of the lift of f over the given operators."""
-    values = {}
-    unit_powers = {}
+    _check_lift(f)
+    values, unit_powers = {}, {}
     for op in ops:
-        lam, ze = maass_eigenvalue(f, chi, op)
-        values[str(op)] = (lam, ze)
         d = descend_op(op, f.k)
+        values[str(op)] = _eigenvalue(f, chi, d)
         if d.unit_power != 1:
             unit_powers[str(op)] = d.unit_power
     return EigenSystem(label or f.label, f.ring, values, unit_powers)

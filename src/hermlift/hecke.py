@@ -506,8 +506,16 @@ def maass_eigenvalue(f: NewformData, chi: ClassChar, op: HeckeOpId) -> tuple[Hec
     Defined only when the lift is nonzero, i.e. when f differs from its
     conjugate form.
     """
+    _check_lift(f)
+    return _eigenvalue(f, chi, descend_op(op, f.k))
+
+
+def _check_lift(f: NewformData) -> None:
     if f.is_self_conjugate():
         raise ValueError("eigenvalue undefined: the form is self-conjugate, its lift vanishes")
-    d = descend_op(op, f.k)
-    ap = f.a(op.p)
+
+
+def _eigenvalue(f: NewformData, chi: ClassChar, d: DescendedOp) -> tuple[HeckeElem, int]:
+    """The eigenvalue of a descended operator on the lift of f, unchecked."""
+    ap = f.a(d.op.p)
     return lincomb(f.ring, [(coeff, ap ** deg) for deg, coeff in d.tp_poly]), d.zeta_exponent(chi, f.D)

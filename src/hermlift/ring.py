@@ -19,6 +19,10 @@ ring compiles its own product once (``_product_kernel``): straight-line
 code that forms the 2g - 1 convolution sums of two numerators (g = deg m)
 and returns each coordinate as the integer combination of those sums
 given by the rows x^j mod m, with no loop and no zero term.
+
+A valuation reads a numerator mod the prime's local factor Hensel-lifted
+mod l^precision: a linear map, so ``val_at`` caches its matrix per (prime,
+precision) and takes one dot product per residue coordinate, no division.
 """
 
 from __future__ import annotations
@@ -586,31 +590,40 @@ def _hensel_lift_factor(m, f0, ell, precision):
     return f
 
 
-_LIFT_CACHE: dict[tuple, list[int]] = {}
+_LIFT_CACHE: dict[tuple, tuple[int, list[tuple[int, ...]]]] = {}
 
 
 def val_at(prime: PrimeAboveL, a: HeckeElem, cap: int = VAL_CAP) -> int | float:
     """Normalized valuation at a prime above ell; val(ell) = 1, val(0) = +inf.
 
-    Values >= cap are reported as cap (read: "at least cap").
+    Values >= cap are reported as cap (read: "at least cap").  The numerator
+    is read mod n = ell**precision, precision = cap + 1 + 2 v_ell(den) but at
+    least 1 (below, the value is cap anyway: it is at least -v_ell(den)).
     """
     if a.is_zero():
         return INF
     ring, ell = prime.ring, prime.ell
-    if a.ring != ring:
+    if a.ring is not ring and a.ring != ring:
         raise ValueError("element does not belong to the prime's ring")
-    precision = cap + 1 + 2 * _val_int(a.den, ell)
+    vden = _val_int(a.den, ell)
+    precision = max(cap + 1 + 2 * vden, 1)
     key = (ring.modulus, ell, prime.local_factor, precision)
-    lifted = _LIFT_CACHE.get(key)
-    if lifted is None:
+    proj = _LIFT_CACHE.get(key)
+    if proj is None:  # the columns: coefficient j of x^i mod F (mod n), i < deg m
+        n = ell**precision
         if prime.residue_degree == ring.degree:
-            lifted = [c % ell ** precision for c in ring.modulus]
+            lifted = [c % n for c in ring.modulus]
         else:
             lifted = _hensel_lift_factor(list(ring.modulus), list(prime.local_factor), ell, precision)
-        _LIFT_CACHE[key] = lifted
-    proj = _divmod(a.num, lifted, ell**precision)[1]
-    v = min((_val_int(c, ell) if c else precision for c in proj), default=precision)  # saturated if empty
-    return min(v - _val_int(a.den, ell), cap)
+        rows = [_divmod([0] * i + [1], lifted, n)[1] + [0] * ring.degree for i in range(ring.degree)]
+        proj = _LIFT_CACHE[key] = n, list(zip(*rows))[: prime.residue_degree]
+    n, cols = proj
+    v = precision  # saturated when every residue coordinate vanishes
+    for col in cols:
+        c = sum(map(operator.mul, a.num, col)) % n
+        if c:
+            v = min(v, _val_int(c, ell))
+    return min(v - vden, cap)
 
 
 def _val_int(n: int, ell: int) -> int:

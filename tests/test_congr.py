@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermlift import congr, hecke
 from hermlift.congr import (
     DepthReport,
     EigenSystem,
@@ -12,10 +13,10 @@ from hermlift.congr import (
     maass_ideal_report,
     table_congruence,
 )
-from hermlift.elliptic import synthetic_newform
-from hermlift.hecke import HeckeOpId
+from hermlift.elliptic import bundled_cm_form, synthetic_newform
+from hermlift.hecke import HeckeOpId, maass_eigenvalue
 from hermlift.maass import CoeffTable, build_lift, random_alpha_tuple
-from hermlift.quadfield import FieldParams, chi_K, trivial_char
+from hermlift.quadfield import FieldParams, char_values, chi_K, class_group, trivial_char
 from hermlift.ring import INF, VAL_CAP, HeckeElem, HeckeRing, primes_above, val_at
 
 GAUSS = HeckeRing([1, 0, 1])
@@ -152,6 +153,28 @@ def test_congruent_forms_give_deep_eigen_and_table_congruence(ell, m):
     for prime in primes_above(GAUSS, ell):
         depth, _ = table_congruence(tf, tg, prime)
         assert depth >= m
+
+
+@pytest.mark.parametrize("D", [7, 23])
+def test_eigen_system_descends_each_operator_once(D, monkeypatch):
+    calls, descend = [], hecke.descend_op
+
+    def counting(op, k):
+        calls.append(op)
+        return descend(op, k)
+
+    monkeypatch.setattr(hecke, "descend_op", counting)
+    monkeypatch.setattr(congr, "descend_op", counting)
+    ell = 13
+    ops = default_ops(D, ell)
+    for seed, chi in enumerate(char_values(class_group(D))):
+        f = synthetic_newform(FieldParams(D, 8, ell), GAUSS, "negate-x", p_max=40, seed=seed)
+        calls.clear()
+        system = build_eigen_system(f, chi, ops)
+        assert calls == ops
+        assert system.values == {str(op): maass_eigenvalue(f, chi, op) for op in ops}
+    with pytest.raises(ValueError, match="eigenvalue undefined: the form is self-conjugate"):
+        build_eigen_system(bundled_cm_form(), trivial_char(), default_ops(7, ell))
 
 
 def test_eigen_congruence_self_and_errors():

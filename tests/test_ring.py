@@ -8,7 +8,19 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from hermlift.ring import HeckeElem, HeckeRing, INF, _divmod, _hensel_lift_factor, _mul, lincomb, primes_above, val_at
+from hermlift import ring as ring_module
+from hermlift.ring import (
+    HeckeElem,
+    HeckeRing,
+    INF,
+    _divmod,
+    _hensel_lift_factor,
+    _mul,
+    _val_int,
+    lincomb,
+    primes_above,
+    val_at,
+)
 
 
 GAUSS = HeckeRing([1, 0, 1])  # x^2 + 1
@@ -253,6 +265,69 @@ def test_hensel_lift_is_a_monic_factor_mod_ell_power(m, ell, precision):
         assert all(0 <= c < n for c in lifted)
         rem = _sympy_poly(m).rem(_sympy_poly(lifted))
         assert all(c % n == 0 for c in rem.all_coeffs())
+
+
+def _remainder_val(prime, a, cap):
+    """val_at read from the remainder of a's numerator by the prime's factor
+    of m lifted mod ell**precision: one polynomial division per element."""
+    if a.is_zero():
+        return INF
+    ring, ell = prime.ring, prime.ell
+    precision = cap + 1 + 2 * _val_int(a.den, ell)
+    if prime.residue_degree == ring.degree:
+        lifted = [c % ell**precision for c in ring.modulus]
+    else:
+        lifted = _hensel_lift_factor(list(ring.modulus), list(prime.local_factor), ell, precision)
+    rem = _divmod(a.num, lifted, ell**precision)[1]
+    v = min((_val_int(c, ell) if c else precision for c in rem), default=precision)
+    return min(v - _val_int(a.den, ell), cap)
+
+
+CAPS = st.sampled_from([*range(-3, 6), 64])
+
+
+@settings(deadline=None)
+@given(monic, ELLS, st.data())
+def test_val_at_matches_the_remainder_by_a_hensel_lift(m, ell, data):
+    ring = _unramified(m, ell)
+    assume(ring is not None)
+    scaled = st.tuples(st.integers(-(ell**3), ell**3), st.integers(0, 4)).map(lambda t: t[0] * ell ** t[1])
+    num = data.draw(st.lists(scaled, min_size=ring.degree, max_size=ring.degree))
+    den = data.draw(st.integers(1, 12)) * ell ** data.draw(st.integers(0, 3))
+    a, cap = ring.element(num, den), data.draw(CAPS)
+    for prime in primes_above(ring, ell):
+        assert val_at(prime, a, cap) == _remainder_val(prime, a, cap)
+
+
+def test_val_against_norm_at_residue_degree_two():
+    # x^4 + 1 is a product of two quadratics mod 13 (13 = 5 mod 8)
+    ring, ell = HeckeRing([1, 0, 0, 0, 1]), 13
+    primes = primes_above(ring, ell)
+    assert [p.residue_degree for p in primes] == [2, 2]
+    rng = random.Random(6)
+    for _ in range(200):
+        num = [rng.randrange(-200, 201) * ell ** rng.randrange(3) for _ in range(4)]
+        a = ring.element(num, rng.randrange(1, 5) * ell ** rng.randrange(3))
+        if a.is_zero():
+            continue
+        n = a.norm()
+        assert sum(p.residue_degree * val_at(p, a) for p in primes) == _val_int(n.numerator, ell) - _val_int(
+            n.denominator, ell
+        )
+
+
+def test_val_at_divides_no_polynomial_once_its_projection_is_cached(monkeypatch):
+    ring = HeckeRing([1, 0, 0, 0, 1])
+    prime = primes_above(ring, 17)[0]
+    rng = random.Random(7)
+    elems = [ring.element([rng.randrange(-(10**6), 10**6) for _ in range(4)]) for _ in range(1000)]
+    val_at(prime, elems[0], cap=5)
+    calls = []
+    divmod_ = ring_module._divmod
+    monkeypatch.setattr(ring_module, "_divmod", lambda *args: calls.append(args) or divmod_(*args))
+    values = [val_at(prime, e, cap=5) for e in elems]
+    assert not calls
+    assert values == [_remainder_val(prime, e, 5) for e in elems]
 
 
 coords = st.lists(st.integers(-30, 30), min_size=5, max_size=5)
