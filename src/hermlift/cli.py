@@ -239,7 +239,8 @@ def cmd_lift(args, out: Out) -> int:
     t = build_lift(f, chi, args.bound_det)
     warn = None
     if t.is_zero():
-        warn = "self-conjugate input: the lift vanishes identically"
+        warn = ("self-conjugate input: the lift vanishes identically" if f.is_self_conjugate()
+                else f"no nonzero alpha up to {t.alpha_max}: the range holds no coefficient of the lift")
     write_table(args.output, t.identity_table(args.bound_det, args.bound_diag), chi, t.zeta_exp)
     support = sorted(t.alpha)
     record = {

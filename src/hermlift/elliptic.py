@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .quadfield import FieldParams, chi_K, class_group
-from .ring import HeckeElem, HeckeRing, _is_prime
+from .ring import HeckeElem, HeckeRing, _is_prime, lincomb
 
 
 @dataclass
@@ -106,33 +106,46 @@ class QExpansion:
 def extend_coeffs(f: NewformData, n_max: int) -> QExpansion:
     """All coefficients a(n), n <= n_max, from the eigenvalues by multiplicativity.
 
-    One pass over a smallest-prime-factor sieve: with p^e the power of the
-    smallest prime p exactly dividing n, a(n) = a(n / p^e) a(p^e) costs one
-    ring product.  Prime powers follow
-    a(p^(r+1)) = a(p) a(p^r) - chi(p) p^(k-2) a(p^(r-1)),
-    which at the ramified prime collapses to a(D^r) = a(D)^r.
+    One pass of ``_sieve`` over 2..n_max, each index after the ones its
+    recurrence reads.  The output is dense; the lift
+    (``maass.alpha_from_newform``) takes it below n_max // p0 and runs the
+    same sieve above that only where it reads a coefficient.
     """
-    D, k = f.D, f.k
     out = QExpansion(f.ring, n_max)
-    if n_max < 1:
-        return out
-    spf = _smallest_prime_factors(n_max)
-    a = out.coeffs
-    a[1] = f.ring.one()
-    ppow = [1] * (n_max + 1)  # ppow[n] = the power of spf[n] exactly dividing n
-    scal: dict[int, int] = {}  # p -> chi(p) p^(k-2)
-    for n in range(2, n_max + 1):
-        p = spf[n]
-        m = n // p
-        q = ppow[n] = ppow[m] * p if spf[m] == p else p
-        if q != n:
-            a[n] = a[n // q] * a[q]
-        elif n == p:
-            a[n] = f.a(p)
-            scal[p] = chi_K(D, p) * p ** (k - 2)
-        else:
-            a[n] = a[p] * a[m] - a[m // p] * scal[p]
+    if n_max >= 1:
+        out.coeffs[1] = f.ring.one()
+        _sieve(f, out.coeffs, _smallest_prime_factors(n_max), range(2, n_max + 1))
     return out
+
+
+def _sieve(f: NewformData, a: dict[int, HeckeElem], spf: list[int], indices) -> None:
+    """Set a[n] for each n of ``indices``, ascending, by the recurrence.
+
+    With q = p^e the power of the smallest prime p = spf[n] exactly dividing
+    n, a(n) = a(n / q) a(q) costs one ring product.  Prime powers follow
+    a(p^(r+1)) = a(p) a(p^r) - chi(p) p^(k-2) a(p^(r-1)), which at the
+    ramified prime collapses to a(D^r) = a(D)^r.  Every prime is read
+    through ``f.a`` (which refuses one past the data) and checked to lie in
+    f's ring once, there; a[] must hold every index the recurrence reads.
+    """
+    ring, product = f.ring, f.ring.product
+    for n in indices:
+        p = spf[n]
+        if n == p:
+            v = a[n] = f.a(p)
+            if v.ring is not ring and v.ring != ring:
+                raise ValueError("mismatched rings")
+            continue
+        q, m = p, n // p
+        while m % p == 0:
+            q, m = q * p, m // p
+        if m == 1:
+            x, y = a[p], a[n // p]
+            v = HeckeElem(ring, product(x.num, y.num), x.den * y.den)
+            a[n] = v - a[n // (p * p)] * (chi_K(f.D, p) * p ** (f.k - 2))
+        else:
+            x, y = a[m], a[q]
+            a[n] = HeckeElem(ring, product(x.num, y.num), x.den * y.den)
 
 
 def _aDK_rho(f: NewformData) -> HeckeElem:
@@ -152,15 +165,13 @@ def apply_Tp(q: QExpansion, p: int, k: int, D: int) -> QExpansion:
     """Classical Hecke action a'(n) = a(np) + chi(p) p^(k-2) a(n/p), valid to n_max/p."""
     if q.n_max < p:
         raise ValueError("insufficient coefficient range for T_p")
-    n_out = q.n_max // p
-    c = chi_K(D, p)
-    scal = q.ring.from_int(c * p ** (k - 2)) if c else None
-    coeffs = {}
-    for n in range(1, n_out + 1):
-        v = q.a(n * p)
-        if scal is not None and n % p == 0:
-            v = v + scal * q.a(n // p)
-        coeffs[n] = v
+    n_out, get, zero = q.n_max // p, q.coeffs.get, q.ring.zero()
+    coeffs = {n: get(n * p, zero) for n in range(1, n_out + 1)}
+    scal = chi_K(D, p) * p ** (k - 2)
+    if scal:  # the second term, at the multiples n of p with a(n/p) stored
+        for n in range(p, n_out + 1, p):
+            if (v := get(n // p)) is not None:
+                coeffs[n] = lincomb(q.ring, [(1, coeffs[n]), (scal, v)])
     return QExpansion(q.ring, n_out, coeffs)
 
 

@@ -28,7 +28,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .elliptic import NewformData, QExpansion, _aDK_rho, extend_coeffs
+from .elliptic import NewformData, QExpansion, _aDK_rho, _sieve, _smallest_prime_factors, extend_coeffs
 from .hermitian import HermPoint, _lattice, enumerate_points
 from .quadfield import ClassChar, FieldParams, QuadInt, chi_K, class_group, trivial_char
 from .ring import HeckeElem, HeckeRing, lincomb
@@ -227,6 +227,18 @@ def alpha_from_newform(f: NewformData, n_max: int) -> dict[int, Coeff]:
     a(m) (a(D)^e - chi(m) a^rho(D)^e) at n = m D^e with e >= 1 (a_K = 1),
     and 0 where chi(n) = +1, where the difference vanishes.  Zero values
     are omitted; keys ascend.
+
+    Only the a(n) read are formed: every n <= n_max // p0, p0 the least
+    inert prime (``extend_coeffs``), then above that bound the n with
+    chi(n) = -1 and the primes (each read, so data that stops short is
+    refused).  The set is closed under the sieve's recurrence.  Above the
+    bound, an n with chi(n) = -1 is a(n / q) a(q) with each factor below
+    the bound, prime, or of character -1: a factor of character +1 above
+    it would leave a cofactor below p0, a product of split primes, and n
+    would have character +1.  A power of an inert prime p >= p0 reads
+    powers up to n / p, below the bound.  The D-free part of a multiple
+    of D is at most n_max / D, below the bound too, so no multiple of D
+    above it is formed.
     """
     D = f.D
     chi = [chi_K(D, r) for r in range(D)]
@@ -235,13 +247,18 @@ def alpha_from_newform(f: NewformData, n_max: int) -> dict[int, Coeff]:
     while D ** len(factor) <= n_max:
         pw, pw_rho = aD ** len(factor), aD_rho ** len(factor)
         factor.append({1: pw - pw_rho, -1: pw + pw_rho})
-    a = extend_coeffs(f, n_max).coeffs
+    lo = max(n_max // chi.index(-1), 1)  # the least quadratic non-residue mod D is the least inert prime
+    a = extend_coeffs(f, lo).coeffs
+    spf = _smallest_prime_factors(max(n_max, 1))
+    _sieve(f, a, spf, (n for n in range(lo + 1, n_max + 1) if chi[n % D] == -1 or spf[n] == n != D))
     alpha: dict[int, Coeff] = {}
-    for n, v in a.items():
+    for n in range(1, n_max + 1):
         c = chi[n % D]
         if c == 1:
             continue
-        if c == 0:
+        if c == -1:
+            v = a[n]
+        else:
             m, e = n // D, 1
             while m % D == 0:
                 m //= D
@@ -335,20 +352,18 @@ def descend(t: MaassTuple, n_max: int) -> dict[int, tuple[int, QExpansion]]:
     """
     if n_max > t.alpha_max:
         raise RangeError(f"alpha valid to {t.alpha_max}, needed at {n_max}")
-    D = t.D
+    D, ring = t.D, t.ring
     chi = [chi_K(D, r) for r in range(D)]
-    base = QExpansion(t.ring, n_max)
+    base = QExpansion(ring, n_max)
     for n in sorted(t.alpha):
         if n > n_max:
             break
-        v = t.alpha[n]
-        if n < 1 or v.is_zero():
-            continue
         c = chi[n % D]
-        if c == -1:
-            base.coeffs[n] = v + v
-        elif c == 0:
-            base.coeffs[n] = v
+        if c == 1 or n < 1:
+            continue
+        v = t.alpha[n]
+        if not v.is_zero():
+            base.coeffs[n] = v if c == 0 else HeckeElem(ring, tuple([2 * x for x in v.num]), v.den)
     return {b: (t.component_exponent(b), base) for b in range(class_group(D).order)}
 
 

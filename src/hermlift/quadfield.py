@@ -372,11 +372,3 @@ def char_values(cg: ClassGroup) -> list[ClassChar]:
         exps = tuple((jchar * dlog[i] // (h // d)) % d for i in range(h))
         chars.append(ClassChar(d, exps))
     return chars
-
-
-def principal_norm_rep(D: int, p: int) -> QuadInt | None:
-    """A norm-p element of the order if one exists (brute force), else None."""
-    for z in norm_ball(D, p):
-        if z.norm() == p:
-            return z
-    return None

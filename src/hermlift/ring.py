@@ -597,8 +597,10 @@ def val_at(prime: PrimeAboveL, a: HeckeElem, cap: int = VAL_CAP) -> int | float:
     """Normalized valuation at a prime above ell; val(ell) = 1, val(0) = +inf.
 
     Values >= cap are reported as cap (read: "at least cap").  The numerator
-    is read mod n = ell**precision, precision = cap + 1 + 2 v_ell(den) but at
-    least 1 (below, the value is cap anyway: it is at least -v_ell(den)).
+    is read mod n = ell**precision, precision = cap + v_ell(den) but at least
+    1: a numerator valuation below the precision is read exactly, and one at
+    or above it gives at least cap; below 1 the value is cap anyway, as it is
+    at least -v_ell(den).
     """
     if a.is_zero():
         return INF
@@ -606,7 +608,7 @@ def val_at(prime: PrimeAboveL, a: HeckeElem, cap: int = VAL_CAP) -> int | float:
     if a.ring is not ring and a.ring != ring:
         raise ValueError("element does not belong to the prime's ring")
     vden = _val_int(a.den, ell)
-    precision = max(cap + 1 + 2 * vden, 1)
+    precision = max(cap + vden, 1)
     key = (ring.modulus, ell, prime.local_factor, precision)
     proj = _LIFT_CACHE.get(key)
     if proj is None:  # the columns: coefficient j of x^i mod F (mod n), i < deg m

@@ -61,6 +61,22 @@ def test_lift_cm_warns_self_conjugate(tmp_path, capsys):
     assert not table.values  # all coefficients vanish
 
 
+@pytest.mark.parametrize("bound", [0, 4])
+def test_lift_of_an_empty_range_says_so(tmp_path, capsys, bound):
+    # D = 23: chi = +1 at 1..4, so alpha vanishes there on a form that is
+    # not self-conjugate
+    f = synthetic_newform(FieldParams(23, 8), GAUSS, "negate-x", p_max=50, seed=1)
+    assert not f.is_self_conjugate()
+    nf = tmp_path / "f.nf"
+    nf.write_text(format_newform(f))
+    code, out = run(capsys, "--json", "lift", nf, tmp_path / "t.tbl", "--bound-det", bound)
+    rec = json.loads(out)
+    assert code == 0 and rec["alpha_support"] == 0
+    assert rec["warning"] == f"no nonzero alpha up to {bound}: the range holds no coefficient of the lift"
+    code, out = run(capsys, "lift", CM_PATH, tmp_path / "cm.tbl", "--bound-det", bound)
+    assert code == 0 and "self-conjugate input: the lift vanishes identically" in out
+
+
 def test_lift_hecke_checkmaass_pipeline(tmp_path, capsys, synth_file):
     nf, f = synth_file
     tbl = tmp_path / "lift.tbl"

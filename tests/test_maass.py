@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -268,18 +269,36 @@ def descend_reference(t, n_max):
 RINGS = (HeckeRing([0, 1]), GAUSS, HeckeRing([1, 0, 0, 0, 1]))
 
 
-@settings(deadline=None, max_examples=40)
+def least_inert_prime(D):
+    return next(p for p in range(2, D) if chi_K(D, p) == -1)
+
+
+def halved(f):
+    """f with every a(p) halved: eigenvalues with denominator 2, which keep
+    the conjugation symmetry."""
+    return replace(f, ap={p: v / 2 for p, v in f.ap.items()})
+
+
+@settings(deadline=None, max_examples=60)
 @given(
-    st.sampled_from([7, 23, 47]),
+    st.sampled_from([7, 11, 19, 23, 43, 47, 71]),  # least inert prime 3, 2, 2, 5, 2, 5, 7
     st.sampled_from(RINGS),
     st.sampled_from(["trivial", "negate-x"]),
     st.sampled_from([4, 8]),
+    st.sampled_from([1, 2]),
     st.integers(0, 10**6),
-    st.integers(1, 400),
     st.data(),
 )
-def test_lift_loops_match_per_index_reference(D, ring, involution, k, seed, n_max, data):
+def test_lift_loops_match_per_index_reference(D, ring, involution, k, den, seed, data):
+    # past n_max // p0 the lift forms a(n) only where chi(n) = -1, so that
+    # bound moves at multiples of p0; at a power of D alpha reads a(1)
+    p0 = least_inert_prime(D)
+    near = [p0 * j + d for j in range(1, 400 // p0) for d in (-1, 0, 1)]
+    near += [q + d for q in (D, D**2, D**3) if q < 2500 for d in (-1, 0, 1)]
+    n_max = data.draw(st.one_of(st.integers(1, 400), st.sampled_from(near)))
     f = synthetic_newform(FieldParams(D, k), ring, involution, p_max=n_max + 10, seed=seed)
+    if den == 2:
+        f = halved(f)
     alpha = alpha_from_newform(f, n_max)
     assert list(alpha.items()) == list(alpha_reference(f, n_max).items())
     # a sparse alpha, unsorted, with zeros, index 0 and indices past n_max,
@@ -321,6 +340,32 @@ def test_lift_descends_to_two_expansion_oracle(D, ring, involution, k, seed, n_m
         assert exp == chi.exponent(b), b
         for n in range(1, n_max + 1):
             assert q.a(n) == psi[n], (b, n)
+
+
+@pytest.mark.parametrize("D", [7, 11, 23, 71])  # least inert prime 3, 2, 5, 7
+def test_lift_at_each_multiple_of_p0_restricts_the_dense_one(D):
+    # n_max = p0 m reads a(m) at the bound n_max // p0 itself, for m of
+    # character +1 with prime factors above p0 (75, 18, 245 and 847 first)
+    f = synthetic_newform(FieldParams(D, 8), GAUSS, "negate-x", p_max=1000, seed=D)
+    full = list(alpha_reference(f, 1000).items())
+    for n_max in range(0, 1000, least_inert_prime(D)):
+        assert list(alpha_from_newform(f, n_max).items()) == [(n, v) for n, v in full if n <= n_max], n_max
+
+
+@pytest.mark.parametrize("den", [1, 2])
+def test_lift_forms_only_the_coefficients_it_reads(den):
+    # D = 23, least inert prime 5: past 4900 // 5 only a(n) with chi(n) = -1
+    # and the primes are formed, 3,102 of 4,900 in all, for 2,676 products.
+    # A dense expansion to 4,900 makes 4,474; forming the multiples of D
+    # past 980 as well would add about 170
+    ring = HeckeRing([1, 0, 1])  # a ring of its own, so that its product can be counted
+    f = synthetic_newform(FieldParams(23, 8), ring, "negate-x", p_max=4900, seed=1)
+    f = halved(f) if den == 2 else f
+    calls, product = [], ring.product
+    ring.product = lambda x, y: calls.append(1) or product(x, y)
+    alpha = build_lift(f, TRIV, 4900).alpha
+    assert len(calls) <= 0.56 * 4900
+    assert list(alpha.items()) == list(alpha_reference(f, 4900).items())
 
 
 def lift_value_reference(alpha, h, k, ring):

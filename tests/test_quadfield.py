@@ -14,7 +14,6 @@ from hermlift.quadfield import (
     class_group,
     norm_ball,
     prime_class,
-    principal_norm_rep,
     reduced_forms,
     split_type,
 )
@@ -132,6 +131,14 @@ def test_prime_class_examples():
 
     with pytest.raises(ValueError):
         prime_class(cg23, 5)  # inert
+
+
+def principal_norm_rep(D, p):
+    """A norm-p element of the order if one exists (brute force), else None."""
+    for z in norm_ball(D, p):
+        if z.norm() == p:
+            return z
+    return None
 
 
 def test_principal_split_primes_have_identity_class():

@@ -330,6 +330,34 @@ def test_val_at_divides_no_polynomial_once_its_projection_is_cached(monkeypatch)
     assert values == [_remainder_val(prime, e, 5) for e in elems]
 
 
+def _uniformiser(prime):
+    """An element of valuation 1 at ``prime`` and 0 at the other primes above
+    ell, found from norms alone: the prime's local factor plus a multiple of
+    ell (a unit at the other primes, as the factors are coprime mod ell)
+    whose norm has ell-valuation the residue degree."""
+    ell, factor = prime.ell, list(prime.local_factor)
+    for t in range(ell):
+        a = prime.ring.element([factor[0] + ell * t, *factor[1:]])
+        if _val_int(a.norm().numerator, ell) == prime.residue_degree:
+            return a
+    raise AssertionError("no uniformiser found")
+
+
+@pytest.mark.parametrize("modulus, ell", [([1, 0, 1], 13), ([1, 0, 0, 0, 1], 13), ([1, 0, 0, 0, 1], 17)])
+def test_val_at_reads_a_valuation_one_below_the_cap(modulus, ell):
+    # pi^(cap - 1 + j) / ell^j has valuation cap - 1: its numerator must be
+    # read mod ell^(cap + j), not one digit less, and not without the j
+    ring = HeckeRing(modulus)
+    for prime in primes_above(ring, ell):
+        pi = _uniformiser(prime)
+        for cap in (1, 2, 5):
+            for j in (0, 1, 2):
+                a = pi ** (cap - 1 + j) / ell**j
+                assert a.den == ell**j
+                assert val_at(prime, a, cap) == cap - 1
+                assert val_at(prime, a * pi, cap) == val_at(prime, a * ell, cap) == cap
+
+
 coords = st.lists(st.integers(-30, 30), min_size=5, max_size=5)
 
 
