@@ -10,7 +10,9 @@ exactly when all checks pass.
 Newform files are line oriented (see ``hermlift.elliptic.parse_newform``).
 Table files store one classical component in canonical point order;
 ``write_table`` writes a ``CoeffTable`` with its class character and zeta
-exponent, and ``read_table`` gives those three back::
+exponent, and ``read_table`` gives those three back.  Each header line
+comes once; ``ring``, ``chi`` and ``normalization`` take several values,
+the others one::
 
     field 23
     k 8
@@ -39,7 +41,7 @@ import sys
 
 from . import hecke
 from .congr import build_eigen_system, maass_ideal_report
-from .elliptic import NewformData, parse_newform
+from .elliptic import NewformData, _header, parse_newform
 from .hecke import HeckeOpId, act_split_on_lift
 from .maass import CoeffTable, MaassTuple, build_lift, check_maass, descend
 from .lfun import bc_factor, std_factor_lift, verify_product134
@@ -91,20 +93,42 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
     D = k = params = bound_det = bound_diag = ring = table = None
     chiorder, chi_exps, zetaexp = 1, (0,), 0
     placed: set[int] = set()
+    seen: dict[str, int] = {}
     try:
         fh = open(path)
     except OSError as exc:
         raise CommandError(f"{path}: {exc}") from exc
     with fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
                 continue
-            parts = line.split()
             key = parts[0]
             try:
+                if key == "point":
+                    if table is None:
+                        if None in (params, bound_det, bound_diag, ring):
+                            raise ValueError("point before the field, k, ring and bound lines")
+                        table = CoeffTable(params, ring, bound_det, bound_diag)
+                        index, vals, zero, q, g = table.index, table.vals, ring.zero(), params.norm_c, ring.degree
+                    t1, t3, wa, wb = map(int, parts[1:5])
+                    slash = parts.index("/")
+                    num = tuple(map(int, parts[5:slash]))
+                    if len(num) != g:
+                        raise ValueError(f"{len(num)} numerator coordinates for a ring of degree {g}")
+                    i = index.get((D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q), t1, t3, wa, wb))
+                    if i is None:
+                        raise ValueError(f"point {(t1, t3, wa, wb)} outside bound_det {bound_det}, "
+                                         f"bound_diag {bound_diag}")
+                    if i in placed:
+                        raise ValueError(f"duplicate point {(t1, t3, wa, wb)}")
+                    placed.add(i)
+                    v = HeckeElem(ring, num, int(parts[slash + 1]))
+                    vals[i] = v if any(num) else zero
+                    continue
                 if table is not None and key in ("field", "k", "ring", "bound_det", "bound_diag"):
                     raise ValueError(f"{key} line after the first point")
+                _header(key, parts, seen, lineno, ("field", "k", "chiorder", "zetaexp", "bound_det", "bound_diag"))
                 if key == "field":
                     D = int(parts[1])
                     class_group(D)  # refuses a D that is not a prime = 3 (mod 4)
@@ -123,29 +147,7 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
                     if bound < 0:
                         raise ValueError(f"{key} {bound} is negative")
                     bound_det, bound_diag = (bound, bound_diag) if key == "bound_det" else (bound_det, bound)
-                elif key == "normalization":
-                    pass
-                elif key == "point":
-                    if table is None:
-                        if None in (params, bound_det, bound_diag, ring):
-                            raise ValueError("point before the field, k, ring and bound lines")
-                        table = CoeffTable(params, ring, bound_det, bound_diag)
-                        index, vals, zero, q = table.index, table.vals, ring.zero(), params.norm_c
-                    t1, t3, wa, wb = (int(x) for x in parts[1:5])
-                    slash = parts.index("/")
-                    num = [int(c) for c in parts[5:slash]]
-                    if len(num) != ring.degree:
-                        raise ValueError(f"{len(num)} numerator coordinates for a ring of degree {ring.degree}")
-                    i = index.get((D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q), t1, t3, wa, wb))
-                    if i is None:
-                        raise ValueError(f"point {(t1, t3, wa, wb)} outside bound_det {bound_det}, "
-                                         f"bound_diag {bound_diag}")
-                    if i in placed:
-                        raise ValueError(f"duplicate point {(t1, t3, wa, wb)}")
-                    placed.add(i)
-                    v = HeckeElem(ring, tuple(num), int(parts[slash + 1]))
-                    vals[i] = zero if v.is_zero() else v
-                else:
+                elif key != "normalization":
                     raise ValueError(f"unknown key {key!r}")
                 if key in ("field", "k") and None not in (D, k):
                     params = FieldParams(D, k)  # refused at the later of the two lines
@@ -354,24 +356,17 @@ def cmd_congruence(args, out: Out) -> int:
     chi = _resolve_chi(D, args.chi)
     ops = []
     for p in range(2, args.p_max + 1):
-        c = chi_K(D, p)
         if p in (D, args.ell) or not _is_prime(p):
             continue
         if p > ref.p_max():
             break
-        if c == 1:
-            ops.append(HeckeOpId.make("SplitT1", p, D, args.ell))
-            ops.append(HeckeOpId.make("SplitT2", p, D, args.ell))
-        else:
-            ops.append(HeckeOpId.make("InertT0", p, D, args.ell))
-            ops.append(HeckeOpId.make("InertUp", p, D, args.ell))
+        kinds = ("SplitT1", "SplitT2") if chi_K(D, p) == 1 else ("InertT0", "InertUp")
+        ops += [HeckeOpId.make(kind, p, D, args.ell) for kind in kinds]
     systems = [build_eigen_system(g, chi, ops, label=g.label or f"form{i}") for i, g in enumerate(forms)]
     for prime in primes_above(ref.ring, args.ell):
         report = maass_ideal_report(systems[0], systems[1:], prime, cap=args.cap)
         record = report.to_dict()
-        text = [
-            f"ell = {args.ell}, prime {record['prime']}: max depth {report.max_depth} ({report.kind})"
-        ]
+        text = [f"ell = {args.ell}, prime {record['prime']}: max depth {report.max_depth} ({report.kind})"]
         for e in report.entries:
             mark = " (self)" if e.get("self") else ""
             cap_mark = ">=" if e["capped"] else "="

@@ -55,12 +55,15 @@ class NewformData:
 
     def validate(self) -> None:
         """Check the conjugation constraints at every supplied prime."""
+        odd = None  # whether the involution negates the odd coordinates, asked once
         for p, a in sorted(self.ap.items()):
             if not _is_prime(p) or p == self.D:
                 raise ValueError(f"bad prime {p} in eigenvalue data")
+            if odd is None:
+                odd = self.ring.negates_odd_powers(self.involution)
             c = chi_K(self.D, p)
-            expected = a if c == 1 else -a
-            if a.apply_involution(self.involution) != expected:
+            # split: a = conj(a), so the negated coordinates vanish; inert: a = -conj(a), the fixed ones
+            if any(a.num[1::2] if c == 1 else a.num[::2]) if odd else (c != 1 and any(a.num)):
                 kind = "split" if c == 1 else "inert"
                 raise ValueError(
                     f"eigenvalue at {kind} p = {p} violates the conjugation "
@@ -182,17 +185,16 @@ def apply_Tp(q: QExpansion, p: int, k: int, D: int) -> QExpansion:
 def parse_newform(text: str) -> NewformData:
     """Parse the line-oriented newform format.
 
-    Header lines: ``field D``, ``weight m`` (the elliptic weight, = k-1),
-    ``ring c0 c1 ... 1`` (monic modulus, ascending), ``involution kind``,
-    ``label name`` (optional), ``aDK <coords>``; then ``ap <p> <coords>``
-    lines with rational coordinates in the power basis.
+    Header lines, each once: ``field D``, ``weight m`` (the elliptic weight,
+    = k-1), ``ring c0 c1 ... 1`` (monic modulus, ascending), ``involution
+    kind``, ``label name`` (optional; the rest of the line), ``aDK
+    <coords>``; then ``ap <p> <coords>`` lines.  Coordinates, in the power
+    basis, are integers or rationals ``a/b``.
     """
-    D = k = None
-    ring = None
-    involution = "trivial"
-    label = ""
-    aDK = None
-    ap_lines: list[tuple[int, list[Fraction]]] = []
+    D = k = ring = aDK = None
+    involution, label = "trivial", ""
+    ap_lines: list[tuple[int, tuple[int, ...] | list[Fraction]]] = []
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -200,6 +202,10 @@ def parse_newform(text: str) -> NewformData:
         parts = line.split()
         key = parts[0]
         try:
+            if key == "ap":
+                ap_lines.append((int(parts[1]), _coords(parts[2:])))
+                continue
+            _header(key, parts, seen, lineno, ("field", "weight", "involution"))
             if key == "field":
                 D = int(parts[1])
                 class_group(D)  # refuses a D that is not a prime = 3 (mod 4)
@@ -210,11 +216,9 @@ def parse_newform(text: str) -> NewformData:
             elif key == "involution":
                 involution = parts[1]
             elif key == "label":
-                label = parts[1]
+                label = line.split(None, 1)[1]
             elif key == "aDK":
-                aDK = [Fraction(c) for c in parts[1:]]
-            elif key == "ap":
-                ap_lines.append((int(parts[1]), [Fraction(c) for c in parts[2:]]))
+                aDK = _coords(parts[1:])
             else:
                 raise ValueError(f"unknown key {key!r}")
         except (IndexError, ValueError, ZeroDivisionError) as exc:
@@ -234,12 +238,34 @@ def parse_newform(text: str) -> NewformData:
             raise ValueError(f"eigenvalue at p = {p} has {len(coords)} coordinates, expected {ring.degree}")
         if p in ap:
             raise ValueError(f"duplicate eigenvalue line for p = {p}")
-        ap[p] = ring.element(coords)
+        ap[p] = _element(ring, coords)
     if len(aDK) != ring.degree:
         raise ValueError("aDK coordinate count does not match the ring degree")
-    f = NewformData(params, ring, ap, ring.element(aDK), involution, label)
+    f = NewformData(params, ring, ap, _element(ring, aDK), involution, label)
     f.validate()
     return f
+
+
+def _header(key: str, parts: list[str], seen: dict[str, int], lineno: int, single: tuple[str, ...]) -> None:
+    """Refuse a header line whose key came before, or a one-valued key with more than one value."""
+    if key in seen:
+        raise ValueError(f"{key} already given at line {seen[key]}")
+    seen[key] = lineno
+    if key in single and len(parts) > 2:
+        raise ValueError(f"{key} takes one value, got {len(parts) - 1}")
+
+
+def _coords(tokens: list[str]) -> tuple[int, ...] | list[Fraction]:
+    """A line's coordinates: ints when ``int`` reads every token, else Fractions
+    (``int`` reads a subset of what ``Fraction`` reads, to the same values)."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        return [Fraction(c) for c in tokens]
+
+
+def _element(ring: HeckeRing, coords: tuple[int, ...] | list[Fraction]) -> HeckeElem:
+    return HeckeElem(ring, coords) if type(coords) is tuple else ring.element(coords)
 
 
 def format_newform(f: NewformData) -> str:
@@ -287,18 +313,16 @@ def synthetic_newform(
         if p == params.D:
             continue
         c = chi_K(params.D, p)
+        coords = [0] * g
         if involution == "trivial":
-            coords = [0] * g
             if c == 1:
                 coords[0] = rng.randrange(-spread, spread + 1)
-            ap[p] = ring.element(coords)
         else:  # negate-x: fixed subring = even powers, anti-fixed = odd powers
-            coords = [0] * g
             for i in range(g):
                 keep = (i % 2 == 0) if c == 1 else (i % 2 == 1)
                 if keep:
                     coords[i] = rng.randrange(-spread, spread + 1)
-            ap[p] = ring.element(coords)
+        ap[p] = HeckeElem(ring, tuple(coords))
     aDK = ring.from_int(rng.choice((1, -1)) * params.D ** ((params.k - 2) // 2))
     f = NewformData(params, ring, ap, aDK, involution, f"synthetic-D{params.D}-k{params.k}-s{seed}")
     f.validate()

@@ -256,6 +256,18 @@ class HeckeRing:
             return self.from_int(-self.modulus[0])
         return HeckeElem(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
+    def negates_odd_powers(self, kind: str) -> bool:
+        """Whether the involution ``kind`` negates the odd power-basis coordinates
+        (negate-x: x -> -x) or fixes every one (trivial); refuses any other."""
+        if kind == "trivial":
+            return False
+        if kind == "negate-x":
+            m, g = self.modulus, self.degree
+            if any(m[i] != 0 for i in range(g + 1) if (g - i) % 2):
+                raise ValueError("negate-x is not an endomorphism for this modulus")
+            return True
+        raise ValueError(f"unknown involution {kind!r}")
+
     def __eq__(self, other) -> bool:
         return isinstance(other, HeckeRing) and self.modulus == other.modulus
 
@@ -406,20 +418,9 @@ class HeckeElem:
 
     def apply_involution(self, kind: str) -> "HeckeElem":
         """Ring involution given on the power basis: trivial or x -> -x."""
-        if kind == "trivial":
+        if not self.ring.negates_odd_powers(kind):
             return self
-        if kind == "negate-x":
-            m = self.ring.modulus
-            g = self.ring.degree
-            if any(m[i] != 0 for i in range(g + 1) if (g - i) % 2):
-                raise ValueError("negate-x is not an endomorphism for this modulus")
-            return HeckeElem(
-                self.ring,
-                tuple(-c if i % 2 else c for i, c in enumerate(self.num)),
-                self.den,
-                _norm=False,
-            )
-        raise ValueError(f"unknown involution {kind!r}")
+        return HeckeElem(self.ring, tuple(-c if i % 2 else c for i, c in enumerate(self.num)), self.den, _norm=False)
 
     def __repr__(self) -> str:
         names = {0: "", 1: "*x"}
@@ -541,16 +542,22 @@ def primes_above(ring: HeckeRing, ell: int) -> list[PrimeAboveL]:
 
 
 def _is_prime(n: int) -> bool:
+    """Trial division by the primes to 37, which decides n < 37^2, then strong
+    Miller-Rabin with a base set proven exact below n (Jaeschke 1993):
+    {2, 3} below 1,373,653, {2, 3, 5, 7} below 3,215,031,751, else all twelve."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for p in bases:
         if n % p == 0:
             return n == p
+    if n < 1369:
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in bases[: 2 if n < 1_373_653 else 4 if n < 3_215_031_751 else 12]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

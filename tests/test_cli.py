@@ -160,19 +160,23 @@ def test_inert_hecke_tabulates_once_and_a_final_split_tabulates_alpha(tmp_path, 
 
 # header lines that are no character of the class group of D = 23, a zeta
 # exponent outside 0..order-1, a field that is no prime = 3 (mod 4), a
-# weight that is no positive multiple of 2, or a negative bound
-HEADER_FAULTS = ("chi 0", "chi 0 1 7", "chiorder 0", "zetaexp 3", "field 21", "k 7", "bound_det -4", "bound_diag -1")
+# weight that is no positive multiple of 2, a negative bound, or a
+# one-valued header with a second value
+HEADER_FAULTS = ("chi 0", "chi 0 1 7", "chiorder 0", "zetaexp 3", "field 21", "k 7", "bound_det -4", "bound_diag -1",
+                 "field 23 7", "k 8 9", "bound_det 100 5", "zetaexp 0 1")
+# a header line given a second time, refused at the repeat
+REPEATED_HEADERS = ("repeat field 7", "repeat zetaexp 1", "repeat chi 0 2 1", "repeat normalization none")
 
 
 @pytest.mark.parametrize(
     "fault",
     ["point before field", "coordinate count", "duplicate point", "zero denominator", "out of bounds",
-     *HEADER_FAULTS],
+     *HEADER_FAULTS, *REPEATED_HEADERS],
 )
 def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault):
     nf, f = synth_file
     tbl = tmp_path / "lift.tbl"
-    if fault in HEADER_FAULTS:
+    if fault in HEADER_FAULTS or fault in REPEATED_HEADERS:
         # a D = 23 table of the order-3 character chi_1
         nf = tmp_path / "d23.nf"
         nf.write_text(format_newform(synthetic_newform(FieldParams(23, 8), GAUSS, "negate-x", p_max=120, seed=2)))
@@ -189,6 +193,10 @@ def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault
         lines[header[key]] = fault
         # a character is reported at the later of its two lines
         bad_line = header["chi" if key == "chiorder" else key] + 1
+    elif fault in REPEATED_HEADERS:
+        line = fault.removeprefix("repeat ")
+        bad_line = header[line.split()[0]] + 2
+        lines.insert(bad_line - 1, line)
     elif fault == "point before field":
         lines.insert(0, lines.pop(last))
         bad_line = 1
@@ -211,12 +219,19 @@ def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault
         assert f"{tbl}:{bad_line}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fault", ["field 21", "weight 6"])
+@pytest.mark.parametrize("fault", ["field 21", "weight 6", "field 7 23", "weight 7 9", "involution negate-x trivial",
+                                   "repeat field 23", "repeat weight 3", "repeat ring 0 1", "repeat label other",
+                                   "repeat aDK 343 0"])
 def test_malformed_newform_header_exits_2_at_its_line(tmp_path, capsys, synth_file, fault):
     nf, f = synth_file
     lines = nf.read_text().splitlines()
-    i = next(i for i, line in enumerate(lines) if line.split()[0] == fault.split()[0])
-    lines[i] = fault
+    line = fault.removeprefix("repeat ")
+    i = next(i for i, old in enumerate(lines) if old.split()[0] == line.split()[0])
+    if line == fault:
+        lines[i] = fault
+    else:  # refused at the second line of the key
+        i += 1
+        lines.insert(i, line)
     nf.write_text("\n".join(lines) + "\n")
     code = main(["lift", str(nf), str(tmp_path / "lift.tbl")])
     assert code == 2
@@ -426,6 +441,25 @@ def test_table_file_round_trip_and_values_view(D, ring, bound_diag, det_excess, 
             CoeffTable(table.params, ring, bound_det, bound_diag, {outside: ring.one()})
         with pytest.raises(RangeError):
             table.get(outside)
+
+
+@settings(deadline=None, max_examples=40)
+@given(D=st.sampled_from([7, 23]), ring=st.sampled_from([ZZ, GAUSS]), bound_det=st.integers(0, 120),
+       bound_diag=st.integers(0, 3), data=st.data())
+def test_read_table_gives_back_any_written_table(D, ring, bound_det, bound_diag, data):
+    # any values, not only a lift's: signs, denominators, zeros, every class character
+    points = CoeffTable(FieldParams(D, 8), ring, bound_det, bound_diag).points()
+    coords = st.lists(st.integers(-50, 50), min_size=ring.degree, max_size=ring.degree)
+    value = st.builds(lambda c, d: ring.element(c, d), coords, st.integers(1, 12))
+    values = data.draw(st.dictionaries(st.sampled_from(points), value, max_size=40)) if points else {}
+    t = CoeffTable(FieldParams(D, 8), ring, bound_det, bound_diag, values)
+    chi = data.draw(st.sampled_from(char_values(class_group(D))))
+    zetaexp = data.draw(st.integers(0, max(chi.order, 1) - 1))
+    with tempfile.TemporaryDirectory() as d:
+        write_table(f"{d}/t.tbl", t, chi, zetaexp)
+        got, got_chi, got_zetaexp = read_table(f"{d}/t.tbl")
+    assert (got.params, got.ring, got.bound_det, got.bound_diag) == (t.params, ring, bound_det, bound_diag)
+    assert got.vals == t.vals and (got_chi, got_zetaexp) == (chi, zetaexp)
 
 
 def test_get_outside_the_table_raises_range_error(tmp_path, synth_file):

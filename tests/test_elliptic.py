@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +20,8 @@ from hermlift.maass import alpha_from_newform, antisymmetrize
 from hermlift.quadfield import FieldParams, chi_K
 from hermlift.ring import HeckeRing, _is_prime
 
-GAUSS = HeckeRing([1, 0, 1])
-RINGS = [HeckeRing([0, 1]), GAUSS, HeckeRing([1, 0, 0, 0, 1])]  # Z, Z[i], Z[x]/(x^4 + 1)
+ZZ, GAUSS, QUARTIC = HeckeRing([0, 1]), HeckeRing([1, 0, 1]), HeckeRing([1, 0, 0, 0, 1])
+RINGS = [ZZ, GAUSS, QUARTIC]  # Z, Z[i], Z[x]/(x^4 + 1)
 
 
 def _factorize(n):
@@ -176,6 +178,124 @@ def test_parse_roundtrip():
     f = bundled_cm_form()
     g = parse_newform(format_newform(f))
     assert g.ap == f.ap and g.aDK == f.aDK and g.D == f.D and g.k == f.k
+    # a label is the rest of its line, inner spaces kept
+    labelled = replace(f, label="cm form  of level 7")
+    assert parse_newform(format_newform(labelled)) == labelled
+
+
+def _fraction_reads(token: str) -> bool:
+    try:
+        Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _spell(x: Fraction, style: int, pad: int, m: int) -> str:
+    """A token Fraction reads as x: plain or signed and zero padded, with
+    underscores, as a/b with a common factor m, or as a decimal."""
+    sign = "-" if x < 0 else "+" if style % 2 else ""
+    n, d = abs(x.numerator), x.denominator
+    digits = "0" * pad + str(n)
+    if style < 2 and d == 1:
+        return sign + digits
+    if style < 4 and d == 1:
+        return sign + "_".join(digits)
+    if style < 6 or 10**6 % d:
+        return f"{sign}{'0' * pad}{n * m}/{d * m}"
+    scaled = str(n * 10**6 // d).rjust(7, "0")
+    return f"{sign}{'0' * pad}{scaled[:-6]}.{scaled[-6:]}"
+
+
+# integer, a/b and decimal shapes over ASCII and Arabic-Indic digits; many are malformed
+TOKEN_SHAPES = st.from_regex(r"[+-]?[0-9\u0663_]{1,5}(/[0-9_]{1,3}|\.[0-9_]{0,3})?([eE][+-]?[0-9]{1,2})?", fullmatch=True)
+
+
+@st.composite
+def newform_lines(draw):
+    """A valid newform file's lines, its coordinates spelled every way Fraction reads;
+    with the field parameters, ring and involution they must parse to."""
+    D = draw(st.sampled_from([7, 23]))
+    ring, involution = draw(st.sampled_from([(ZZ, "trivial"), (GAUSS, "trivial"), (GAUSS, "negate-x"),
+                                             (QUARTIC, "negate-x")]))
+    shapes = draw(st.lists(TOKEN_SHAPES.filter(_fraction_reads), min_size=1, max_size=8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def spell(x):
+        return _spell(x, rng.randrange(8), rng.randrange(4), rng.randrange(1, 6))
+
+    def coords(free):
+        # a forced zero, a drawn token shape or a spelled random rational
+        return " ".join(spell(Fraction(0)) if i not in free else rng.choice(shapes) if rng.random() < 0.3
+                        else spell(Fraction(rng.randint(-10**4, 10**4), rng.choice([1, 1, 2, 3, 4, 5, 8, 12])))
+                        for i in range(ring.degree))
+
+    lines = [f"field {D}", "weight 7", "ring " + " ".join(map(str, ring.modulus)), f"involution {involution}",
+             "label a  form", "aDK " + " ".join([spell(Fraction(rng.choice([1, -1]) * D**3))] + ["0"] * (ring.degree - 1))]
+    primes = [p for p in range(2, 45) if _is_prime(p) and p != D]
+    rng.shuffle(primes)
+    for p in primes:
+        split = chi_K(D, p) == 1
+        free = range(ring.degree) if involution == "trivial" else range(0 if split else 1, ring.degree, 2)
+        lines.append(f"ap {p} " + coords(free if split or involution != "trivial" else ()))
+    return lines, FieldParams(D, 8), ring, involution
+
+
+def _reference_parse(lines, params, ring, involution):
+    """Fraction on every coordinate token, ring.element on every line."""
+    rows = [line.split() for line in lines]
+    aDK = next(ring.element([Fraction(t) for t in r[1:]]) for r in rows if r[0] == "aDK")
+    ap = {int(r[1]): ring.element([Fraction(t) for t in r[2:]]) for r in rows if r[0] == "ap"}
+    return NewformData(params, ring, ap, aDK, involution, "a  form")
+
+
+@settings(deadline=None, max_examples=60)
+@given(newform_lines())
+def test_parse_newform_matches_a_fraction_reference(case):
+    lines, params, ring, involution = case
+    assert parse_newform("\n".join(lines)) == _reference_parse(lines, params, ring, involution)
+
+
+@settings(deadline=None, max_examples=30)
+@given(newform_lines(), st.data())
+def test_parse_newform_refuses_a_token_fraction_refuses_at_its_line(case, data):
+    lines = case[0]
+    junk = ["1/0", "x", "0x10", "1__0", "_1", "--1", "1.2.3", "/", "nan", "1/2e3", "0b1", "1,5"]
+    text = st.text("0123456789\u0663+-_./eEx", min_size=1, max_size=6)
+    bad = data.draw(st.one_of(text.filter(lambda t: not _fraction_reads(t)), st.sampled_from(junk)))
+    i = data.draw(st.integers(5, len(lines) - 1))  # aDK or an ap line
+    parts = lines[i].split()
+    parts[data.draw(st.integers(1 if parts[0] == "aDK" else 2, len(parts) - 1))] = bad
+    lines[i] = " ".join(parts)
+    with pytest.raises(ValueError, match=f"^malformed newform line {i + 1}: "):
+        parse_newform("\n".join(lines))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([(GAUSS, "trivial"), (GAUSS, "negate-x"), (QUARTIC, "negate-x")]),
+       st.lists(st.integers(-2, 2), min_size=4, max_size=4), st.sampled_from([2, 3, 5, 11]))
+def test_validate_reads_the_symmetry_as_apply_involution_does(kind, nums, p):
+    ring, involution = kind
+    a = ring.element(nums)
+    f = NewformData(FieldParams(7, 8), ring, {p: a}, ring.from_int(7**3), involution)
+    c = chi_K(7, p)
+    if a.apply_involution(involution) == (a if c == 1 else -a):
+        f.validate()
+    else:
+        with pytest.raises(ValueError, match=f"p = {p} violates the conjugation symmetry"):
+            f.validate()
+
+
+def test_validate_reports_a_bad_prime_before_an_involution_that_does_not_fit():
+    fib = HeckeRing([-1, -1, 1])  # x^2 - x - 1: x -> -x is no endomorphism
+    params, aDK = FieldParams(7, 8), fib.from_int(7**3)
+    with pytest.raises(ValueError, match="bad prime 4"):
+        NewformData(params, fib, {4: fib.one(), 5: fib.zero()}, aDK, "negate-x").validate()
+    for ap in ({3: fib.zero()}, {}):
+        with pytest.raises(ValueError, match="negate-x is not an endomorphism for this modulus"):
+            NewformData(params, fib, ap, aDK, "negate-x").validate()
+    with pytest.raises(ValueError, match="unknown involution 'swap'"):
+        NewformData(params, fib, {3: fib.zero()}, aDK, "swap").validate()
 
 
 def test_rho_conjugate():

@@ -15,6 +15,7 @@ from hermlift.ring import (
     INF,
     _divmod,
     _hensel_lift_factor,
+    _is_prime,
     _mul,
     _val_int,
     lincomb,
@@ -189,6 +190,19 @@ def test_involutions():
     assert e.apply_involution("negate-x") == GAUSS.from_int(3) - x * 2
     with pytest.raises(ValueError):
         FIB.one().apply_involution("negate-x")  # x^2-x-1 is neither even nor odd
+
+
+# the least strong pseudoprime to the first 1, 2, ..., 8 prime bases: each
+# bounds the Miller-Rabin base set before it (Jaeschke 1993)
+STRONG_PSEUDOPRIMES = (2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+                       341_550_071_728_321, 3_825_123_056_546_413_051)
+
+
+def test_is_prime_matches_sympy():
+    near_bounds = [n + d for n in STRONG_PSEUDOPRIMES for d in range(-2, 3)]
+    carmichael = [561, 1105, 1729]
+    wrong = [n for n in [*range(200_001), *near_bounds, *carmichael] if _is_prime(n) != sympy.isprime(n)]
+    assert not wrong
 
 
 X = sympy.Symbol("x")
