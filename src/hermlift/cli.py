@@ -113,6 +113,9 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
                         index, vals, zero, q, g = table.index, table.vals, ring.zero(), params.norm_c, ring.degree
                     t1, t3, wa, wb = map(int, parts[1:5])
                     slash = parts.index("/")
+                    if len(parts) != slash + 2:
+                        raise ValueError("missing denominator after '/'" if len(parts) == slash + 1 else
+                                         f"tokens after the denominator: {' '.join(parts[slash + 2:])}")
                     num = tuple(map(int, parts[5:slash]))
                     if len(num) != g:
                         raise ValueError(f"{len(num)} numerator coordinates for a ring of degree {g}")

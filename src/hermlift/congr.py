@@ -10,7 +10,6 @@ a lift are ever made here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 from typing import ClassVar
 
@@ -28,7 +27,6 @@ class EigenSystem:
     label: str
     ring: HeckeRing
     values: dict[str, tuple[HeckeElem, int]]
-    unit_powers: dict[str, Fraction] = field(default_factory=dict)
 
 
 def build_eigen_system(
@@ -36,13 +34,8 @@ def build_eigen_system(
 ) -> EigenSystem:
     """Eigenvalue system of the lift of f over the given operators."""
     _check_lift(f)
-    values, unit_powers = {}, {}
-    for op in ops:
-        d = descend_op(op, f.k)
-        values[str(op)] = _eigenvalue(f, chi, d)
-        if d.unit_power != 1:
-            unit_powers[str(op)] = d.unit_power
-    return EigenSystem(label or f.label, f.ring, values, unit_powers)
+    values = {str(op): _eigenvalue(f, chi, descend_op(op, f.k)) for op in ops}
+    return EigenSystem(label or f.label, f.ring, values)
 
 
 def _clamp(v, cap: int):
@@ -84,16 +77,13 @@ def table_congruence(t1: CoeffTable, t2: CoeffTable, prime: PrimeAboveL, cap: in
 
 
 def eigen_congruence(
-    e1: EigenSystem,
-    e2: EigenSystem,
-    prime: PrimeAboveL,
-    cap: int = VAL_CAP,
+    e1: EigenSystem, e2: EigenSystem, prime: PrimeAboveL, cap: int = VAL_CAP
 ) -> dict[str, tuple[int, bool]]:
     """Per-operator valuations of eigenvalue differences, plus the "min" entry.
 
-    Operators carrying a tracked unit p-power (the U_p normalisation
-    ambiguity) are compared after dividing it out.  Systems must agree on
-    the character exponents of the compared values.
+    Operators at p = ell are refused: away from ell, the p-power
+    normalisations of U_p are units and change no valuation.  Systems must
+    agree on the character exponents of the compared values.
     """
     if e1.ring != e2.ring:
         raise ValueError("eigen systems live over different rings")
@@ -106,10 +96,9 @@ def eigen_congruence(
         (v1, z1), (v2, z2) = e1.values[op], e2.values[op]
         if z1 != z2:
             raise ValueError(f"operator {op}: incomparable character exponents {z1} != {z2}")
-        u1 = e1.unit_powers.get(op, Fraction(1))
-        u2 = e2.unit_powers.get(op, Fraction(1))
-        d = v1 * (1 / u1 if u1 != 1 else 1) - v2 * (1 / u2 if u2 != 1 else 1)
-        v = INF if d.is_zero() else val_at(prime, d, cap=cap)
+        if int(op.rsplit("@", 1)[1]) == prime.ell:
+            raise ValueError(f"operator {op} sits at p = ell = {prime.ell}")
+        v = INF if v1 == v2 else val_at(prime, v1 - v2, cap=cap)
         out[op] = _clamp(v, cap)
         depth = min(depth, v)
     out["min"] = _clamp(depth, cap)

@@ -433,12 +433,11 @@ def act_split_on_lift(t: MaassTuple, op: HeckeOpId) -> MaassTuple:
 @dataclass(frozen=True)
 class DescendedOp:
     """Image of a hermitian operator under the descent: a polynomial in the
-    classical T_p, a character twist, and a tracked p-power unit."""
+    classical T_p and a character twist."""
 
     op: HeckeOpId
     tp_poly: tuple[tuple[int, Fraction], ...]  # (degree, coefficient)
     chi_class_multiplier: int  # multiples of the exponent at the prime class
-    unit_power: Fraction  # tracked p-power ambiguity (1 except for InertUp)
 
     def zeta_exponent(self, chi: ClassChar, D: int) -> int:
         if chi.order == 1 or self.chi_class_multiplier == 0:
@@ -474,29 +473,21 @@ def descend_op(op: HeckeOpId, k: int) -> DescendedOp:
         T_p     -> p^(4-k) T^2 + p(p+1)^2
         U_p     -> (p^(4-k) T^2 + p(p+1)^2)^2
 
-    U_p eigenvalue comparisons should be made after dividing by the tracked
-    leading p-power, since other normalisations of U_p in circulation
-    differ by unit powers of p.
+    Normalisations of U_p in circulation differ by powers of p, which are
+    units at every prime above ell != p, so congruence depths do not see them.
     """
     p = op.p
+    a, b = Fraction(p ** 4, p ** k), Fraction(p * (p + 1) ** 2)  # inert T_p -> a T^2 + b
     if op.kind == "SplitT1":
-        poly = ((1, Fraction(p + 1) * Fraction(p ** 2, p ** (k // 2))),)
-        return DescendedOp(op, poly, 1, Fraction(1))
+        return DescendedOp(op, ((1, Fraction(p + 1) * Fraction(p ** 2, p ** (k // 2))),), 1)
     if op.kind == "SplitT2":
-        poly = ((2, Fraction(p ** 4, p ** k)), (0, Fraction(p ** 3 + p)))
-        return DescendedOp(op, poly, 2, Fraction(1))
+        return DescendedOp(op, ((2, a), (0, Fraction(p ** 3 + p))), 2)
     if op.kind == "InertT0":
-        poly = (
-            (2, Fraction(p ** 4, p ** k) * (p * p + 1)),
-            (0, Fraction(2 * p ** 4 + p ** 3 + p ** 2 + p - 1)),
-        )
-        return DescendedOp(op, poly, 0, Fraction(1))
-    if op.kind in ("InertT", "InertUp"):
-        a, b = Fraction(p ** 4, p ** k), Fraction(p * (p + 1) ** 2)  # T_p -> a T^2 + b
-        if op.kind == "InertT":
-            return DescendedOp(op, ((2, a), (0, b)), 0, Fraction(1))
-        poly = ((4, a * a), (2, 2 * a * b), (0, b * b))  # (a T^2 + b)^2
-        return DescendedOp(op, poly, 0, unit_power=poly[0][1])
+        return DescendedOp(op, ((2, a * (p * p + 1)), (0, Fraction(2 * p ** 4 + p ** 3 + p ** 2 + p - 1))), 0)
+    if op.kind == "InertT":
+        return DescendedOp(op, ((2, a), (0, b)), 0)
+    if op.kind == "InertUp":
+        return DescendedOp(op, ((4, a * a), (2, 2 * a * b), (0, b * b)), 0)  # (a T^2 + b)^2
     raise ValueError(f"no closed descent formula for {op.kind}")
 
 

@@ -4,12 +4,11 @@ standard factor of a lift, all in exact arithmetic.
 Satake parameters never get extracted individually: every factor is
 expanded in the elementary symmetric functions e1 = a(p) and
 e2 = chi(p) p^(k-2), so no splitting field is ever constructed.  A class
-character twist only substitutes X -> chi(P) X, so every factor is
-P(zeta^e X) with P over Frac(R) and e the character's exponent at the
-prime's class; the root of unity is reduced modulo Phi_d only when a
-coefficient is printed.  s-shifts are substitutions X -> Np^c X: every
-coefficient is scaled by an integer power of the integer Np, a product or
-an exact division, never a rational power.
+character twist X -> chi(P) X and an s-shift X -> Np^c X are both tags:
+every factor is P(zeta^e Np^c X) with P over Frac(R), e the character's
+exponent at the prime's class and c an integer.  The root of unity is
+reduced modulo Phi_d only when a coefficient is printed, and Np^(c j) (a
+division when c < 0) is applied only when an X-coefficient is read.
 """
 
 from __future__ import annotations
@@ -44,8 +43,10 @@ def _zeta_reductions(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 def _times_power(c: HeckeElem, n: int, e: int) -> HeckeElem:
-    """c * n^e for an integer e of either sign."""
-    return c * n**e if e >= 0 else c / n**-e
+    """c * n^e for an integer e of either sign: an X-coefficient read off a shifted factor."""
+    if not e or c.is_zero():
+        return c
+    return c * n**e if e > 0 else c / n**-e
 
 
 @dataclass(frozen=True)
@@ -96,24 +97,34 @@ class SatakePair:
         return self.e2 ** d
 
 
-@dataclass
+@dataclass(eq=False)
 class EulerFactor:
-    """sum_j poly[j] (zeta_order^twist X)^j in X = (N p)^(-s), poly[0] = 1,
-    poly over Frac(R); tagged by the norm of the prime it sits at."""
+    """sum_j scalars[j] (zeta_order^twist Np^shift X)^j in X = (N p)^(-s),
+    scalars[0] = 1, tagged by the norm Np of the prime it sits at.
+
+    Products and comparisons align two shifts with integer products (see
+    ``_aligned``); X-coefficients are formed only when read.
+    """
 
     ring: HeckeRing
     norm: int
-    poly: list[HeckeElem]  # ascending
+    scalars: list[HeckeElem]  # ascending
     order: int
     twist: int
+    shift: int = 0
 
     def __post_init__(self):
-        if not self.poly or self.poly[0] != 1:
+        if not self.scalars or self.scalars[0] != 1:
             raise ValueError("Euler factors are normalised with constant term 1")
 
     @property
     def degree(self) -> int:
-        return len(self.poly) - 1
+        return len(self.scalars) - 1
+
+    @property
+    def poly(self) -> list[HeckeElem]:
+        """The X-coefficients without their roots of unity: scalars[j] Np^(shift j)."""
+        return [_times_power(c, self.norm, self.shift * j) for j, c in enumerate(self.scalars)]
 
     @property
     def coeffs(self) -> list[ZetaTerm]:
@@ -124,47 +135,74 @@ class EulerFactor:
         if (self.norm, self.order, self.twist) != (other.norm, other.order, other.twist):
             raise ValueError("factors differ in their prime or their twist")
 
+    def _aligned(self, other: "EulerFactor") -> tuple[list[HeckeElem], list[HeckeElem], int]:
+        """Both scalar lists at the lower of the two shifts, and that shift: the
+        higher one's scalars times Np^(delta j), integer products only."""
+        low = min(self.shift, other.shift)
+        a, b = (
+            [c * self.norm ** ((x.shift - low) * j) for j, c in enumerate(x.scalars)] if x.shift > low else x.scalars
+            for x in (self, other)
+        )
+        return a, b, low
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EulerFactor):
+            return NotImplemented
+        a, b, _ = self._aligned(other)
+        same = (self.ring, self.norm, self.order, self.twist) == (other.ring, other.norm, other.order, other.twist)
+        return same and a == b
+
     def __mul__(self, other: "EulerFactor") -> "EulerFactor":
         self._same_place(other)
-        out = [self.ring.zero()] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.poly):
-            for j, b in enumerate(other.poly):
-                out[i + j] = out[i + j] + a * b
-        return EulerFactor(self.ring, self.norm, out, self.order, self.twist)
+        a, b, shift = self._aligned(other)
+        # both constant terms are 1, so only the products a[i] b[j], i, j >= 1, are formed
+        out = a + [self.ring.zero()] * (len(b) - 1)
+        for j in range(1, len(b)):
+            out[j] = out[j] + b[j]
+        for i in range(1, len(a)):
+            for j in range(1, len(b)):
+                out[i + j] = out[i + j] + a[i] * b[j]
+        return EulerFactor(self.ring, self.norm, out, self.order, self.twist, shift)
 
     def substitute(self, shift: Fraction | int) -> "EulerFactor":
-        """X -> Np^shift X: the factor of L(., s - shift) in X = Np^(-s).
-
-        Only integral total exponents arise (k is even), so poly[j] is
-        scaled by the integer power Np^(shift j), multiplying or dividing.
-        """
-        num, den = shift.numerator, shift.denominator
-        out = []
-        for j, c in enumerate(self.poly):
-            if num * j % den:
-                raise ValueError(f"non-integral substitution exponent {Fraction(num * j, den)}")
-            out.append(_times_power(c, self.norm, num * j // den))
-        return EulerFactor(self.ring, self.norm, out, self.order, self.twist)
+        """X -> Np^shift X, the factor of L(., s - shift): an integral shift (k is even) added to the tag."""
+        if shift.denominator != 1:
+            raise ValueError(f"non-integral substitution exponent {Fraction(shift)}")
+        shift = self.shift + shift.numerator
+        return EulerFactor(self.ring, self.norm, list(self.scalars), self.order, self.twist, shift)
 
     def discrepancy(self, other: "EulerFactor") -> list[HeckeElem]:
-        """poly minus other.poly; all zero exactly when the two factors agree."""
+        """X-coefficients of self minus other; all zero exactly when the two factors agree."""
         self._same_place(other)
-        n = max(self.degree, other.degree) + 1
-        zero = self.ring.zero()
-        a = self.poly + [zero] * (n - len(self.poly))
-        b = other.poly + [zero] * (n - len(other.poly))
-        return [x - y for x, y in zip(a, b)]
+        a, b, shift = self._aligned(other)
+        zero, n = self.ring.zero(), max(len(a), len(b))
+        a, b = a + [zero] * (n - len(a)), b + [zero] * (n - len(b))
+        return [_times_power(x - y, self.norm, shift * j) for j, (x, y) in enumerate(zip(a, b))]
 
 
-def _places(f: NewformData, p: int, chi: ClassChar) -> tuple[int, int, list[int]]:
-    """(norm, residue degree, chi exponents at their classes) of the primes
-    of K above p, which share norm and degree: the distinguished prime
-    first when p splits.  An inert prime is principal, so its exponent is 0."""
+def _local(f: NewformData, p: int, chi: ClassChar) -> tuple[HeckeElem, HeckeElem, int, list[int]]:
+    """(A + B, A B, norm, chi exponents at their classes) at the primes of K
+    above p != D, the distinguished one first; A, B are the d-th powers of
+    the Satake parameters, d the residue degree.  Inert primes are principal."""
+    sat = SatakePair.of(f, p)  # refuses p = D
     if split_type(f.D, p) is SplitType.INERT:
-        return p * p, 2, [0]
+        return sat.power_sum(2), sat.product_power(2), p * p, [0]
     cg = class_group(f.D)
     cls = prime_class(cg, p)
-    return p, 1, [chi.exponent(idx) for idx in (cls, cg.inv(cls))]
+    return sat.e1, sat.e2, p, [chi.exponent(idx) for idx in (cls, cg.inv(cls))]
+
+
+def _bc_factors(f: NewformData, chi: ClassChar, local) -> list[EulerFactor]:
+    P, Q, N, twists = local
+    return [EulerFactor(f.ring, N, [f.ring.one(), -P, Q], chi.order, twist) for twist in twists]
+
+
+def _std_factors(f: NewformData, chi: ClassChar, local) -> list[EulerFactor]:
+    P, Q, N, twists = local
+    # prod (1 - x Y) over x in {A, B, N A, N B}: signed elementary symmetric functions
+    s = [f.ring.one(), P * (-1 - N), Q * (1 + N * N) + P * P * N, P * Q * (-N - N * N), Q * Q * (N * N)]
+    # Y = chi(P) N^(2 - k/2) X: the twist and the shift stay in the tags
+    return [EulerFactor(f.ring, N, list(s), chi.order, twist, 2 - f.k // 2) for twist in twists]
 
 
 def bc_factor(f: NewformData, p: int, chi: ClassChar | None = None) -> list[EulerFactor]:
@@ -176,13 +214,8 @@ def bc_factor(f: NewformData, p: int, chi: ClassChar | None = None) -> list[Eule
     by the character value at the prime's class; ``EulerFactor.substitute``
     gives the factor of L(BC(f), s - shift).
     """
-    if p == f.D:
-        raise ValueError("base-change factors are defined away from the level")
     chi = chi if chi is not None else trivial_char()
-    sat = SatakePair.of(f, p)
-    norm, d, twists = _places(f, p, chi)
-    poly = [f.ring.one(), -sat.power_sum(d), sat.product_power(d)]
-    return [EulerFactor(f.ring, norm, list(poly), chi.order, twist) for twist in twists]
+    return _bc_factors(f, chi, _local(f, p, chi))
 
 
 def std_factor_lift(f: NewformData, chi: ClassChar, p: int) -> list[EulerFactor]:
@@ -190,53 +223,36 @@ def std_factor_lift(f: NewformData, chi: ClassChar, p: int) -> list[EulerFactor]
 
     Built from the Frobenius eigenvalue multiset
     {A, B, Np A, Np B} * chi(P) Np^(2-k/2), A, B the d-th powers of the
-    Satake parameters, expanded symmetrically so only e1 and e2 appear.
+    Satake parameters, expanded symmetrically so only e1 and e2 appear;
+    the factor carries Np^(2-k/2) as its shift.
     """
-    if p == f.D:
-        raise ValueError("standard factors are defined away from the level")
-    if f.k % 2:
-        raise ValueError("k must be even")
-    sat = SatakePair.of(f, p)
-    N, d, twists = _places(f, p, chi)
-    P = sat.power_sum(d)  # A + B
-    Q = sat.product_power(d)  # A B
-    # prod (1 - x Y) over x in {A, B, N A, N B}: signed elementary symmetric functions
-    s = [
-        f.ring.one(),
-        -(P * (1 + N)),
-        Q * (1 + N * N) + P * P * N,
-        -(P * Q * (N + N * N)),
-        Q * Q * (N * N),
-    ]
-    # Y = chi(P) N^(2 - k/2) X; the twist stays in the tag
-    poly = [_times_power(c, N, j * (2 - f.k // 2)) for j, c in enumerate(s)]
-    return [EulerFactor(f.ring, N, list(poly), chi.order, twist) for twist in twists]
+    return _std_factors(f, chi, _local(f, p, chi))
 
 
-def verify_product134(
-    f: NewformData, chi: ClassChar, p: int
-) -> tuple[bool, list[list[HeckeElem]]]:
+def verify_product134(f: NewformData, chi: ClassChar, p: int) -> tuple[bool, list[list[HeckeElem]]]:
     """Exact factorization check: the standard factor of the lift at each
     prime above p equals the product of the two base-change factors twisted
     by chi at arguments shifted by 2 - k/2 and 3 - k/2.
 
     The two sides go through independent expansions (Frobenius multiset vs
-    product of shifted quadratics) of polynomials in zeta^e X sharing the
-    twist e; P(tX) = Q(tX) for a unit t exactly when P = Q, so their
-    scalar coefficients are compared.  Returns (ok, per-prime coefficient
-    discrepancies).
+    product of shifted quadratics) from one read of the Satake pair and the
+    places above p; they share the twist e, and P(tX) = Q(tX) for a unit t
+    exactly when P = Q, so their scalars are compared at a common shift.
+    Returns (ok, per-prime X-coefficient discrepancies).
     """
     shift = 2 - f.k // 2
+    local = _local(f, p, chi)
     discrepancies = []
-    verified = None  # (std poly, bc poly, discrepancy) of the last place expanded
-    for left, b in zip(std_factor_lift(f, chi, p), bc_factor(f, p, chi)):
-        # conjugate primes above a split p share their scalar polynomials:
+    verified = None  # ((scalars, shift) of both sides, discrepancy) of the last place expanded
+    for left, b in zip(_std_factors(f, chi, local), _bc_factors(f, chi, local)):
+        # conjugate primes above a split p share their scalars and shifts:
         # the product is expanded once, and reused only after checking that
-        if verified is not None and verified[0] == left.poly and verified[1] == b.poly:
+        key = (left.scalars, left.shift, b.scalars, b.shift)
+        if verified is not None and verified[0] == key:
             left._same_place(b)
-            discrepancies.append(list(verified[2]))
+            discrepancies.append(list(verified[1]))
             continue
         d = left.discrepancy(b.substitute(shift) * b.substitute(shift + 1))
-        verified = (left.poly, b.poly, d)
+        verified = (key, d)
         discrepancies.append(d)
     return all(c.is_zero() for d in discrepancies for c in d), discrepancies

@@ -388,8 +388,9 @@ class HeckeElem:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:

@@ -166,12 +166,18 @@ HEADER_FAULTS = ("chi 0", "chi 0 1 7", "chiorder 0", "zetaexp 3", "field 21", "k
                  "field 23 7", "k 8 9", "bound_det 100 5", "zetaexp 0 1")
 # a header line given a second time, refused at the repeat
 REPEATED_HEADERS = ("repeat field 7", "repeat zetaexp 1", "repeat chi 0 2 1", "repeat normalization none")
+# a point line's tail after its numerator, in place of "/ den"; the error names the fault
+DENOMINATOR_FAULTS = {
+    "junk after the denominator": (["/", "1", "/", "7", "junk"], "tokens after the denominator: / 7 junk"),
+    "second denominator": (["/", "1", "3"], "tokens after the denominator: 3"),
+    "missing denominator": (["/"], "missing denominator after '/'"),
+}
 
 
 @pytest.mark.parametrize(
     "fault",
     ["point before field", "coordinate count", "duplicate point", "zero denominator", "out of bounds",
-     *HEADER_FAULTS, *REPEATED_HEADERS],
+     *HEADER_FAULTS, *REPEATED_HEADERS, *DENOMINATOR_FAULTS],
 )
 def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault):
     nf, f = synth_file
@@ -209,6 +215,9 @@ def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault
     elif fault == "out of bounds":
         lines.append(f"point 5 5 0 0 {' '.join(parts[5:-2])} / 1")  # det 25 D > 100, diag 5 > 2
         bad_line = len(lines)
+    elif fault in DENOMINATOR_FAULTS:
+        lines[last] = " ".join(parts[:-2] + DENOMINATOR_FAULTS[fault][0])
+        bad_line = last + 1
     else:
         lines[last] = " ".join(parts[:-1] + ["0"])
         bad_line = last + 1
@@ -216,7 +225,10 @@ def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault
     for command in ("check-maass", "descend"):
         code = main([command, str(tbl)])
         assert code == 2
-        assert f"{tbl}:{bad_line}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{tbl}:{bad_line}:" in err
+        if fault in DENOMINATOR_FAULTS:
+            assert DENOMINATOR_FAULTS[fault][1] in err
 
 
 @pytest.mark.parametrize("fault", ["field 21", "weight 6", "field 7 23", "weight 7 9", "involution negate-x trivial",

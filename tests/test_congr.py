@@ -188,6 +188,11 @@ def test_eigen_congruence_self_and_errors():
     assert per_op["min"] == (VAL_CAP, True)
     with pytest.raises(KeyError):
         eigen_congruence(sys_f, EigenSystem("empty", GAUSS, {}), prime)
+    # an operator built without ell can sit at p = ell (13 is inert at 7);
+    # there the p-power normalisations of U_p are not units, so it is refused
+    at_ell = build_eigen_system(f, chi, [HeckeOpId.make("InertUp", ell, D)])
+    with pytest.raises(ValueError, match="p = ell"):
+        eigen_congruence(at_ell, at_ell, prime)
 
 
 def test_depth_with_single_split_op():

@@ -1,13 +1,14 @@
 """Static hygiene of src/hermlift, read with the stdlib ast module.
 
-Five rules: a module uses every name it imports (``__init__`` imports only
+Six rules: a module uses every name it imports (``__init__`` imports only
 to re-export); every private module-level function or class is referenced
 by some module of the package; every function, method and class is
 referenced by name outside its own body somewhere in src, tests, demos or
 perfbench; ``exec``, ``eval`` and ``compile`` are named only inside
-``ring._product_kernel``; and a scaled determinant is computed from raw
-coordinates only where coordinates enter the library.  A helper left
-behind by a refactor fails here rather than lingering.
+``ring._product_kernel``; a scaled determinant is computed from raw
+coordinates only where coordinates enter the library; and an Euler
+factor's s-shift becomes a power of its norm only where X-coefficients are
+read.  A helper left behind by a refactor fails here rather than lingering.
 """
 
 import ast
@@ -149,18 +150,22 @@ def _names(node):
     return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def _scaled_dets(tree):
-    """The innermost function around each D t1 t3 - N(w), a difference whose
-    left side is a product reading D, t1 and t3, by line."""
+def _innermost(tree, match):
+    """The innermost function around each node that ``match`` accepts, by line."""
     found = {}
     for func in ast.walk(tree):  # outer functions come first, inner ones overwrite
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(func):
-                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
-                        and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
-                        and {"D", "t1", "t3"} <= _names(node.left)):
+                if match(node):
                     found[node.lineno] = func.name
     return found.values()
+
+
+def _is_scaled_det(node):
+    """D t1 t3 - N(w): a difference whose left side is a product reading D, t1 and t3."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
+            and {"D", "t1", "t3"} <= _names(node.left))
 
 
 def test_scaled_determinant_is_computed_only_where_coordinates_enter():
@@ -168,7 +173,17 @@ def test_scaled_determinant_is_computed_only_where_coordinates_enter():
     # a det is derived from coordinates only for a table file's point lines
     # and for a HermPoint built at the public boundary, each function once
     allowed = {("cli", "read_table"), ("hermitian", "det_scaled")}
-    found = [(module, func) for module, tree in MODULES.items() for func in _scaled_dets(tree)]
+    found = [(module, func) for module, tree in MODULES.items() for func in _innermost(tree, _is_scaled_det)]
+    assert sorted(found) == sorted(allowed), found
+
+
+def test_shift_powers_are_taken_only_where_x_coefficients_are_read():
+    # an Euler factor keeps its s-shift as a tag; lfun._times_power, which
+    # divides for a negative shift, runs only where X-coefficients are read,
+    # never in the builders, substitute or the product
+    allowed = {"poly", "discrepancy"}
+    found = list(_innermost(MODULES["lfun"], lambda node: isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Name) and node.func.id == "_times_power"))
     assert sorted(found) == sorted(allowed), found
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hermlift import lfun
 from hermlift.cli import main
 from hermlift.elliptic import bundled_cm_form, synthetic_newform
-from hermlift.lfun import SatakePair, ZetaTerm, bc_factor, std_factor_lift, verify_product134
+from hermlift.lfun import EulerFactor, SatakePair, ZetaTerm, bc_factor, std_factor_lift, verify_product134
 from hermlift.quadfield import (
     FieldParams,
     SplitType,
@@ -273,14 +274,81 @@ def test_corrupted_conjugate_place_fails(monkeypatch):
     f = oracle_form(23, 8, 0)
     chi = char_values(class_group(23))[1]
 
-    def corrupted(f, chi, p):
-        out = std_factor_lift(f, chi, p)
-        out[1].poly[2] = out[1].poly[2] + 1
+    expand = lfun._std_factors  # the expansion behind std_factor_lift
+
+    def corrupted(f, chi, local):
+        out = expand(f, chi, local)
+        out[1].scalars[2] = out[1].scalars[2] + 1
         return out
 
-    monkeypatch.setattr(lfun, "std_factor_lift", corrupted)
+    monkeypatch.setattr(lfun, "_std_factors", corrupted)
     for p in (2, 3, 13):  # split at 23
         ok, disc = verify_product134(f, chi, p)
         assert not ok
         assert all(c.is_zero() for c in disc[0])
         assert [c.is_zero() for c in disc[1]] == [True, True, False, True, True]
+
+
+def fraction_x_poly(scalars, norm, shift):
+    """X-coefficients of sum scalars[j] (Np^shift X)^j, every power a Fraction."""
+    return [c * Fraction(norm) ** (shift * j) for j, c in enumerate(scalars)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([23, 199]),
+    st.sampled_from([2, 3, 5, 7, 13, 29]),  # split and inert at both
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+    st.integers(0, 2),
+)
+def test_shift_tags_match_fraction_power_oracle(D, p, a, b, seed):
+    # x.substitute(a) * y.substitute(b) and their discrepancy, read as
+    # X-coefficients, against the same polynomials built with Fraction powers
+    f, g = oracle_form(D, 8, seed), oracle_form(D, 8, seed + 1)
+    for chi in char_values(class_group(D)):
+        for x, y in zip(std_factor_lift(f, chi, p), bc_factor(g, p, chi)):
+            xs, ys = x.substitute(a), y.substitute(b)
+            xa = fraction_x_poly(reference_std(f, p, x.norm), x.norm, a)
+            yb = reference_shifted_bc(g, p, y.norm, b)
+            assert xs.poly == xa and ys.poly == yb
+            want = [sum((xa[i] * yb[n - i] for i in range(len(xa)) if 0 <= n - i < len(yb)), f.ring.zero())
+                    for n in range(len(xa) + len(yb) - 1)]
+            prod = xs * ys
+            assert prod.poly == want and (prod.norm, prod.twist, prod.order) == (x.norm, x.twist, x.order)
+            assert [str(t) for t in prod.coeffs] == [str(ZetaTerm(c, j * x.twist % x.order, x.order))
+                                                     for j, c in enumerate(want)]
+            assert xs.discrepancy(ys) == [u - v for u, v in zip(xa, yb + [f.ring.zero()] * 2)]
+            assert ys.discrepancy(xs) == [v - u for u, v in zip(xa, yb + [f.ring.zero()] * 2)]
+
+
+def test_factor_equals_its_x_polynomial_at_another_tag():
+    f = oracle_form(23, 8, 1)
+    chi = char_values(class_group(23))[1]
+    for p in (2, 5):  # split and inert at 23
+        for fac in std_factor_lift(f, chi, p) + bc_factor(f, p, chi):
+            for tag in (-5, -1, 0, 3):
+                moved = EulerFactor(fac.ring, fac.norm, fraction_x_poly(fac.poly, fac.norm, -tag), fac.order,
+                                    fac.twist, tag)
+                assert moved == fac and fac == moved
+                assert moved.poly == fac.poly and [str(c) for c in moved.coeffs] == [str(c) for c in fac.coeffs]
+                assert moved.discrepancy(fac) == [f.ring.zero()] * (fac.degree + 1)
+                assert moved != replace(fac, shift=fac.shift + 1)
+                assert moved != replace(fac, twist=(fac.twist + 1) % fac.order)
+
+
+def test_wrong_standard_shift_fails_at_every_prime(monkeypatch):
+    # a standard factor tagged 3 - k/2 in place of 2 - k/2 breaks the identity
+    # at every p: its top coefficient Q^2 Np^2 never vanishes
+    expand = lfun._std_factors  # the expansion behind std_factor_lift
+
+    def one_too_high(f, chi, local):
+        return [replace(fac, shift=fac.shift + 1) for fac in expand(f, chi, local)]
+
+    monkeypatch.setattr(lfun, "_std_factors", one_too_high)
+    for f in (bundled_cm_form(), oracle_form(23, 8, 0)):
+        for chi in char_values(class_group(f.D)):
+            for p in (2, 3, 5, 11, 13, 17, 29):
+                assert all(fac.shift == 3 - f.k // 2 for fac in std_factor_lift(f, chi, p))
+                ok, disc = verify_product134(f, chi, p)
+                assert not ok and all(not d[4].is_zero() for d in disc), (f.D, p)
