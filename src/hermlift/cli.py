@@ -44,7 +44,7 @@ from .congr import build_eigen_system, maass_ideal_report
 from .elliptic import NewformData, _header, parse_newform
 from .hecke import HeckeOpId, act_split_on_lift
 from .maass import CoeffTable, MaassTuple, build_lift, check_maass, descend
-from .lfun import bc_factor, std_factor_lift, verify_product134
+from .lfun import _place_factors, _verify_factors
 from .quadfield import ClassChar, FieldParams, char_values, chi_K, class_group
 from .ring import VAL_CAP, HeckeElem, HeckeRing, _is_prime, primes_above
 
@@ -326,8 +326,7 @@ def cmd_euler(args, out: Out) -> int:
     for p in args.p:
         if p == f.D:
             raise CommandError(f"p = {p} is the ramified prime; factors are defined away from it")
-        factors = std_factor_lift(f, chi, p)
-        bc = bc_factor(f, p, chi)
+        factors, bc = _place_factors(f, chi, p)  # one read of the Satake pair and the places
         record = {
             "p": p,
             "std_factors": [[str(c) for c in fac.coeffs] for fac in factors],
@@ -339,7 +338,7 @@ def cmd_euler(args, out: Out) -> int:
         for fac in bc:
             text.append(f"  bc  (norm {fac.norm}): " + " | ".join(str(c) for c in fac.coeffs))
         if args.verify_product134:
-            ok, _ = verify_product134(f, chi, p)
+            ok, _ = _verify_factors(f, factors, bc)
             ok_all = ok_all and ok
             record["product134"] = "OK" if ok else "FAIL"
             text.append(f"  product134: {'OK' if ok else 'FAIL'}")
@@ -348,6 +347,8 @@ def cmd_euler(args, out: Out) -> int:
 
 
 def cmd_congruence(args, out: Out) -> int:
+    if args.cap < 1:
+        raise CommandError(f"--cap {args.cap} must be at least 1")
     forms = [_load_newform(path) for path in args.newforms]
     if not forms:
         raise CommandError("no newform files given")

@@ -55,15 +55,23 @@ def table_congruence(t1: CoeffTable, t2: CoeffTable, prime: PrimeAboveL, cap: in
     capped there: nothing else can lower the minimum, whatever the order of
     the points.  The walk stops once the minimum reaches the lowest bound
     over both tables, which is 0 for integral tables.
+
+    A lift table repeats one value per (det, content), so each distinct
+    pair of values, keyed by value and not by object, is visited once:
+    after its first visit the minimum is at most its valuation (capped at
+    the running minimum then), and a repeat, valued at min(val, running),
+    can never lower it.
     """
     if not t1.same_shape(t2):
         raise ValueError("tables must share bounds and ring")
     ell = prime.ell
     depth: int | float = INF
     floor = None  # the lowest bound, <= 0, taken once the depth first reaches 0
+    seen = set()
     for v, w in zip(t1.vals, t2.vals):
-        if v is w:
+        if v is w or (key := (v.num, v.den, w.num, w.den)) in seen:
             continue
+        seen.add(key)
         d, running = v - w, min(cap, depth)
         if d.is_zero() or -_val_int(d.den, ell) >= running:
             continue

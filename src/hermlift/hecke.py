@@ -453,14 +453,17 @@ class DescendedOp:
         powers = [q]
         for _ in range(max_deg):
             powers.append(apply_Tp(powers[-1], p, k, D))
+        # every n <= n_out lies inside each power's range: read the stored coefficients unchecked
+        terms = [(coeff, powers[deg].coeffs.get) for deg, coeff in self.tp_poly]
         out = QExpansion(q.ring, n_out)
         for n in range(1, n_out + 1):
-            acc = lincomb(q.ring, [(coeff, powers[deg].a(n)) for deg, coeff in self.tp_poly])
+            acc = lincomb(q.ring, [(c, v) for c, get in terms if (v := get(n)) is not None])
             if not acc.is_zero():
                 out.coeffs[n] = acc
         return out
 
 
+@cache  # bounded by the operators in use; values such as a(p) are never keys
 def descend_op(op: HeckeOpId, k: int) -> DescendedOp:
     """The exact polynomial in the classical T_p to which an operator descends.
 

@@ -240,11 +240,23 @@ def verify_product134(f: NewformData, chi: ClassChar, p: int) -> tuple[bool, lis
     exactly when P = Q, so their scalars are compared at a common shift.
     Returns (ok, per-prime X-coefficient discrepancies).
     """
-    shift = 2 - f.k // 2
+    return _verify_factors(f, *_place_factors(f, chi, p))
+
+
+def _place_factors(f: NewformData, chi: ClassChar, p: int) -> tuple[list[EulerFactor], list[EulerFactor]]:
+    """The standard and base-change factors at the primes above p, from one ``_local`` read."""
     local = _local(f, p, chi)
+    return _std_factors(f, chi, local), _bc_factors(f, chi, local)
+
+
+def _verify_factors(
+    f: NewformData, std: list[EulerFactor], bc: list[EulerFactor]
+) -> tuple[bool, list[list[HeckeElem]]]:
+    """``verify_product134`` on the factors ``_place_factors`` built."""
+    shift = 2 - f.k // 2
     discrepancies = []
     verified = None  # ((scalars, shift) of both sides, discrepancy) of the last place expanded
-    for left, b in zip(_std_factors(f, chi, local), _bc_factors(f, chi, local)):
+    for left, b in zip(std, bc):
         # conjugate primes above a split p share their scalars and shifts:
         # the product is expanded once, and reused only after checking that
         key = (left.scalars, left.shift, b.scalars, b.shift)

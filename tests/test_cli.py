@@ -370,6 +370,21 @@ def test_congruence_refuses_ell_outside_the_paper_range(tmp_path, capsys, k, ell
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_congruence_refuses_a_cap_below_one(tmp_path, capsys, cap):
+    # a cap below 1 would print "depth >= cap" entries that bound nothing
+    paths = []
+    for seed in (1, 2):
+        f = synthetic_newform(FieldParams(23, 8), GAUSS, "negate-x", p_max=20, seed=seed)
+        paths.append(tmp_path / f"f{seed}.nf")
+        paths[-1].write_text(format_newform(f))
+    assert main(["congruence", *map(str, paths), "--ell", "13", "--cap", cap]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == f"error: --cap {cap} must be at least 1\n"
+    code, out = run(capsys, "congruence", paths[0], paths[0], "--ell", "13", "--cap", "1")
+    assert code == 0 and "(self): depth >= 1" in out
+
+
 @pytest.mark.parametrize("argv, message", [
     (["hecke", "a.tbl", "b.tbl", "--op", "T0@3", "--bound-diag", "2"], "unrecognized arguments: --bound-diag 2"),
     (["hecke", "a.tbl", "b.tbl"], "the following arguments are required: --op"),

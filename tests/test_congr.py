@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermlift import congr, hecke
 from hermlift.congr import (
@@ -131,6 +132,65 @@ def test_table_congruence_with_ell_in_denominators_is_order_free():
             moved = moved_table(table, shifts)
             for t1, t2 in ((table, moved), (moved, table)):
                 assert table_congruence(t1, t2, prime) == reference_depth(t1, t2, prime) == (-2, False)
+
+
+def test_table_congruence_values_each_distinct_pair_once(monkeypatch):
+    # a lift table repeats one value per (det, content): at D = 23,
+    # det <= 92, diag 2, 257 lattice entries hold 40 distinct value pairs
+    D, ell, n_max = 23, 13, 92
+    f, g = perturbed_pair(D, 8, ell, 2, seed=4, p_max=n_max + 10)
+    tf, tg = (build_lift(x, trivial_char(), n_max).identity_table(n_max, 2) for x in (f, g))
+    pairs = {(v.num, v.den, w.num, w.den) for v, w in zip(tf.vals, tg.vals) if v is not w}
+    assert len(pairs) < len(tf.vals) // 2
+    calls, value = [], congr.val_at
+
+    def counting(prime, a, cap=VAL_CAP):
+        calls.append(a)
+        return value(prime, a, cap=cap)
+
+    for prime in primes_above(GAUSS, ell):
+        expected = reference_depth(tf, tg, prime)
+        monkeypatch.setattr(congr, "val_at", counting)
+        calls.clear()
+        assert table_congruence(tf, tg, prime) == expected
+        monkeypatch.undo()
+        assert 0 < len(calls) <= len(pairs) and expected[0] >= 2
+
+
+@st.composite
+def pooled_tables(draw):
+    """Two tables of one shape whose values come from a small pool, so pairs
+    repeat.  The pool crosses a few numerators with a few denominators, some
+    divisible by 13, and the second table differs from the first at a few
+    points, so the minimum often sits at one repeated pair."""
+    ring, coord = GAUSS, st.sampled_from([0, 1, -2, 5, 13, 169 * 3])
+    nums = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=2))
+    dens = draw(st.lists(st.sampled_from([1, 2, 13, 169, 26]), min_size=1, max_size=3, unique=True))
+    pool = [ring.zero()] + [HeckeElem(ring, num, den) for num in nums for den in dens]
+    idx = st.integers(0, len(pool) - 1)
+    shape = CoeffTable(FieldParams(7, 8), ring, 7 * 3, 1)
+    points = shape.points()
+    first = {h: pool[draw(idx)] for h in points}
+    moved = draw(st.lists(st.sampled_from(points), min_size=1, max_size=6))
+    second = {**first, **{h: pool[draw(idx)] for h in moved}}
+    t1, t2 = (CoeffTable(shape.params, ring, shape.bound_det, shape.bound_diag, v) for v in (first, second))
+    return t1, t2, draw(st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pooled_tables())
+def test_table_congruence_over_pooled_values_equals_the_full_minimum(tables):
+    t1, t2, cap = tables
+    for prime in primes_above(GAUSS, 13):
+        assert table_congruence(t1, t2, prime, cap=cap) == reference_depth(t1, t2, prime, cap)
+
+
+def test_descend_op_is_derived_once_per_operator_and_weight():
+    for op in default_ops(23, 13):
+        for k in (4, 8):
+            assert hecke.descend_op(op, k) is hecke.descend_op(op, k)
+    op = HeckeOpId.make("InertT0", 5, 23)
+    assert hecke.descend_op(op, 4) != hecke.descend_op(op, 8)
 
 
 @pytest.mark.parametrize("ell,m", [(13, 1), (13, 2), (17, 1), (17, 2)])

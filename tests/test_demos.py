@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree; the demos
+whose output is a computed result print exactly their committed golden."""
 
 import os
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 
 ROOT = Path(__file__).parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the Euler factors and the congruence depths, pinned byte for byte
+GOLDENS = {"04_euler_factors.py": "demo_04_euler_factors.out", "05_congruence_depths.py": "demo_05_congruence_depths.out"}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -18,3 +21,5 @@ def test_demo_exits_zero(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    if demo.name in GOLDENS:
+        assert proc.stdout == (ROOT / "tests" / "data" / GOLDENS[demo.name]).read_text()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermlift import hecke
-from hermlift.elliptic import synthetic_newform
+from hermlift.elliptic import QExpansion, apply_Tp, synthetic_newform
 from hermlift.hecke import (
     HeckeOpId,
     LazyAction,
@@ -36,7 +37,7 @@ from hermlift.quadfield import (
     split_type,
     trivial_char,
 )
-from hermlift.ring import HeckeRing
+from hermlift.ring import HeckeElem, HeckeRing
 
 ZZ = HeckeRing([0, 1])
 GAUSS = HeckeRing([1, 0, 1])
@@ -153,6 +154,40 @@ def test_inert_descent_diagram_raw_vs_closed():
             rhs = descend_op(HeckeOpId.make(kind, p, D), k).apply_to_qexp(psi, k, D)
             for n, h in pts.items():
                 assert raw[h] * a_K(D, n) == rhs.a(n), (kind, p, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([("SplitT1", 2), ("SplitT2", 3), ("InertT0", 5), ("InertT", 7), ("InertUp", 5)]),
+    st.sampled_from([4, 8]),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+)
+def test_apply_to_qexp_matches_the_per_index_formula(op, k, mult, seed):
+    # sum over the terms c T_p^d of c a_d(n), a_d read with bounds checks,
+    # on q-expansions with missing coefficients, stored zeros and fractions
+    D, ring, rng = 23, GAUSS, random.Random(seed)
+    dop = descend_op(HeckeOpId(*op), k)
+    max_deg = max(d for d, _ in dop.tp_poly)
+    q = QExpansion(ring, op[1] ** max_deg * mult + rng.randrange(op[1]))
+    for n in range(1, q.n_max + 1):
+        kind = rng.randrange(4)
+        if kind == 1:
+            q.coeffs[n] = ring.zero()
+        elif kind > 1:
+            q.coeffs[n] = HeckeElem(ring, (rng.randrange(-9, 10), rng.randrange(-9, 10)), rng.choice([1, 2, 3]))
+    powers = [q]
+    for _ in range(max_deg):
+        powers.append(apply_Tp(powers[-1], op[1], k, D))
+    expected = {}
+    for n in range(1, q.n_max // op[1] ** max_deg + 1):
+        acc = ring.zero()
+        for deg, c in dop.tp_poly:
+            acc = acc + ring.from_rational(c) * powers[deg].a(n)
+        if not acc.is_zero():
+            expected[n] = acc
+    out = dop.apply_to_qexp(q, k, D)
+    assert out.n_max == q.n_max // op[1] ** max_deg and out.coeffs == expected
 
 
 def test_inert_Up_descent_diagram():

@@ -210,6 +210,22 @@ def test_euler_json_golden(D, capsys):
     assert capsys.readouterr().out == (DATA / f"euler_d{D}_chi1.json").read_text()
 
 
+def test_euler_reads_each_place_once(capsys, monkeypatch):
+    # printing and verifying at a prime share one read of its Satake pair and places
+    calls, local = [], lfun._local
+
+    def counting(f, p, chi):
+        calls.append(p)
+        return local(f, p, chi)
+
+    monkeypatch.setattr(lfun, "_local", counting)
+    code = main(["--json", "euler", str(DATA / "euler_d23.nf"), "--p", "2", "--p", "3", "--p", "5",
+                 "--chi", "1", "--verify-product134"])
+    assert code == 0 and calls == [2, 3, 5]
+    golden = (DATA / "euler_d23_chi1.json").read_text().splitlines(keepends=True)
+    assert capsys.readouterr().out == "".join(golden[:3])
+
+
 @cache
 def oracle_form(D, k, seed):
     return synthetic_newform(FieldParams(D, k), GAUSS, "negate-x", p_max=40, seed=seed)
