@@ -23,37 +23,42 @@ character sum over the diagonal-block cosets:
          = -p^2 + p - 1     if p | det(h) but h is nonzero mod p,
          = p^3 - p^2 + p -1 if h = 0 mod p;
 
-these evaluations (rather than the rounded menu p, -p(p-1), p^2(p-1)
-sometimes quoted) are forced: only with them does the action preserve
-the divisor-sum condition at points of content divisible by p, and only
-with them do the two generators descend consistently to polynomials in
-the classical T_p (see descend_op).
+these evaluations, not the rounded menu p, -p(p-1), p^2(p-1) sometimes
+quoted, are forced: only they preserve the divisor-sum condition at
+contents divisible by p and descend the two generators consistently to
+polynomials in the classical T_p (see descend_op).
 
 All arguments of one term share a determinant: p^2 det(h) for the
 alpha-translates and c(p h), det(h)/p^2 for their quotients by p^2 and
 c(h/p), det(h) for the rest.  A lift's coefficient depends only on
 (det, content), by the divisor-sum condition, so on a lift one pass per
-point takes h's coordinates straight to a (det, content) -> multiplier
-dict, read through ``maass._lift_values``, the evaluator every lift
-reader shares.  Contents known from c = content(h) take no gcd (p h has
-p c, h/p has c/p, a quotient by p^2 its translate's over p^2).  alpha_a
-lies in GL_2 away from p, so it keeps every l-content for l != p, and at
-a residue that is not isotropic (isotropic: p | u3, the t3-slot of
-alpha_a* h alpha_a) the image is nonzero mod p: if h is too, the image
-keeps content c, so T_{p,0} counts those translates as one key
-(p^2 det, c), and T_p has none (their quotient by p is not integral).  At
-h = p h' the same holds for h': alpha_a* h alpha_a = p alpha_a* h' alpha_a,
-so the residues outside iso(h' mod p) give T_{p,0} the key (p^2 det, c)
-and T_p one term (p^2 - |iso(h' mod p)|) p p^k at (det, c/p); U_p's inner
-T_p is read at p h for every outer h.  Isotropy depends on h mod p alone,
-and unless h = 0 mod p at most p + 1 points of P^1 are isotropic (p + 1
-for a nondegenerate h mod p, one at rank 1), read from a list memoised by
-the class mod p for one application.  Tables and lazy sources
-(compositions, the outer T_p of U_p) are read one coefficient per
-argument, every translate listed; that per-coset reader is also the tests'
-reference for the keyed one.  Scalars are integers over the common
-denominator p^k, and each value is one ``ring.lincomb``; on a lift, points
-with the same multiplier dict share that sum within one application.
+point maps h's coordinates to a (det, content) -> multiplier dict, read
+through ``maass._lift_values``.  A point of P^1 is isotropic for h if p
+divides u3, the t3-slot of alpha_a* h alpha_a (p | t1 for diag(1, p)).
+
+Lemma.  If p does not divide det(h), c = content(h), the dicts over p^k are
+    T_{p,0}: p^4 (p+1) at (p^2 det, p c), p^4 (p^2-p) at (p^2 det, c),
+             S(h) p^k at (det, c);
+    T_p:     p^(k+1) (p+1) at (det, c), p^4 at (p^2 det, p c).
+Proof.  c^2 | det, so p does not divide c: h/p is not integral.  alpha_a
+lies in GL_2 away from p, so images keep h's l-content for l != p: isotropic
+translates over p (det prime to p) and non-isotropic ones (nonzero mod p)
+have content c, so no beta-translate is integral.  h mod p is nondegenerate,
+so exactly p + 1 points of P^1 are isotropic.
+
+Elsewhere each isotropic residue takes a gcd and the rest are lumped as in
+the proof: at h nonzero mod p they keep c (T_{p,0}'s key (p^2 det, c), none
+for T_p); at h = p h' the same holds for h' (alpha_a* h alpha_a =
+p alpha_a* h' alpha_a), so the residues off iso(h' mod p) give T_{p,0} the key
+(p^2 det, c) and T_p one term (p^2 - |iso(h' mod p)|) p p^k at (det, c/p),
+read by U_p's inner T_p at every p h.  Contents known from c take no gcd
+(p h has p c, h/p has c/p, a quotient by p^2 its translate's over p^2).
+Isotropy depends on h mod p alone: a list memoised by the class mod p for
+one application.  Tables and lazy sources (compositions, the outer T_p of
+U_p) are read one coefficient per coset image, the tests' reference for
+the keyed reader.  Scalars are integers over p^k; each value is one
+``ring.lincomb``, shared in one application by the points with one
+multiplier dict (or, per coset, one tuple of terms).
 
 Split primes act on lift data in closed form, on the generating function:
 relative to canonical class representatives,
@@ -265,8 +270,11 @@ def _coset_walk(kind: str, params: FieldParams, p: int) -> tuple[Callable[..., S
 
 def _coset_sum(get: Getter, ring: HeckeRing, den: int) -> Callable[[Slots], HeckeElem]:
     """Reads slots one source value per coset image, at the image's lattice
-    key (the term's det, then its coordinates): the reference reader."""
-    return lambda slots: lincomb(ring, [(s, get(det, *image)) for s, det, images in slots for image in images], den)
+    key (the term's det, then its coordinates): the reference reader.  Sums
+    are memoised on the tuple of (scalar, value) terms for one application:
+    U_p's outer T_p meets few distinct tuples at many points."""
+    total = cache(lambda terms: lincomb(ring, terms, den))
+    return lambda slots: total(tuple((s, get(det, *image)) for s, det, images in slots for image in images))
 
 
 def _diagonal_sum(p: int, det: int, c: int) -> int:
@@ -278,8 +286,12 @@ def _diagonal_sum(p: int, det: int, c: int) -> int:
 
 def _keyed_walk(t: MaassTuple, kind: str, p: int) -> Getter:
     """T_{p,0} or T_p on a lift, one pass per point from h's lattice key to
-    the (det, content) -> multiplier dict of its coset images (see the module
-    docstring), then one ``lincomb`` per distinct dict for the application.
+    the (det, content) -> multiplier dict of its coset images, then one
+    ``lincomb`` per distinct dict for the application.  At p not dividing
+    det the dict is the module docstring's lemma, by (det, c) alone: p does
+    not divide c (c^2 | det); images keep h's l-content for l != p, so
+    isotropic translates over p (det prime to p) and non-isotropic ones
+    (nonzero mod p) have content c; exactly p + 1 points are isotropic.
     Dets enter the dict in the order ``_coset_walk`` reads them, so a short
     alpha raises the RangeError the per-coset reader raises."""
     iso = _isotropic(t.params, p)
@@ -288,8 +300,19 @@ def _keyed_walk(t: MaassTuple, kind: str, p: int) -> Getter:
     den, hi, lo, mid = p ** k, p ** 4, p ** (2 * k), p ** (k + 1)  # p^(4-k), p^k, p times den
     sums: dict[tuple, HeckeElem] = {}
 
+    @cache
+    def coprime(det: int, c: int) -> HeckeElem:  # p does not divide det: the lemma's dict
+        if t0:
+            terms = [(hi * (p + 1), value(pp * det, p * c)), (hi * (pp - p), value(pp * det, c)),
+                     (_diagonal_sum(p, det, c) * den, value(det, c))]
+        else:
+            terms = [(mid * (p + 1), value(det, c)), (hi, value(pp * det, p * c))]
+        return lincomb(ring, terms, den)
+
     def walk(det: int, t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
         c = gcd(t1, t3, wa, wb)
+        if det % p:
+            return coprime(det, c)
         if c % p:
             res = iso(t1 % p, t3 % p, wa % p, wb % p)
         else:  # h = p h': the residues off iso(h' mod p) are lumped below

@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +38,7 @@ from hermlift.quadfield import (
     split_type,
     trivial_char,
 )
-from hermlift.ring import HeckeElem, HeckeRing
+from hermlift.ring import HeckeElem, HeckeRing, lincomb
 
 ZZ = HeckeRing([0, 1])
 GAUSS = HeckeRing([1, 0, 1])
@@ -263,11 +264,15 @@ def test_keyed_lift_kernel_matches_per_coset_reference(data):
     k = data.draw(st.sampled_from((8, 12)), "k")
     reach = p ** (4 if kind == "InertUp" else 2)  # alpha read at reach * det
     budget = 6000
-    # the zero point, det-0 points of content p and p^2, then drawn points of
-    # positive det with their multiples by 2, p, 2p, p^2 and p^3 while alpha
-    # stays within the budget; one drawn point has rank 1 mod p (p | det, h
-    # nonzero mod p), where a single point of P^1 is isotropic
-    pts = [point(D, 0, 0), point(D, p, 0), point(D, 0, p * p)]
+    # the zero point, det-0 points of content p and p^2, a point with p not
+    # dividing det (the lemma's closed-form dict; of det up to 7 where the
+    # budget leaves none, as at D = 23, p = 7 under U_p), then drawn points
+    # of positive det with their multiples by 2, p, 2p, p^2 and p^3 while
+    # alpha stays within the budget; one drawn point has rank 1 mod p (p | det,
+    # h nonzero mod p), where a single point of P^1 is isotropic
+    coprime = [h for h in enumerate_points(D, max(budget // reach, 7), 2) if h.det_scaled() % p]
+    lemma_point = data.draw(st.sampled_from(coprime), "coprime")
+    pts = [point(D, 0, 0), point(D, p, 0), point(D, 0, p * p), lemma_point]
     pool = [h for h in enumerate_points(D, budget // reach, 2) if h.det_scaled() > 0]
     rank1 = [h for h in pool if h.det_scaled() % p == 0 and any(c % p for c in h.coords())]
     drawn = [data.draw(st.sampled_from(pool)) for _ in range(data.draw(st.integers(1, 3), "npoints"))] if pool else []
@@ -288,6 +293,14 @@ def test_keyed_lift_kernel_matches_per_coset_reference(data):
         assert str(keyed_err.value) == str(ref_err.value)
     else:
         assert eval_inert_raw(t, kind, p, pts) == eval_inert_raw(ref, kind, p, pts)
+    # alpha one short of the deepest read at the point with p not dividing det
+    t = replace(t, alpha_max=min(t.alpha_max, reach * lemma_point.det_scaled() - 1))
+    ref = LazyAction(_lift_getter(t), t.params, t.ring)
+    with pytest.raises(RangeError) as keyed_err:
+        eval_inert_raw(t, kind, p, [lemma_point])
+    with pytest.raises(RangeError) as ref_err:
+        eval_inert_raw(ref, kind, p, [lemma_point])
+    assert str(keyed_err.value) == str(ref_err.value)
 
 
 @pytest.mark.parametrize("D, p", [(7, 3), (7, 5), (7, 7), (23, 3), (23, 5), (23, 7), (11, 2)])
@@ -321,6 +334,31 @@ def test_isotropic_residues_match_full_scan(D, p, monkeypatch):
             assert lines == (p * p + 1 if (r1, r3, ra, rb) == (0, 0, 0, 0) else 1 if det % p == 0 else p + 1)
         assert len(full(*h.sort_key())[0][2]) == p * p + 1
         assert sum(m for (d, _), m in keyed(*h.sort_key()).items() if d == p * p * det) == p ** 4 * (p * p + 1)
+
+
+@pytest.mark.parametrize("D, p", [(7, 3), (7, 5), (11, 2), (11, 7), (23, 5), (23, 7)])
+def test_images_at_points_prime_to_p_have_the_lemma_contents(D, p):
+    # the lemma behind the keyed walk's closed form, image by image on the
+    # per-coset walk alone: at p not dividing det(h), with c = content(h),
+    # exactly p + 1 points of P^1 are isotropic (p | u3, or p | t1 for
+    # diag(1, p)); T_{p,0}'s alpha-translates there have content p c and c
+    # elsewhere, T_p's mid images (those translates over p) have c and p h has
+    # p c, and no beta-translate and no h/p is integral
+    params = FieldParams(D, 8)
+    t0, _ = _coset_walk("InertT0", params, p)
+    t, _ = _coset_walk("InertT", params, p)
+    pts = [h for h in enumerate_points(D, 6 * D, 3) if h.det_scaled() % p]
+    for h in pts:
+        key, c = h.sort_key(), math.gcd(*h.coords())
+        (_, _, up), (_, _, beta), _ = t0(*key)
+        iso = [image[1] % p == 0 for image in up[:-1]] + [h.t1 % p == 0]
+        assert sum(iso) == p + 1, h
+        assert [math.gcd(*image) for image in up] == [p * c if i else c for i in iso], h
+        (_, _, mid), (_, _, up_T), (_, _, down) = t(*key)
+        assert mid == [tuple(x // p for x in image) for image, i in zip(up, iso) if i], h
+        assert {math.gcd(*image) for image in mid} == {c} and [math.gcd(*image) for image in up_T] == [p * c], h
+        assert beta == down == [], h
+    assert len(pts) >= 10
 
 
 def test_isotropic_memo_holds_one_list_per_class_mod_p(monkeypatch):
@@ -394,6 +432,87 @@ def test_keyed_T_at_p_times_a_generic_point_takes_few_gcds(p, monkeypatch):
         get(p * p * h.det_scaled(), p * h.t1, p * h.t3, p * h.w.a, p * h.w.b)
         assert len(calls) <= p + 4, h
     assert len(pts) >= 4
+
+
+@pytest.mark.parametrize("D, p", [(7, 3), (11, 2), (23, 5)])
+def test_keyed_walk_prime_to_p_takes_one_gcd_and_one_sum_per_det_and_content(D, p, monkeypatch):
+    # at p not dividing det the keyed walk reads the lemma's dict: content(h)
+    # is its only gcd, and the points of one (det, content) share one lincomb
+    # in an application
+    gcds, sums = [], []
+    real = hecke.lincomb
+    monkeypatch.setattr(hecke, "gcd", lambda *args: gcds.append(args) or math.gcd(*args))
+    monkeypatch.setattr(hecke, "lincomb", lambda *args: sums.append(args) or real(*args))
+    pts = [h for h in enumerate_points(D, 12 * D, 4) if h.det_scaled() % p]
+    keys = {(h.det_scaled(), math.gcd(*h.coords())) for h in pts}
+    t = random_alpha_tuple(FieldParams(D, 8), trivial_char(), GAUSS, p * p * 12 * D, seed=D)
+    for kind in ("InertT0", "InertT"):
+        gcds.clear()
+        sums.clear()
+        eval_inert_raw(t, kind, p, pts)
+        assert len(gcds) == len(pts) and len(sums) == len(keys) < len(pts) // 2, kind
+
+
+def test_up_outer_reader_sums_each_term_tuple_once(monkeypatch):
+    # U_p's outer T_p reads the inner image one coefficient per coset image;
+    # on a deep lift table (diag 6) its points meet few distinct tuples of
+    # (scalar, value) terms, and each tuple takes one lincomb
+    sums, tuples, per_point = [], set(), []
+    real_sum, real_lincomb = hecke._coset_sum, hecke.lincomb
+    monkeypatch.setattr(hecke, "lincomb", lambda *args: sums.append(args) or real_lincomb(*args))
+
+    def spy(get, ring, den):
+        read = real_sum(get, ring, den)
+
+        def counted(slots):
+            # reading the terms first memoises the inner values, so the sums
+            # counted below are the outer reader's own
+            tuples.add(tuple((s, get(det, *image)) for s, det, images in slots for image in images))
+            before = len(sums)
+            out = read(slots)
+            per_point.append(len(sums) - before)
+            return out
+
+        return counted
+
+    monkeypatch.setattr(hecke, "_coset_sum", spy)
+    t = random_alpha_tuple(FieldParams(7, 8), trivial_char(), ZZ, 81 * 108, seed=6, spread=5)
+    out = act_inert_Up(t, 3, 108, 6)
+    assert len(per_point) == len(out.lattice) and sum(per_point) == len(tuples) < len(per_point) // 10
+
+
+def per_coset_reference(get, kind, p, params, ring):
+    """The per-coset reader with no memo on its sums: one lincomb per point."""
+    slots, den = _coset_walk(kind, params, p)
+    return cache(lambda *key: lincomb(ring, [(s, get(det, *im)) for s, det, ims in slots(*key) for im in ims], den))
+
+
+@pytest.mark.parametrize("source", ["lift", "random"])
+def test_inert_tables_match_the_reader_without_memos(source):
+    # the lemma's dict on a lift and the per-coset reader's memo on term
+    # tuples leave every table as one lincomb per point gives it: on a lift,
+    # and on a lazy table that is no lift (read by the per-coset reader, as a
+    # CoeffTable is), its values taken from a small pool by a mix of the
+    # coordinates, so that term tuples repeat while tuples with equal
+    # scalars differ
+    D, p, params = 7, 3, FieldParams(7, 8)
+    if source == "lift":
+        src = random_alpha_tuple(params, trivial_char(), GAUSS, 81 * 28, seed=5, spread=4)
+        get = _lift_getter(src)
+    else:
+        pool = [HeckeElem(GAUSS, (a, b), d) for a in (-1, 0, 2) for b in (0, 1) for d in (1, 3)]
+        get = lambda det, t1, t3, wa, wb: pool[(det + 3 * t1 + 5 * t3 + 7 * wa + 11 * wb) % len(pool)]
+        src = LazyAction(get, params, GAUSS)
+    ref_T = per_coset_reference(get, "InertT", p, params, GAUSS)
+    refs = {
+        act_inert_T0: per_coset_reference(get, "InertT0", p, params, GAUSS),
+        act_inert_T: ref_T,
+        act_inert_Up: per_coset_reference(ref_T, "InertT", p, params, GAUSS),
+    }
+    for act, ref in refs.items():
+        out = act(src, p, 28, 2)
+        assert out.vals == [ref(*key) for key in out.lattice], act.__name__
+        assert sum(not v.is_zero() for v in out.vals) > len(out.vals) // 2, act.__name__
 
 
 def split_reference(t, op):
