@@ -119,12 +119,15 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
                     num = tuple(map(int, parts[5:slash]))
                     if len(num) != g:
                         raise ValueError(f"{len(num)} numerator coordinates for a ring of degree {g}")
-                    i = index.get((D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q), t1, t3, wa, wb))
+                    det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
+                    i = index.get((det, t1, t3, wa, wb))
                     if i is None:
                         raise ValueError(f"point {(t1, t3, wa, wb)} outside bound_det {bound_det}, "
                                          f"bound_diag {bound_diag}")
                     if i in placed:
                         raise ValueError(f"duplicate point {(t1, t3, wa, wb)}")
+                    if not det and any(num):
+                        raise ValueError(f"nonzero value at the singular point {(t1, t3, wa, wb)} (cusp forms)")
                     placed.add(i)
                     v = HeckeElem(ring, num, int(parts[slash + 1]))
                     vals[i] = v if any(num) else zero
@@ -442,7 +445,8 @@ def main(argv: list[str] | None = None) -> int:
         out = Out(args.json)
         return args.func(args, out)
     except (CommandError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message: print the message itself
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}", file=sys.stderr)
         return 2
 
 

@@ -47,7 +47,7 @@ class NewformData:
         if p == self.D:
             return self.aDK
         if p not in self.ap:
-            raise KeyError(f"eigenvalue at p = {p} not ingested (label {self.label!r})")
+            raise KeyError(f"eigenvalue at p = {p} not ingested (label {self.label})")
         return self.ap[p]
 
     def p_max(self) -> int:

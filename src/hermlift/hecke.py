@@ -31,34 +31,29 @@ polynomials in the classical T_p (see descend_op).
 All arguments of one term share a determinant: p^2 det(h) for the
 alpha-translates and c(p h), det(h)/p^2 for their quotients by p^2 and
 c(h/p), det(h) for the rest.  A lift's coefficient depends only on
-(det, content), by the divisor-sum condition, so on a lift one pass per
-point maps h's coordinates to a (det, content) -> multiplier dict, read
-through ``maass._lift_values``.  A point of P^1 is isotropic for h if p
-divides u3, the t3-slot of alpha_a* h alpha_a (p | t1 for diag(1, p)).
+(det, content), by the divisor-sum condition.  Relative to (det(h), c),
+c = content(h), the (det, content) multipliers of h's coset images depend
+only on the row
 
-Lemma.  If p does not divide det(h), c = content(h), the dicts over p^k are
-    T_{p,0}: p^4 (p+1) at (p^2 det, p c), p^4 (p^2-p) at (p^2 det, c),
-             S(h) p^k at (det, c);
-    T_p:     p^(k+1) (p+1) at (det, c), p^4 at (p^2 det, p c).
-Proof.  c^2 | det, so p does not divide c: h/p is not integral.  alpha_a
-lies in GL_2 away from p, so images keep h's l-content for l != p: isotropic
-translates over p (det prime to p) and non-isotropic ones (nonzero mod p)
-have content c, so no beta-translate is integral.  h mod p is nondegenerate,
-so exactly p + 1 points of P^1 are isotropic.
+    (min(v_p(det) - 2 v_p(c), 2), min(v_p(c), m)),  m = 2 for T_{p,0}, 1 for T_p,
 
-Elsewhere each isotropic residue takes a gcd and the rest are lumped as in
-the proof: at h nonzero mod p they keep c (T_{p,0}'s key (p^2 det, c), none
-for T_p); at h = p h' the same holds for h' (alpha_a* h alpha_a =
-p alpha_a* h' alpha_a), so the residues off iso(h' mod p) give T_{p,0} the key
-(p^2 det, c) and T_p one term (p^2 - |iso(h' mod p)|) p p^k at (det, c/p),
-read by U_p's inner T_p at every p h.  Contents known from c take no gcd
-(p h has p c, h/p has c/p, a quotient by p^2 its translate's over p^2).
-Isotropy depends on h mod p alone: a list memoised by the class mod p for
-one application.  Tables and lazy sources (compositions, the outer T_p of
-U_p) are read one coefficient per coset image, the tests' reference for
-the keyed reader.  Scalars are integers over p^k; each value is one
-``ring.lincomb``, shared in one application by the points with one
-multiplier dict (or, per coset, one tuple of terms).
+with rows of their own for singular h (det 0, by min(v_p(c), m)) and for
+h = 0: a hermitian lattice over the unramified quadratic extension of Q_p
+(one for every D) is fixed by its Jordan invariants, here (v_p(c),
+v_p(det) - v_p(c)) (R. Jacobowitz, Hermitian forms over local fields,
+Amer. J. Math. 84 (1962)), and the coset sum is invariant under GL_2 of
+the local order.  Row (0, 0), p not dividing det, over p^k: T_{p,0}
+p^4 (p+1) at (p^2 det, p c), p^4 (p^2-p) at (p^2 det, c), S(h) p^k at
+(det, c); T_p p^(k+1) (p+1) at (det, c), p^4 at (p^2 det, p c).  ``_rows``
+derives each row once per process from ``_coset_walk`` at one
+representative; the tests check the rows against the walk at every point
+of deep shapes in four fields.  On a lift a point takes one gcd and each
+(det, content) one ``ring.lincomb``, memoised for one application; the
+T_p image of (det, content)-keyed data is so keyed again, so U_p on a lift
+is the keyed T_p twice.  Tables and lazy sources are read one coefficient
+per coset image, the tests' reference for the keyed reader; a point of P^1
+is isotropic for h if p divides u3, the t3-slot of alpha_a* h alpha_a
+(p | t1 for diag(1, p)), a condition on h mod p alone.
 
 Split primes act on lift data in closed form, on the generating function:
 relative to canonical class representatives,
@@ -92,7 +87,7 @@ from .quadfield import (
     prime_class,
     split_type,
 )
-from .ring import HeckeElem, HeckeRing, lincomb
+from .ring import HeckeElem, HeckeRing, _val_int, lincomb
 
 # kind -> (short name, p-power reach)
 _KINDS = {
@@ -223,7 +218,7 @@ def _isotropic(params: FieldParams, p: int) -> Callable[[int, int, int, int], tu
 def _coset_walk(kind: str, params: FieldParams, p: int) -> tuple[Callable[..., Slots], int]:
     """The coset images of h under T_{p,0} or T_p, one slot per term, and
     the denominator p^k of the slots' integer scalars: how tables and lazy
-    sources are read, and the reference for ``_keyed_walk``.
+    sources are read, and where ``_rows`` come from.
 
     ``slots(det, t1, t3, wa, wb)``, on h's lattice key, gives (scalar, det,
     images) per term: the coordinates (t1, t3, w.a, w.b) of the arguments
@@ -270,9 +265,9 @@ def _coset_walk(kind: str, params: FieldParams, p: int) -> tuple[Callable[..., S
 
 def _coset_sum(get: Getter, ring: HeckeRing, den: int) -> Callable[[Slots], HeckeElem]:
     """Reads slots one source value per coset image, at the image's lattice
-    key (the term's det, then its coordinates): the reference reader.  Sums
-    are memoised on the tuple of (scalar, value) terms for one application:
-    U_p's outer T_p meets few distinct tuples at many points."""
+    key (the term's det, then its coordinates), for tables and lazy sources
+    (not lifts).  Sums are memoised on the tuple of (scalar, value) terms
+    for one application: deep shapes meet few distinct tuples."""
     total = cache(lambda terms: lincomb(ring, terms, den))
     return lambda slots: total(tuple((s, get(det, *image)) for s, det, images in slots for image in images))
 
@@ -284,89 +279,59 @@ def _diagonal_sum(p: int, det: int, c: int) -> int:
     return p ** 3 - p * p + p - 1 if c % p == 0 else -p * p + p - 1
 
 
-def _keyed_walk(t: MaassTuple, kind: str, p: int) -> Getter:
-    """T_{p,0} or T_p on a lift, one pass per point from h's lattice key to
-    the (det, content) -> multiplier dict of its coset images, then one
-    ``lincomb`` per distinct dict for the application.  At p not dividing
-    det the dict is the module docstring's lemma, by (det, c) alone: p does
-    not divide c (c^2 | det); images keep h's l-content for l != p, so
-    isotropic translates over p (det prime to p) and non-isotropic ones
-    (nonzero mod p) have content c; exactly p + 1 points are isotropic.
-    Dets enter the dict in the order ``_coset_walk`` reads them, so a short
+Row = tuple[tuple[tuple[int, int], int], ...]  # ((e, j), scalar over p^k) at (p^e det, p^j content)
+
+
+@cache  # one derivation per (kind, params, p) for the process
+def _rows(kind: str, params: FieldParams, p: int) -> tuple[Callable[[int, int], Row], int]:
+    """T_{p,0} or T_p by local type: the row of h as a function of (det(h),
+    content(h)), and the denominator p^k.  Row (a, b) is ``_coset_walk`` at
+    p^b (1, p^a, 0, 0), the singular row (None, b) at p^b (1, 0, 0, 0) and
+    row None at h = 0, each image's (det, content) relative to h's, in the
+    slots' order; at det 0 every image has det 0 (e = 0), at h = 0 all are 0."""
+    slots, den = _coset_walk(kind, params, p)
+    m, D = (2 if kind == "InertT0" else 1), params.D
+    rel = lambda x, y: _val_int(x, p) - _val_int(y, p) if y else 0
+
+    def walk(t1: int, t3: int) -> Row:
+        det, c, row = D * t1 * t3, gcd(t1, t3), {}
+        for s, d, images in slots(det, t1, t3, 0, 0):
+            for image in images:
+                key = (rel(d, det), rel(gcd(*image), c))
+                row[key] = row.get(key, 0) + s
+        return tuple(row.items())
+
+    table = {(a, b): walk(p ** b, 0 if a is None else p ** (a + b)) for a in (0, 1, 2, None) for b in range(m + 1)}
+    table[None] = walk(0, 0)
+
+    def row(det: int, c: int) -> Row:
+        if not c:
+            return table[None]
+        v = _val_int(c, p)
+        return table[min(_val_int(det, p) - 2 * v, 2) if det else None, min(v, m)]
+
+    return row, den
+
+
+def _keyed(value: Callable, ring: HeckeRing, p: int, row: Callable, den: int) -> Callable[[int, int], HeckeElem]:
+    """The image of (det, content)-keyed data under the operator of ``row``,
+    so keyed again: one ``lincomb`` per (det, c), memoised for one
+    application, reading values in the slots' det order, so that a short
     alpha raises the RangeError the per-coset reader raises."""
-    iso = _isotropic(t.params, p)
-    value = _lift_values(t.alpha, t.alpha_max, t.k, t.ring)
-    ring, pp, k, t0 = t.ring, p * p, t.k, kind == "InertT0"
-    den, hi, lo, mid = p ** k, p ** 4, p ** (2 * k), p ** (k + 1)  # p^(4-k), p^k, p times den
-    sums: dict[tuple, HeckeElem] = {}
+    scale = lambda n, e: n * p ** e if e >= 0 else n // p ** -e
 
     @cache
-    def coprime(det: int, c: int) -> HeckeElem:  # p does not divide det: the lemma's dict
-        if t0:
-            terms = [(hi * (p + 1), value(pp * det, p * c)), (hi * (pp - p), value(pp * det, c)),
-                     (_diagonal_sum(p, det, c) * den, value(det, c))]
-        else:
-            terms = [(mid * (p + 1), value(det, c)), (hi, value(pp * det, p * c))]
-        return lincomb(ring, terms, den)
+    def at(det: int, c: int) -> HeckeElem:
+        return lincomb(ring, [(s, value(scale(det, e), scale(c, j))) for (e, j), s in row(det, c)], den)
 
-    def walk(det: int, t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
-        c = gcd(t1, t3, wa, wb)
-        if det % p:
-            return coprime(det, c)
-        if c % p:
-            res = iso(t1 % p, t3 % p, wa % p, wb % p)
-        else:  # h = p h': the residues off iso(h' mod p) are lumped below
-            res = iso(t1 // p % p, t3 // p % p, wa // p % p, wb // p % p)
-        rest = pp - len(res)
-        mult: dict[tuple[int, int], int] = {}
-        get = mult.get
-        if t0:
-            up, downs = pp * det, []
-            for na, x, y, c1, c2 in res:
-                u3 = na * t1 + t3 + wb * x - wa * y
-                va, vb = t1 * c1 + wa, t1 * c2 + wb
-                key = (up, gcd(pp * t1, u3, p * va, p * vb))
-                mult[key] = get(key, 0) + hi
-                if u3 % pp == 0 and va % p == 0 and vb % p == 0:
-                    downs.append(key[1] // pp)  # the beta-translate is the alpha-translate / p^2
-            key = (up, gcd(t1, pp * t3, p * wa, p * wb))  # diag(1, p)
-            mult[key] = get(key, 0) + hi
-            if t1 % pp == 0 and wa % p == 0 and wb % p == 0:
-                downs.append(key[1] // pp)
-            if rest:  # the non-isotropic translates keep h's content
-                mult[up, c] = get((up, c), 0) + hi * rest
-            for e in downs:
-                key = (det // pp, e)
-                mult[key] = get(key, 0) + lo
-            mult[det, c] = get((det, c), 0) + _diagonal_sum(p, det, c) * den
-        else:
-            for na, x, y, c1, c2 in res:
-                u3 = na * t1 + t3 + wb * x - wa * y
-                key = (det, gcd(p * t1, u3 // p, t1 * c1 + wa, t1 * c2 + wb))
-                mult[key] = get(key, 0) + mid
-            if t1 % p == 0:
-                key = (det, gcd(t1 // p, p * t3, wa, wb))
-                mult[key] = get(key, 0) + mid
-            if c % p == 0 and rest:  # h = p h': the non-isotropic translates of h' keep its content
-                mult[det, c // p] = get((det, c // p), 0) + mid * rest
-            mult[pp * det, p * c] = get((pp * det, p * c), 0) + hi
-            if c % p == 0:
-                mult[det // pp, c // p] = get((det // pp, c // p), 0) + lo
-        signature = tuple(mult.items())
-        v = sums.get(signature)
-        if v is None:
-            v = sums[signature] = lincomb(ring, [(m, value(*key)) for key, m in signature], den)
-        return v
-
-    return walk
+    return at
 
 
 def _op_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
-    """Memoized evaluator of an inert operator applied to src, on lattice keys."""
-    if kind == "InertUp":
-        # U_p = T_p twice: T_p applied to the memoized T_p image
-        src, kind = LazyAction(*_op_getter(src, "InertT", p)), "InertT"
-    if kind not in ("InertT0", "InertT"):
+    """Memoized evaluator of an inert operator applied to src, on lattice keys;
+    U_p is T_p twice, on a lift the keyed T_p of the keyed T_p image."""
+    steps = {"InertT0": ("InertT0",), "InertT": ("InertT",), "InertUp": ("InertT", "InertT")}.get(kind)
+    if steps is None:
         raise ValueError(f"raw inert evaluation supports InertT0, InertT and InertUp, not {kind}")
     if not isinstance(src, (MaassTuple, CoeffTable, LazyAction)):
         raise TypeError("expected a MaassTuple, CoeffTable or LazyAction")
@@ -374,10 +339,15 @@ def _op_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
     if split_type(params.D, p) is not SplitType.INERT:
         raise ValueError(f"p = {p} is not inert for discriminant {params.D}")
     if isinstance(src, MaassTuple):
-        return cache(_keyed_walk(src, kind, p)), params, ring
-    slots, den = _coset_walk(kind, params, p)
-    read = _coset_sum(src.getter if isinstance(src, LazyAction) else _table_getter(src), ring, den)
-    return cache(lambda *key: read(slots(*key))), params, ring
+        at = _lift_values(src.alpha, src.alpha_max, src.k, ring)
+        for step in steps:
+            at = _keyed(at, ring, p, *_rows(step, params, p))
+        return lambda det, t1, t3, wa, wb: at(det, gcd(t1, t3, wa, wb)), params, ring
+    get = src.getter if isinstance(src, LazyAction) else _table_getter(src)
+    for step in steps:
+        slots, den = _coset_walk(step, params, p)
+        get = cache(lambda *key, read=_coset_sum(get, ring, den), slots=slots: read(slots(*key)))
+    return get, params, ring
 
 
 def eval_inert_raw(src, kind: str, p: int, points: Iterable[HermPoint]) -> dict[HermPoint, HeckeElem]:

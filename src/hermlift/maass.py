@@ -120,7 +120,8 @@ class MaassTuple:
     condition; the component at class index b is zeta^chi.exponent(b) times
     the identity component, with an extra global factor zeta^zeta_exp
     accumulated by split Hecke operators.  ``alpha_max`` is the largest
-    index at which alpha is known to be valid.
+    index at which alpha is known to be valid.  Lifts are cusp forms, so
+    an alpha with index 0 (a value at singular points) is refused.
     """
 
     params: FieldParams
@@ -130,6 +131,10 @@ class MaassTuple:
     alpha_max: int
     zeta_exp: int = 0
     source_label: str = ""
+
+    def __post_init__(self):
+        if 0 in self.alpha:
+            raise ValueError("alpha has index 0: a cusp form vanishes at singular points")
 
     @property
     def D(self) -> int:
@@ -305,8 +310,9 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
     """Test the divisor-sum membership condition on a full table.
 
     Extracts a candidate alpha from primitive points (content 1, first in
-    canonical order for each determinant value), then verifies the
-    condition at every point against the lift values of that alpha.
+    canonical order for each positive determinant value), then verifies
+    the condition at every point against the lift values of that alpha,
+    which vanish at singular points (cusp forms).
     Returns (True, alpha) on success and (False, first offending point) on
     failure.  Determinant values not realised by any primitive point in
     range are unconstrained, and points whose divisor sum reads one are
@@ -316,12 +322,12 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
     # alpha at each determinant's first primitive point; skipped: determinants no primitive point has
     alpha, constrained, dets, zero = {}, set(), set(), t.ring.zero()
     for (det, eps), v in zip(keys, t.vals):
-        if eps:
+        if det:
             dets.add(det)
-        if eps == 1 and det not in constrained:
-            constrained.add(det)
-            if v is not zero:
-                alpha[det] = v
+            if eps == 1 and det not in constrained:
+                constrained.add(det)
+                if v is not zero:
+                    alpha[det] = v
     skipped = dets - constrained
     if unconstrained is not None:
         unconstrained |= skipped

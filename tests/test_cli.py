@@ -177,7 +177,7 @@ DENOMINATOR_FAULTS = {
 @pytest.mark.parametrize(
     "fault",
     ["point before field", "coordinate count", "duplicate point", "zero denominator", "out of bounds",
-     *HEADER_FAULTS, *REPEATED_HEADERS, *DENOMINATOR_FAULTS],
+     "singular point", *HEADER_FAULTS, *REPEATED_HEADERS, *DENOMINATOR_FAULTS],
 )
 def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault):
     nf, f = synth_file
@@ -215,6 +215,9 @@ def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault
     elif fault == "out of bounds":
         lines.append(f"point 5 5 0 0 {' '.join(parts[5:-2])} / 1")  # det 25 D > 100, diag 5 > 2
         bad_line = len(lines)
+    elif fault == "singular point":
+        lines.append(f"point 0 1 0 0 {' '.join(parts[5:-2])} / 1")  # det 0, where a cusp form vanishes
+        bad_line = len(lines)
     elif fault in DENOMINATOR_FAULTS:
         lines[last] = " ".join(parts[:-2] + DENOMINATOR_FAULTS[fault][0])
         bad_line = last + 1
@@ -248,6 +251,16 @@ def test_malformed_newform_header_exits_2_at_its_line(tmp_path, capsys, synth_fi
     code = main(["lift", str(nf), str(tmp_path / "lift.tbl")])
     assert code == 2
     assert f"{nf}: malformed newform line {i + 1}:" in capsys.readouterr().err
+
+
+def test_newform_file_short_of_the_bound_exits_2_with_its_message(tmp_path, capsys, synth_file):
+    # a missing eigenvalue is a KeyError inside the library; the user reads
+    # its message, not its repr
+    nf, f = synth_file
+    code = main(["lift", str(nf), str(tmp_path / "lift.tbl"), "--bound-det", str(2 * f.p_max())])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: eigenvalue at p = ") and "not ingested" in err
+    assert "'" not in err and '"' not in err
 
 
 def test_config_environment_variable_is_not_read(tmp_path, monkeypatch):
@@ -474,8 +487,10 @@ def test_table_file_round_trip_and_values_view(D, ring, bound_diag, det_excess, 
 @given(D=st.sampled_from([7, 23]), ring=st.sampled_from([ZZ, GAUSS]), bound_det=st.integers(0, 120),
        bound_diag=st.integers(0, 3), data=st.data())
 def test_read_table_gives_back_any_written_table(D, ring, bound_det, bound_diag, data):
-    # any values, not only a lift's: signs, denominators, zeros, every class character
-    points = CoeffTable(FieldParams(D, 8), ring, bound_det, bound_diag).points()
+    # any values, not only a lift's: signs, denominators, zeros, every class
+    # character; at points of positive det, since a nonzero singular value is
+    # refused (test_read_table_refuses_a_nonzero_singular_value)
+    points = [h for h in CoeffTable(FieldParams(D, 8), ring, bound_det, bound_diag).points() if h.det_scaled()]
     coords = st.lists(st.integers(-50, 50), min_size=ring.degree, max_size=ring.degree)
     value = st.builds(lambda c, d: ring.element(c, d), coords, st.integers(1, 12))
     values = data.draw(st.dictionaries(st.sampled_from(points), value, max_size=40)) if points else {}

@@ -115,6 +115,19 @@ def test_inert_range_error_names_deficit():
             past_range()
 
 
+def test_inert_sources_agree_at_singular_points():
+    # D = 7, k = 8, random alpha of seed 3, T_{p,0} and T_p at p = 3 on shape
+    # (14, 1): the lift, its table and a lazy source of it give one value at
+    # every point, singular ones included, and the images pass check_maass
+    params = FieldParams(7, 8)
+    t = random_alpha_tuple(params, trivial_char(), ZZ, 126, seed=3)
+    sources = (t, t.identity_table(126, 23), LazyAction(_lift_getter(t), params, ZZ))
+    for act in (act_inert_T0, act_inert_T):
+        lift, table, lazy = (act(src, 3, 14, 1) for src in sources)
+        assert lift.vals == table.vals == lazy.vals and check_maass(lift)[0], act.__name__
+        assert any(not key[0] for key in lift.lattice) and any(not v.is_zero() for v in lift.vals)
+
+
 def test_split_descent_diagram_T1_T2():
     # descend(T(lift)) = Desc(T)(descend(lift)) coefficientwise, exactly
     D, k, N = 23, 8, 120
@@ -240,15 +253,6 @@ def test_inert_operators_commute():
     assert a.values == b.values
 
 
-def keyed_multipliers(monkeypatch, t, kind, p):
-    """_keyed_walk on t with its sum replaced by the (det, content) ->
-    multiplier dict it sums: every lift value is its own key, and lincomb
-    hands back its terms."""
-    monkeypatch.setattr(hecke, "_lift_values", lambda *args: lambda det, c: (det, c))
-    monkeypatch.setattr(hecke, "lincomb", lambda ring, terms, den: {key: m for m, key in terms})
-    return hecke._keyed_walk(t, kind, p)
-
-
 INERT_PRIMES = {7: (3, 5), 11: (2, 7), 23: (5, 7)}  # the two smallest at each D
 
 
@@ -304,20 +308,20 @@ def test_keyed_lift_kernel_matches_per_coset_reference(data):
 
 
 @pytest.mark.parametrize("D, p", [(7, 3), (7, 5), (7, 7), (23, 3), (23, 5), (23, 7), (11, 2)])
-def test_isotropic_residues_match_full_scan(D, p, monkeypatch):
+def test_isotropic_residues_match_full_scan(D, p):
     # for every h mod p: the memoised list is exactly the residues a = x + y
     # omega at which alpha_a* h alpha_a has t3 divisible by p, with t3 from
     # QuadInt arithmetic (and from transform_integral at one class).  At an
     # inert p the isotropic points of P^1 (the residues, and diag(1, p) when
     # p | t1) number p^2 + 1 at h = 0 mod p, one when p | det, and p + 1
     # otherwise.  The per-coset T_{p,0} walk lists all p^2 + 1
-    # alpha-translates; the keyed walk on a lift walks the isotropic ones and
-    # lumps the rest, so its multipliers at det p^2 det(h) still add up to
-    # p^(4-k) (p^2 + 1) over the denominator p^k
+    # alpha-translates, and the row of h, which lumps them by (det, content),
+    # still adds up to p^(4-k) (p^2 + 1) over the denominator p^k at det
+    # p^2 det(h)
     params = FieldParams(D, 8)
     iso = _isotropic(params, p)
     full, _ = _coset_walk("InertT0", params, p)
-    keyed = keyed_multipliers(monkeypatch, random_alpha_tuple(params, trivial_char(), ZZ, 1), "InertT0", p)
+    row, _ = hecke._rows("InertT0", params, p)
     residues = [QuadInt(x, y, D) for x in range(p) for y in range(p)]
     t3_pad = p * p * (params.norm_c + 2)  # keeps every representative positive
     for r1, r3, ra, rb in itertools.product(range(p), repeat=4):
@@ -333,7 +337,7 @@ def test_isotropic_residues_match_full_scan(D, p, monkeypatch):
             lines = len(scan) + (r1 == 0)
             assert lines == (p * p + 1 if (r1, r3, ra, rb) == (0, 0, 0, 0) else 1 if det % p == 0 else p + 1)
         assert len(full(*h.sort_key())[0][2]) == p * p + 1
-        assert sum(m for (d, _), m in keyed(*h.sort_key()).items() if d == p * p * det) == p ** 4 * (p * p + 1)
+        assert sum(m for (e, _), m in row(det, math.gcd(*h.coords())) if e == 2) == p ** 4 * (p * p + 1)
 
 
 @pytest.mark.parametrize("D, p", [(7, 3), (7, 5), (11, 2), (11, 7), (23, 5), (23, 7)])
@@ -361,17 +365,137 @@ def test_images_at_points_prime_to_p_have_the_lemma_contents(D, p):
     assert len(pts) >= 10
 
 
+ROW_CASES = {7: (3, 5), 11: (2, 7), 23: (5, 7), 43: (2, 3, 5, 7)}  # the inert p < 8 at each D
+
+
+def walked_row(slots, p, h):
+    """The (det, content) -> multiplier dict of the coset walk at h, relative
+    to h's (det, c): each key (e, j) with p^e = det' / det and p^j = c' / c,
+    or the ratio itself where it is no power of p; 0 at det 0 and at c = 0,
+    where every image has det 0 and content 0."""
+    det, c = h.det_scaled(), math.gcd(*h.coords())
+    powers = {Fraction(p) ** e: e for e in range(-4, 5)}
+    rel = lambda x, y: powers.get(Fraction(x, y), Fraction(x, y)) if y else 0
+    row = {}
+    for s, d, images in slots(*h.sort_key()):
+        for image in images:
+            key = (rel(d, det), rel(math.gcd(*image), c))
+            row[key] = row.get(key, 0) + s
+    return row
+
+
+def row_type(p, h):
+    """(min(v_p(det) - 2 v_p(c), 2), min(v_p(c), 2)) with None for the first
+    entry at det 0, or None at h = 0: the type of h under T_{p,0}."""
+    v = lambda n: next(e for e in itertools.count() if n % p ** (e + 1))
+    det, c = h.det_scaled(), math.gcd(*h.coords())
+    return (min(v(det) - 2 * v(c), 2) if det else None, min(v(c), 2)) if c else None
+
+
+@pytest.mark.parametrize("D", sorted(ROW_CASES))
+def test_rows_match_the_coset_walk_at_every_point(D):
+    # the rows' claim, tested and not assumed: at every point of a shape,
+    # at a point (1, t3, 1) with v_p(det) = a for a = 1, 2, 3, and at the
+    # multiples of all of these by p and p^2 (and p^3 at p = 2), so that
+    # v_p(c) reaches 2 (3 at p = 2), past each row cap, the coset walk's
+    # relative dict is the one _rows holds for the point's (det, content).
+    # Singular points and h = 0 are included, every type is reached, and
+    # k = 12 is tested as well as 8 at the first p, since scalars carry p^k
+    shape = enumerate_points(D, 2 * D, 2)
+    for p in ROW_CASES[D]:
+        # det = D t3 - 1 with p^a | det and p^(a + 1) not
+        t3s = [next(t for t in itertools.count(1) if (D * t - 1) % p ** a == 0 < (D * t - 1) % p ** (a + 1))
+               for a in (1, 2, 3)]
+        deep = [point(D, 1, t3, 1) for t3 in t3s]
+        pts = [point(D, *(p ** b * x for x in h.coords())) for h in shape + deep for b in range(4 if p == 2 else 3)]
+        types = {(a, b) for a in (0, 1, 2, None) for b in (0, 1, 2)} | {None}
+        assert {row_type(p, h) for h in pts} == types
+        assert max(math.gcd(*h.coords()) for h in pts) % p ** (3 if p == 2 else 2) == 0
+        for k in (8, 12) if p == ROW_CASES[D][0] else (8,):
+            params = FieldParams(D, k)
+            for kind in ("InertT0", "InertT"):
+                slots, _ = _coset_walk(kind, params, p)
+                row, _ = hecke._rows(kind, params, p)
+                for h in pts:
+                    assert walked_row(slots, p, h) == dict(row(h.det_scaled(), math.gcd(*h.coords()))), (kind, p, k, h)
+
+
+def test_rows_do_not_depend_on_the_field():
+    # a row depends on (kind, p, k) only: for each p, rows of every type
+    # agree across the fields in which p is inert
+    by_p = {}
+    for D, primes in ROW_CASES.items():
+        for p in primes:
+            by_p.setdefault(p, []).append(D)
+    assert all(len(fields) >= 2 for fields in by_p.values())
+    for p, fields in by_p.items():
+        types = [(p ** (a + 2 * b), p ** b) for a in range(4) for b in range(4)]
+        types += [(0, p ** b) for b in range(4)] + [(0, 0)]
+        for kind in ("InertT0", "InertT"):
+            rows = [hecke._rows(kind, FieldParams(D, 8), p)[0] for D in fields]
+            want = [dict(rows[0](*x)) for x in types]
+            assert all([dict(row(*x)) for x in types] == want for row in rows[1:]), (kind, p)
+
+
+def test_rows_are_derived_once_per_operator_field_and_prime():
+    # a process derives each (kind, params, p) row table once, T_{p,0}'s and
+    # T_p's (U_p reads T_p's): applications after the first read the cached
+    # rows, whatever the lift or the shape
+    params = FieldParams(43, 8)
+    lifts = [random_alpha_tuple(params, trivial_char(), ring, 81 * 86, seed=s) for ring, s in ((ZZ, 1), (GAUSS, 2))]
+    misses = hecke._rows.cache_info().misses
+    for act, shape in ((act_inert_T0, (43 * 8, 2)), (act_inert_T, (43 * 8, 2)), (act_inert_Up, (43 * 2, 1))):
+        act(lifts[0], 3, *shape)
+    assert hecke._rows.cache_info().misses <= misses + 2
+    misses = hecke._rows.cache_info().misses
+    for t in lifts:
+        for act, shape in ((act_inert_T0, (43 * 4, 3)), (act_inert_T, (43 * 8, 1)), (act_inert_Up, (43 * 2, 2))):
+            act(t, 3, *shape)
+    assert hecke._rows.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("D, p", [(7, 3), (11, 2), (23, 5)])
+def test_keyed_reader_takes_one_gcd_per_point_and_one_sum_per_det_and_content(D, p, monkeypatch):
+    # at every point, p | det included: content(h) is the point's one gcd,
+    # and each distinct (det, content) one lincomb in an application;
+    # U_p on a lift is the keyed T_p twice and reads no coset sum
+    gcds, sums = [], []
+    real = hecke.lincomb
+    monkeypatch.setattr(hecke, "gcd", lambda *args: gcds.append(args) or math.gcd(*args))
+    monkeypatch.setattr(hecke, "lincomb", lambda *args: sums.append(args) or real(*args))
+    monkeypatch.setattr(hecke, "_coset_sum", lambda *args: pytest.fail("a coset sum on a lift"))
+    pts = enumerate_points(D, 12 * D, 2 * p)
+    keys = {(h.det_scaled(), math.gcd(*h.coords())) for h in pts}
+    assert any(d % p == 0 and c % p == 0 for d, c in keys)
+    t = random_alpha_tuple(FieldParams(D, 8), trivial_char(), GAUSS, p ** 4 * 12 * D, seed=D)
+    for kind in ("InertT0", "InertT", "InertUp"):
+        hecke._rows("InertT" if kind == "InertUp" else kind, t.params, p)
+        gcds.clear()
+        sums.clear()
+        eval_inert_raw(t, kind, p, pts)
+        assert len(gcds) == len(pts), kind
+        assert len(sums) == len(keys) < len(pts) // 2 if kind != "InertUp" else len(keys) < len(sums), kind
+
+
 def test_isotropic_memo_holds_one_list_per_class_mod_p(monkeypatch):
-    # every operator application builds one memo; it is keyed by h mod p, so
-    # it never holds more than p^4 lists, and deep tables reuse them
+    # a lift is read by rows and builds no memo once they are derived; every
+    # per-coset application of T_p builds one (U_p on a lazy source two).
+    # It is keyed by h mod p, so it never holds more than p^4 lists, and
+    # deep tables reuse them
     made = []
     real = hecke._isotropic
-    monkeypatch.setattr(hecke, "_isotropic", lambda params, p: made.append(real(params, p)) or made[-1])
     params = FieldParams(7, 8)
+    for kind in ("InertT0", "InertT"):
+        hecke._rows(kind, params, 3)
+    monkeypatch.setattr(hecke, "_isotropic", lambda params, p: made.append(real(params, p)) or made[-1])
     t = random_alpha_tuple(params, trivial_char(), ZZ, 81 * 7 * 9 + 40, seed=8, spread=4)
     act_inert_T0(t, 3, 7 * 36, 6)
     act_inert_Up(t, 3, 7 * 9, 3)
-    assert len(made) == 3  # T0 on the lift, then U_p's inner T (keyed) and outer T (per coset)
+    assert made == []
+    lazy = LazyAction(_lift_getter(t), params, ZZ)
+    act_inert_T(lazy, 3, 7 * 36, 6)
+    act_inert_Up(lazy, 3, 7 * 9, 3)
+    assert len(made) == 3  # T, then U_p's inner and outer T
     for memo in made:
         info = memo.cache_info()
         assert 0 < info.currsize <= 3 ** 4 and info.hits > info.currsize
@@ -434,39 +558,22 @@ def test_keyed_T_at_p_times_a_generic_point_takes_few_gcds(p, monkeypatch):
     assert len(pts) >= 4
 
 
-@pytest.mark.parametrize("D, p", [(7, 3), (11, 2), (23, 5)])
-def test_keyed_walk_prime_to_p_takes_one_gcd_and_one_sum_per_det_and_content(D, p, monkeypatch):
-    # at p not dividing det the keyed walk reads the lemma's dict: content(h)
-    # is its only gcd, and the points of one (det, content) share one lincomb
-    # in an application
-    gcds, sums = [], []
-    real = hecke.lincomb
-    monkeypatch.setattr(hecke, "gcd", lambda *args: gcds.append(args) or math.gcd(*args))
-    monkeypatch.setattr(hecke, "lincomb", lambda *args: sums.append(args) or real(*args))
-    pts = [h for h in enumerate_points(D, 12 * D, 4) if h.det_scaled() % p]
-    keys = {(h.det_scaled(), math.gcd(*h.coords())) for h in pts}
-    t = random_alpha_tuple(FieldParams(D, 8), trivial_char(), GAUSS, p * p * 12 * D, seed=D)
-    for kind in ("InertT0", "InertT"):
-        gcds.clear()
-        sums.clear()
-        eval_inert_raw(t, kind, p, pts)
-        assert len(gcds) == len(pts) and len(sums) == len(keys) < len(pts) // 2, kind
-
-
 def test_up_outer_reader_sums_each_term_tuple_once(monkeypatch):
-    # U_p's outer T_p reads the inner image one coefficient per coset image;
-    # on a deep lift table (diag 6) its points meet few distinct tuples of
-    # (scalar, value) terms, and each tuple takes one lincomb
-    sums, tuples, per_point = [], set(), []
+    # U_p on a lazy source (a lift's own getter) reads its inner T_p image
+    # one coefficient per coset image; on a deep shape (diag 6) the outer
+    # reader's points meet few distinct tuples of (scalar, value) terms, and
+    # each tuple takes one lincomb
+    sums, readers = [], []
     real_sum, real_lincomb = hecke._coset_sum, hecke.lincomb
     monkeypatch.setattr(hecke, "lincomb", lambda *args: sums.append(args) or real_lincomb(*args))
 
     def spy(get, ring, den):
-        read = real_sum(get, ring, den)
+        read, tuples, per_point = real_sum(get, ring, den), set(), []
+        readers.append((tuples, per_point))
 
         def counted(slots):
             # reading the terms first memoises the inner values, so the sums
-            # counted below are the outer reader's own
+            # counted below are this reader's own
             tuples.add(tuple((s, get(det, *image)) for s, det, images in slots for image in images))
             before = len(sums)
             out = read(slots)
@@ -477,8 +584,10 @@ def test_up_outer_reader_sums_each_term_tuple_once(monkeypatch):
 
     monkeypatch.setattr(hecke, "_coset_sum", spy)
     t = random_alpha_tuple(FieldParams(7, 8), trivial_char(), ZZ, 81 * 108, seed=6, spread=5)
-    out = act_inert_Up(t, 3, 108, 6)
+    out = act_inert_Up(LazyAction(_lift_getter(t), t.params, t.ring), 3, 108, 6)
+    (_, inner), (tuples, per_point) = readers
     assert len(per_point) == len(out.lattice) and sum(per_point) == len(tuples) < len(per_point) // 10
+    assert len(inner) > len(per_point)
 
 
 def per_coset_reference(get, kind, p, params, ring):
@@ -588,7 +697,7 @@ def test_split_term_table_matches_hand_written_loops(data):
     # alpha with gaps and explicit zeros
     alpha_max = data.draw(st.integers(0, 4 * p ** op.reach), "alpha_max")
     coords = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-    drawn = data.draw(st.dictionaries(st.integers(0, alpha_max), coords, max_size=80), "alpha")
+    drawn = data.draw(st.dictionaries(st.integers(1, max(alpha_max, 1)), coords, max_size=80), "alpha")
     alpha = {n: GAUSS.element(list(c)) for n, c in drawn.items()}
     t = MaassTuple(FieldParams(D, k), chi, GAUSS, alpha, alpha_max, zeta_exp)
     got = act_split_on_lift(t, op)

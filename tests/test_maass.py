@@ -124,6 +124,22 @@ def test_check_maass_roundtrip_and_fault():
     assert not ok2 and witness == h2
 
 
+def test_maass_tuple_is_a_cusp_form():
+    # an alpha with index 0 would give singular points a value: a MaassTuple
+    # refuses it, and check_maass extracts no alpha(0), so it fails at the
+    # first nonzero singular coefficient, h = 0 included
+    params = FieldParams(7, 8)
+    t = random_alpha_tuple(params, TRIV, GAUSS, 7 * 9, seed=3)
+    with pytest.raises(ValueError, match="index 0"):
+        replace(t, alpha={**t.alpha, 0: GAUSS.one()})
+    table = t.identity_table(7 * 9, 3)
+    singular = [h for h in table.points() if h.det_scaled() == 0]
+    assert len(singular) > 4 and check_maass(table)[0]
+    for h in (singular[0], singular[1], singular[4]):
+        bad = CoeffTable(params, GAUSS, table.bound_det, table.bound_diag, {**table.values, h: GAUSS.one()})
+        assert check_maass(bad) == (False, h) == check_maass_reference(bad), h
+
+
 def test_check_maass_zero_table():
     params = FieldParams(7, 8)
     table = CoeffTable(params, GAUSS, 40, 2)
@@ -133,17 +149,18 @@ def test_check_maass_zero_table():
 
 def check_maass_reference(table):
     """check_maass as a loop over enumerate_points in canonical order: alpha
-    from the first primitive point of each determinant, then the first point
+    from the first primitive point of each positive determinant (a cusp
+    form vanishes at singular points), then the first point
     whose value differs from its divisor sum, skipping points that read a
     determinant no primitive point realises."""
     pts = enumerate_points(table.D, table.bound_det, table.bound_diag)
     alpha, primitive = {}, set()
     for h in pts:
-        if not h.is_zero() and content(h) == 1 and h.det_scaled() not in primitive:
+        if h.det_scaled() and content(h) == 1 and h.det_scaled() not in primitive:
             primitive.add(h.det_scaled())
             if not table.get(h).is_zero():
                 alpha[h.det_scaled()] = table.get(h)
-    free = {h.det_scaled() for h in pts if not h.is_zero()} - primitive
+    free = {h.det_scaled() for h in pts if h.det_scaled()} - primitive
     for h in pts:
         c = 0 if h.is_zero() else content(h)
         if any(c % d == 0 and h.det_scaled() // (d * d) in free for d in range(1, c + 1)):
@@ -301,11 +318,11 @@ def test_lift_loops_match_per_index_reference(D, ring, involution, k, den, seed,
         f = halved(f)
     alpha = alpha_from_newform(f, n_max)
     assert list(alpha.items()) == list(alpha_reference(f, n_max).items())
-    # a sparse alpha, unsorted, with zeros, index 0 and indices past n_max,
-    # and the full one
+    # a sparse alpha, unsorted, with zeros and indices past n_max, and the
+    # full one (an index 0 is refused: test_maass_tuple_is_a_cusp_form)
     keep = data.draw(st.sets(st.sampled_from(sorted(alpha) or [1])))
     sparse = {n: alpha[n] for n in keep if n in alpha}
-    sparse.update({0: ring.one(), n_max + 5: ring.one(), 2: ring.zero()})
+    sparse.update({n_max + 5: ring.one(), 2: ring.zero()})
     for a in (alpha, sparse):
         t = MaassTuple(f.params, TRIV, ring, a, n_max + 5)
         cut = data.draw(st.integers(1, n_max + 5))
@@ -392,10 +409,10 @@ INERT = {7: 3, 23: 5}
     st.data(),
 )
 def test_lift_values_match_per_point_divisor_sum(D, k, bound_diag, bound_det, data):
-    # alpha with gaps (missing keys) and explicit zeros, index 0 included
+    # alpha with gaps (missing keys) and explicit zeros
     alpha_max = bound_det + data.draw(st.integers(0, 20))
     coords = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-    drawn = data.draw(st.dictionaries(st.integers(0, alpha_max), coords, max_size=alpha_max + 1))
+    drawn = data.draw(st.dictionaries(st.integers(1, max(alpha_max, 1)), coords, max_size=alpha_max + 1))
     alpha = {n: GAUSS.element(list(c)) for n, c in drawn.items()}
     t = MaassTuple(FieldParams(D, k), TRIV, GAUSS, alpha, alpha_max)
 
