@@ -120,14 +120,14 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
                     if len(num) != g:
                         raise ValueError(f"{len(num)} numerator coordinates for a ring of degree {g}")
                     det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
+                    if not det:
+                        raise ValueError(f"value at the singular point {(t1, t3, wa, wb)} (cusp forms)")
                     i = index.get((det, t1, t3, wa, wb))
                     if i is None:
                         raise ValueError(f"point {(t1, t3, wa, wb)} outside bound_det {bound_det}, "
                                          f"bound_diag {bound_diag}")
                     if i in placed:
                         raise ValueError(f"duplicate point {(t1, t3, wa, wb)}")
-                    if not det and any(num):
-                        raise ValueError(f"nonzero value at the singular point {(t1, t3, wa, wb)} (cusp forms)")
                     placed.add(i)
                     v = HeckeElem(ring, num, int(parts[slash + 1]))
                     vals[i] = v if any(num) else zero

@@ -37,12 +37,12 @@ only on the row
 
     (min(v_p(det) - 2 v_p(c), 2), min(v_p(c), m)),  m = 2 for T_{p,0}, 1 for T_p,
 
-with rows of their own for singular h (det 0, by min(v_p(c), m)) and for
-h = 0: a hermitian lattice over the unramified quadratic extension of Q_p
-(one for every D) is fixed by its Jordan invariants, here (v_p(c),
-v_p(det) - v_p(c)) (R. Jacobowitz, Hermitian forms over local fields,
-Amer. J. Math. 84 (1962)), and the coset sum is invariant under GL_2 of
-the local order.  Row (0, 0), p not dividing det, over p^k: T_{p,0}
+for every h of positive det (the only points tables hold, and their images
+have positive det too): a hermitian lattice over the unramified quadratic
+extension of Q_p (one for every D) is fixed by its Jordan invariants, here
+(v_p(c), v_p(det) - v_p(c)) (R. Jacobowitz, Hermitian forms over local
+fields, Amer. J. Math. 84 (1962)), and the coset sum is invariant under
+GL_2 of the local order.  Row (0, 0), p not dividing det, over p^k: T_{p,0}
 p^4 (p+1) at (p^2 det, p c), p^4 (p^2-p) at (p^2 det, c), S(h) p^k at
 (det, c); T_p p^(k+1) (p+1) at (det, c), p^4 at (p^2 det, p c).  ``_rows``
 derives each row once per process from ``_coset_walk`` at one
@@ -142,12 +142,10 @@ class HeckeOpId:
 
 
 def _table_getter(table: CoeffTable) -> Getter:
-    zero, bd, bg = table.ring.zero(), table.bound_det, table.bound_diag
+    bd, bg = table.bound_det, table.bound_diag
     index, vals = table.index, table.vals
 
     def get(det: int, t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
-        if not det:  # coefficients at singular points vanish identically
-            return zero
         if t1 > bg or t3 > bg or det > bd:
             raise RangeError(
                 f"input table bounds (det<={bd}, diag<={bg}) do not cover the "
@@ -273,7 +271,7 @@ def _coset_sum(get: Getter, ring: HeckeRing, den: int) -> Callable[[Slots], Heck
 
 
 def _diagonal_sum(p: int, det: int, c: int) -> int:
-    """S(h) from det(h) and c = content(h); det = 0 counts as p | det."""
+    """S(h) from det(h) and c = content(h)."""
     if det % p:
         return p - 1
     return p ** 3 - p * p + p - 1 if c % p == 0 else -p * p + p - 1
@@ -286,12 +284,11 @@ Row = tuple[tuple[tuple[int, int], int], ...]  # ((e, j), scalar over p^k) at (p
 def _rows(kind: str, params: FieldParams, p: int) -> tuple[Callable[[int, int], Row], int]:
     """T_{p,0} or T_p by local type: the row of h as a function of (det(h),
     content(h)), and the denominator p^k.  Row (a, b) is ``_coset_walk`` at
-    p^b (1, p^a, 0, 0), the singular row (None, b) at p^b (1, 0, 0, 0) and
-    row None at h = 0, each image's (det, content) relative to h's, in the
-    slots' order; at det 0 every image has det 0 (e = 0), at h = 0 all are 0."""
+    p^b (1, p^a, 0, 0), each image's (det, content) relative to h's, in the
+    slots' order."""
     slots, den = _coset_walk(kind, params, p)
     m, D = (2 if kind == "InertT0" else 1), params.D
-    rel = lambda x, y: _val_int(x, p) - _val_int(y, p) if y else 0
+    rel = lambda x, y: _val_int(x, p) - _val_int(y, p)
 
     def walk(t1: int, t3: int) -> Row:
         det, c, row = D * t1 * t3, gcd(t1, t3), {}
@@ -301,14 +298,11 @@ def _rows(kind: str, params: FieldParams, p: int) -> tuple[Callable[[int, int], 
                 row[key] = row.get(key, 0) + s
         return tuple(row.items())
 
-    table = {(a, b): walk(p ** b, 0 if a is None else p ** (a + b)) for a in (0, 1, 2, None) for b in range(m + 1)}
-    table[None] = walk(0, 0)
+    table = {(a, b): walk(p ** b, p ** (a + b)) for a in (0, 1, 2) for b in range(m + 1)}
 
     def row(det: int, c: int) -> Row:
-        if not c:
-            return table[None]
         v = _val_int(c, p)
-        return table[min(_val_int(det, p) - 2 * v, 2) if det else None, min(v, m)]
+        return table[min(_val_int(det, p) - 2 * v, 2), min(v, m)]
 
     return row, den
 
@@ -351,9 +345,10 @@ def _op_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
 
 
 def eval_inert_raw(src, kind: str, p: int, points: Iterable[HermPoint]) -> dict[HermPoint, HeckeElem]:
-    """Raw coset action evaluated at selected points (no table materialised)."""
-    get, _, _ = _op_getter(src, kind, p)
-    return {h: get(*h.sort_key()) for h in points}
+    """Raw coset action evaluated at selected points (no table materialised);
+    the ring's zero at singular points, where cusp forms vanish."""
+    get, _, ring = _op_getter(src, kind, p)
+    return {h: get(*key) if (key := h.sort_key())[0] else ring.zero() for h in points}
 
 
 def inert_action(src, kind: str, p: int) -> LazyAction:

@@ -147,10 +147,10 @@ def identity_matrix(D: int):
 
 
 def enumerate_points(D: int, bound_det: int, bound_diag: int) -> list[HermPoint]:
-    """All lattice points with t1, t3 <= bound_diag and det_scaled <= bound_det.
+    """All lattice points with t1, t3 <= bound_diag and 0 < det_scaled <= bound_det.
 
-    Includes the zero point and the singular (det 0) points; canonically
-    sorted so that table files are byte-stable.
+    Cusp forms vanish at singular (det 0) points, so none is listed;
+    canonically sorted so that table files are byte-stable.
     """
     return [HermPoint(t1, t3, QuadInt(a, b, D)) for _, t1, t3, a, b in _lattice(D, bound_det, bound_diag)]
 
@@ -160,23 +160,21 @@ def _lattice(D: int, bound_det: int, bound_diag: int) -> list[tuple[int, int, in
     w.b), in the same order: the list a ``CoeffTable`` aligns its values with.
 
     For each diagonal, w runs over the annulus
-    D t1 t3 - bound_det <= N(w) <= D t1 t3.
+    D t1 t3 - bound_det <= N(w) < D t1 t3.
     """
     if bound_det < 0 or bound_diag < 0:
         raise ValueError("bounds must be nonnegative")
-    raw = [(0, 0, 0, 0, 0)]  # (det, t1, t3, a, b), the canonical sort key
-    for t in range(1, bound_diag + 1):
-        raw += [(0, t, 0, 0, 0), (0, 0, t, 0, 0)]
+    raw = []  # (det, t1, t3, a, b), the canonical sort key
     for t1 in range(1, bound_diag + 1):
         for t3 in range(1, bound_diag + 1):
             cap4 = 4 * D * t1 * t3
-            bmax = math.isqrt(4 * t1 * t3)
+            bmax = math.isqrt(4 * t1 * t3 - 1)
             for b in range(-bmax, bmax + 1):
                 # 4 N(a + b omega) = u^2 + D b^2 with u = 2a + b, so u has the
-                # parity of b and outer >= u^2 >= inner
+                # parity of b and outer > u^2 >= inner
                 outer, inner = cap4 - D * b * b, cap4 - 4 * bound_det - D * b * b
                 lo = math.isqrt(inner - 1) + 1 if inner > 0 else 0
-                for u in range(lo + (lo - b) % 2, math.isqrt(outer) + 1, 2):
+                for u in range(lo + (lo - b) % 2, math.isqrt(outer - 1) + 1, 2):
                     det = (outer - u * u) // 4
                     raw += [(det, t1, t3, (v - b) // 2, b) for v in ((u, -u) if u else (0,))]
     raw.sort()

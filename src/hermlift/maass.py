@@ -184,8 +184,8 @@ def _lift_values(alpha: dict[int, Coeff], alpha_max: int, k: int, ring: HeckeRin
         sum_{d | c} d^(k-1) alpha(det / d^2),
 
     memoised for the one reader that builds it.  Missing alpha values are
-    zero; a vanishing sum (content 0, the zero point, has no divisors) is
-    the ring's shared zero.  Past ``alpha_max`` it raises RangeError.
+    zero; a vanishing sum is the ring's shared zero.  Past ``alpha_max`` it
+    raises RangeError.
     """
 
     @cache
@@ -310,9 +310,8 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
     """Test the divisor-sum membership condition on a full table.
 
     Extracts a candidate alpha from primitive points (content 1, first in
-    canonical order for each positive determinant value), then verifies
-    the condition at every point against the lift values of that alpha,
-    which vanish at singular points (cusp forms).
+    canonical order for each determinant value), then verifies the
+    condition at every point against the lift values of that alpha.
     Returns (True, alpha) on success and (False, first offending point) on
     failure.  Determinant values not realised by any primitive point in
     range are unconstrained, and points whose divisor sum reads one are
@@ -320,15 +319,13 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
     """
     keys = [(det, gcd(t1, t3, a, b)) for det, t1, t3, a, b in t.lattice]
     # alpha at each determinant's first primitive point; skipped: determinants no primitive point has
-    alpha, constrained, dets, zero = {}, set(), set(), t.ring.zero()
+    alpha, constrained, zero = {}, set(), t.ring.zero()
     for (det, eps), v in zip(keys, t.vals):
-        if det:
-            dets.add(det)
-            if eps == 1 and det not in constrained:
-                constrained.add(det)
-                if v is not zero:
-                    alpha[det] = v
-    skipped = dets - constrained
+        if eps == 1 and det not in constrained:
+            constrained.add(det)
+            if v is not zero:
+                alpha[det] = v
+    skipped = {det for det, _ in keys} - constrained
     if unconstrained is not None:
         unconstrained |= skipped
     value = _lift_values(alpha, t.bound_det, t.params.k, t.ring)

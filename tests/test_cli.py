@@ -177,7 +177,7 @@ DENOMINATOR_FAULTS = {
 @pytest.mark.parametrize(
     "fault",
     ["point before field", "coordinate count", "duplicate point", "zero denominator", "out of bounds",
-     "singular point", *HEADER_FAULTS, *REPEATED_HEADERS, *DENOMINATOR_FAULTS],
+     "singular point", "zero singular point", *HEADER_FAULTS, *REPEATED_HEADERS, *DENOMINATOR_FAULTS],
 )
 def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault):
     nf, f = synth_file
@@ -218,6 +218,9 @@ def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault
     elif fault == "singular point":
         lines.append(f"point 0 1 0 0 {' '.join(parts[5:-2])} / 1")  # det 0, where a cusp form vanishes
         bad_line = len(lines)
+    elif fault == "zero singular point":
+        lines.append(f"point 1 1 -1 2 {' '.join('0' for _ in parts[5:-2])} / 1")  # det 0, value 0: no table has it
+        bad_line = len(lines)
     elif fault in DENOMINATOR_FAULTS:
         lines[last] = " ".join(parts[:-2] + DENOMINATOR_FAULTS[fault][0])
         bad_line = last + 1
@@ -232,6 +235,8 @@ def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault
         assert f"{tbl}:{bad_line}:" in err
         if fault in DENOMINATOR_FAULTS:
             assert DENOMINATOR_FAULTS[fault][1] in err
+        if "singular" in fault:
+            assert "singular point" in err and "(cusp forms)" in err and "outside" not in err
 
 
 @pytest.mark.parametrize("fault", ["field 21", "weight 6", "field 7 23", "weight 7 9", "involution negate-x trivial",
@@ -488,9 +493,8 @@ def test_table_file_round_trip_and_values_view(D, ring, bound_diag, det_excess, 
        bound_diag=st.integers(0, 3), data=st.data())
 def test_read_table_gives_back_any_written_table(D, ring, bound_det, bound_diag, data):
     # any values, not only a lift's: signs, denominators, zeros, every class
-    # character; at points of positive det, since a nonzero singular value is
-    # refused (test_read_table_refuses_a_nonzero_singular_value)
-    points = [h for h in CoeffTable(FieldParams(D, 8), ring, bound_det, bound_diag).points() if h.det_scaled()]
+    # character, at any point of the table
+    points = CoeffTable(FieldParams(D, 8), ring, bound_det, bound_diag).points()
     coords = st.lists(st.integers(-50, 50), min_size=ring.degree, max_size=ring.degree)
     value = st.builds(lambda c, d: ring.element(c, d), coords, st.integers(1, 12))
     values = data.draw(st.dictionaries(st.sampled_from(points), value, max_size=40)) if points else {}

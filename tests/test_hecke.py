@@ -26,7 +26,7 @@ from hermlift.hecke import (
     maass_eigenvalue,
 )
 from hermlift.hermitian import HermPoint, enumerate_points, point, transform_integral
-from hermlift.maass import MaassTuple, _lift_getter, a_K, build_lift, check_maass, descend, random_alpha_tuple
+from hermlift.maass import CoeffTable, MaassTuple, _lift_getter, a_K, build_lift, check_maass, descend, random_alpha_tuple
 from hermlift.quadfield import (
     FieldParams,
     QuadInt,
@@ -115,17 +115,82 @@ def test_inert_range_error_names_deficit():
             past_range()
 
 
-def test_inert_sources_agree_at_singular_points():
-    # D = 7, k = 8, random alpha of seed 3, T_{p,0} and T_p at p = 3 on shape
-    # (14, 1): the lift, its table and a lazy source of it give one value at
-    # every point, singular ones included, and the images pass check_maass
+def test_inert_sources_give_zero_at_singular_points():
+    # D = 7, k = 8, random alpha of seed 3, at p = 3: the lift, its table and
+    # a lazy source of it agree under T_{p,0} and T_p on shape (14, 1), which
+    # holds no singular point, and the images pass check_maass.  At singular
+    # points (the zero point, axis points and rank-1 points, content p
+    # included), which no table holds, eval_inert_raw gives the ring's zero
+    # for T_{p,0}, T_p and U_p on all three sources
     params = FieldParams(7, 8)
     t = random_alpha_tuple(params, trivial_char(), ZZ, 126, seed=3)
     sources = (t, t.identity_table(126, 23), LazyAction(_lift_getter(t), params, ZZ))
     for act in (act_inert_T0, act_inert_T):
         lift, table, lazy = (act(src, 3, 14, 1) for src in sources)
         assert lift.vals == table.vals == lazy.vals and check_maass(lift)[0], act.__name__
-        assert any(not key[0] for key in lift.lattice) and any(not v.is_zero() for v in lift.vals)
+        assert all(key[0] for key in lift.lattice) and any(not v.is_zero() for v in lift.vals)
+    singular = [point(7, 0, 0), point(7, 1, 0), point(7, 0, 9), point(7, 1, 1, -1, 2), point(7, 1, 2, 3, 1),
+                point(7, 3, 3, -3, 6)]
+    assert {h.det_scaled() for h in singular} == {0}
+    for kind in ("InertT0", "InertT", "InertUp"):
+        for src in sources:
+            assert all(v is ZZ.zero() for v in eval_inert_raw(src, kind, 3, singular).values()), (kind, src)
+
+
+class KeyIndex(dict):
+    """Every lattice key is its own position."""
+
+    def __missing__(self, key):
+        return key
+
+
+class KeyValues(dict):
+    """The value at a lattice key, read from a getter when asked for."""
+
+    def __init__(self, get):
+        super().__init__()
+        self.get_at = get
+
+    def __missing__(self, key):
+        return self.get_at(*key)
+
+
+def per_key_table(get, params, ring):
+    """A CoeffTable of a getter over every shape: hecke's table reader runs
+    on it at shapes whose covering tables are too large to build (U_p at
+    (27, 3), D = 7, p = 3 reads diag 91)."""
+    table = CoeffTable(params, ring, 0, 0)
+    table.bound_det = table.bound_diag = math.inf
+    table.index, table.vals = KeyIndex(), KeyValues(get)
+    return table
+
+
+@pytest.mark.parametrize("D", [7, 23])
+def test_inert_operators_read_no_singular_point(D, monkeypatch):
+    # every coset image of a point of positive det has det p^2 det, det or
+    # det / p^2, so with tables of positive det only, no inert operator reads
+    # its source at det 0: not the lift's (det, content) values, not a
+    # table's getter, not a lazy source.  T_{p,0}, T_p and U_p at both inert
+    # p < 8 on a shallow shape (t1 = t3 = 1), and at the smaller p on a deep
+    # one (diag p, det up to p^2 dmin, dmin the least det at diag 1, so it
+    # holds content p; the larger p's deep shape costs seconds per source)
+    reads = []
+    spy = lambda get: lambda det, *rest: reads.append(det) or get(det, *rest)
+    for name in ("_lift_values", "_table_getter"):
+        monkeypatch.setattr(hecke, name, lambda *args, real=getattr(hecke, name): spy(real(*args)))
+    params = FieldParams(D, 8)
+    dmin = D - max(w.norm() for w in norm_ball(D, D - 1))
+    for p in INERT_PRIMES[D]:
+        t = replace(random_alpha_tuple(params, trivial_char(), ZZ, 300, seed=p), alpha_max=p ** 6 * dmin)
+        sources = (t, per_key_table(_lift_getter(t), params, ZZ), LazyAction(spy(_lift_getter(t)), params, ZZ))
+        for shape in ((D, 1), (p * p * dmin, p))[:2 if p == INERT_PRIMES[D][0] else 1]:
+            for act in (act_inert_T0, act_inert_T, act_inert_Up):
+                outs = []
+                for src in sources:
+                    reads.clear()
+                    outs.append(act(src, p, *shape))
+                    assert reads and min(reads) > 0, (p, shape, act.__name__, type(src).__name__)
+                assert outs[0].vals == outs[1].vals == outs[2].vals, (p, shape, act.__name__)
 
 
 def test_split_descent_diagram_T1_T2():
@@ -371,11 +436,10 @@ ROW_CASES = {7: (3, 5), 11: (2, 7), 23: (5, 7), 43: (2, 3, 5, 7)}  # the inert p
 def walked_row(slots, p, h):
     """The (det, content) -> multiplier dict of the coset walk at h, relative
     to h's (det, c): each key (e, j) with p^e = det' / det and p^j = c' / c,
-    or the ratio itself where it is no power of p; 0 at det 0 and at c = 0,
-    where every image has det 0 and content 0."""
+    or the ratio itself where it is no power of p."""
     det, c = h.det_scaled(), math.gcd(*h.coords())
     powers = {Fraction(p) ** e: e for e in range(-4, 5)}
-    rel = lambda x, y: powers.get(Fraction(x, y), Fraction(x, y)) if y else 0
+    rel = lambda x, y: powers.get(Fraction(x, y), Fraction(x, y))
     row = {}
     for s, d, images in slots(*h.sort_key()):
         for image in images:
@@ -385,11 +449,10 @@ def walked_row(slots, p, h):
 
 
 def row_type(p, h):
-    """(min(v_p(det) - 2 v_p(c), 2), min(v_p(c), 2)) with None for the first
-    entry at det 0, or None at h = 0: the type of h under T_{p,0}."""
+    """(min(v_p(det) - 2 v_p(c), 2), min(v_p(c), 2)): the type of h under T_{p,0}."""
     v = lambda n: next(e for e in itertools.count() if n % p ** (e + 1))
     det, c = h.det_scaled(), math.gcd(*h.coords())
-    return (min(v(det) - 2 * v(c), 2) if det else None, min(v(c), 2)) if c else None
+    return min(v(det) - 2 * v(c), 2), min(v(c), 2)
 
 
 @pytest.mark.parametrize("D", sorted(ROW_CASES))
@@ -399,8 +462,8 @@ def test_rows_match_the_coset_walk_at_every_point(D):
     # multiples of all of these by p and p^2 (and p^3 at p = 2), so that
     # v_p(c) reaches 2 (3 at p = 2), past each row cap, the coset walk's
     # relative dict is the one _rows holds for the point's (det, content).
-    # Singular points and h = 0 are included, every type is reached, and
-    # k = 12 is tested as well as 8 at the first p, since scalars carry p^k
+    # Every type is reached, and k = 12 is tested as well as 8 at the first
+    # p, since scalars carry p^k
     shape = enumerate_points(D, 2 * D, 2)
     for p in ROW_CASES[D]:
         # det = D t3 - 1 with p^a | det and p^(a + 1) not
@@ -408,7 +471,7 @@ def test_rows_match_the_coset_walk_at_every_point(D):
                for a in (1, 2, 3)]
         deep = [point(D, 1, t3, 1) for t3 in t3s]
         pts = [point(D, *(p ** b * x for x in h.coords())) for h in shape + deep for b in range(4 if p == 2 else 3)]
-        types = {(a, b) for a in (0, 1, 2, None) for b in (0, 1, 2)} | {None}
+        types = {(a, b) for a in (0, 1, 2) for b in (0, 1, 2)}
         assert {row_type(p, h) for h in pts} == types
         assert max(math.gcd(*h.coords()) for h in pts) % p ** (3 if p == 2 else 2) == 0
         for k in (8, 12) if p == ROW_CASES[D][0] else (8,):
@@ -430,7 +493,6 @@ def test_rows_do_not_depend_on_the_field():
     assert all(len(fields) >= 2 for fields in by_p.values())
     for p, fields in by_p.items():
         types = [(p ** (a + 2 * b), p ** b) for a in range(4) for b in range(4)]
-        types += [(0, p ** b) for b in range(4)] + [(0, 0)]
         for kind in ("InertT0", "InertT"):
             rows = [hecke._rows(kind, FieldParams(D, 8), p)[0] for D in fields]
             want = [dict(rows[0](*x)) for x in types]

@@ -179,23 +179,24 @@ def test_content_invariant_under_unimodular():
 
 
 def test_enumerate_small():
-    pts = enumerate_points(7, 0, 0)
-    assert len(pts) == 1 and pts[0].is_zero()
+    # no singular point is listed: not the zero point, not the axis points
+    assert enumerate_points(7, 0, 0) == enumerate_points(7, 0, 5) == enumerate_points(7, 30, 0) == []
 
     pts = enumerate_points(7, 7, 1)
     inner = [h for h in pts if h.t1 == 1 and h.t3 == 1]
-    # w ranges over all integers with N(w) <= 7: verified by brute force
+    # w ranges over all integers with N(w) < 7: verified by brute force
     brute = {
         (1, 1, a, b)
         for a in range(-3, 4)
         for b in range(-3, 4)
-        if QuadInt(a, b, 7).norm() <= 7
+        if QuadInt(a, b, 7).norm() < 7
     }
-    assert {h.coords() for h in inner} == brute
+    assert {h.coords() for h in inner} == brute == {h.coords() for h in pts}
 
 
-@pytest.mark.parametrize("D, bound_det, bound_diag", [(3, 12, 3), (7, 28, 2), (7, 63, 3), (23, 92, 2), (23, 180, 4)])
-def test_enumerate_matches_brute_force(D, bound_det, bound_diag):
+def brute_force_keys(D, bound_diag, keep):
+    """Sort keys (det, t1, t3, a, b) of the points with t1, t3 <= bound_diag
+    whose det passes ``keep``, by a scan of a box, in canonical order."""
     # N(a + b omega) <= D t1 t3 forces |b| <= 2 bound_diag and
     # |a| <= (sqrt(D) + 1) bound_diag, so the box below holds every point
     rb, ra = 2 * bound_diag, (math.isqrt(D) + 2) * bound_diag
@@ -205,9 +206,20 @@ def test_enumerate_matches_brute_force(D, bound_det, bound_diag):
             for a in range(-ra, ra + 1):
                 for b in range(-rb, rb + 1):
                     det = D * t1 * t3 - QuadInt(a, b, D).norm()
-                    if 0 <= det <= bound_det:
+                    if keep(det):
                         brute.append((det, t1, t3, a, b))
-    brute.sort()
+    return sorted(brute)
+
+
+def singular_points(D, bound_diag):
+    """The nonzero points of det 0 with t1, t3 <= bound_diag, by brute force:
+    the axis points and, at t1 t3 > 0, the rank-1 points."""
+    return [point(D, *key[1:]) for key in brute_force_keys(D, bound_diag, lambda det: det == 0) if any(key[1:])]
+
+
+@pytest.mark.parametrize("D, bound_det, bound_diag", [(3, 12, 3), (7, 28, 2), (7, 63, 3), (23, 92, 2), (23, 180, 4)])
+def test_enumerate_matches_brute_force(D, bound_det, bound_diag):
+    brute = brute_force_keys(D, bound_diag, lambda det: 0 < det <= bound_det)
     assert any(key[0] == bound_det for key in brute)  # the closed end of the annulus
     assert [h.sort_key() for h in enumerate_points(D, bound_det, bound_diag)] == brute
 
@@ -300,13 +312,14 @@ def _integral(x, y):
 
 
 def test_diagonalize_sweep_against_matrix_oracle():
-    # every point of a small table (det-0 points included), points with
-    # t1 = t3 = 0 mod l that need the pivot shear, and their multiples by l
-    # and l^2; each certificate is read back through the rational matrix
-    # oracle, not only through DiagCert.verify
+    # every point of a small table, the nonzero det-0 points of its diagonals
+    # (which tables leave out), points with t1 = t3 = 0 mod l that need the
+    # pivot shear, and their multiples by l and l^2; each certificate is
+    # read back through the rational matrix oracle, not only through
+    # DiagCert.verify
     kinds = set()
     for D in (7, 11):  # l = 2, 3, 5 split at one D and stay inert at the other
-        table = [h for h in enumerate_points(D, D, 1) if not h.is_zero()]
+        table = singular_points(D, 1) + enumerate_points(D, D, 1)
         for ell in (2, 3, 5, 7, 11):
             if D % ell == 0:
                 continue
@@ -393,7 +406,7 @@ def _pivot_kind(h, ell):
 def test_fixed_pivots_match_the_residue_search():
     kinds = {}
     for D in (3, 7, 11, 23):
-        table = [h for h in enumerate_points(D, D, 1) if not h.is_zero()]
+        table = singular_points(D, 1) + enumerate_points(D, D, 1)
         for ell in (2, 3, 5, 7):
             if D % ell == 0:
                 continue

@@ -124,20 +124,35 @@ def test_check_maass_roundtrip_and_fault():
     assert not ok2 and witness == h2
 
 
+# singular points inside the bounds (7 * 9, 3) at D = 7: the zero point, axis
+# points, and rank-1 points (1, 1, sqrt(-7)), (1, 2, 3 + omega), 3 (1, 1, sqrt(-7))
+SINGULAR = [point(7, 0, 0), point(7, 1, 0), point(7, 0, 3), point(7, 1, 1, -1, 2), point(7, 1, 2, 3, 1),
+            point(7, 3, 3, -3, 6)]
+
+
 def test_maass_tuple_is_a_cusp_form():
     # an alpha with index 0 would give singular points a value: a MaassTuple
-    # refuses it, and check_maass extracts no alpha(0), so it fails at the
-    # first nonzero singular coefficient, h = 0 included
+    # refuses it, and its tables hold no singular point, so a cusp form's
+    # table has nowhere to put one
     params = FieldParams(7, 8)
     t = random_alpha_tuple(params, TRIV, GAUSS, 7 * 9, seed=3)
     with pytest.raises(ValueError, match="index 0"):
         replace(t, alpha={**t.alpha, 0: GAUSS.one()})
     table = t.identity_table(7 * 9, 3)
-    singular = [h for h in table.points() if h.det_scaled() == 0]
-    assert len(singular) > 4 and check_maass(table)[0]
-    for h in (singular[0], singular[1], singular[4]):
-        bad = CoeffTable(params, GAUSS, table.bound_det, table.bound_diag, {**table.values, h: GAUSS.one()})
-        assert check_maass(bad) == (False, h) == check_maass_reference(bad), h
+    assert check_maass(table)[0] and check_maass_reference(table)[0]
+    assert all(h.det_scaled() > 0 for h in table.points()) and not set(SINGULAR) & set(table.points())
+
+
+@pytest.mark.parametrize("h", SINGULAR, ids=lambda h: "-".join(map(str, h.coords())))
+def test_coeff_table_refuses_a_singular_key(h):
+    # a singular point lies outside every table, whatever its value, so the
+    # library builds no table that read_table refuses
+    assert h.det_scaled() == 0
+    for value in (GAUSS.one(), GAUSS.zero()):
+        with pytest.raises(RangeError, match="outside the table"):
+            CoeffTable(FieldParams(7, 8), GAUSS, 7 * 9, 3, {h: value})
+    with pytest.raises(RangeError):
+        CoeffTable(FieldParams(7, 8), GAUSS, 7 * 9, 3).get(h)
 
 
 def test_check_maass_zero_table():
