@@ -170,45 +170,16 @@ Slots = tuple[tuple[int, int, list[tuple[int, int, int, int]]], ...]
 
 
 def _isotropic(params: FieldParams, p: int) -> Callable[[int, int, int, int], tuple[tuple[int, ...], ...]]:
-    """The residues a = x + y omega of O_K/p at which p divides u3, the
-    t3-slot of alpha_a* h alpha_a, as a function of h mod p, memoised per
-    class; each entry is (N(a), x, y, c1, c2), x-major, then y.  At h = 0
-    every residue is.
-
-    For fixed x, u3 = r1 N(a) + r3 + rb x - ra y mod p is the quadratic
-    A y^2 + B y + C in y with A = r1 q, B = r1 x - ra, C = r1 x^2 + rb x + r3
-    (linear at p = 2, where y^2 = y), so a class costs p root solves, not a
-    scan of all p^2 residues."""
+    """The residues a = x + y omega of O_K/p at which p divides u3 =
+    N(a) t1 + t3 + wb x - wa y, the t3-slot of alpha_a* h alpha_a, as a
+    function of h mod p: a scan of the p^2 entries (N(a), x, y, c1, c2),
+    x-major, then y, memoised per class.  At h = 0 every residue is."""
     q = params.norm_c
-    reps = [[(x * x + x * y + y * y * q, x, y, -x - 2 * q * y, 2 * x + y) for y in range(p)] for x in range(p)]
-    inv = [0] + [pow(b, -1, p) for b in range(1, p)]
-    root = [0] * p  # a square root of each nonzero square mod p, 0 at the others
-    for r in range(1, p // 2 + 1):
-        root[r * r % p] = r
+    every = tuple((x * x + x * y + y * y * q, x, y, -x - 2 * q * y, 2 * x + y) for x in range(p) for y in range(p))
 
     @cache
     def iso(r1: int, r3: int, ra: int, rb: int) -> tuple[tuple[int, ...], ...]:
-        A, shift = (0, r1 * q) if p == 2 else (r1 * q % p, 0)
-        out: list[tuple[int, ...]] = []
-        if A:  # y = (r - B) / 2A over the square roots r of B^2 - 4AC
-            ia = inv[2 * A % p]
-            for x, row in enumerate(reps):
-                B = r1 * x - ra
-                disc = (B * B - 4 * A * (r1 * x * x + rb * x + r3)) % p
-                r = root[disc]
-                if disc == 0:
-                    out.append(row[-B * ia % p])
-                elif r:
-                    y1, y2 = (r - B) * ia % p, (-r - B) * ia % p
-                    out += (row[y1], row[y2]) if y1 < y2 else (row[y2], row[y1])
-        else:
-            for x, row in enumerate(reps):
-                B, C = (r1 * x - ra + shift) % p, (r1 * x * x + rb * x + r3) % p
-                if B:
-                    out.append(row[-C * inv[B] % p])
-                elif not C:
-                    out += row
-        return tuple(out)
+        return tuple(e for e in every if (e[0] * r1 + r3 + rb * e[1] - ra * e[2]) % p == 0)
 
     return iso
 
@@ -344,17 +315,22 @@ def _op_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
     return get, params, ring
 
 
+def _cusp_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
+    """``_op_getter`` with the ring's zero at singular keys (det 0), where cusp forms vanish."""
+    get, params, ring = _op_getter(src, kind, p)
+    return lambda det, *coords: get(det, *coords) if det else ring.zero(), params, ring
+
+
 def eval_inert_raw(src, kind: str, p: int, points: Iterable[HermPoint]) -> dict[HermPoint, HeckeElem]:
     """Raw coset action evaluated at selected points (no table materialised);
     the ring's zero at singular points, where cusp forms vanish."""
-    get, _, ring = _op_getter(src, kind, p)
-    return {h: get(*key) if (key := h.sort_key())[0] else ring.zero() for h in points}
+    get = _cusp_getter(src, kind, p)[0]
+    return {h: get(*h.sort_key()) for h in points}
 
 
 def inert_action(src, kind: str, p: int) -> LazyAction:
-    """The operator applied lazily; usable as the source of further operators."""
-    get, params, ring = _op_getter(src, kind, p)
-    return LazyAction(get, params, ring)
+    """The operator applied lazily (zero at singular keys); a source for further operators."""
+    return LazyAction(*_cusp_getter(src, kind, p))
 
 
 def act_inert_T0(src, p: int, bound_det: int, bound_diag: int) -> CoeffTable:

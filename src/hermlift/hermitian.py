@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .quadfield import QuadInt
-from .ring import _is_prime
+from .ring import _is_prime, _val_int
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,7 @@ def content_p(h: HermPoint, p: int) -> int:
     """The exponent of p in content(h); p must be at least 2."""
     if p < 2:
         raise ValueError(f"p = {p} must be at least 2")
-    c = content(h)
-    v = 0
-    while c % p == 0:
-        c //= p
-        v += 1
-    return v
+    return _val_int(content(h), p)
 
 
 # ---------------------------------------------------------------------------

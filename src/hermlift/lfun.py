@@ -184,8 +184,9 @@ def _local(f: NewformData, p: int, chi: ClassChar) -> tuple[HeckeElem, HeckeElem
     """(A + B, A B, norm, chi exponents at their classes) at the primes of K
     above p != D, the distinguished one first; A, B are the d-th powers of
     the Satake parameters, d the residue degree.  Inert primes are principal."""
+    st = split_type(f.D, p)  # refuses a non-prime p
     sat = SatakePair.of(f, p)  # refuses p = D
-    if split_type(f.D, p) is SplitType.INERT:
+    if st is SplitType.INERT:
         return sat.power_sum(2), sat.product_power(2), p * p, [0]
     cg = class_group(f.D)
     cls = prime_class(cg, p)

@@ -351,6 +351,13 @@ def test_euler_verify(capsys):
     assert code == 2  # ramified prime rejected
 
 
+@pytest.mark.parametrize("p", ["4", "1", "0", "-3"])
+def test_euler_names_a_non_prime_p(capsys, p):
+    # a non-prime p used to read as a missing eigenvalue
+    assert main(["euler", str(CM_PATH), "--p", p]) == 2
+    assert capsys.readouterr().err == f"error: {p} is not prime\n"
+
+
 def test_congruence_report(tmp_path, capsys):
     params = FieldParams(7, 8, 13)
     f = synthetic_newform(params, GAUSS, "negate-x", p_max=20, seed=23)

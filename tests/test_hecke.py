@@ -120,8 +120,8 @@ def test_inert_sources_give_zero_at_singular_points():
     # a lazy source of it agree under T_{p,0} and T_p on shape (14, 1), which
     # holds no singular point, and the images pass check_maass.  At singular
     # points (the zero point, axis points and rank-1 points, content p
-    # included), which no table holds, eval_inert_raw gives the ring's zero
-    # for T_{p,0}, T_p and U_p on all three sources
+    # included), which no table holds, eval_inert_raw and inert_action's
+    # getter give the ring's zero for T_{p,0}, T_p and U_p on all three sources
     params = FieldParams(7, 8)
     t = random_alpha_tuple(params, trivial_char(), ZZ, 126, seed=3)
     sources = (t, t.identity_table(126, 23), LazyAction(_lift_getter(t), params, ZZ))
@@ -135,6 +135,8 @@ def test_inert_sources_give_zero_at_singular_points():
     for kind in ("InertT0", "InertT", "InertUp"):
         for src in sources:
             assert all(v is ZZ.zero() for v in eval_inert_raw(src, kind, 3, singular).values()), (kind, src)
+            get = inert_action(src, kind, 3).getter
+            assert all(get(*h.sort_key()) is ZZ.zero() for h in singular), (kind, src)
 
 
 class KeyIndex(dict):
@@ -540,8 +542,9 @@ def test_keyed_reader_takes_one_gcd_per_point_and_one_sum_per_det_and_content(D,
 
 
 def test_isotropic_memo_holds_one_list_per_class_mod_p(monkeypatch):
-    # a lift is read by rows and builds no memo once they are derived; every
-    # per-coset application of T_p builds one (U_p on a lazy source two).
+    # a lift is read by rows and builds no memo once they are derived, under
+    # every tabulated operator and eval_inert_raw alike; every per-coset
+    # application of T_p builds one (U_p on a lazy source two).
     # It is keyed by h mod p, so it never holds more than p^4 lists, and
     # deep tables reuse them
     made = []
@@ -552,7 +555,11 @@ def test_isotropic_memo_holds_one_list_per_class_mod_p(monkeypatch):
     monkeypatch.setattr(hecke, "_isotropic", lambda params, p: made.append(real(params, p)) or made[-1])
     t = random_alpha_tuple(params, trivial_char(), ZZ, 81 * 7 * 9 + 40, seed=8, spread=4)
     act_inert_T0(t, 3, 7 * 36, 6)
+    act_inert_T(t, 3, 7 * 36, 6)
     act_inert_Up(t, 3, 7 * 9, 3)
+    pts = enumerate_points(7, 7 * 9, 3)
+    for kind in ("InertT0", "InertT", "InertUp"):
+        eval_inert_raw(t, kind, 3, pts)
     assert made == []
     lazy = LazyAction(_lift_getter(t), params, ZZ)
     act_inert_T(lazy, 3, 7 * 36, 6)
