@@ -327,9 +327,7 @@ def cmd_euler(args, out: Out) -> int:
     chi = _resolve_chi(f.D, args.chi)
     ok_all = True
     for p in args.p:
-        if p == f.D:
-            raise CommandError(f"p = {p} is the ramified prime; factors are defined away from it")
-        factors, bc = _place_factors(f, chi, p)  # one read of the Satake pair and the places
+        factors, bc = _place_factors(f, chi, p)  # one read of the Satake pair and the places; refuses p = D
         record = {
             "p": p,
             "std_factors": [[str(c) for c in fac.coeffs] for fac in factors],

@@ -47,10 +47,11 @@ p^4 (p+1) at (p^2 det, p c), p^4 (p^2-p) at (p^2 det, c), S(h) p^k at
 (det, c); T_p p^(k+1) (p+1) at (det, c), p^4 at (p^2 det, p c).  ``_rows``
 derives each row once per process from ``_coset_walk`` at one
 representative; the tests check the rows against the walk at every point
-of deep shapes in four fields.  On a lift a point takes one gcd and each
-(det, content) one ``ring.lincomb``, memoised for one application; the
-T_p image of (det, content)-keyed data is so keyed again, so U_p on a lift
-is the keyed T_p twice.  Tables and lazy sources are read one coefficient
+of deep shapes in four fields.  On a lift each (det, content) takes one
+``ring.lincomb``, memoised for one application; a tabulated shape takes no
+gcd (it reads its shared (det, content) keys), a point of
+``eval_inert_raw`` one.  The T_p image of (det, content)-keyed data is so
+keyed again, so U_p on a lift is the keyed T_p twice.  Tables and lazy sources are read one coefficient
 per coset image, the tests' reference for the keyed reader; a point of P^1
 is isotropic for h if p divides u3, the t3-slot of alpha_a* h alpha_a
 (p | t1 for diag(1, p)), a condition on h mod p alone.
@@ -78,7 +79,7 @@ from typing import Callable, Iterable
 
 from .elliptic import NewformData, QExpansion, apply_Tp
 from .hermitian import HermPoint
-from .maass import CoeffTable, Getter, MaassTuple, RangeError, _lift_values, _tabulate
+from .maass import CoeffTable, Getter, Keyed, MaassTuple, RangeError, _lift_values, _tabulate
 from .quadfield import (
     ClassChar,
     FieldParams,
@@ -292,9 +293,10 @@ def _keyed(value: Callable, ring: HeckeRing, p: int, row: Callable, den: int) ->
     return at
 
 
-def _op_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
-    """Memoized evaluator of an inert operator applied to src, on lattice keys;
-    U_p is T_p twice, on a lift the keyed T_p of the keyed T_p image."""
+def _op_getter(src, kind: str, p: int) -> tuple[Getter | Keyed, FieldParams, HeckeRing]:
+    """Memoized evaluator of an inert operator applied to src: on a lift
+    ``Keyed`` by (det, content), else on lattice keys; U_p is T_p twice, on
+    a lift the keyed T_p of the keyed T_p image."""
     steps = {"InertT0": ("InertT0",), "InertT": ("InertT",), "InertUp": ("InertT", "InertT")}.get(kind)
     if steps is None:
         raise ValueError(f"raw inert evaluation supports InertT0, InertT and InertUp, not {kind}")
@@ -307,7 +309,7 @@ def _op_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
         at = _lift_values(src.alpha, src.alpha_max, src.k, ring)
         for step in steps:
             at = _keyed(at, ring, p, *_rows(step, params, p))
-        return lambda det, t1, t3, wa, wb: at(det, gcd(t1, t3, wa, wb)), params, ring
+        return Keyed(at), params, ring
     get = src.getter if isinstance(src, LazyAction) else _table_getter(src)
     for step in steps:
         slots, den = _coset_walk(step, params, p)
@@ -316,8 +318,11 @@ def _op_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
 
 
 def _cusp_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
-    """``_op_getter`` with the ring's zero at singular keys (det 0), where cusp forms vanish."""
+    """``_op_getter`` on lattice keys, a point's content its one gcd, with
+    the ring's zero at singular keys (det 0), where cusp forms vanish."""
     get, params, ring = _op_getter(src, kind, p)
+    if isinstance(get, Keyed):
+        get = lambda det, t1, t3, wa, wb, at=get.at: at(det, gcd(t1, t3, wa, wb))
     return lambda det, *coords: get(det, *coords) if det else ring.zero(), params, ring
 
 

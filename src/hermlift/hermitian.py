@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .quadfield import QuadInt
@@ -147,12 +148,21 @@ def enumerate_points(D: int, bound_det: int, bound_diag: int) -> list[HermPoint]
     Cusp forms vanish at singular (det 0) points, so none is listed;
     canonically sorted so that table files are byte-stable.
     """
-    return [HermPoint(t1, t3, QuadInt(a, b, D)) for _, t1, t3, a, b in _lattice(D, bound_det, bound_diag)]
+    return [HermPoint(t1, t3, QuadInt(a, b, D)) for _, t1, t3, a, b in _lattice(D, bound_det, bound_diag)[0]]
 
 
-def _lattice(D: int, bound_det: int, bound_diag: int) -> list[tuple[int, int, int, int, int]]:
+SHAPES = 16  # shapes _lattice holds at once: a workload cycles through a few, a test suite through many
+Key = tuple[int, int, int, int, int]  # a point's canonical sort key (det, t1, t3, w.a, w.b)
+
+
+@lru_cache(maxsize=SHAPES)
+def _lattice(D: int, bound_det: int, bound_diag: int) -> tuple[tuple[Key, ...], tuple[tuple[int, int], ...]]:
     """The points of ``enumerate_points`` as raw sort keys (det, t1, t3, w.a,
-    w.b), in the same order: the list a ``CoeffTable`` aligns its values with.
+    w.b), in the same order, and in parallel each point's (det, content):
+    the lattice a ``CoeffTable`` aligns its values with, and the keys that
+    lift values and ``check_maass`` read.  One immutable pair per shape,
+    built once and shared while it is among the ``SHAPES`` most recently
+    used.
 
     For each diagonal, w runs over the annulus
     D t1 t3 - bound_det <= N(w) < D t1 t3.
@@ -173,7 +183,9 @@ def _lattice(D: int, bound_det: int, bound_diag: int) -> list[tuple[int, int, in
                     det = (outer - u * u) // 4
                     raw += [(det, t1, t3, (v - b) // 2, b) for v in ((u, -u) if u else (0,))]
     raw.sort()
-    return raw
+    shared = {}  # one (det, content) tuple per value
+    keys = ((det, math.gcd(t1, t3, a, b)) for det, t1, t3, a, b in raw)
+    return tuple(raw), tuple(shared.setdefault(key, key) for key in keys)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ class SatakePair:
     @classmethod
     def of(cls, f: NewformData, p: int) -> "SatakePair":
         if p == f.D:
-            raise ValueError("Satake parameters are only used away from the level")
+            raise ValueError(f"p = {p} is the ramified prime; factors are defined away from it")
         e2 = f.ring.from_int(chi_K(f.D, p) * p ** (f.k - 2))
         return cls(f.ring, f.a(p), e2)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import starmap
 from math import gcd
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -36,6 +37,14 @@ from .ring import HeckeElem, HeckeRing, lincomb
 Coeff = HeckeElem
 Oracle = Callable[[HermPoint], Coeff]
 Getter = Callable[[int, int, int, int, int], Coeff]  # on lattice keys (det, t1, t3, w.a, w.b)
+
+
+@dataclass(frozen=True)
+class Keyed:
+    """A coefficient function of (det, content) alone, as a lift's and its
+    inert images' are: ``_tabulate`` reads it at the shape's shared keys."""
+
+    at: Callable[[int, int], Coeff]
 
 
 class RangeError(ValueError):
@@ -61,9 +70,11 @@ def a_K(D: int, n: int) -> int:
 
 class CoeffTable:
     """One classical component: its shape (D, ``bound_det``, ``bound_diag``)
-    and ``vals``, one value for every point of ``lattice``, the shape's
-    ``_lattice``, zeros as the ring's shared zero; ``get`` refuses a point
-    outside the shape with RangeError.  Built from a HermPoint mapping
+    and ``vals``, one value for every point of ``lattice``, zeros as the
+    ring's shared zero; ``get`` refuses a point outside the shape with
+    RangeError.  ``lattice`` and the parallel (det, content) ``keys`` are
+    the shape's ``_lattice`` pair, immutable and shared by every table of
+    the shape.  Built from a HermPoint mapping
     (points outside the shape refused, points left out zero) or by
     ``_tabulate`` in one pass, and not changed after; ``values`` is the
     read-only HermPoint view of the nonzero entries, in canonical order.
@@ -72,7 +83,7 @@ class CoeffTable:
     def __init__(self, params: FieldParams, ring: HeckeRing, bound_det: int, bound_diag: int,
                  values: Mapping[HermPoint, Coeff] = MappingProxyType({})):
         self.params, self.D, self.ring, self.bound_det, self.bound_diag = params, params.D, ring, bound_det, bound_diag
-        self.lattice, self._view = _lattice(params.D, bound_det, bound_diag), None
+        (self.lattice, self.keys), self._view = _lattice(params.D, bound_det, bound_diag), None
         self.vals = [ring.zero()] * len(self.lattice)
         for h, v in values.items():
             self.vals[self._position(h)] = ring.zero() if v.is_zero() else v
@@ -161,7 +172,8 @@ class MaassTuple:
     def identity_table(self, bound_det: int, bound_diag: int) -> CoeffTable:
         if bound_det > self.alpha_max:
             raise RangeError(f"alpha valid to {self.alpha_max}, needed at {bound_det}")
-        return _tabulate(_lift_getter(self), self.params, self.ring, bound_det, bound_diag)
+        return _tabulate(Keyed(_lift_values(self.alpha, self.alpha_max, self.k, self.ring)), self.params, self.ring,
+                         bound_det, bound_diag)
 
     def component_exponent(self, index: int) -> int:
         """zeta exponent of the component at a class index (identity table scaled)."""
@@ -198,11 +210,17 @@ def _lift_values(alpha: dict[int, Coeff], alpha_max: int, k: int, ring: HeckeRin
     return value
 
 
-def _tabulate(get: Getter, params: FieldParams, ring: HeckeRing, bound_det: int, bound_diag: int) -> CoeffTable:
-    """The table of a coefficient function, read once at each lattice key
-    (det, t1, t3, w.a, w.b) of the shape, in ``_lattice`` order."""
+def _tabulate(get: Getter | Keyed, params: FieldParams, ring: HeckeRing, bound_det: int,
+              bound_diag: int) -> CoeffTable:
+    """The table of a coefficient function, read once at each point of the
+    shape, in ``_lattice`` order: a ``Keyed`` source at the point's shared
+    (det, content), its sums already the ring's shared zero where they
+    vanish (``lincomb``), any other at the lattice key (det, t1, t3, w.a, w.b)."""
     t, zero = CoeffTable(params, ring, bound_det, bound_diag), ring.zero()
-    t.vals = [zero if v.is_zero() else v for v in (get(*key) for key in t.lattice)]
+    if isinstance(get, Keyed):
+        t.vals = list(starmap(get.at, t.keys))
+    else:
+        t.vals = [zero if v.is_zero() else v for v in starmap(get, t.lattice)]
     return t
 
 
@@ -291,18 +309,19 @@ def random_alpha_tuple(
 
     The divisor-sum condition is the defining property of the Maass space,
     independent of any Hecke eigenvalue structure, so random alpha gives
-    valid members.
+    valid members.  Equal draws share one element.
     """
     import random as _random
 
     rng = _random.Random(f"alpha/{seed}/{params.D}/{params.k}/{ring.modulus}")
     g = ring.degree
-    alpha = {}
+    alpha, elems = {}, {}  # one shared element per coordinate vector drawn
     for n in range(1, n_max + 1):
-        coords = [rng.randrange(-spread, spread + 1) for _ in range(g)]
-        e = HeckeElem(ring, tuple(coords))
-        if not e.is_zero():
-            alpha[n] = e
+        coords = tuple([rng.randrange(-spread, spread + 1) for _ in range(g)])
+        if any(coords):
+            if coords not in elems:
+                elems[coords] = HeckeElem(ring, coords)
+            alpha[n] = elems[coords]
     return MaassTuple(params, chi, ring, alpha, n_max, source_label=f"random-{seed}")
 
 
@@ -317,15 +336,14 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
     range are unconstrained, and points whose divisor sum reads one are
     skipped; a set passed as ``unconstrained`` receives those values.
     """
-    keys = [(det, gcd(t1, t3, a, b)) for det, t1, t3, a, b in t.lattice]
     # alpha at each determinant's first primitive point; skipped: determinants no primitive point has
     alpha, constrained, zero = {}, set(), t.ring.zero()
-    for (det, eps), v in zip(keys, t.vals):
+    for (det, eps), v in zip(t.keys, t.vals):
         if eps == 1 and det not in constrained:
             constrained.add(det)
             if v is not zero:
                 alpha[det] = v
-    skipped = {det for det, _ in keys} - constrained
+    skipped = {det for det, _ in t.keys} - constrained
     if unconstrained is not None:
         unconstrained |= skipped
     value = _lift_values(alpha, t.bound_det, t.params.k, t.ring)
@@ -335,7 +353,7 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
         # every det / d^2 is a determinant in range, since h / d is in bounds
         return any(det // (d * d) in skipped for d in _divisors(eps))
 
-    for key, v, raw in zip(keys, t.vals, t.lattice):
+    for key, v, raw in zip(t.keys, t.vals, t.lattice):
         if skipped and reads_unconstrained(*key):
             continue
         if v != value(*key):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermlift.cli import CommandError, build_parser, main, read_table, table_as_tuple, write_table
-from hermlift.elliptic import extend_coeffs, format_newform, rho_conjugate, synthetic_newform
+from hermlift.elliptic import bundled_cm_form, extend_coeffs, format_newform, rho_conjugate, synthetic_newform
+from hermlift.lfun import verify_product134
 from hermlift import hecke, maass
 from hermlift.hecke import HeckeOpId, act_inert_T, act_inert_T0, act_inert_Up, act_split_on_lift
 from hermlift.hermitian import point
@@ -351,11 +352,15 @@ def test_euler_verify(capsys):
     assert code == 2  # ramified prime rejected
 
 
-@pytest.mark.parametrize("p", ["4", "1", "0", "-3"])
+@pytest.mark.parametrize("p", ["4", "1", "0", "-3", "7"])
 def test_euler_names_a_non_prime_p(capsys, p):
-    # a non-prime p used to read as a missing eigenvalue
+    # a non-prime p used to read as a missing eigenvalue; p = D is refused
+    # by the library, in the words verify_product134 uses
+    ramified = "p = 7 is the ramified prime; factors are defined away from it"
     assert main(["euler", str(CM_PATH), "--p", p]) == 2
-    assert capsys.readouterr().err == f"error: {p} is not prime\n"
+    assert capsys.readouterr().err == f"error: {ramified if p == '7' else f'{p} is not prime'}\n"
+    with pytest.raises(ValueError, match=ramified if p == "7" else f"^{p} is not prime$"):
+        verify_product134(bundled_cm_form(), trivial_char(), int(p))
 
 
 def test_congruence_report(tmp_path, capsys):

@@ -522,7 +522,9 @@ def test_rows_are_derived_once_per_operator_field_and_prime():
 def test_keyed_reader_takes_one_gcd_per_point_and_one_sum_per_det_and_content(D, p, monkeypatch):
     # at every point, p | det included: content(h) is the point's one gcd,
     # and each distinct (det, content) one lincomb in an application;
-    # U_p on a lift is the keyed T_p twice and reads no coset sum
+    # U_p on a lift is the keyed T_p twice and reads no coset sum.
+    # Tabulated, the shape's shared (det, content) keys stand in for the gcd,
+    # and a vanishing sum is the ring's shared zero
     gcds, sums = [], []
     real = hecke.lincomb
     monkeypatch.setattr(hecke, "gcd", lambda *args: gcds.append(args) or math.gcd(*args))
@@ -532,6 +534,8 @@ def test_keyed_reader_takes_one_gcd_per_point_and_one_sum_per_det_and_content(D,
     keys = {(h.det_scaled(), math.gcd(*h.coords())) for h in pts}
     assert any(d % p == 0 and c % p == 0 for d, c in keys)
     t = random_alpha_tuple(FieldParams(D, 8), trivial_char(), GAUSS, p ** 4 * 12 * D, seed=D)
+    blank = replace(t, alpha={})  # every sum vanishes
+    acts, zero = {"InertT0": act_inert_T0, "InertT": act_inert_T, "InertUp": act_inert_Up}, GAUSS.zero()
     for kind in ("InertT0", "InertT", "InertUp"):
         hecke._rows("InertT" if kind == "InertUp" else kind, t.params, p)
         gcds.clear()
@@ -539,6 +543,12 @@ def test_keyed_reader_takes_one_gcd_per_point_and_one_sum_per_det_and_content(D,
         eval_inert_raw(t, kind, p, pts)
         assert len(gcds) == len(pts), kind
         assert len(sums) == len(keys) < len(pts) // 2 if kind != "InertUp" else len(keys) < len(sums), kind
+        for src in (t, blank):
+            gcds.clear()
+            sums.clear()
+            vals = acts[kind](src, p, 12 * D, 2 * p).vals
+            assert gcds == [] and (len(sums) == len(keys) if kind != "InertUp" else len(keys) < len(sums)), kind
+            assert all(v is zero for v in vals if src is blank or v.is_zero()), kind
 
 
 def test_isotropic_memo_holds_one_list_per_class_mod_p(monkeypatch):

@@ -4,11 +4,14 @@ import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermlift import hermitian
 from hermlift.hermitian import (
+    SHAPES,
     DiagCert,
     HermPoint,
+    _lattice,
     content,
     content_p,
     diagonalize_mod,
@@ -18,7 +21,9 @@ from hermlift.hermitian import (
     transform,
     transform_integral,
 )
-from hermlift.quadfield import QuadInt, chi_K
+from hermlift.maass import CoeffTable
+from hermlift.quadfield import FieldParams, QuadInt, chi_K
+from hermlift.ring import HeckeRing
 
 
 def qi(a, b, D=7):
@@ -222,6 +227,32 @@ def test_enumerate_matches_brute_force(D, bound_det, bound_diag):
     brute = brute_force_keys(D, bound_diag, lambda det: 0 < det <= bound_det)
     assert any(key[0] == bound_det for key in brute)  # the closed end of the annulus
     assert [h.sort_key() for h in enumerate_points(D, bound_det, bound_diag)] == brute
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([7, 11, 23, 43]), st.integers(0, 400), st.integers(0, 5))
+def test_lattice_memo_holds_each_points_det_and_content(D, bound_det, bound_diag):
+    # the memoised pair is a fresh build's, its keys each point's (det, content),
+    # and every table of the shape holds that one pair
+    lattice, keys = _lattice(D, bound_det, bound_diag)
+    assert (lattice, keys) == _lattice.__wrapped__(D, bound_det, bound_diag)
+    pts = enumerate_points(D, bound_det, bound_diag)
+    assert list(lattice) == [h.sort_key() for h in pts]
+    assert list(keys) == [(h.det_scaled(), content(h)) for h in pts]
+    rings = (HeckeRing([0, 1]), HeckeRing([1, 0, 1]))
+    a, b = (CoeffTable(FieldParams(D, 8), ring, bound_det, bound_diag) for ring in rings)
+    assert a.lattice is b.lattice is lattice and a.keys is b.keys is keys
+
+
+def test_lattice_memo_stays_bounded():
+    # 2 SHAPES distinct shapes leave SHAPES held; an evicted shape is built again, equal
+    shapes = [(7, 1000 + i, 1) for i in range(2 * SHAPES)]
+    first = _lattice(*shapes[0])
+    for shape in shapes[1:]:
+        _lattice(*shape)
+    assert _lattice.cache_info().currsize == _lattice.cache_info().maxsize == SHAPES
+    again = _lattice(*shapes[0])
+    assert again == first and again is not first
 
 
 def test_enumerate_symmetries_and_order():

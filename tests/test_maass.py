@@ -162,6 +162,18 @@ def test_check_maass_zero_table():
     assert ok and alpha == {}
 
 
+def test_lift_tables_and_check_maass_read_the_shapes_keys_and_take_no_gcd(monkeypatch):
+    # a lift's table and its membership test read each point's content from
+    # the shape's shared (det, content) keys
+    from hermlift import maass
+
+    t = random_alpha_tuple(FieldParams(23, 8), TRIV, GAUSS, 400, seed=3)
+    monkeypatch.setattr(maass, "gcd", lambda *args: pytest.fail("a gcd per point"))
+    table = t.identity_table(400, 3)
+    ok, alpha = check_maass(table)
+    assert ok and alpha and all(t.alpha[n] == v for n, v in alpha.items())
+
+
 def check_maass_reference(table):
     """check_maass as a loop over enumerate_points in canonical order: alpha
     from the first primitive point of each positive determinant (a cusp
