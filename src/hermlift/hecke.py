@@ -51,10 +51,10 @@ of deep shapes in four fields.  On a lift each (det, content) takes one
 ``ring.lincomb``, memoised for one application; a tabulated shape takes no
 gcd (it reads its shared (det, content) keys), a point of
 ``eval_inert_raw`` one.  The T_p image of (det, content)-keyed data is so
-keyed again, so U_p on a lift is the keyed T_p twice.  Tables and lazy sources are read one coefficient
-per coset image, the tests' reference for the keyed reader; a point of P^1
-is isotropic for h if p divides u3, the t3-slot of alpha_a* h alpha_a
-(p | t1 for diag(1, p)), a condition on h mod p alone.
+keyed again, so U_p on a lift is the keyed T_p twice.  Tables and lazy
+sources are read one coefficient per coset image, the tests' reference
+for the keyed reader: both generators walk the same p^2 + 1 translates
+alpha_a* h alpha_a, keeping those divisible by the term's power of p.
 
 Split primes act on lift data in closed form, on the generating function:
 relative to canonical class representatives,
@@ -170,19 +170,20 @@ class LazyAction:
 Slots = tuple[tuple[int, int, list[tuple[int, int, int, int]]], ...]
 
 
-def _isotropic(params: FieldParams, p: int) -> Callable[[int, int, int, int], tuple[tuple[int, ...], ...]]:
-    """The residues a = x + y omega of O_K/p at which p divides u3 =
-    N(a) t1 + t3 + wb x - wa y, the t3-slot of alpha_a* h alpha_a, as a
-    function of h mod p: a scan of the p^2 entries (N(a), x, y, c1, c2),
-    x-major, then y, memoised per class.  At h = 0 every residue is."""
-    q = params.norm_c
-    every = tuple((x * x + x * y + y * y * q, x, y, -x - 2 * q * y, 2 * x + y) for x in range(p) for y in range(p))
+def _translates(params: FieldParams, p: int) -> Callable[[int, int, int, int], list[tuple[int, int, int, int]]]:
+    """h = (t1, t3, w.a, w.b) -> its p^2 + 1 translates alpha_a* h alpha_a: at
+    a = x + y omega in O_K/p, x-major, then y, (p^2 t1, t3 + N(a) t1 + wb x -
+    wa y, p (w + t1 (c1 + c2 omega))) with c1 + c2 omega = sqrt(-D) a, then
+    (t1, p^2 t3, p w) at diag(1, p)."""
+    q, pp = params.norm_c, p * p
+    every = [(x * x + x * y + y * y * q, x, y, -x - 2 * q * y, 2 * x + y) for x in range(p) for y in range(p)]
+    return lambda t1, t3, wa, wb: [(pp * t1, na * t1 + t3 + wb * x - wa * y, p * (t1 * c1 + wa), p * (t1 * c2 + wb))
+                                   for na, x, y, c1, c2 in every] + [(t1, pp * t3, p * wa, p * wb)]
 
-    @cache
-    def iso(r1: int, r3: int, ra: int, rb: int) -> tuple[tuple[int, ...], ...]:
-        return tuple(e for e in every if (e[0] * r1 + r3 + rb * e[1] - ra * e[2]) % p == 0)
 
-    return iso
+def over(images: list[tuple[int, int, int, int]], n: int) -> list[tuple[int, int, int, int]]:
+    """The images divisible by n, divided by n: the lattice points among images / n."""
+    return [(a // n, b // n, c // n, d // n) for a, b, c, d in images if a % n == b % n == c % n == d % n == 0]
 
 
 def _coset_walk(kind: str, params: FieldParams, p: int) -> tuple[Callable[..., Slots], int]:
@@ -191,55 +192,28 @@ def _coset_walk(kind: str, params: FieldParams, p: int) -> tuple[Callable[..., S
     sources are read, and where ``_rows`` come from.
 
     ``slots(det, t1, t3, wa, wb)``, on h's lattice key, gives (scalar, det,
-    images) per term: the coordinates (t1, t3, w.a, w.b) of the arguments
-    of c, all of determinant det, in the order the source is read; T_{p,0}
-    lists every alpha-translate."""
-    iso = _isotropic(params, p)
-    every = iso(0, 0, 0, 0)
+    images) per term, images (t1, t3, w.a, w.b) of determinant det in the
+    order the source reads them: T_{p,0} reads the translates A of h, the
+    lattice points among A / p^2, and h; T_p those among A / p, p h, h / p."""
+    translates = _translates(params, p)
     pp, k = p * p, params.k
     den, hi, lo = p ** k, p ** 4, p ** (2 * k)  # hi, lo: p^(4-k), p^k times den
-    if kind == "InertT0":
 
-        def slots(det: int, t1: int, t3: int, wa: int, wb: int) -> Slots:
-            up, down = [], []  # alpha-translates, and beta-translates (alpha / p^2)
-            for na, x, y, c1, c2 in every:
-                u3 = na * t1 + t3 + wb * x - wa * y
-                va = t1 * c1 + wa  # w' = p*(va, vb)
-                vb = t1 * c2 + wb
-                up.append((pp * t1, u3, p * va, p * vb))
-                if u3 % pp == 0 and va % p == 0 and vb % p == 0:
-                    down.append((t1, u3 // pp, va // p, vb // p))
-            # the extra P^1 representative diag(1, p): h -> (t1, p^2 t3, p w)
-            up.append((t1, pp * t3, p * wa, p * wb))
-            if t1 % pp == 0 and wa % p == 0 and wb % p == 0:
-                down.append((t1 // pp, t3, wa // p, wb // p))
-            s = _diagonal_sum(p, det, gcd(t1, t3, wa, wb))
-            return (hi, pp * det, up), (lo, det // pp, down), (s * den, det, [(t1, t3, wa, wb)])
-
-    else:
-
-        def slots(det: int, t1: int, t3: int, wa: int, wb: int) -> Slots:
-            mid = []  # (alpha_a* h alpha_a) / p, integral exactly at the isotropic residues
-            for na, x, y, c1, c2 in iso(t1 % p, t3 % p, wa % p, wb % p):
-                u3 = na * t1 + t3 + wb * x - wa * y
-                mid.append((p * t1, u3 // p, t1 * c1 + wa, t1 * c2 + wb))
-            if t1 % p == 0:
-                mid.append((t1 // p, p * t3, wa, wb))
-            divisible = t1 % p == 0 and t3 % p == 0 and wa % p == 0 and wb % p == 0
-            down = [(t1 // p, t3 // p, wa // p, wb // p)] if divisible else []
-            up = [(p * t1, p * t3, p * wa, p * wb)]
-            return (p * den, det, mid), (hi, pp * det, up), (lo, det // pp, down)
+    def slots(det: int, t1: int, t3: int, wa: int, wb: int) -> Slots:
+        h = (t1, t3, wa, wb)
+        if kind == "InertT0":
+            A, s = translates(*h), _diagonal_sum(p, det, gcd(*h))
+            return (hi, pp * det, A), (lo, det // pp, over(A, pp)), (s * den, det, [h])
+        ph = (p * t1, p * t3, p * wa, p * wb)
+        return (p * den, det, over(translates(*h), p)), (hi, pp * det, [ph]), (lo, det // pp, over([h], p))
 
     return slots, den
 
 
-def _coset_sum(get: Getter, ring: HeckeRing, den: int) -> Callable[[Slots], HeckeElem]:
-    """Reads slots one source value per coset image, at the image's lattice
-    key (the term's det, then its coordinates), for tables and lazy sources
-    (not lifts).  Sums are memoised on the tuple of (scalar, value) terms
-    for one application: deep shapes meet few distinct tuples."""
-    total = cache(lambda terms: lincomb(ring, terms, den))
-    return lambda slots: total(tuple((s, get(det, *image)) for s, det, images in slots for image in images))
+def _coset_sum(get: Getter, ring: HeckeRing, slots: Callable[..., Slots], den: int) -> Getter:
+    """The image of a table or lazy source (not a lift): one source value per
+    coset image, read at its lattice key (the term's det, then the image)."""
+    return lambda *key: lincomb(ring, [(s, get(d, *im)) for s, d, ims in slots(*key) for im in ims], den)
 
 
 def _diagonal_sum(p: int, det: int, c: int) -> int:
@@ -312,8 +286,7 @@ def _op_getter(src, kind: str, p: int) -> tuple[Getter | Keyed, FieldParams, Hec
         return Keyed(at), params, ring
     get = src.getter if isinstance(src, LazyAction) else _table_getter(src)
     for step in steps:
-        slots, den = _coset_walk(step, params, p)
-        get = cache(lambda *key, read=_coset_sum(get, ring, den), slots=slots: read(slots(*key)))
+        get = cache(_coset_sum(get, ring, *_coset_walk(step, params, p)))
     return get, params, ring
 
 
@@ -328,9 +301,10 @@ def _cusp_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing
 
 def eval_inert_raw(src, kind: str, p: int, points: Iterable[HermPoint]) -> dict[HermPoint, HeckeElem]:
     """Raw coset action evaluated at selected points (no table materialised);
-    the ring's zero at singular points, where cusp forms vanish."""
-    get = _cusp_getter(src, kind, p)[0]
-    return {h: get(*h.sort_key()) for h in points}
+    the ring's zero at singular points, where cusp forms vanish; ValueError
+    at a point of another field."""
+    get, params, _ = _cusp_getter(src, kind, p)
+    return {h: get(*h.key_for(params.D)) for h in points}
 
 
 def inert_action(src, kind: str, p: int) -> LazyAction:

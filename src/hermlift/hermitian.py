@@ -57,6 +57,12 @@ class HermPoint:
     def sort_key(self):
         return (self.det_scaled(), self.t1, self.t3, self.w.a, self.w.b)
 
+    def key_for(self, D: int):
+        """``sort_key()`` at a source of discriminant D, which holds no point of another field."""
+        if self.D != D:
+            raise ValueError(f"point {self} has discriminant {self.D}, the source has discriminant {D}")
+        return self.sort_key()
+
     def divide(self, n: int) -> Optional["HermPoint"]:
         """h/n if still a lattice point, else None."""
         if self.t1 % n or self.t3 % n or not self.w.divisible(n):

@@ -165,9 +165,9 @@ class MaassTuple:
     def oracle(self) -> Oracle:
         """Pointwise coefficient function, evaluated on demand so Hecke
         operators can reach outside any materialised table; past
-        ``alpha_max`` it raises RangeError."""
-        get = _lift_getter(self)
-        return lambda h: get(*h.sort_key())
+        ``alpha_max`` it raises RangeError, at a point of another field ValueError."""
+        get, D = _lift_getter(self), self.D
+        return lambda h: get(*h.key_for(D))
 
     def identity_table(self, bound_det: int, bound_diag: int) -> CoeffTable:
         if bound_det > self.alpha_max:

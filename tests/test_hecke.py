@@ -15,7 +15,6 @@ from hermlift.hecke import (
     LazyAction,
     RangeError,
     _coset_walk,
-    _isotropic,
     act_inert_T,
     act_inert_T0,
     act_inert_Up,
@@ -25,7 +24,7 @@ from hermlift.hecke import (
     inert_action,
     maass_eigenvalue,
 )
-from hermlift.hermitian import HermPoint, enumerate_points, point, transform_integral
+from hermlift.hermitian import HermPoint, enumerate_points, point, transform, transform_integral
 from hermlift.maass import CoeffTable, MaassTuple, _lift_getter, a_K, build_lift, check_maass, descend, random_alpha_tuple
 from hermlift.quadfield import (
     FieldParams,
@@ -137,6 +136,20 @@ def test_inert_sources_give_zero_at_singular_points():
             assert all(v is ZZ.zero() for v in eval_inert_raw(src, kind, 3, singular).values()), (kind, src)
             get = inert_action(src, kind, 3).getter
             assert all(get(*h.sort_key()) is ZZ.zero() for h in singular), (kind, src)
+
+
+def test_a_point_of_another_field_is_refused():
+    # sources over D = 7 hold no point of D = 23: eval_inert_raw on a lift,
+    # a table and a lazy source, and the lift's oracle, refuse it with a
+    # ValueError naming both discriminants, not a RangeError and not a value
+    t = random_alpha_tuple(FieldParams(7, 8), trivial_char(), ZZ, 23 * 81, seed=1)
+    h = point(23, 1, 1, 0, 0)
+    sources = (t, t.identity_table(7 * 9, 3), LazyAction(_lift_getter(t), t.params, ZZ))
+    calls = [lambda src=src: eval_inert_raw(src, kind, 3, [h]) for src in sources for kind in ("InertT0", "InertT")]
+    for call in calls + [lambda: t.oracle()(h)]:
+        with pytest.raises(ValueError, match="discriminant 23, the source has discriminant 7") as err:
+            call()
+        assert not isinstance(err.value, RangeError)
 
 
 class KeyIndex(dict):
@@ -376,26 +389,33 @@ def test_keyed_lift_kernel_matches_per_coset_reference(data):
 
 @pytest.mark.parametrize("D, p", [(7, 3), (7, 5), (7, 7), (23, 3), (23, 5), (23, 7), (11, 2)])
 def test_isotropic_residues_match_full_scan(D, p):
-    # for every h mod p: the memoised list is exactly the residues a = x + y
-    # omega at which alpha_a* h alpha_a has t3 divisible by p, with t3 from
-    # QuadInt arithmetic (and from transform_integral at one class).  At an
-    # inert p the isotropic points of P^1 (the residues, and diag(1, p) when
-    # p | t1) number p^2 + 1 at h = 0 mod p, one when p | det, and p + 1
-    # otherwise.  The per-coset T_{p,0} walk lists all p^2 + 1
-    # alpha-translates, and the row of h, which lumps them by (det, content),
-    # still adds up to p^(4-k) (p^2 + 1) over the denominator p^k at det
-    # p^2 det(h)
+    # for every h mod p: T_p's middle images are exactly the translates
+    # alpha_a* h alpha_a with t3 divisible by p, divided by p, at the
+    # residues a = x + y omega in scan order (then diag(1, p) when p | t1),
+    # with t3 and w from QuadInt arithmetic (and t3 from transform_integral
+    # at one class).  At an inert p the isotropic points of P^1 (the
+    # residues, and diag(1, p) when p | t1) number p^2 + 1 at h = 0 mod p,
+    # one when p | det, and p + 1 otherwise.  The per-coset T_{p,0} walk
+    # lists all p^2 + 1 alpha-translates, and the row of h, which lumps them
+    # by (det, content), still adds up to p^(4-k) (p^2 + 1) over the
+    # denominator p^k at det p^2 det(h)
     params = FieldParams(D, 8)
-    iso = _isotropic(params, p)
     full, _ = _coset_walk("InertT0", params, p)
+    t, _ = _coset_walk("InertT", params, p)
     row, _ = hecke._rows("InertT0", params, p)
     residues = [QuadInt(x, y, D) for x in range(p) for y in range(p)]
+    root = QuadInt(-1, 2, D)  # sqrt(-D)
     t3_pad = p * p * (params.norm_c + 2)  # keeps every representative positive
     for r1, r3, ra, rb in itertools.product(range(p), repeat=4):
         h = point(D, r1 + p, r3 + t3_pad, ra, rb)
-        # t3 of alpha_a* h alpha_a, the (2, 2) entry: t1 N(a) + t3 + 2 Re(conj(a) w / sqrt(-D))
-        scan = [(a.a, a.b) for a in residues if (h.t1 * a.norm() + h.t3 + (h.w * a.conj()).omega_coef()) % p == 0]
-        assert [(x, y) for _, x, y, _, _ in iso(r1, r3, ra, rb)] == scan
+        # t3 of alpha_a* h alpha_a, the (2, 2) entry: t1 N(a) + t3 + 2 Re(conj(a) w / sqrt(-D));
+        # its w is p (w + sqrt(-D) a t1)
+        t3s = [h.t1 * a.norm() + h.t3 + (h.w * a.conj()).omega_coef() for a in residues]
+        scan = [(a.a, a.b) for a, t3 in zip(residues, t3s) if t3 % p == 0]
+        mid = [(p * h.t1, t3 // p, w.a, w.b) for a, t3 in zip(residues, t3s) if t3 % p == 0
+               for w in [h.w + root * a * h.t1]]
+        mid += [(h.t1 // p, p * h.t3, h.w.a, h.w.b)] if r1 == 0 else []
+        assert t(*h.sort_key())[0][2] == mid
         if r1 == r3 == ra == rb == p - 1:  # the formula against the transform, at one class
             alpha = [((QuadInt(p, 0, D), a), (QuadInt(0, 0, D), QuadInt(1, 0, D))) for a in residues]
             assert [(a.a, a.b) for a, g in zip(residues, alpha) if transform_integral(h, g).t3 % p == 0] == scan
@@ -409,9 +429,9 @@ def test_isotropic_residues_match_full_scan(D, p):
 
 @pytest.mark.parametrize("D, p", [(7, 3), (7, 5), (11, 2), (11, 7), (23, 5), (23, 7)])
 def test_images_at_points_prime_to_p_have_the_lemma_contents(D, p):
-    # the lemma behind the keyed walk's closed form, image by image on the
-    # per-coset walk alone: at p not dividing det(h), with c = content(h),
-    # exactly p + 1 points of P^1 are isotropic (p | u3, or p | t1 for
+    # the lemma behind row (0, 0), image by image on the per-coset walk
+    # alone: at p not dividing det(h), with c = content(h), exactly p + 1
+    # points of P^1 are isotropic (p | u3, or p | t1 for
     # diag(1, p)); T_{p,0}'s alpha-translates there have content p c and c
     # elsewhere, T_p's mid images (those translates over p) have c and p h has
     # p c, and no beta-translate and no h/p is integral
@@ -485,6 +505,35 @@ def test_rows_match_the_coset_walk_at_every_point(D):
                     assert walked_row(slots, p, h) == dict(row(h.det_scaled(), math.gcd(*h.coords()))), (kind, p, k, h)
 
 
+@pytest.mark.parametrize("D", sorted(ROW_CASES))
+def test_coset_walk_matches_the_matrix_transforms(D):
+    # the walk against hermitian's matrix transforms, image by image in slot
+    # order, at every point of a small shape and at p times the points of
+    # diag 1 in it (whose images include beta-translates):
+    # T_{p,0}'s alpha-translates are g* h g for g = [[p, a], [0, 1]] at the
+    # residues a, x-major, then y, and g = diag(1, p); its beta-translates
+    # are those g* h g / p^2 that are lattice points, and T_p's middle images
+    # those g* h g / p that are.  Each image has its slot's det
+    zero, one = QuadInt(0, 0, D), QuadInt(1, 0, D)
+    params, shape = FieldParams(D, 8), enumerate_points(D, 6, 2)
+    for p in ROW_CASES[D]:
+        gs = [((QuadInt(p, 0, D), QuadInt(x, y, D)), (zero, one)) for x in range(p) for y in range(p)]
+        gs.append(((one, zero), (zero, QuadInt(p, 0, D))))
+        t0, _ = _coset_walk("InertT0", params, p)
+        t, _ = _coset_walk("InertT", params, p)
+        betas = 0
+        for h in shape + [point(D, *(p * x for x in h.coords())) for h in shape if h.t1 == h.t3 == 1]:
+            (_, up_det, up), (_, beta_det, beta), _ = t0(*h.sort_key())
+            (_, mid_det, mid), _, _ = t(*h.sort_key())
+            alpha = [transform_integral(h, g) for g in gs]
+            betas_at = [b for g in gs if (b := transform(h, g, p)) is not None]
+            mids = [m for a in alpha if (m := a.divide(p)) is not None]
+            for det, images, want in ((up_det, up, alpha), (beta_det, beta, betas_at), (mid_det, mid, mids)):
+                assert images == [x.coords() for x in want] and {x.det_scaled() for x in want} <= {det}, (p, h)
+            betas += len(beta)
+        assert betas > 0
+
+
 def test_rows_do_not_depend_on_the_field():
     # a row depends on (kind, p, k) only: for each p, rows of every type
     # agree across the fields in which p is inert
@@ -551,33 +600,20 @@ def test_keyed_reader_takes_one_gcd_per_point_and_one_sum_per_det_and_content(D,
             assert all(v is zero for v in vals if src is blank or v.is_zero()), kind
 
 
-def test_isotropic_memo_holds_one_list_per_class_mod_p(monkeypatch):
-    # a lift is read by rows and builds no memo once they are derived, under
-    # every tabulated operator and eval_inert_raw alike; every per-coset
-    # application of T_p builds one (U_p on a lazy source two).
-    # It is keyed by h mod p, so it never holds more than p^4 lists, and
-    # deep tables reuse them
-    made = []
-    real = hecke._isotropic
+def test_a_lift_takes_no_coset_walk_once_rows_are_derived(monkeypatch):
+    # a lift is read by rows: once they are derived, every tabulated
+    # operator and eval_inert_raw alike read no coset walk
     params = FieldParams(7, 8)
     for kind in ("InertT0", "InertT"):
         hecke._rows(kind, params, 3)
-    monkeypatch.setattr(hecke, "_isotropic", lambda params, p: made.append(real(params, p)) or made[-1])
+    monkeypatch.setattr(hecke, "_coset_walk", lambda *args: pytest.fail("a coset walk on a lift"))
     t = random_alpha_tuple(params, trivial_char(), ZZ, 81 * 7 * 9 + 40, seed=8, spread=4)
     act_inert_T0(t, 3, 7 * 36, 6)
     act_inert_T(t, 3, 7 * 36, 6)
     act_inert_Up(t, 3, 7 * 9, 3)
     pts = enumerate_points(7, 7 * 9, 3)
     for kind in ("InertT0", "InertT", "InertUp"):
-        eval_inert_raw(t, kind, 3, pts)
-    assert made == []
-    lazy = LazyAction(_lift_getter(t), params, ZZ)
-    act_inert_T(lazy, 3, 7 * 36, 6)
-    act_inert_Up(lazy, 3, 7 * 9, 3)
-    assert len(made) == 3  # T, then U_p's inner and outer T
-    for memo in made:
-        info = memo.cache_info()
-        assert 0 < info.currsize <= 3 ** 4 and info.hits > info.currsize
+        assert any(not v.is_zero() for v in eval_inert_raw(t, kind, 3, pts).values()), kind
 
 
 def lumped_case_points(D, p):
@@ -593,10 +629,9 @@ def lumped_case_points(D, p):
 
 @pytest.mark.parametrize("D, p", [(7, 3), (23, 5), (11, 2)])
 def test_lumped_translates_match_the_per_coset_reference(D, p):
-    # at h = p h' the keyed walk reads only the residues isotropic for h'
-    # and lumps the others; the per-coset reader walks all p^2.  At p = 2
-    # the isotropic residues solve a linear equation, not a quadratic.  With
-    # alpha one index short of the deepest read, both raise the same error
+    # at h = p h' the rows lump the translates by (det, content); the
+    # per-coset reader reads all p^2 + 1 of them.  With alpha one index
+    # short of the deepest read, both raise the same error
     reach = {"InertT0": p ** 2, "InertT": p ** 2, "InertUp": p ** 4}  # alpha read at reach * det
     cases = [(kind, name, h) for name, h in lumped_case_points(D, p) for kind in reach]
     cases = [case for case in cases if reach[case[0]] * case[2].det_scaled() <= 120000]
@@ -622,8 +657,8 @@ def test_lumped_translates_match_the_per_coset_reference(D, p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_keyed_T_at_p_times_a_generic_point_takes_few_gcds(p, monkeypatch):
     # h = p h' with p not dividing det h': p + 1 points of P^1 are isotropic
-    # for h', so the walk takes content(h), at most p + 1 mid-translates and
-    # no gcd for p h or h / p; the residues off iso(h' mod p) take none
+    # for h', and the keyed T_p on a lift, reading h by its row, takes one
+    # gcd, content(h), and none per coset image
     D = 7
     calls = []
     monkeypatch.setattr(hecke, "gcd", lambda *args: calls.append(args) or math.gcd(*args))
@@ -633,56 +668,22 @@ def test_keyed_T_at_p_times_a_generic_point_takes_few_gcds(p, monkeypatch):
     for h in pts:
         calls.clear()
         get(p * p * h.det_scaled(), p * h.t1, p * h.t3, p * h.w.a, p * h.w.b)
-        assert len(calls) <= p + 4, h
+        assert len(calls) == 1, h
     assert len(pts) >= 4
 
 
-def test_up_outer_reader_sums_each_term_tuple_once(monkeypatch):
-    # U_p on a lazy source (a lift's own getter) reads its inner T_p image
-    # one coefficient per coset image; on a deep shape (diag 6) the outer
-    # reader's points meet few distinct tuples of (scalar, value) terms, and
-    # each tuple takes one lincomb
-    sums, readers = [], []
-    real_sum, real_lincomb = hecke._coset_sum, hecke.lincomb
-    monkeypatch.setattr(hecke, "lincomb", lambda *args: sums.append(args) or real_lincomb(*args))
-
-    def spy(get, ring, den):
-        read, tuples, per_point = real_sum(get, ring, den), set(), []
-        readers.append((tuples, per_point))
-
-        def counted(slots):
-            # reading the terms first memoises the inner values, so the sums
-            # counted below are this reader's own
-            tuples.add(tuple((s, get(det, *image)) for s, det, images in slots for image in images))
-            before = len(sums)
-            out = read(slots)
-            per_point.append(len(sums) - before)
-            return out
-
-        return counted
-
-    monkeypatch.setattr(hecke, "_coset_sum", spy)
-    t = random_alpha_tuple(FieldParams(7, 8), trivial_char(), ZZ, 81 * 108, seed=6, spread=5)
-    out = act_inert_Up(LazyAction(_lift_getter(t), t.params, t.ring), 3, 108, 6)
-    (_, inner), (tuples, per_point) = readers
-    assert len(per_point) == len(out.lattice) and sum(per_point) == len(tuples) < len(per_point) // 10
-    assert len(inner) > len(per_point)
-
-
 def per_coset_reference(get, kind, p, params, ring):
-    """The per-coset reader with no memo on its sums: one lincomb per point."""
+    """The per-coset reader written out: one lincomb per point."""
     slots, den = _coset_walk(kind, params, p)
     return cache(lambda *key: lincomb(ring, [(s, get(det, *im)) for s, det, ims in slots(*key) for im in ims], den))
 
 
 @pytest.mark.parametrize("source", ["lift", "random"])
 def test_inert_tables_match_the_reader_without_memos(source):
-    # the lemma's dict on a lift and the per-coset reader's memo on term
-    # tuples leave every table as one lincomb per point gives it: on a lift,
-    # and on a lazy table that is no lift (read by the per-coset reader, as a
-    # CoeffTable is), its values taken from a small pool by a mix of the
-    # coordinates, so that term tuples repeat while tuples with equal
-    # scalars differ
+    # the rows on a lift, and the per-coset reader on a lazy table that is no
+    # lift (read as a CoeffTable is), leave every table as one lincomb per
+    # point over the coset walk gives it; the lazy table's values are taken
+    # from a small pool by a mix of the coordinates
     D, p, params = 7, 3, FieldParams(7, 8)
     if source == "lift":
         src = random_alpha_tuple(params, trivial_char(), GAUSS, 81 * 28, seed=5, spread=4)

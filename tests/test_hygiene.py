@@ -1,14 +1,15 @@
 """Static hygiene of src/hermlift, read with the stdlib ast module.
 
-Six rules: a module uses every name it imports (``__init__`` imports only
-to re-export); every private module-level function or class is referenced
-by some module of the package; every function, method and class is
-referenced by name outside its own body somewhere in src, tests, demos or
-perfbench; ``exec``, ``eval`` and ``compile`` are named only inside
+Seven rules: a module uses every name it imports (``__init__`` imports
+only to re-export); every private module-level function or class is
+referenced by some module of the package; every function, method and class
+is referenced by name outside its own body somewhere in src, tests, demos
+or perfbench; ``exec``, ``eval`` and ``compile`` are named only inside
 ``ring._product_kernel``; a scaled determinant is computed from raw
-coordinates only where coordinates enter the library; and an Euler
-factor's s-shift becomes a power of its norm only where X-coefficients are
-read.  A helper left behind by a refactor fails here rather than lingering.
+coordinates only where coordinates enter the library; an Euler factor's
+s-shift becomes a power of its norm only where X-coefficients are read;
+and src/hermlift stays within ``LINE_CAP`` lines.  A helper left behind by
+a refactor fails here rather than lingering.
 """
 
 import ast
