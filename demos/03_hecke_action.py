@@ -1,6 +1,6 @@
 """Hecke operators on lifts: invariance and descent.
 
-Inert primes act through raw double-coset sums on coefficient tables;
+Inert primes act on lifts through raw double-coset sums;
 split primes act in closed form on the generating function.  Both
 preserve the Maass space, and both descend to explicit polynomials in the
 classical elliptic Hecke operator.

@@ -48,6 +48,7 @@ from .elliptic import (
 from .maass import (
     MaassTuple,
     CoeffTable,
+    RangeError,
     a_K,
     alpha_from_newform,
     antisymmetrize,
@@ -59,14 +60,12 @@ from .maass import (
 from .hecke import (
     HeckeOpId,
     DescendedOp,
-    RangeError,
-    LazyAction,
     act_inert_T0,
     act_inert_T,
     act_inert_Up,
+    act_inert_on_lift,
     act_split_on_lift,
     eval_inert_raw,
-    inert_action,
     descend_op,
     maass_eigenvalue,
 )

@@ -28,9 +28,10 @@ the others one::
 A point line gives the coordinates of a lattice point; ``read_table`` is
 the one place its scaled determinant is computed, and the library reads
 every table by the lattice key (det, t1, t3, wa, wb) from then on.
-``hecke`` writes the table its last inert operator computed, after that
-table passed the membership check, and tabulates from the generating
-function only after a final split operator.
+``hecke`` acts on the lift's generating function, one operator after
+another; after a final inert operator it writes that operator's raw image
+of the previous lift, once the image has passed the membership check, and
+after a final split operator the table of the generating function.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import sys
 from . import hecke
 from .congr import build_eigen_system, maass_ideal_report
 from .elliptic import NewformData, _header, parse_newform
-from .hecke import HeckeOpId, act_split_on_lift
+from .hecke import HeckeOpId, act_inert_on_lift, act_split_on_lift
 from .maass import CoeffTable, MaassTuple, build_lift, check_maass, descend
 from .lfun import _place_factors, _verify_factors
 from .quadfield import ClassChar, FieldParams, char_values, chi_K, class_group
@@ -270,18 +271,17 @@ def cmd_hecke(args, out: Out) -> int:
     table, chi, zetaexp = read_table(args.table)
     ops = [HeckeOpId.parse(name, table.D) for name in args.op]
     t, bound_diag = table_as_tuple(table, chi, zetaexp), table.bound_diag
-    for op in ops:
-        if op.kind in ("SplitT1", "SplitT2"):
-            t, table = act_split_on_lift(t, op), None
-        else:
-            # act on the lift, materialise on the shrunken range, then
-            # re-extract the generating function; looked up by name at run
-            # time, so a wrapper installed on the hecke module is honoured
-            act = getattr(hecke, op.kind.replace("Inert", "act_inert_"))
-            table = act(t, op.p, t.alpha_max // op.p ** op.reach, bound_diag)
-            t = table_as_tuple(table, chi, t.zeta_exp)
-    if table is None:
+    split = ("SplitT1", "SplitT2")
+    for op in ops:  # each operator maps a lift to a lift, read at the alpha level
+        last, t = t, (act_split_on_lift if op.kind in split else act_inert_on_lift)(t, op)
+    if op.kind in split:
         table = t.identity_table(t.alpha_max, bound_diag)
+    else:
+        # a final inert operator writes its raw coset image of the previous
+        # lift, which must pass the membership check; looked up by name at
+        # run time, so a wrapper installed on the hecke module is honoured
+        table = getattr(hecke, op.kind.replace("Inert", "act_inert_"))(last, op.p, t.alpha_max, bound_diag)
+        table_as_tuple(table, chi, t.zeta_exp)
     write_table(args.output, table, chi, t.zeta_exp)
     record = {"output": args.output, "ops": [str(o) for o in ops], "alpha_max": t.alpha_max, "zetaexp": t.zeta_exp}
     out.emit(record, f"wrote {args.output} after {' '.join(str(o) for o in ops)} (alpha valid to {t.alpha_max})")

@@ -1,8 +1,8 @@
 """Hermitian Hecke operators at primes p not dividing D.
 
-Inert primes act through the raw double-coset action on coefficient
-tables.  Every coset of the two generators is block upper triangular
-[[A, B], [0, Dm]] with A Dm* = mu I, and a coset contributes
+Inert primes act on lifts through the raw double-coset action.  Every
+coset of the two generators is block upper triangular [[A, B], [0, Dm]]
+with A Dm* = mu I, and a coset contributes
 
     det(gamma)^(k/2) det(Dm)^(-k) e(tr(h Dm* B)/mu) C(Dm h Dm* / mu)
 
@@ -51,10 +51,13 @@ of deep shapes in four fields.  On a lift each (det, content) takes one
 ``ring.lincomb``, memoised for one application; a tabulated shape takes no
 gcd (it reads its shared (det, content) keys), a point of
 ``eval_inert_raw`` one.  The T_p image of (det, content)-keyed data is so
-keyed again, so U_p on a lift is the keyed T_p twice.  Tables and lazy
-sources are read one coefficient per coset image, the tests' reference
-for the keyed reader: both generators walk the same p^2 + 1 translates
-alpha_a* h alpha_a, keeping those divisible by the term's power of p.
+keyed again, so U_p on a lift is the keyed T_p twice.  The Maass space is
+stable under every inert operator, so the image of a lift is a lift:
+``act_inert_on_lift`` reads its alpha at primitive points, and tables are
+tabulated from lifts only.  Both generators walk the same p^2 + 1
+translates alpha_a* h alpha_a, keeping those divisible by the term's power
+of p; read one coefficient per coset image, the walk is the tests'
+reference for the keyed reader.
 
 Split primes act on lift data in closed form, on the generating function:
 relative to canonical class representatives,
@@ -71,7 +74,7 @@ evaluates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -79,7 +82,7 @@ from typing import Callable, Iterable
 
 from .elliptic import NewformData, QExpansion, apply_Tp
 from .hermitian import HermPoint
-from .maass import CoeffTable, Getter, Keyed, MaassTuple, RangeError, _lift_values, _tabulate
+from .maass import CoeffTable, MaassTuple, _lift_values, _tabulate, a_K
 from .quadfield import (
     ClassChar,
     FieldParams,
@@ -142,31 +145,6 @@ class HeckeOpId:
 # inert raw action
 
 
-def _table_getter(table: CoeffTable) -> Getter:
-    bd, bg = table.bound_det, table.bound_diag
-    index, vals = table.index, table.vals
-
-    def get(det: int, t1: int, t3: int, wa: int, wb: int) -> HeckeElem:
-        if t1 > bg or t3 > bg or det > bd:
-            raise RangeError(
-                f"input table bounds (det<={bd}, diag<={bg}) do not cover the "
-                f"needed point ({t1},{t3},{wa},{wb}) with det {det}"
-            )
-        return vals[index[det, t1, t3, wa, wb]]
-
-    return get
-
-
-@dataclass
-class LazyAction:
-    """An inert operator applied lazily: coefficients computed (and memoized)
-    on demand, so compositions never need intermediate table bounds."""
-
-    getter: "Getter"
-    params: FieldParams
-    ring: HeckeRing
-
-
 Slots = tuple[tuple[int, int, list[tuple[int, int, int, int]]], ...]
 
 
@@ -188,8 +166,8 @@ def over(images: list[tuple[int, int, int, int]], n: int) -> list[tuple[int, int
 
 def _coset_walk(kind: str, params: FieldParams, p: int) -> tuple[Callable[..., Slots], int]:
     """The coset images of h under T_{p,0} or T_p, one slot per term, and
-    the denominator p^k of the slots' integer scalars: how tables and lazy
-    sources are read, and where ``_rows`` come from.
+    the denominator p^k of the slots' integer scalars: where ``_rows`` come
+    from, and the tests' per-coset reference reader.
 
     ``slots(det, t1, t3, wa, wb)``, on h's lattice key, gives (scalar, det,
     images) per term, images (t1, t3, w.a, w.b) of determinant det in the
@@ -208,12 +186,6 @@ def _coset_walk(kind: str, params: FieldParams, p: int) -> tuple[Callable[..., S
         return (p * den, det, over(translates(*h), p)), (hi, pp * det, [ph]), (lo, det // pp, over([h], p))
 
     return slots, den
-
-
-def _coset_sum(get: Getter, ring: HeckeRing, slots: Callable[..., Slots], den: int) -> Getter:
-    """The image of a table or lazy source (not a lift): one source value per
-    coset image, read at its lattice key (the term's det, then the image)."""
-    return lambda *key: lincomb(ring, [(s, get(d, *im)) for s, d, ims in slots(*key) for im in ims], den)
 
 
 def _diagonal_sum(p: int, det: int, c: int) -> int:
@@ -257,7 +229,7 @@ def _keyed(value: Callable, ring: HeckeRing, p: int, row: Callable, den: int) ->
     """The image of (det, content)-keyed data under the operator of ``row``,
     so keyed again: one ``lincomb`` per (det, c), memoised for one
     application, reading values in the slots' det order, so that a short
-    alpha raises the RangeError the per-coset reader raises."""
+    alpha raises the RangeError the tests' per-coset reader raises."""
     scale = lambda n, e: n * p ** e if e >= 0 else n // p ** -e
 
     @cache
@@ -267,64 +239,57 @@ def _keyed(value: Callable, ring: HeckeRing, p: int, row: Callable, den: int) ->
     return at
 
 
-def _op_getter(src, kind: str, p: int) -> tuple[Getter | Keyed, FieldParams, HeckeRing]:
-    """Memoized evaluator of an inert operator applied to src: on a lift
-    ``Keyed`` by (det, content), else on lattice keys; U_p is T_p twice, on
-    a lift the keyed T_p of the keyed T_p image."""
+def _op_getter(t: MaassTuple, kind: str, p: int) -> tuple[Callable[[int, int], HeckeElem], FieldParams, HeckeRing]:
+    """The image of a lift under an inert operator, keyed by (det, content)
+    and memoised for one application; U_p is T_p twice, the keyed T_p of
+    the keyed T_p image."""
     steps = {"InertT0": ("InertT0",), "InertT": ("InertT",), "InertUp": ("InertT", "InertT")}.get(kind)
     if steps is None:
         raise ValueError(f"raw inert evaluation supports InertT0, InertT and InertUp, not {kind}")
-    if not isinstance(src, (MaassTuple, CoeffTable, LazyAction)):
-        raise TypeError("expected a MaassTuple, CoeffTable or LazyAction")
-    params, ring = src.params, src.ring
+    if not isinstance(t, MaassTuple):
+        raise TypeError(f"inert operators act on a MaassTuple (a lift), not a {type(t).__name__}")
+    params, ring = t.params, t.ring
     if split_type(params.D, p) is not SplitType.INERT:
         raise ValueError(f"p = {p} is not inert for discriminant {params.D}")
-    if isinstance(src, MaassTuple):
-        at = _lift_values(src.alpha, src.alpha_max, src.k, ring)
-        for step in steps:
-            at = _keyed(at, ring, p, *_rows(step, params, p))
-        return Keyed(at), params, ring
-    get = src.getter if isinstance(src, LazyAction) else _table_getter(src)
+    at = _lift_values(t.alpha, t.alpha_max, t.k, ring)
     for step in steps:
-        get = cache(_coset_sum(get, ring, *_coset_walk(step, params, p)))
-    return get, params, ring
+        at = _keyed(at, ring, p, *_rows(step, params, p))
+    return at, params, ring
 
 
-def _cusp_getter(src, kind: str, p: int) -> tuple[Getter, FieldParams, HeckeRing]:
-    """``_op_getter`` on lattice keys, a point's content its one gcd, with
-    the ring's zero at singular keys (det 0), where cusp forms vanish."""
-    get, params, ring = _op_getter(src, kind, p)
-    if isinstance(get, Keyed):
-        get = lambda det, t1, t3, wa, wb, at=get.at: at(det, gcd(t1, t3, wa, wb))
-    return lambda det, *coords: get(det, *coords) if det else ring.zero(), params, ring
+def eval_inert_raw(t: MaassTuple, kind: str, p: int, points: Iterable[HermPoint]) -> dict[HermPoint, HeckeElem]:
+    """Raw coset action on a lift evaluated at selected points (no table
+    materialised), a point's content its one gcd; the ring's zero at
+    singular points, where cusp forms vanish; ValueError at a point of
+    another field."""
+    at, params, ring = _op_getter(t, kind, p)
+    value = lambda det, *coords: at(det, gcd(*coords)) if det else ring.zero()
+    return {h: value(*h.key_for(params.D)) for h in points}
 
 
-def eval_inert_raw(src, kind: str, p: int, points: Iterable[HermPoint]) -> dict[HermPoint, HeckeElem]:
-    """Raw coset action evaluated at selected points (no table materialised);
-    the ring's zero at singular points, where cusp forms vanish; ValueError
-    at a point of another field."""
-    get, params, _ = _cusp_getter(src, kind, p)
-    return {h: get(*h.key_for(params.D)) for h in points}
+def act_inert_on_lift(t: MaassTuple, op: HeckeOpId) -> MaassTuple:
+    """An inert operator on a lift, as a lift: the Maass space is stable
+    under it, so alpha'(n) is the image at a primitive point of det n, for
+    every n <= alpha_max // p^reach that a point realises (a_K(D, n) != 0)."""
+    at, _, _ = _op_getter(t, op.kind, op.p)
+    new_max = t.alpha_max // op.p ** op.reach
+    alpha = {n: v for n in range(1, new_max + 1) if a_K(t.D, n) and not (v := at(n, 1)).is_zero()}
+    return replace(t, alpha=alpha, alpha_max=new_max, source_label=f"{op}({t.source_label})")
 
 
-def inert_action(src, kind: str, p: int) -> LazyAction:
-    """The operator applied lazily (zero at singular keys); a source for further operators."""
-    return LazyAction(*_cusp_getter(src, kind, p))
+def act_inert_T0(t: MaassTuple, p: int, bound_det: int, bound_diag: int) -> CoeffTable:
+    """T_{p,0} on a lift, materialised to the given bounds."""
+    return _tabulate(*_op_getter(t, "InertT0", p), bound_det, bound_diag)
 
 
-def act_inert_T0(src, p: int, bound_det: int, bound_diag: int) -> CoeffTable:
-    """T_{p,0} on a coefficient table or lift, materialised to the given bounds."""
-    return _tabulate(*_op_getter(src, "InertT0", p), bound_det, bound_diag)
+def act_inert_T(t: MaassTuple, p: int, bound_det: int, bound_diag: int) -> CoeffTable:
+    """T_p (inert) on a lift, materialised to the given bounds."""
+    return _tabulate(*_op_getter(t, "InertT", p), bound_det, bound_diag)
 
 
-def act_inert_T(src, p: int, bound_det: int, bound_diag: int) -> CoeffTable:
-    """T_p (inert) on a coefficient table or lift, materialised to the given bounds."""
-    return _tabulate(*_op_getter(src, "InertT", p), bound_det, bound_diag)
-
-
-def act_inert_Up(src, p: int, bound_det: int, bound_diag: int) -> CoeffTable:
+def act_inert_Up(t: MaassTuple, p: int, bound_det: int, bound_diag: int) -> CoeffTable:
     """U_p = T_p twice: the similitude center acts trivially at weight (k, -k/2)."""
-    return _tabulate(*_op_getter(src, "InertUp", p), bound_det, bound_diag)
+    return _tabulate(*_op_getter(t, "InertUp", p), bound_det, bound_diag)
 
 
 # ---------------------------------------------------------------------------

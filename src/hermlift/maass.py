@@ -39,14 +39,6 @@ Oracle = Callable[[HermPoint], Coeff]
 Getter = Callable[[int, int, int, int, int], Coeff]  # on lattice keys (det, t1, t3, w.a, w.b)
 
 
-@dataclass(frozen=True)
-class Keyed:
-    """A coefficient function of (det, content) alone, as a lift's and its
-    inert images' are: ``_tabulate`` reads it at the shape's shared keys."""
-
-    at: Callable[[int, int], Coeff]
-
-
 class RangeError(ValueError):
     """A coefficient was needed outside the range its source determines."""
 
@@ -72,12 +64,13 @@ class CoeffTable:
     """One classical component: its shape (D, ``bound_det``, ``bound_diag``)
     and ``vals``, one value for every point of ``lattice``, zeros as the
     ring's shared zero; ``get`` refuses a point outside the shape with
-    RangeError.  ``lattice`` and the parallel (det, content) ``keys`` are
-    the shape's ``_lattice`` pair, immutable and shared by every table of
-    the shape.  Built from a HermPoint mapping
-    (points outside the shape refused, points left out zero) or by
-    ``_tabulate`` in one pass, and not changed after; ``values`` is the
-    read-only HermPoint view of the nonzero entries, in canonical order.
+    RangeError, and a point of another field with ValueError.  ``lattice``
+    and the parallel (det, content) ``keys`` are the shape's ``_lattice``
+    pair, immutable and shared by every table of the shape.  Built from a
+    HermPoint mapping (points outside the shape refused, points left out
+    zero) or by ``_tabulate`` in one pass, and not changed after;
+    ``values`` is the read-only HermPoint view of the nonzero entries, in
+    canonical order.
     """
 
     def __init__(self, params: FieldParams, ring: HeckeRing, bound_det: int, bound_diag: int,
@@ -94,7 +87,7 @@ class CoeffTable:
         return dict(zip(self.lattice, range(len(self.lattice))))
 
     def _position(self, h: HermPoint) -> int:
-        i = self.index.get(h.sort_key()) if h.D == self.D else None
+        i = self.index.get(h.key_for(self.D))
         if i is None:
             raise RangeError(f"point {h} outside the table (D = {self.D}, bound_det {self.bound_det}, "
                              f"bound_diag {self.bound_diag})")
@@ -172,7 +165,7 @@ class MaassTuple:
     def identity_table(self, bound_det: int, bound_diag: int) -> CoeffTable:
         if bound_det > self.alpha_max:
             raise RangeError(f"alpha valid to {self.alpha_max}, needed at {bound_det}")
-        return _tabulate(Keyed(_lift_values(self.alpha, self.alpha_max, self.k, self.ring)), self.params, self.ring,
+        return _tabulate(_lift_values(self.alpha, self.alpha_max, self.k, self.ring), self.params, self.ring,
                          bound_det, bound_diag)
 
     def component_exponent(self, index: int) -> int:
@@ -210,17 +203,14 @@ def _lift_values(alpha: dict[int, Coeff], alpha_max: int, k: int, ring: HeckeRin
     return value
 
 
-def _tabulate(get: Getter | Keyed, params: FieldParams, ring: HeckeRing, bound_det: int,
+def _tabulate(at: Callable[[int, int], Coeff], params: FieldParams, ring: HeckeRing, bound_det: int,
               bound_diag: int) -> CoeffTable:
-    """The table of a coefficient function, read once at each point of the
-    shape, in ``_lattice`` order: a ``Keyed`` source at the point's shared
-    (det, content), its sums already the ring's shared zero where they
-    vanish (``lincomb``), any other at the lattice key (det, t1, t3, w.a, w.b)."""
-    t, zero = CoeffTable(params, ring, bound_det, bound_diag), ring.zero()
-    if isinstance(get, Keyed):
-        t.vals = list(starmap(get.at, t.keys))
-    else:
-        t.vals = [zero if v.is_zero() else v for v in starmap(get, t.lattice)]
+    """The table of a coefficient function of (det, content) alone, as a
+    lift's and its inert images' are, read once at each point's shared key
+    in ``_lattice`` order; its sums are already the ring's shared zero where
+    they vanish (``lincomb``)."""
+    t = CoeffTable(params, ring, bound_det, bound_diag)
+    t.vals = list(starmap(at, t.keys))
     return t
 
 

@@ -14,7 +14,7 @@ from hermlift.cli import CommandError, build_parser, main, read_table, table_as_
 from hermlift.elliptic import bundled_cm_form, extend_coeffs, format_newform, rho_conjugate, synthetic_newform
 from hermlift.lfun import verify_product134
 from hermlift import hecke, maass
-from hermlift.hecke import HeckeOpId, act_inert_T, act_inert_T0, act_inert_Up, act_split_on_lift
+from hermlift.hecke import HeckeOpId, act_inert_T, act_inert_T0, act_inert_Up, act_inert_on_lift, act_split_on_lift
 from hermlift.hermitian import point
 from hermlift.maass import CoeffTable, RangeError, build_lift, check_maass, random_alpha_tuple
 from hermlift.quadfield import FieldParams, char_values, class_group, trivial_char
@@ -149,14 +149,28 @@ def test_inert_hecke_tabulates_once_and_a_final_split_tabulates_alpha(tmp_path, 
     out_tbl = tmp_path / "out.tbl"
     assert run(capsys, "hecke", lift_567, out_tbl, "--op", "T0@3")[0] == 0
     assert len(calls) == 1
-    # after a final split operator the table is tabulated from its alpha
+    # after a final split operator the table is tabulated from its alpha;
+    # the inert operator before it acts on alpha, read at every det
     assert run(capsys, "hecke", lift_567, out_tbl, "--op", "T0@3", "--op", "T1@2")[0] == 0
     t = table_as_tuple(*read_table(str(lift_567)))
-    acted = table_as_tuple(act_inert_T0(t, 3, 63, 3), t.chi, t.zeta_exp)
-    split = act_split_on_lift(acted, HeckeOpId.parse("T1@2", 7))
+    split = act_split_on_lift(act_inert_on_lift(t, HeckeOpId.parse("T0@3", 7)), HeckeOpId.parse("T1@2", 7))
     got, chi, ze = read_table(str(out_tbl))
     assert split.alpha_max == 31 and (chi, ze) == (split.chi, split.zeta_exp)
     assert got.vals == split.identity_table(split.alpha_max, 3).vals
+
+
+def test_chained_inert_hecke_writes_the_raw_image_of_the_alpha_level_lift(tmp_path, capsys, lift_567):
+    # T0@3 then T@3: the first image is read at the alpha level, valid to
+    # 567 // 9 = 63 at every det, and the last is tabulated from it, raw
+    out_tbl = tmp_path / "out.tbl"
+    assert run(capsys, "hecke", lift_567, out_tbl, "--op", "T0@3", "--op", "T@3")[0] == 0
+    assert run(capsys, "check-maass", out_tbl)[0] == 0
+    t = table_as_tuple(*read_table(str(lift_567)))
+    t0 = act_inert_on_lift(t, HeckeOpId.parse("T0@3", 7))
+    want = act_inert_T(t0, 3, t0.alpha_max // 9, 3)
+    got, chi, ze = read_table(str(out_tbl))
+    assert (t0.alpha_max, got.bound_det, got.bound_diag, chi, ze) == (63, 7, 3, trivial_char(), 0)
+    assert got.vals == want.vals and got.values
 
 
 # header lines that are no character of the class group of D = 23, a zeta
@@ -493,11 +507,15 @@ def test_table_file_round_trip_and_values_view(D, ring, bound_diag, det_excess, 
     assert not any(v.is_zero() for v in table.values.values())
     with pytest.raises(TypeError):
         table.values[point(D, 0, 0)] = ring.one()
-    for outside in (point(D, bound_diag + 1, 0), point(7 if D == 23 else 23, 0, 0)):
+    # a point past the bounds is out of range; a point of another field is
+    # refused as eval_inert_raw and the oracle refuse it, naming both fields
+    outside, other = point(D, bound_diag + 1, 0), point(7 if D == 23 else 23, 0, 0)
+    for call in (lambda h: CoeffTable(table.params, ring, bound_det, bound_diag, {h: ring.one()}), table.get):
         with pytest.raises(RangeError):
-            CoeffTable(table.params, ring, bound_det, bound_diag, {outside: ring.one()})
-        with pytest.raises(RangeError):
-            table.get(outside)
+            call(outside)
+        with pytest.raises(ValueError, match=f"has discriminant {other.D}, the source has discriminant {D}") as err:
+            call(other)
+        assert not isinstance(err.value, RangeError)
 
 
 @settings(deadline=None, max_examples=40)
@@ -521,14 +539,18 @@ def test_read_table_gives_back_any_written_table(D, ring, bound_det, bound_diag,
 
 
 def test_get_outside_the_table_raises_range_error(tmp_path, synth_file):
-    # a read table answers inside its bounds and refuses beyond them
+    # a read table answers inside its bounds and refuses beyond them, and
+    # refuses a point of another field naming both discriminants
     nf, f = synth_file
     write_table(str(tmp_path / "h.tbl"), build_lift(f, trivial_char(), 20).identity_table(20, 2), trivial_char(), 0)
     table, _, _ = read_table(str(tmp_path / "h.tbl"))
     assert table.get(point(7, 1, 1, 0, 0)) == build_lift(f, trivial_char(), 20).oracle()(point(7, 1, 1, 0, 0))
-    for h in (point(7, 3, 1, 0, 0), point(7, 2, 2, 0, 0), point(23, 1, 1, 0, 0)):  # diag 3 > 2, det 28 > 20, D
+    for h in (point(7, 3, 1, 0, 0), point(7, 2, 2, 0, 0)):  # diag 3 > 2, det 28 > 20
         with pytest.raises(RangeError):
             table.get(h)
+    with pytest.raises(ValueError, match="discriminant 23, the source has discriminant 7") as err:
+        table.get(point(23, 1, 1, 0, 0))
+    assert not isinstance(err.value, RangeError)
 
 
 def test_descend_n_max_default_is_the_full_range_and_below_one_exits_2(tmp_path, capsys, synth_file):

@@ -12,20 +12,28 @@ from hermlift import hecke
 from hermlift.elliptic import QExpansion, apply_Tp, synthetic_newform
 from hermlift.hecke import (
     HeckeOpId,
-    LazyAction,
-    RangeError,
     _coset_walk,
     act_inert_T,
     act_inert_T0,
     act_inert_Up,
+    act_inert_on_lift,
     act_split_on_lift,
     descend_op,
     eval_inert_raw,
-    inert_action,
     maass_eigenvalue,
 )
 from hermlift.hermitian import HermPoint, enumerate_points, point, transform, transform_integral
-from hermlift.maass import CoeffTable, MaassTuple, _lift_getter, a_K, build_lift, check_maass, descend, random_alpha_tuple
+from hermlift.maass import (
+    CoeffTable,
+    MaassTuple,
+    RangeError,
+    _lift_getter,
+    a_K,
+    build_lift,
+    check_maass,
+    descend,
+    random_alpha_tuple,
+)
 from hermlift.quadfield import (
     FieldParams,
     QuadInt,
@@ -39,8 +47,23 @@ from hermlift.quadfield import (
 )
 from hermlift.ring import HeckeElem, HeckeRing, lincomb
 
+import percoset
+from percoset import LazyAction
+
 ZZ = HeckeRing([0, 1])
 GAUSS = HeckeRing([1, 0, 1])
+
+
+def eval_raw(src, kind, p, points):
+    """eval_inert_raw on a lift, the per-coset reader on a table or lazy source."""
+    return (eval_inert_raw if isinstance(src, MaassTuple) else percoset.eval_inert_raw)(src, kind, p, points)
+
+
+def tabulate_raw(act, src, p, bound_det, bound_diag):
+    """act on a lift, the per-coset reader of act's operator on a table or lazy source."""
+    if isinstance(src, MaassTuple):
+        return act(src, p, bound_det, bound_diag)
+    return percoset.act(src, act.__name__.replace("act_inert_", "Inert"), p, bound_det, bound_diag)
 
 
 def primitive_points(D, n_max):
@@ -108,7 +131,7 @@ def test_inert_range_error_names_deficit():
         lambda: act_inert_T(t, 3, 49, 2),
         lambda: act_inert_Up(t, 3, 49, 2),
         lambda: eval_inert_raw(t, "InertT0", 3, [point(7, 1, 1)]),
-        lambda: inert_action(t, "InertT0", 3).getter(7, 1, 1, 0, 0),
+        lambda: percoset.inert_action(t, "InertT0", 3).getter(7, 1, 1, 0, 0),
     ):
         with pytest.raises(RangeError, match="alpha valid to 50, needed at"):
             past_range()
@@ -119,13 +142,14 @@ def test_inert_sources_give_zero_at_singular_points():
     # a lazy source of it agree under T_{p,0} and T_p on shape (14, 1), which
     # holds no singular point, and the images pass check_maass.  At singular
     # points (the zero point, axis points and rank-1 points, content p
-    # included), which no table holds, eval_inert_raw and inert_action's
-    # getter give the ring's zero for T_{p,0}, T_p and U_p on all three sources
+    # included), which no table holds, eval_inert_raw (the per-coset reader
+    # on the table and the lazy source) and the per-coset reader's getter
+    # give the ring's zero for T_{p,0}, T_p and U_p on all three sources
     params = FieldParams(7, 8)
     t = random_alpha_tuple(params, trivial_char(), ZZ, 126, seed=3)
     sources = (t, t.identity_table(126, 23), LazyAction(_lift_getter(t), params, ZZ))
     for act in (act_inert_T0, act_inert_T):
-        lift, table, lazy = (act(src, 3, 14, 1) for src in sources)
+        lift, table, lazy = (tabulate_raw(act, src, 3, 14, 1) for src in sources)
         assert lift.vals == table.vals == lazy.vals and check_maass(lift)[0], act.__name__
         assert all(key[0] for key in lift.lattice) and any(not v.is_zero() for v in lift.vals)
     singular = [point(7, 0, 0), point(7, 1, 0), point(7, 0, 9), point(7, 1, 1, -1, 2), point(7, 1, 2, 3, 1),
@@ -133,8 +157,8 @@ def test_inert_sources_give_zero_at_singular_points():
     assert {h.det_scaled() for h in singular} == {0}
     for kind in ("InertT0", "InertT", "InertUp"):
         for src in sources:
-            assert all(v is ZZ.zero() for v in eval_inert_raw(src, kind, 3, singular).values()), (kind, src)
-            get = inert_action(src, kind, 3).getter
+            assert all(v is ZZ.zero() for v in eval_raw(src, kind, 3, singular).values()), (kind, src)
+            get = percoset.inert_action(src, kind, 3).getter
             assert all(get(*h.sort_key()) is ZZ.zero() for h in singular), (kind, src)
 
 
@@ -145,7 +169,7 @@ def test_a_point_of_another_field_is_refused():
     t = random_alpha_tuple(FieldParams(7, 8), trivial_char(), ZZ, 23 * 81, seed=1)
     h = point(23, 1, 1, 0, 0)
     sources = (t, t.identity_table(7 * 9, 3), LazyAction(_lift_getter(t), t.params, ZZ))
-    calls = [lambda src=src: eval_inert_raw(src, kind, 3, [h]) for src in sources for kind in ("InertT0", "InertT")]
+    calls = [lambda src=src: eval_raw(src, kind, 3, [h]) for src in sources for kind in ("InertT0", "InertT")]
     for call in calls + [lambda: t.oracle()(h)]:
         with pytest.raises(ValueError, match="discriminant 23, the source has discriminant 7") as err:
             call()
@@ -171,7 +195,7 @@ class KeyValues(dict):
 
 
 def per_key_table(get, params, ring):
-    """A CoeffTable of a getter over every shape: hecke's table reader runs
+    """A CoeffTable of a getter over every shape: the per-coset reader runs
     on it at shapes whose covering tables are too large to build (U_p at
     (27, 3), D = 7, p = 3 reads diag 91)."""
     table = CoeffTable(params, ring, 0, 0)
@@ -185,14 +209,15 @@ def test_inert_operators_read_no_singular_point(D, monkeypatch):
     # every coset image of a point of positive det has det p^2 det, det or
     # det / p^2, so with tables of positive det only, no inert operator reads
     # its source at det 0: not the lift's (det, content) values, not a
-    # table's getter, not a lazy source.  T_{p,0}, T_p and U_p at both inert
-    # p < 8 on a shallow shape (t1 = t3 = 1), and at the smaller p on a deep
-    # one (diag p, det up to p^2 dmin, dmin the least det at diag 1, so it
-    # holds content p; the larger p's deep shape costs seconds per source)
+    # table's getter, not a lazy source (both read by the per-coset reader).
+    # T_{p,0}, T_p and U_p at both inert p < 8 on a shallow shape (t1 = t3 =
+    # 1), and at the smaller p on a deep one (diag p, det up to p^2 dmin,
+    # dmin the least det at diag 1, so it holds content p; the larger p's
+    # deep shape costs seconds per source)
     reads = []
     spy = lambda get: lambda det, *rest: reads.append(det) or get(det, *rest)
-    for name in ("_lift_values", "_table_getter"):
-        monkeypatch.setattr(hecke, name, lambda *args, real=getattr(hecke, name): spy(real(*args)))
+    for module, name in ((hecke, "_lift_values"), (percoset, "table_getter")):
+        monkeypatch.setattr(module, name, lambda *args, real=getattr(module, name): spy(real(*args)))
     params = FieldParams(D, 8)
     dmin = D - max(w.norm() for w in norm_ball(D, D - 1))
     for p in INERT_PRIMES[D]:
@@ -203,7 +228,7 @@ def test_inert_operators_read_no_singular_point(D, monkeypatch):
                 outs = []
                 for src in sources:
                     reads.clear()
-                    outs.append(act(src, p, *shape))
+                    outs.append(tabulate_raw(act, src, p, *shape))
                     assert reads and min(reads) > 0, (p, shape, act.__name__, type(src).__name__)
                 assert outs[0].vals == outs[1].vals == outs[2].vals, (p, shape, act.__name__)
 
@@ -328,9 +353,62 @@ def test_inert_operators_commute():
     params = FieldParams(7, 8)
     t = random_alpha_tuple(params, trivial_char(), ZZ, 7 * 4 * 225 + 50, seed=42, spread=4)
     bd, bg = 7 * 4, 2
-    a = act_inert_T(inert_action(t, "InertT0", 3), 5, bd, bg)
-    b = act_inert_T0(inert_action(t, "InertT", 5), 3, bd, bg)
+    a = percoset.act(percoset.inert_action(t, "InertT0", 3), "InertT", 5, bd, bg)
+    b = percoset.act(percoset.inert_action(t, "InertT", 5), "InertT0", 3, bd, bg)
     assert a.values == b.values
+    # the library composes at the alpha level, the image of a lift being a lift
+    c = act_inert_T(act_inert_on_lift(t, HeckeOpId.make("InertT0", 3, 7)), 5, bd, bg)
+    assert c.values == a.values and c.values
+
+
+ALPHA_LEVEL_CASES = [  # (D, operator, source, alpha_max of the image)
+    (23, "T0@5", "newform", 92), (23, "T@5", "newform", 92), (7, "Up@3", "newform", 42), (7, "T0@3", "newform", 84),
+    (7, "T@3", "random", 84), (11, "T0@2", "random", 88), (11, "T@2", "random", 88), (11, "Up@2", "random", 66),
+    (23, "Up@5", "random", 46), (31, "T0@3", "random", 124), (31, "T@3", "random", 124), (31, "Up@3", "random", 62),
+]
+
+
+def covering_diag(D, n_max):
+    """The least diagonal bound at which every det n <= n_max with a_K(D, n) != 0
+    has a primitive point (1, t3, w)."""
+    return max([1] + [min((n + w.norm()) // D for w in norm_ball(D, D * (n // D + D)) if (w.norm() + n) % D == 0)
+                      for n in range(1, n_max + 1) if a_K(D, n)])
+
+
+@pytest.mark.parametrize("D, name, source, n_out", ALPHA_LEVEL_CASES)
+def test_alpha_level_image_matches_the_extraction_from_the_raw_image(D, name, source, n_out):
+    # the image of a lift is a lift: act_inert_on_lift's alpha' equals the
+    # alpha check_maass extracts from the raw image tabulated on a shape
+    # whose primitive points realise every det up to alpha', and alpha' is
+    # nonzero at no other index; lifts of newforms and random lifts (over Z
+    # and Z[i]), with a character of order 3 where h = 3
+    op, params = HeckeOpId.parse(name, D), FieldParams(D, 8)
+    chars = char_values(class_group(D))
+    chi = chars[1] if len(chars) > 1 else trivial_char()
+    n_max = n_out * op.p ** op.reach + op.p - 1
+    if source == "newform":
+        t = build_lift(synthetic_newform(params, GAUSS, "negate-x", p_max=n_max + 60, seed=D + op.p), chi, n_max)
+    else:
+        t = random_alpha_tuple(params, chi, GAUSS if D > 11 else ZZ, n_max, seed=D + op.p, spread=4)
+    image = act_inert_on_lift(t, op)
+    assert image.alpha_max == t.alpha_max // op.p ** op.reach == n_out
+    assert (image.chi, image.zeta_exp, image.params, image.ring) == (t.chi, t.zeta_exp, t.params, t.ring)
+    act = {"InertT0": act_inert_T0, "InertT": act_inert_T, "InertUp": act_inert_Up}[op.kind]
+    table = act(t, op.p, n_out, covering_diag(D, n_out))
+    unconstrained = set()
+    ok, alpha = check_maass(table, unconstrained=unconstrained)
+    realised = {det for det, c in table.keys if c == 1}
+    assert ok and not unconstrained and realised == {n for n in range(1, n_out + 1) if a_K(D, n)}
+    assert alpha == image.alpha and set(image.alpha) <= realised and len(image.alpha) > n_out // 4
+
+
+def test_inert_operators_refuse_a_table():
+    t = random_alpha_tuple(FieldParams(7, 8), trivial_char(), ZZ, 7 * 9, seed=1)
+    table = t.identity_table(7 * 9, 3)
+    for call in (lambda: act_inert_T0(table, 3, 7, 1), lambda: eval_inert_raw(table, "InertT0", 3, [point(7, 1, 1)]),
+                 lambda: act_inert_on_lift(table, HeckeOpId.make("InertT0", 3, 7))):
+        with pytest.raises(TypeError, match="act on a MaassTuple"):
+            call()
 
 
 INERT_PRIMES = {7: (3, 5), 11: (2, 7), 23: (5, 7)}  # the two smallest at each D
@@ -340,7 +418,7 @@ INERT_PRIMES = {7: (3, 5), 11: (2, 7), 23: (5, 7)}  # the two smallest at each D
 @given(st.data())
 def test_keyed_lift_kernel_matches_per_coset_reference(data):
     # a lift read by (det, content) against the same lift read one coset
-    # image at a time through a lazy source, which takes the per-coset path
+    # image at a time through a lazy source by the per-coset reader
     D = data.draw(st.sampled_from(sorted(INERT_PRIMES)), "D")
     p = data.draw(st.sampled_from(INERT_PRIMES[D]), "p")
     kind = data.draw(st.sampled_from(("InertT0", "InertT", "InertUp")), "kind")
@@ -373,17 +451,17 @@ def test_keyed_lift_kernel_matches_per_coset_reference(data):
         with pytest.raises(RangeError) as keyed_err:
             eval_inert_raw(t, kind, p, pts)
         with pytest.raises(RangeError) as ref_err:
-            eval_inert_raw(ref, kind, p, pts)
+            percoset.eval_inert_raw(ref, kind, p, pts)
         assert str(keyed_err.value) == str(ref_err.value)
     else:
-        assert eval_inert_raw(t, kind, p, pts) == eval_inert_raw(ref, kind, p, pts)
+        assert eval_inert_raw(t, kind, p, pts) == percoset.eval_inert_raw(ref, kind, p, pts)
     # alpha one short of the deepest read at the point with p not dividing det
     t = replace(t, alpha_max=min(t.alpha_max, reach * lemma_point.det_scaled() - 1))
     ref = LazyAction(_lift_getter(t), t.params, t.ring)
     with pytest.raises(RangeError) as keyed_err:
         eval_inert_raw(t, kind, p, [lemma_point])
     with pytest.raises(RangeError) as ref_err:
-        eval_inert_raw(ref, kind, p, [lemma_point])
+        percoset.eval_inert_raw(ref, kind, p, [lemma_point])
     assert str(keyed_err.value) == str(ref_err.value)
 
 
@@ -571,14 +649,16 @@ def test_rows_are_derived_once_per_operator_field_and_prime():
 def test_keyed_reader_takes_one_gcd_per_point_and_one_sum_per_det_and_content(D, p, monkeypatch):
     # at every point, p | det included: content(h) is the point's one gcd,
     # and each distinct (det, content) one lincomb in an application;
-    # U_p on a lift is the keyed T_p twice and reads no coset sum.
+    # U_p on a lift is the keyed T_p twice and reads no coset walk.
     # Tabulated, the shape's shared (det, content) keys stand in for the gcd,
     # and a vanishing sum is the ring's shared zero
     gcds, sums = [], []
     real = hecke.lincomb
     monkeypatch.setattr(hecke, "gcd", lambda *args: gcds.append(args) or math.gcd(*args))
     monkeypatch.setattr(hecke, "lincomb", lambda *args: sums.append(args) or real(*args))
-    monkeypatch.setattr(hecke, "_coset_sum", lambda *args: pytest.fail("a coset sum on a lift"))
+    for kind in ("InertT0", "InertT"):  # U_p reads T_p's rows
+        hecke._rows(kind, FieldParams(D, 8), p)
+    monkeypatch.setattr(hecke, "_coset_walk", lambda *args: pytest.fail("a coset walk on a lift"))
     pts = enumerate_points(D, 12 * D, 2 * p)
     keys = {(h.det_scaled(), math.gcd(*h.coords())) for h in pts}
     assert any(d % p == 0 and c % p == 0 for d, c in keys)
@@ -586,7 +666,6 @@ def test_keyed_reader_takes_one_gcd_per_point_and_one_sum_per_det_and_content(D,
     blank = replace(t, alpha={})  # every sum vanishes
     acts, zero = {"InertT0": act_inert_T0, "InertT": act_inert_T, "InertUp": act_inert_Up}, GAUSS.zero()
     for kind in ("InertT0", "InertT", "InertUp"):
-        hecke._rows("InertT" if kind == "InertUp" else kind, t.params, p)
         gcds.clear()
         sums.clear()
         eval_inert_raw(t, kind, p, pts)
@@ -647,27 +726,27 @@ def test_lumped_translates_match_the_per_coset_reference(D, p):
                     with pytest.raises(RangeError) as keyed_err:
                         eval_inert_raw(t, kind, p, [h])
                     with pytest.raises(RangeError) as ref_err:
-                        eval_inert_raw(ref, kind, p, [h])
+                        percoset.eval_inert_raw(ref, kind, p, [h])
                     assert str(keyed_err.value) == str(ref_err.value), (kind, name)
                 else:
                     value = eval_inert_raw(t, kind, p, [h])[h]
-                    assert not value.is_zero() and value == eval_inert_raw(ref, kind, p, [h])[h], (kind, name)
+                    assert not value.is_zero() and value == percoset.eval_inert_raw(ref, kind, p, [h])[h], (kind, name)
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_keyed_T_at_p_times_a_generic_point_takes_few_gcds(p, monkeypatch):
     # h = p h' with p not dividing det h': p + 1 points of P^1 are isotropic
     # for h', and the keyed T_p on a lift, reading h by its row, takes one
-    # gcd, content(h), and none per coset image
+    # gcd, content(h), and none per coset image (rows derived first)
     D = 7
     calls = []
     monkeypatch.setattr(hecke, "gcd", lambda *args: calls.append(args) or math.gcd(*args))
     pts = [h for h in enumerate_points(D, 4 * D, 2) if h.det_scaled() % p]
     t = random_alpha_tuple(FieldParams(D, 8), trivial_char(), ZZ, p ** 4 * 4 * D, seed=p)
-    get = inert_action(t, "InertT", p).getter
+    hecke._rows("InertT", t.params, p)
     for h in pts:
         calls.clear()
-        get(p * p * h.det_scaled(), p * h.t1, p * h.t3, p * h.w.a, p * h.w.b)
+        eval_inert_raw(t, "InertT", p, [point(D, p * h.t1, p * h.t3, p * h.w.a, p * h.w.b)])
         assert len(calls) == 1, h
     assert len(pts) >= 4
 
@@ -680,8 +759,8 @@ def per_coset_reference(get, kind, p, params, ring):
 
 @pytest.mark.parametrize("source", ["lift", "random"])
 def test_inert_tables_match_the_reader_without_memos(source):
-    # the rows on a lift, and the per-coset reader on a lazy table that is no
-    # lift (read as a CoeffTable is), leave every table as one lincomb per
+    # the rows on a lift, and the tests' per-coset reader on a lazy table
+    # that is no lift (read as a CoeffTable is), leave every table as one lincomb per
     # point over the coset walk gives it; the lazy table's values are taken
     # from a small pool by a mix of the coordinates
     D, p, params = 7, 3, FieldParams(7, 8)
@@ -699,7 +778,7 @@ def test_inert_tables_match_the_reader_without_memos(source):
         act_inert_Up: per_coset_reference(ref_T, "InertT", p, params, GAUSS),
     }
     for act, ref in refs.items():
-        out = act(src, p, 28, 2)
+        out = tabulate_raw(act, src, p, 28, 2)
         assert out.vals == [ref(*key) for key in out.lattice], act.__name__
         assert sum(not v.is_zero() for v in out.vals) > len(out.vals) // 2, act.__name__
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermlift.elliptic import bundled_cm_form, extend_coeffs, rho_conjugate, synthetic_newform
-from hermlift.hecke import LazyAction, eval_inert_raw
+from hermlift.hecke import eval_inert_raw
 from hermlift.hermitian import content, enumerate_points, point
 from hermlift.maass import (
     CoeffTable,
@@ -20,6 +20,8 @@ from hermlift.maass import (
 )
 from hermlift.quadfield import ClassChar, FieldParams, QuadInt, char_values, chi_K, class_group
 from hermlift.ring import HeckeRing
+
+import percoset
 
 GAUSS = HeckeRing([1, 0, 1])
 TRIV = ClassChar(1, (0,))
@@ -153,6 +155,20 @@ def test_coeff_table_refuses_a_singular_key(h):
             CoeffTable(FieldParams(7, 8), GAUSS, 7 * 9, 3, {h: value})
     with pytest.raises(RangeError):
         CoeffTable(FieldParams(7, 8), GAUSS, 7 * 9, 3).get(h)
+
+
+def test_coeff_table_refuses_a_point_of_another_field():
+    # a D = 23 point in a D = 7 table is refused with the ValueError that
+    # eval_inert_raw and the oracle raise, naming both discriminants, and
+    # not as a RangeError; a same-field point past the bounds stays one
+    table = random_alpha_tuple(FieldParams(7, 8), TRIV, GAUSS, 7 * 9, seed=1).identity_table(7 * 9, 3)
+    h = point(23, 1, 1, 0, 0)
+    for call in (lambda: table.get(h), lambda: CoeffTable(FieldParams(7, 8), GAUSS, 7 * 9, 3, {h: GAUSS.one()})):
+        with pytest.raises(ValueError, match="^point .* has discriminant 23, the source has discriminant 7$") as err:
+            call()
+        assert not isinstance(err.value, RangeError)
+    with pytest.raises(RangeError, match="outside the table"):
+        table.get(point(7, 4, 4))
 
 
 def test_check_maass_zero_table():
@@ -465,10 +481,10 @@ def test_lift_values_match_per_point_divisor_sum(D, k, bound_diag, bound_det, da
             raise RangeError(f"alpha valid to {alpha_max}, needed at {det}")
         return want(point(D, t1, t3, wa, wb))
 
-    ref = LazyAction(ref_get, t.params, GAUSS)
+    ref = percoset.LazyAction(ref_get, t.params, GAUSS)
     near = [h for h in pts if h.det_scaled() * p * p <= alpha_max]
     for kind in ("InertT0", "InertT"):
-        assert eval_inert_raw(t, kind, p, near) == eval_inert_raw(ref, kind, p, near)
+        assert eval_inert_raw(t, kind, p, near) == percoset.eval_inert_raw(ref, kind, p, near)
 
     # past alpha_max the oracle and the table raise, never read a zero
     t3 = alpha_max // D + 1
