@@ -312,13 +312,12 @@ def cmd_descend(args, out: Out) -> int:
     t = table_as_tuple(table, chi, zetaexp)
     n_max = t.alpha_max if args.n_max is None else args.n_max
     comps = descend(t, n_max)  # refuses an n_max past alpha_max
-    for b, (exp, q) in sorted(comps.items()):
-        coeffs = {n: str(q.a(n)) for n in range(1, n_max + 1) if not q.a(n).is_zero()}
+    q = comps[0][1]  # every component shares one expansion
+    coeffs = {n: str(v) for n in range(1, n_max + 1) if not (v := q.a(n)).is_zero()}
+    head = ", ".join(f"a({n})={v}" for n, v in list(coeffs.items())[:8])
+    for b, (exp, _) in sorted(comps.items()):
         record = {"component": b, "zeta_exp": exp, "coeffs": coeffs}
-        text = f"component {b}: zeta exponent {exp}, " + ", ".join(
-            f"a({n})={v}" for n, v in list(coeffs.items())[:8]
-        )
-        out.emit(record, text)
+        out.emit(record, f"component {b}: zeta exponent {exp}, " + head)
     return 0
 
 

@@ -42,22 +42,23 @@ have positive det too): a hermitian lattice over the unramified quadratic
 extension of Q_p (one for every D) is fixed by its Jordan invariants, here
 (v_p(c), v_p(det) - v_p(c)) (R. Jacobowitz, Hermitian forms over local
 fields, Amer. J. Math. 84 (1962)), and the coset sum is invariant under
-GL_2 of the local order.  Row (0, 0), p not dividing det, over p^k: T_{p,0}
-p^4 (p+1) at (p^2 det, p c), p^4 (p^2-p) at (p^2 det, c), S(h) p^k at
-(det, c); T_p p^(k+1) (p+1) at (det, c), p^4 at (p^2 det, p c).  ``_rows``
-derives each row once per process from ``_coset_walk`` at one
-representative; the tests check the rows against the walk at every point
-of deep shapes in four fields.  On a lift each (det, content) takes one
-``ring.lincomb``, memoised for one application; a tabulated shape takes no
-gcd (it reads its shared (det, content) keys), a point of
-``eval_inert_raw`` one.  The T_p image of (det, content)-keyed data is so
-keyed again, so U_p on a lift is the keyed T_p twice.  The Maass space is
-stable under every inert operator, so the image of a lift is a lift:
-``act_inert_on_lift`` reads its alpha at primitive points, and tables are
-tabulated from lifts only.  Both generators walk the same p^2 + 1
-translates alpha_a* h alpha_a, keeping those divisible by the term's power
-of p; read one coefficient per coset image, the walk is the tests'
-reference for the keyed reader.
+GL_2 of the local order.  At row (a, b), n of h's p^2 + 1 translates
+alpha_a* h alpha_a have content p^j c and the rest c, with (n, j) =
+(p+1, 1), (1, 1), (1, 2) at a = 0, 1, 2, and a translate is divisible by
+p^e when b + j >= e.  So, over p^k, T_{p,0} takes p^4 per translate at
+(p^2 det, p^j c), p^(2k) per translate with b + j >= 2 at (det/p^2,
+p^(j-2) c) and S(h) p^k at (det, c); T_p takes p^(k+1) per translate with
+b + j >= 1 at (det, p^(j-1) c), p^4 at (p^2 det, p c) and p^(2k) at
+(det/p^2, c/p) when b >= 1.  ``_rows`` holds these counts, the same for
+every D; the tests check them against a per-coset walk of the translates
+at every point of deep shapes in four fields.  On a lift each (det,
+content) takes one ``ring.lincomb``, memoised for one application; a
+tabulated shape takes no gcd (it reads its shared (det, content) keys), a
+point of ``eval_inert_raw`` one.  The T_p image of (det, content)-keyed
+data is so keyed again, so U_p on a lift is the keyed T_p twice.  The
+Maass space is stable under every inert operator, so the image of a lift
+is a lift: ``act_inert_on_lift`` reads its alpha at primitive points, and
+tables are tabulated from lifts only.
 
 Split primes act on lift data in closed form, on the generating function:
 relative to canonical class representatives,
@@ -145,78 +146,30 @@ class HeckeOpId:
 # inert raw action
 
 
-Slots = tuple[tuple[int, int, list[tuple[int, int, int, int]]], ...]
-
-
-def _translates(params: FieldParams, p: int) -> Callable[[int, int, int, int], list[tuple[int, int, int, int]]]:
-    """h = (t1, t3, w.a, w.b) -> its p^2 + 1 translates alpha_a* h alpha_a: at
-    a = x + y omega in O_K/p, x-major, then y, (p^2 t1, t3 + N(a) t1 + wb x -
-    wa y, p (w + t1 (c1 + c2 omega))) with c1 + c2 omega = sqrt(-D) a, then
-    (t1, p^2 t3, p w) at diag(1, p)."""
-    q, pp = params.norm_c, p * p
-    every = [(x * x + x * y + y * y * q, x, y, -x - 2 * q * y, 2 * x + y) for x in range(p) for y in range(p)]
-    return lambda t1, t3, wa, wb: [(pp * t1, na * t1 + t3 + wb * x - wa * y, p * (t1 * c1 + wa), p * (t1 * c2 + wb))
-                                   for na, x, y, c1, c2 in every] + [(t1, pp * t3, p * wa, p * wb)]
-
-
-def over(images: list[tuple[int, int, int, int]], n: int) -> list[tuple[int, int, int, int]]:
-    """The images divisible by n, divided by n: the lattice points among images / n."""
-    return [(a // n, b // n, c // n, d // n) for a, b, c, d in images if a % n == b % n == c % n == d % n == 0]
-
-
-def _coset_walk(kind: str, params: FieldParams, p: int) -> tuple[Callable[..., Slots], int]:
-    """The coset images of h under T_{p,0} or T_p, one slot per term, and
-    the denominator p^k of the slots' integer scalars: where ``_rows`` come
-    from, and the tests' per-coset reference reader.
-
-    ``slots(det, t1, t3, wa, wb)``, on h's lattice key, gives (scalar, det,
-    images) per term, images (t1, t3, w.a, w.b) of determinant det in the
-    order the source reads them: T_{p,0} reads the translates A of h, the
-    lattice points among A / p^2, and h; T_p those among A / p, p h, h / p."""
-    translates = _translates(params, p)
-    pp, k = p * p, params.k
-    den, hi, lo = p ** k, p ** 4, p ** (2 * k)  # hi, lo: p^(4-k), p^k times den
-
-    def slots(det: int, t1: int, t3: int, wa: int, wb: int) -> Slots:
-        h = (t1, t3, wa, wb)
-        if kind == "InertT0":
-            A, s = translates(*h), _diagonal_sum(p, det, gcd(*h))
-            return (hi, pp * det, A), (lo, det // pp, over(A, pp)), (s * den, det, [h])
-        ph = (p * t1, p * t3, p * wa, p * wb)
-        return (p * den, det, over(translates(*h), p)), (hi, pp * det, [ph]), (lo, det // pp, over([h], p))
-
-    return slots, den
-
-
-def _diagonal_sum(p: int, det: int, c: int) -> int:
-    """S(h) from det(h) and c = content(h)."""
-    if det % p:
-        return p - 1
-    return p ** 3 - p * p + p - 1 if c % p == 0 else -p * p + p - 1
-
-
 Row = tuple[tuple[tuple[int, int], int], ...]  # ((e, j), scalar over p^k) at (p^e det, p^j content)
 
 
-@cache  # one derivation per (kind, params, p) for the process
-def _rows(kind: str, params: FieldParams, p: int) -> tuple[Callable[[int, int], Row], int]:
+@cache  # one table per (kind, p, k) for the process
+def _rows(kind: str, p: int, k: int) -> tuple[Callable[[int, int], Row], int]:
     """T_{p,0} or T_p by local type: the row of h as a function of (det(h),
-    content(h)), and the denominator p^k.  Row (a, b) is ``_coset_walk`` at
-    p^b (1, p^a, 0, 0), each image's (det, content) relative to h's, in the
-    slots' order."""
-    slots, den = _coset_walk(kind, params, p)
-    m, D = (2 if kind == "InertT0" else 1), params.D
-    rel = lambda x, y: _val_int(x, p) - _val_int(y, p)
+    content(h)), and the denominator p^k.  Row (a, b) counts h's translates
+    by content (module docstring), its terms in the order the coset walk
+    reads them: T_{p,0} the translates, those over p^2, then h; T_p those
+    over p, then p h, then h / p."""
+    den, hi, lo = p ** k, p ** 4, p ** (2 * k)  # hi, lo: p^(4-k), p^k times den
+    m = 2 if kind == "InertT0" else 1
 
-    def walk(t1: int, t3: int) -> Row:
-        det, c, row = D * t1 * t3, gcd(t1, t3), {}
-        for s, d, images in slots(det, t1, t3, 0, 0):
-            for image in images:
-                key = (rel(d, det), rel(gcd(*image), c))
-                row[key] = row.get(key, 0) + s
-        return tuple(row.items())
+    def local(a: int, b: int) -> Row:
+        n, j = ((p + 1, 1), (1, 1), (1, 2))[a]
+        counts = ((p * p + 1 - n, 0), (n, j))  # (translates, j): content p^j c
+        if kind == "InertT0":
+            s = p - 1 if a == b == 0 else p ** 3 - p * p + p - 1 if b else -p * p + p - 1  # S(h)
+            return (*(((2, i), hi * t) for t, i in counts),
+                    *(((-2, i - 2), lo * t) for t, i in counts if b + i >= 2), ((0, 0), s * den))
+        return (*(((0, i - 1), p * den * t) for t, i in counts if b + i >= 1), ((2, 1), hi),
+                *([((-2, -1), lo)] if b else []))
 
-    table = {(a, b): walk(p ** b, p ** (a + b)) for a in (0, 1, 2) for b in range(m + 1)}
+    table = {(a, b): local(a, b) for a in (0, 1, 2) for b in range(m + 1)}
 
     def row(det: int, c: int) -> Row:
         v = _val_int(c, p)
@@ -228,8 +181,9 @@ def _rows(kind: str, params: FieldParams, p: int) -> tuple[Callable[[int, int], 
 def _keyed(value: Callable, ring: HeckeRing, p: int, row: Callable, den: int) -> Callable[[int, int], HeckeElem]:
     """The image of (det, content)-keyed data under the operator of ``row``,
     so keyed again: one ``lincomb`` per (det, c), memoised for one
-    application, reading values in the slots' det order, so that a short
-    alpha raises the RangeError the tests' per-coset reader raises."""
+    application, reading values in the row's order, which lists dets as
+    the coset walk does, so that a short alpha raises the RangeError the
+    tests' per-coset reader raises."""
     scale = lambda n, e: n * p ** e if e >= 0 else n // p ** -e
 
     @cache
@@ -253,7 +207,7 @@ def _op_getter(t: MaassTuple, kind: str, p: int) -> tuple[Callable[[int, int], H
         raise ValueError(f"p = {p} is not inert for discriminant {params.D}")
     at = _lift_values(t.alpha, t.alpha_max, t.k, ring)
     for step in steps:
-        at = _keyed(at, ring, p, *_rows(step, params, p))
+        at = _keyed(at, ring, p, *_rows(step, p, t.k))
     return at, params, ring
 
 

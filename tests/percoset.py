@@ -1,22 +1,77 @@
-"""The per-coset reader of the inert operators: the tests' reference.
+"""The coset walk and per-coset reader of the inert operators: the tests'
+reference.
 
-The library reads a lift by (det, content) rows (``hecke._rows``).  This
-reader takes any source on lattice keys (det, t1, t3, w.a, w.b): a lift,
-read through ``maass._lift_getter``, a ``CoeffTable``, or a ``LazyAction``.
-It reads one source value per coset image of ``hecke._coset_walk``, one
-``lincomb`` per point, memoised, and U_p as T_p applied twice.  Singular
-keys (det 0) read the ring's zero, where cusp forms vanish.
+The library reads a lift by (det, content) rows (``hecke._rows``), counts
+of h's translates by local type.  Here the cosets are walked one by one:
+``_coset_walk`` lists the p^2 + 1 translates alpha_a* h alpha_a of h, in
+field coordinates, keeping those divisible by each term's power of p, and
+S(h) from ``_diagonal_sum``; the tests check the rows against it at every
+point of deep shapes.  The reader takes any source on lattice keys (det,
+t1, t3, w.a, w.b): a lift, read through ``maass._lift_getter``, a
+``CoeffTable``, or a ``LazyAction``.  It reads one source value per coset
+image, one ``lincomb`` per point, memoised, and U_p as T_p applied twice.
+Singular keys (det 0) read the ring's zero, where cusp forms vanish.
 """
 
 from dataclasses import dataclass
 from functools import cache
 from itertools import starmap
+from math import gcd
 from typing import Callable
 
-from hermlift.hecke import _coset_walk
 from hermlift.maass import CoeffTable, MaassTuple, RangeError, _lift_getter
 from hermlift.quadfield import FieldParams
 from hermlift.ring import HeckeRing, lincomb
+
+Slots = tuple[tuple[int, int, list[tuple[int, int, int, int]]], ...]
+
+
+def _translates(params: FieldParams, p: int) -> Callable[[int, int, int, int], list[tuple[int, int, int, int]]]:
+    """h = (t1, t3, w.a, w.b) -> its p^2 + 1 translates alpha_a* h alpha_a: at
+    a = x + y omega in O_K/p, x-major, then y, (p^2 t1, t3 + N(a) t1 + wb x -
+    wa y, p (w + t1 (c1 + c2 omega))) with c1 + c2 omega = sqrt(-D) a, then
+    (t1, p^2 t3, p w) at diag(1, p)."""
+    q, pp = params.norm_c, p * p
+    every = [(x * x + x * y + y * y * q, x, y, -x - 2 * q * y, 2 * x + y) for x in range(p) for y in range(p)]
+    return lambda t1, t3, wa, wb: [(pp * t1, na * t1 + t3 + wb * x - wa * y, p * (t1 * c1 + wa), p * (t1 * c2 + wb))
+                                   for na, x, y, c1, c2 in every] + [(t1, pp * t3, p * wa, p * wb)]
+
+
+def over(images: list[tuple[int, int, int, int]], n: int) -> list[tuple[int, int, int, int]]:
+    """The images divisible by n, divided by n: the lattice points among images / n."""
+    return [(a // n, b // n, c // n, d // n) for a, b, c, d in images if a % n == b % n == c % n == d % n == 0]
+
+
+def _coset_walk(kind: str, params: FieldParams, p: int) -> tuple[Callable[..., Slots], int]:
+    """The coset images of h under T_{p,0} or T_p, one slot per term, and
+    the denominator p^k of the slots' integer scalars: the reference for
+    ``hecke._rows``, and the tests' per-coset reference reader.
+
+    ``slots(det, t1, t3, wa, wb)``, on h's lattice key, gives (scalar, det,
+    images) per term, images (t1, t3, w.a, w.b) of determinant det in the
+    order the source reads them: T_{p,0} reads the translates A of h, the
+    lattice points among A / p^2, and h; T_p those among A / p, p h, h / p."""
+    translates = _translates(params, p)
+    pp, k = p * p, params.k
+    den, hi, lo = p ** k, p ** 4, p ** (2 * k)  # hi, lo: p^(4-k), p^k times den
+
+    def slots(det: int, t1: int, t3: int, wa: int, wb: int) -> Slots:
+        h = (t1, t3, wa, wb)
+        if kind == "InertT0":
+            A, s = translates(*h), _diagonal_sum(p, det, gcd(*h))
+            return (hi, pp * det, A), (lo, det // pp, over(A, pp)), (s * den, det, [h])
+        ph = (p * t1, p * t3, p * wa, p * wb)
+        return (p * den, det, over(translates(*h), p)), (hi, pp * det, [ph]), (lo, det // pp, over([h], p))
+
+    return slots, den
+
+
+def _diagonal_sum(p: int, det: int, c: int) -> int:
+    """S(h) from det(h) and c = content(h)."""
+    if det % p:
+        return p - 1
+    return p ** 3 - p * p + p - 1 if c % p == 0 else -p * p + p - 1
+
 
 STEPS = {"InertT0": ("InertT0",), "InertT": ("InertT",), "InertUp": ("InertT", "InertT")}
 

@@ -12,7 +12,6 @@ from hermlift import hecke
 from hermlift.elliptic import QExpansion, apply_Tp, synthetic_newform
 from hermlift.hecke import (
     HeckeOpId,
-    _coset_walk,
     act_inert_T,
     act_inert_T0,
     act_inert_Up,
@@ -48,7 +47,7 @@ from hermlift.quadfield import (
 from hermlift.ring import HeckeElem, HeckeRing, lincomb
 
 import percoset
-from percoset import LazyAction
+from percoset import LazyAction, _coset_walk
 
 ZZ = HeckeRing([0, 1])
 GAUSS = HeckeRing([1, 0, 1])
@@ -480,7 +479,7 @@ def test_isotropic_residues_match_full_scan(D, p):
     params = FieldParams(D, 8)
     full, _ = _coset_walk("InertT0", params, p)
     t, _ = _coset_walk("InertT", params, p)
-    row, _ = hecke._rows("InertT0", params, p)
+    row, _ = hecke._rows("InertT0", p, params.k)
     residues = [QuadInt(x, y, D) for x in range(p) for y in range(p)]
     root = QuadInt(-1, 2, D)  # sqrt(-D)
     t3_pad = p * p * (params.norm_c + 2)  # keeps every representative positive
@@ -562,8 +561,9 @@ def test_rows_match_the_coset_walk_at_every_point(D):
     # multiples of all of these by p and p^2 (and p^3 at p = 2), so that
     # v_p(c) reaches 2 (3 at p = 2), past each row cap, the coset walk's
     # relative dict is the one _rows holds for the point's (det, content).
-    # Every type is reached, and k = 12 is tested as well as 8 at the first
-    # p, since scalars carry p^k
+    # Every type is reached, and k = 2, 4 and 12 are tested as well as 8 at
+    # the first p, since scalars carry p^k: at k < 4 p^4 exceeds p^k, so a
+    # mis-scaled p^4 or p^(2k) term shows
     shape = enumerate_points(D, 2 * D, 2)
     for p in ROW_CASES[D]:
         # det = D t3 - 1 with p^a | det and p^(a + 1) not
@@ -574,11 +574,11 @@ def test_rows_match_the_coset_walk_at_every_point(D):
         types = {(a, b) for a in (0, 1, 2) for b in (0, 1, 2)}
         assert {row_type(p, h) for h in pts} == types
         assert max(math.gcd(*h.coords()) for h in pts) % p ** (3 if p == 2 else 2) == 0
-        for k in (8, 12) if p == ROW_CASES[D][0] else (8,):
+        for k in (2, 4, 8, 12) if p == ROW_CASES[D][0] else (8,):
             params = FieldParams(D, k)
             for kind in ("InertT0", "InertT"):
                 slots, _ = _coset_walk(kind, params, p)
-                row, _ = hecke._rows(kind, params, p)
+                row, _ = hecke._rows(kind, p, k)
                 for h in pts:
                     assert walked_row(slots, p, h) == dict(row(h.det_scaled(), math.gcd(*h.coords()))), (kind, p, k, h)
 
@@ -612,26 +612,10 @@ def test_coset_walk_matches_the_matrix_transforms(D):
         assert betas > 0
 
 
-def test_rows_do_not_depend_on_the_field():
-    # a row depends on (kind, p, k) only: for each p, rows of every type
-    # agree across the fields in which p is inert
-    by_p = {}
-    for D, primes in ROW_CASES.items():
-        for p in primes:
-            by_p.setdefault(p, []).append(D)
-    assert all(len(fields) >= 2 for fields in by_p.values())
-    for p, fields in by_p.items():
-        types = [(p ** (a + 2 * b), p ** b) for a in range(4) for b in range(4)]
-        for kind in ("InertT0", "InertT"):
-            rows = [hecke._rows(kind, FieldParams(D, 8), p)[0] for D in fields]
-            want = [dict(rows[0](*x)) for x in types]
-            assert all([dict(row(*x)) for x in types] == want for row in rows[1:]), (kind, p)
-
-
-def test_rows_are_derived_once_per_operator_field_and_prime():
-    # a process derives each (kind, params, p) row table once, T_{p,0}'s and
+def test_rows_are_derived_once_per_operator_prime_and_weight():
+    # a process derives each (kind, p, k) row table once, T_{p,0}'s and
     # T_p's (U_p reads T_p's): applications after the first read the cached
-    # rows, whatever the lift or the shape
+    # rows, whatever the lift, the shape or the field
     params = FieldParams(43, 8)
     lifts = [random_alpha_tuple(params, trivial_char(), ring, 81 * 86, seed=s) for ring, s in ((ZZ, 1), (GAUSS, 2))]
     misses = hecke._rows.cache_info().misses
@@ -643,13 +627,21 @@ def test_rows_are_derived_once_per_operator_field_and_prime():
         for act, shape in ((act_inert_T0, (43 * 4, 3)), (act_inert_T, (43 * 8, 1)), (act_inert_Up, (43 * 2, 2))):
             act(t, 3, *shape)
     assert hecke._rows.cache_info().misses == misses
+    # p = 5 is inert at D = 7 and at D = 23: the second field reads the first's rows
+    for D in (7, 23):
+        t = random_alpha_tuple(FieldParams(D, 8), trivial_char(), ZZ, 25 * 4 * D, seed=D)
+        act_inert_T0(t, 5, 4 * D, 1)
+        act_inert_T(t, 5, 4 * D, 1)
+        if D == 7:
+            misses = hecke._rows.cache_info().misses
+    assert hecke._rows.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("D, p", [(7, 3), (11, 2), (23, 5)])
 def test_keyed_reader_takes_one_gcd_per_point_and_one_sum_per_det_and_content(D, p, monkeypatch):
     # at every point, p | det included: content(h) is the point's one gcd,
     # and each distinct (det, content) one lincomb in an application;
-    # U_p on a lift is the keyed T_p twice and reads no coset walk.
+    # U_p on a lift is the keyed T_p twice.
     # Tabulated, the shape's shared (det, content) keys stand in for the gcd,
     # and a vanishing sum is the ring's shared zero
     gcds, sums = [], []
@@ -657,8 +649,7 @@ def test_keyed_reader_takes_one_gcd_per_point_and_one_sum_per_det_and_content(D,
     monkeypatch.setattr(hecke, "gcd", lambda *args: gcds.append(args) or math.gcd(*args))
     monkeypatch.setattr(hecke, "lincomb", lambda *args: sums.append(args) or real(*args))
     for kind in ("InertT0", "InertT"):  # U_p reads T_p's rows
-        hecke._rows(kind, FieldParams(D, 8), p)
-    monkeypatch.setattr(hecke, "_coset_walk", lambda *args: pytest.fail("a coset walk on a lift"))
+        hecke._rows(kind, p, 8)
     pts = enumerate_points(D, 12 * D, 2 * p)
     keys = {(h.det_scaled(), math.gcd(*h.coords())) for h in pts}
     assert any(d % p == 0 and c % p == 0 for d, c in keys)
@@ -677,22 +668,6 @@ def test_keyed_reader_takes_one_gcd_per_point_and_one_sum_per_det_and_content(D,
             vals = acts[kind](src, p, 12 * D, 2 * p).vals
             assert gcds == [] and (len(sums) == len(keys) if kind != "InertUp" else len(keys) < len(sums)), kind
             assert all(v is zero for v in vals if src is blank or v.is_zero()), kind
-
-
-def test_a_lift_takes_no_coset_walk_once_rows_are_derived(monkeypatch):
-    # a lift is read by rows: once they are derived, every tabulated
-    # operator and eval_inert_raw alike read no coset walk
-    params = FieldParams(7, 8)
-    for kind in ("InertT0", "InertT"):
-        hecke._rows(kind, params, 3)
-    monkeypatch.setattr(hecke, "_coset_walk", lambda *args: pytest.fail("a coset walk on a lift"))
-    t = random_alpha_tuple(params, trivial_char(), ZZ, 81 * 7 * 9 + 40, seed=8, spread=4)
-    act_inert_T0(t, 3, 7 * 36, 6)
-    act_inert_T(t, 3, 7 * 36, 6)
-    act_inert_Up(t, 3, 7 * 9, 3)
-    pts = enumerate_points(7, 7 * 9, 3)
-    for kind in ("InertT0", "InertT", "InertUp"):
-        assert any(not v.is_zero() for v in eval_inert_raw(t, kind, 3, pts).values()), kind
 
 
 def lumped_case_points(D, p):
@@ -743,7 +718,7 @@ def test_keyed_T_at_p_times_a_generic_point_takes_few_gcds(p, monkeypatch):
     monkeypatch.setattr(hecke, "gcd", lambda *args: calls.append(args) or math.gcd(*args))
     pts = [h for h in enumerate_points(D, 4 * D, 2) if h.det_scaled() % p]
     t = random_alpha_tuple(FieldParams(D, 8), trivial_char(), ZZ, p ** 4 * 4 * D, seed=p)
-    hecke._rows("InertT", t.params, p)
+    hecke._rows("InertT", p, t.k)
     for h in pts:
         calls.clear()
         eval_inert_raw(t, "InertT", p, [point(D, p * h.t1, p * h.t3, p * h.w.a, p * h.w.b)])
