@@ -23,17 +23,7 @@ from .quadfield import (
     trivial_char,
     norm_ball,
 )
-from .hermitian import (
-    HermPoint,
-    DiagCert,
-    point,
-    content,
-    content_p,
-    transform,
-    transform_integral,
-    enumerate_points,
-    diagonalize_mod,
-)
+from .hermitian import HermPoint, point, content, enumerate_points
 from .elliptic import (
     NewformData,
     QExpansion,

@@ -68,7 +68,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def write_table(path: str, table: CoeffTable, chi: ClassChar, zetaexp: int) -> None:
-    """Write a table, its class character and zeta exponent: the inverse of ``read_table``."""
+    """Write a table, its class character and zeta exponent: the inverse of
+    ``read_table``.  A path that cannot be written is refused, exit 2."""
     lines = [
         f"field {table.D}",
         f"k {table.params.k}",
@@ -84,8 +85,11 @@ def write_table(path: str, table: CoeffTable, chi: ClassChar, zetaexp: int) -> N
     for (_, t1, t3, a, b), v in zip(table.lattice, table.vals):  # canonical order
         if v is not zero:
             lines.append(f"point {t1} {t3} {a} {b} {' '.join(map(str, v.num))} / {v.den}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise CommandError(f"{path}: {exc}") from exc
 
 
 def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:

@@ -7,14 +7,8 @@ A lattice point is a positive semidefinite matrix
 
 with t1, t3 nonnegative integers and w integral; the scaled determinant
 D*t1*t3 - N(w) is then a nonnegative integer.  The module provides the
-content (largest integer divisor), congruence transforms h -> g* h g with
-denominators allowed in g, enumeration up to bounds in a canonical order,
-and certified diagonalisation modulo l^n.  Diagonalisation is one shear
-algorithm for every prime l not dividing D: it uses only a unit integer
-pivot and the invertibility of sqrt(-D) mod l, so split and inert l (and
-l = 2) need no separate treatment.  The pivot is the first of four fixed
-matrices (identity, swap, shears by 1 and by omega) that makes t1 a unit;
-on a primitive point one of them always does.
+content (largest integer divisor) and enumeration up to bounds in a
+canonical order.
 """
 
 from __future__ import annotations
@@ -22,10 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from .quadfield import QuadInt
-from .ring import _is_prime, _val_int
 
 
 @dataclass(frozen=True)
@@ -69,9 +62,6 @@ class HermPoint:
             return None
         return HermPoint(self.t1 // n, self.t3 // n, self.w.divide(n))
 
-    def swap(self) -> "HermPoint":
-        return HermPoint(self.t3, self.t1, self.w.conj())
-
     def __repr__(self) -> str:
         return f"HermPoint({self.t1},{self.t3},{self.w})"
 
@@ -85,63 +75,6 @@ def content(h: HermPoint) -> int:
     if h.is_zero():
         raise ValueError("content of the zero point is undefined")
     return math.gcd(math.gcd(h.t1, h.t3), math.gcd(h.w.a, h.w.b))
-
-
-def content_p(h: HermPoint, p: int) -> int:
-    """The exponent of p in content(h); p must be at least 2."""
-    if p < 2:
-        raise ValueError(f"p = {p} must be at least 2")
-    return _val_int(content(h), p)
-
-
-# ---------------------------------------------------------------------------
-# congruence transforms
-
-
-def transform_integral(h: HermPoint, G: Sequence[Sequence[QuadInt]]) -> HermPoint:
-    """G* h G for an integral 2x2 matrix G over the order.
-
-    Written out on lattice coordinates: with G = [[A,B],[C,D]],
-        t1' = t1 N(A) + t3 N(C) + omega_coef(w conj(A) C)
-        t3' = t1 N(B) + t3 N(D) + omega_coef(w conj(B) D)
-        w'  = sqrt(-D) (t1 conj(A)B + t3 conj(C)D) + w conj(A)D - conj(w) B conj(C)
-    where sqrt(-D) = 2*omega - 1.
-    """
-    (A, B), (C, D) = G
-    t1, t3, w = h.t1, h.t3, h.w
-    wc = w.conj()
-    delta = QuadInt(-1, 2, h.D)  # sqrt(-D)
-    t1p = t1 * A.norm() + t3 * C.norm() + (w * A.conj() * C).omega_coef()
-    t3p = t1 * B.norm() + t3 * D.norm() + (w * B.conj() * D).omega_coef()
-    wp = delta * (A.conj() * B * t1 + C.conj() * D * t3) + w * (A.conj() * D) - wc * (B * C.conj())
-    return HermPoint(t1p, t3p, wp)
-
-
-def transform(
-    h: HermPoint, G: Sequence[Sequence[QuadInt]], den: int = 1
-) -> Optional[HermPoint]:
-    """g* h g for g = G/den; returns None when the result leaves the lattice.
-
-    A None signals a vanishing Fourier coefficient for the corresponding
-    Hecke coset term.
-    """
-    _check_invertible(G)
-    hi = transform_integral(h, G)
-    if den == 1:
-        return hi
-    return hi.divide(den * den)
-
-
-def _check_invertible(G):
-    (A, B), (C, D) = G
-    det = A * D - B * C
-    if det.is_zero():
-        raise ValueError("singular transform")
-
-
-def identity_matrix(D: int):
-    one, zero = QuadInt(1, 0, D), QuadInt(0, 0, D)
-    return ((one, zero), (zero, one))
 
 
 # ---------------------------------------------------------------------------
@@ -192,90 +125,3 @@ def _lattice(D: int, bound_det: int, bound_diag: int) -> tuple[tuple[Key, ...], 
     shared = {}  # one (det, content) tuple per value
     keys = ((det, math.gcd(t1, t3, a, b)) for det, t1, t3, a, b in raw)
     return tuple(raw), tuple(shared.setdefault(key, key) for key in keys)
-
-
-# ---------------------------------------------------------------------------
-# diagonalisation mod l^n
-
-
-@dataclass(frozen=True)
-class DiagCert:
-    """Certificate u* h u = l^epsilon diag(a, d) (mod l^n on lattice coordinates).
-
-    u has entries in the order with det(u) = 1 mod l^n; a is a unit mod l
-    unless the point is saturated (all of h divisible by l^n).
-    """
-
-    h: HermPoint
-    ell: int
-    n: int
-    u: tuple[tuple[QuadInt, QuadInt], tuple[QuadInt, QuadInt]]
-    a: int
-    d: int
-    epsilon: int
-    saturated: bool = False
-
-    def verify(self) -> bool:
-        ln = self.ell ** self.n
-        if self.saturated:
-            return self.epsilon == self.n and content_p(self.h, self.ell) >= self.n
-        if self.a % self.ell == 0:
-            return False
-        (u11, u12), (u21, u22) = self.u
-        det = u11 * u22 - u12 * u21
-        if (det.a - 1) % ln or det.b % ln:
-            return False
-        t = transform_integral(self.h, self.u)
-        le = self.ell ** self.epsilon
-        return (
-            (t.t1 - le * self.a) % ln == 0
-            and (t.t3 - le * self.d) % ln == 0
-            and t.w.a % ln == 0
-            and t.w.b % ln == 0
-        )
-
-
-def diagonalize_mod(h: HermPoint, ell: int, n: int) -> DiagCert:
-    """Certified diagonalisation u* h u = l^eps diag(a, d) mod l^n, l not dividing a.
-
-    One algorithm for every prime l not dividing D, split or inert.  The
-    pivot is the first of four fixed matrices giving h/l^eps a unit t1: the
-    identity, the swap [[0, -1], [1, 0]] (t1' = t3), and the shears
-    [[1, 0], [s, 1]] for s = 1 and omega (t1' = w.b and w.a + w.b mod l when
-    t1 = t3 = 0 mod l; h/l^eps is primitive, so one is a unit).  Then
-    [[1, s], [0, 1]], s = -w / (sqrt(-D) t1) mod l^n, clears the off-diagonal,
-    and u is the pivot times that shear.  Only a unit t1 and sqrt(-D)
-    invertible mod l (its norm is D) are used; neither asks whether l splits.
-    """
-    if h.is_zero():
-        raise ValueError("cannot diagonalize the zero point")
-    if not _is_prime(ell):
-        raise ValueError(f"l = {ell} is not prime")
-    D = h.D
-    if D % ell == 0:
-        raise ValueError("l must not divide the field discriminant")
-    if n < 1:
-        raise ValueError("n must be positive")
-    eps = content_p(h, ell)
-    if eps >= n:
-        return DiagCert(h, ell, n, identity_matrix(D), a=0, d=0, epsilon=n, saturated=True)
-    ln = ell ** n
-    one, zero, omega = QuadInt(1, 0, D), QuadInt(0, 0, D), QuadInt(0, 1, D)
-    base = h.divide(ell ** eps)
-    for pivot in (((one, zero), (zero, one)), ((zero, -one), (one, zero)),
-                  ((one, zero), (one, one)), ((one, zero), (omega, one))):
-        cur = transform_integral(base, pivot)
-        if cur.t1 % ell:
-            break
-    # clear the off-diagonal t2 = w/sqrt(-D) with t1 s = -t2 mod l^n, using
-    # 1/sqrt(-D) = conj(sqrt(-D))/D = (1 - 2 omega)/D
-    c, x = -pow(cur.t1 * D % ln, -1, ln), cur.w * QuadInt(1, -2, D)
-    s = QuadInt(x.a * c % ln, x.b * c % ln, D)
-    (p11, p12), (p21, p22) = pivot
-    u = tuple(tuple(QuadInt(z.a % ln, z.b % ln, D) for z in row)
-              for row in ((p11, p11 * s + p12), (p21, p21 * s + p22)))
-    d = transform_integral(cur, ((one, s), (zero, one))).t3  # the shear keeps t1
-    cert = DiagCert(h, ell, n, u, a=cur.t1 % ln, d=d % ln, epsilon=eps)
-    if not cert.verify():
-        raise AssertionError("diagonalisation certificate failed to verify")
-    return cert

@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .elliptic import NewformData, QExpansion, _aDK_rho, _sieve, _smallest_prime_factors, extend_coeffs
-from .hermitian import HermPoint, _lattice, enumerate_points
+from .hermitian import HermPoint, _lattice
 from .quadfield import ClassChar, FieldParams, QuadInt, chi_K, class_group, trivial_char
 from .ring import HeckeElem, HeckeRing, lincomb
 
@@ -104,16 +104,9 @@ class CoeffTable:
                                            for (_, t1, t3, a, b), v in zip(self.lattice, self.vals) if v is not zero})
         return self._view
 
-    def points(self) -> list[HermPoint]:
-        return enumerate_points(self.D, self.bound_det, self.bound_diag)
-
     def same_shape(self, other: "CoeffTable") -> bool:
         shape = (self.D, self.ring, self.bound_det, self.bound_diag)
         return shape == (other.D, other.ring, other.bound_det, other.bound_diag)
-
-    def scaled(self, c) -> "CoeffTable":
-        values = {h: v * c for h, v in self.values.items()}
-        return CoeffTable(self.params, self.ring, self.bound_det, self.bound_diag, values)
 
 
 @dataclass

@@ -340,10 +340,6 @@ class ClassChar:
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def conjugate(self) -> "ClassChar":
-        d = self.order
-        return ClassChar(d, tuple((-e) % d for e in self.exponents))
-
 
 def trivial_char(h: int = 1) -> ClassChar:
     return ClassChar(1, (0,) * h)

@@ -246,10 +246,6 @@ class HeckeRing:
     def from_int(self, n: int) -> "HeckeElem":
         return HeckeElem(self, (int(n),) + (0,) * (self.degree - 1), 1)
 
-    def from_rational(self, q: Fraction | int) -> "HeckeElem":
-        q = Fraction(q)
-        return HeckeElem(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
-
     def gen(self) -> "HeckeElem":
         if self.degree == 1:
             # x == -m[0] in Z[x]/(x + m0); still well-defined
@@ -307,9 +303,6 @@ class HeckeElem:
 
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    def is_integral(self) -> bool:
-        return self.den == 1
 
     # -- arithmetic --------------------------------------------------------
 

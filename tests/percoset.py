@@ -11,16 +11,22 @@ t1, t3, w.a, w.b): a lift, read through ``maass._lift_getter``, a
 ``CoeffTable``, or a ``LazyAction``.  It reads one source value per coset
 image, one ``lincomb`` per point, memoised, and U_p as T_p applied twice.
 Singular keys (det 0) read the ring's zero, where cusp forms vanish.
+
+The walk is checked in turn against the matrix transforms h -> g* h g
+(``transform_integral``, and ``transform`` with denominators allowed in
+g), written out on lattice coordinates from QuadInt arithmetic, image by
+image.
 """
 
 from dataclasses import dataclass
 from functools import cache
 from itertools import starmap
 from math import gcd
-from typing import Callable
+from typing import Callable, Optional, Sequence
 
+from hermlift.hermitian import HermPoint
 from hermlift.maass import CoeffTable, MaassTuple, RangeError, _lift_getter
-from hermlift.quadfield import FieldParams
+from hermlift.quadfield import FieldParams, QuadInt
 from hermlift.ring import HeckeRing, lincomb
 
 Slots = tuple[tuple[int, int, list[tuple[int, int, int, int]]], ...]
@@ -71,6 +77,47 @@ def _diagonal_sum(p: int, det: int, c: int) -> int:
     if det % p:
         return p - 1
     return p ** 3 - p * p + p - 1 if c % p == 0 else -p * p + p - 1
+
+
+def transform_integral(h: HermPoint, G: Sequence[Sequence[QuadInt]]) -> HermPoint:
+    """G* h G for an integral 2x2 matrix G over the order.
+
+    Written out on lattice coordinates: with G = [[A,B],[C,D]],
+        t1' = t1 N(A) + t3 N(C) + omega_coef(w conj(A) C)
+        t3' = t1 N(B) + t3 N(D) + omega_coef(w conj(B) D)
+        w'  = sqrt(-D) (t1 conj(A)B + t3 conj(C)D) + w conj(A)D - conj(w) B conj(C)
+    where sqrt(-D) = 2*omega - 1.
+    """
+    (A, B), (C, D) = G
+    t1, t3, w = h.t1, h.t3, h.w
+    wc = w.conj()
+    delta = QuadInt(-1, 2, h.D)  # sqrt(-D)
+    t1p = t1 * A.norm() + t3 * C.norm() + (w * A.conj() * C).omega_coef()
+    t3p = t1 * B.norm() + t3 * D.norm() + (w * B.conj() * D).omega_coef()
+    wp = delta * (A.conj() * B * t1 + C.conj() * D * t3) + w * (A.conj() * D) - wc * (B * C.conj())
+    return HermPoint(t1p, t3p, wp)
+
+
+def transform(
+    h: HermPoint, G: Sequence[Sequence[QuadInt]], den: int = 1
+) -> Optional[HermPoint]:
+    """g* h g for g = G/den; returns None when the result leaves the lattice.
+
+    A None signals a vanishing Fourier coefficient for the corresponding
+    Hecke coset term.
+    """
+    _check_invertible(G)
+    hi = transform_integral(h, G)
+    if den == 1:
+        return hi
+    return hi.divide(den * den)
+
+
+def _check_invertible(G):
+    (A, B), (C, D) = G
+    det = A * D - B * C
+    if det.is_zero():
+        raise ValueError("singular transform")
 
 
 STEPS = {"InertT0": ("InertT0",), "InertT": ("InertT",), "InertUp": ("InertT", "InertT")}

@@ -19,11 +19,10 @@ from hermlift.hecke import (
     descend_op,
     eval_inert_raw,
 )
-from hermlift.hermitian import HermPoint, content_p, diagonalize_mod, point
+from hermlift.hermitian import point
 from hermlift.maass import a_K, build_lift, check_maass, descend, random_alpha_tuple
 from hermlift.quadfield import (
     FieldParams,
-    QuadInt,
     char_values,
     chi_K,
     class_group,
@@ -224,38 +223,6 @@ def test_acceptance_4_euler_factorization():
                 checked += 1
             rand_checked += 1
     report(4, True, f"factorization identity exact in {checked} cases ({time.time() - t0:.1f}s)")
-
-
-def test_acceptance_5_diagonalization_certificates():
-    import random as _r
-
-    t0 = time.time()
-    rng = _r.Random(505)
-    count = 0
-    for ell in (3, 5):
-        for n in (1, 2, 3):
-            made = 0
-            while made < 200:
-                D = rng.choice([7, 11, 23])
-                t1 = rng.randrange(0, 12)
-                t3 = rng.randrange(0, 12)
-                wa = rng.randrange(-10, 11)
-                wb = rng.randrange(-10, 11)
-                w = QuadInt(wa, wb, D)
-                if (t1 == 0 or t3 == 0) or D * t1 * t3 - w.norm() < 0:
-                    continue
-                h = HermPoint(t1, t3, w)
-                cert = diagonalize_mod(h, ell, n)
-                if not cert.verify():
-                    report(5, False, f"certificate fails at {h}, l={ell}, n={n}")
-                if not cert.saturated:
-                    if cert.a % ell == 0:
-                        report(5, False, f"pivot not a unit at {h}")
-                    if content_p(h, ell) < n and cert.epsilon != content_p(h, ell):
-                        report(5, False, f"epsilon mismatch at {h}")
-                made += 1
-                count += 1
-    report(5, True, f"{count} certificates verified exactly ({time.time() - t0:.1f}s)")
 
 
 def test_acceptance_6_aK_characterisation():

@@ -15,7 +15,7 @@ from hermlift.elliptic import bundled_cm_form, extend_coeffs, format_newform, rh
 from hermlift.lfun import verify_product134
 from hermlift import hecke, maass
 from hermlift.hecke import HeckeOpId, act_inert_T, act_inert_T0, act_inert_Up, act_inert_on_lift, act_split_on_lift
-from hermlift.hermitian import point
+from hermlift.hermitian import enumerate_points, point
 from hermlift.maass import CoeffTable, RangeError, build_lift, check_maass, random_alpha_tuple
 from hermlift.quadfield import FieldParams, char_values, class_group, trivial_char
 from hermlift.ring import HeckeRing
@@ -297,6 +297,16 @@ def test_missing_table_exits_2(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, lift_567):
+    # an output in a directory that does not exist is refused like an
+    # unreadable input, not raised as a traceback with exit 1
+    for argv in (["lift", CM_PATH, "--bound-det", "50"], ["hecke", lift_567, "--op", "T0@3"]):
+        out_tbl = tmp_path / "missing_dir" / "x.tbl"
+        code = main([str(a) for a in argv[:2]] + [str(out_tbl)] + argv[2:])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out and err.startswith(f"error: {out_tbl}: "), argv[0]
+
+
 def test_check_maass_enumerates_once_and_reports_unconstrained(tmp_path, capsys, synth_file, monkeypatch):
     from hermlift import maass
     from hermlift.hermitian import _lattice, content, enumerate_points
@@ -524,7 +534,7 @@ def test_table_file_round_trip_and_values_view(D, ring, bound_diag, det_excess, 
 def test_read_table_gives_back_any_written_table(D, ring, bound_det, bound_diag, data):
     # any values, not only a lift's: signs, denominators, zeros, every class
     # character, at any point of the table
-    points = CoeffTable(FieldParams(D, 8), ring, bound_det, bound_diag).points()
+    points = enumerate_points(D, bound_det, bound_diag)
     coords = st.lists(st.integers(-50, 50), min_size=ring.degree, max_size=ring.degree)
     value = st.builds(lambda c, d: ring.element(c, d), coords, st.integers(1, 12))
     values = data.draw(st.dictionaries(st.sampled_from(points), value, max_size=40)) if points else {}

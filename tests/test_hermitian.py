@@ -1,29 +1,15 @@
 import math
 import random
-import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlift import hermitian
-from hermlift.hermitian import (
-    SHAPES,
-    DiagCert,
-    HermPoint,
-    _lattice,
-    content,
-    content_p,
-    diagonalize_mod,
-    enumerate_points,
-    identity_matrix,
-    point,
-    transform,
-    transform_integral,
-)
+from hermlift.hermitian import SHAPES, HermPoint, _lattice, content, enumerate_points, point
 from hermlift.maass import CoeffTable
-from hermlift.quadfield import FieldParams, QuadInt, chi_K
+from hermlift.quadfield import FieldParams, QuadInt
 from hermlift.ring import HeckeRing
+from percoset import transform, transform_integral
 
 
 def qi(a, b, D=7):
@@ -49,7 +35,6 @@ def test_content():
     assert content(point(7, 1, 5)) == 1
     h = point(7, 6, 9, 3, 3)
     assert content(h) == 3
-    assert content_p(h, 2) == 0 and content_p(h, 3) == 1
     with pytest.raises(ValueError):
         content(point(7, 0, 0))
 
@@ -216,12 +201,6 @@ def brute_force_keys(D, bound_diag, keep):
     return sorted(brute)
 
 
-def singular_points(D, bound_diag):
-    """The nonzero points of det 0 with t1, t3 <= bound_diag, by brute force:
-    the axis points and, at t1 t3 > 0, the rank-1 points."""
-    return [point(D, *key[1:]) for key in brute_force_keys(D, bound_diag, lambda det: det == 0) if any(key[1:])]
-
-
 @pytest.mark.parametrize("D, bound_det, bound_diag", [(3, 12, 3), (7, 28, 2), (7, 63, 3), (23, 92, 2), (23, 180, 4)])
 def test_enumerate_matches_brute_force(D, bound_det, bound_diag):
     brute = brute_force_keys(D, bound_diag, lambda det: 0 < det <= bound_det)
@@ -262,217 +241,5 @@ def test_enumerate_symmetries_and_order():
     coords = {h.coords() for h in pts}
     for h in pts:
         assert (h.t1, h.t3, -h.w.a, -h.w.b) in coords  # w -> -w
-        assert h.swap().coords() in coords  # t1 <-> t3 with conjugation
+        assert (h.t3, h.t1, h.w.conj().a, h.w.conj().b) in coords  # t1 <-> t3 with conjugation
         assert (h.det_scaled() + h.w.norm()) % 7 == 0
-
-
-def test_diagonalize_trivial_cases():
-    h = point(7, 1, 1)
-    cert = diagonalize_mod(h, 3, 2)
-    assert cert.verify() and cert.epsilon == 0 and cert.a % 3 != 0
-
-    h2 = point(7, 3, 6)
-    cert2 = diagonalize_mod(h2, 3, 3)
-    assert cert2.verify() and cert2.epsilon == 1
-
-    sat = point(7, 9, 9, 9, 0)
-    cert3 = diagonalize_mod(sat, 3, 2)
-    assert cert3.saturated and cert3.epsilon == 2 and cert3.verify()
-
-
-def test_diagonalize_random_certificates():
-    rng = random.Random(10)
-    count = 0
-    for D in (7, 11, 23):
-        for ell in (3, 5):
-            if D % ell == 0:
-                continue
-            for n in (1, 2, 3):
-                for _ in range(25):
-                    h = _random_point(rng, D, spread=9)
-                    cert = diagonalize_mod(h, ell, n)
-                    assert cert.verify()
-                    if not cert.saturated:
-                        assert cert.a % ell != 0
-                        if content_p(h, ell) < n:
-                            assert cert.epsilon == content_p(h, ell)
-                    count += 1
-    assert count >= 400
-
-
-def test_diagonalize_rejects():
-    with pytest.raises(ValueError):
-        diagonalize_mod(point(7, 0, 0), 3, 1)
-    with pytest.raises(ValueError):
-        diagonalize_mod(point(7, 1, 1), 7, 1)  # l = D
-
-
-def _bounded(seconds, call, *args):
-    """call(*args) under an alarm, so a call that never returns fails the test."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"{call.__name__}{args} did not return in {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        return call(*args)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_content_p_refuses_p_below_two():
-    h = point(7, 2, 4, 2, 0)
-    for p in (1, 0, -1, -2):  # p = 1 looped forever on c % 1 == 0
-        with pytest.raises(ValueError):
-            _bounded(2, content_p, h, p)
-    assert content_p(h, 2) == 1
-
-
-def test_diagonalize_refuses_non_prime_ell():
-    h = point(7, 2, 4, 1, 0)
-    for ell in (1, 0, -3, 4, 9, 15):
-        with pytest.raises(ValueError, match="not prime"):
-            _bounded(2, diagonalize_mod, h, ell, 2)
-
-
-def _integral(x, y):
-    """Whether x + y sqrt(-D) lies in the order: it is (x - y) + 2y omega."""
-    return (2 * y).denominator == 1 and (x - y).denominator == 1
-
-
-def test_diagonalize_sweep_against_matrix_oracle():
-    # every point of a small table, the nonzero det-0 points of its diagonals
-    # (which tables leave out), points with t1 = t3 = 0 mod l that need the
-    # pivot shear, and their multiples by l and l^2; each certificate is
-    # read back through the rational matrix oracle, not only through
-    # DiagCert.verify
-    kinds = set()
-    for D in (7, 11):  # l = 2, 3, 5 split at one D and stay inert at the other
-        table = singular_points(D, 1) + enumerate_points(D, D, 1)
-        for ell in (2, 3, 5, 7, 11):
-            if D % ell == 0:
-                continue
-            side = "split" if chi_K(D, ell) == 1 else "inert"
-            base = table + [
-                point(D, ell, ell, wa, wb)
-                for wa in range(-1, 2)
-                for wb in range(-1, 2)
-                if (wa, wb) != (0, 0) and D * ell * ell >= QuadInt(wa, wb, D).norm()
-            ]
-            for n in range(1, 5):
-                ln = ell ** n
-                for h0 in base:
-                    for m in (1, ell, ell * ell):
-                        h = HermPoint(m * h0.t1, m * h0.t3, h0.w * m)
-                        cert = diagonalize_mod(h, ell, n)
-                        eps = content_p(h, ell)
-                        if cert.saturated:
-                            assert eps >= n and cert.epsilon == n
-                            kinds.add("saturated")
-                            continue
-                        assert cert.epsilon == eps and cert.a % ell != 0
-                        (u11, u12), (u21, u22) = [[_sym(z) for z in row] for row in cert.u]
-                        det = [x - y for x, y in zip(_sym_mul(u11, u22, D), _sym_mul(u12, u21, D))]
-                        assert _integral((det[0] - 1) / ln, det[1] / ln), (h, ell, n)
-                        t1, t3, wu, wv = _oracle_transform(h, cert.u)
-                        le = ell ** eps
-                        assert t1.denominator == 1 and (t1 - le * cert.a) % ln == 0
-                        assert t3.denominator == 1 and (t3 - le * cert.d) % ln == 0
-                        assert _integral(wu / ln, wv / ln), (h, ell, n)
-                        kinds.add(side)
-                        if h0.det_scaled() == 0:
-                            kinds.add("det 0")
-                        if h0.t1 % ell == 0 and h0.t3 % ell == 0:
-                            kinds.add("shear pivot, " + side)
-    assert kinds == {"split", "inert", "saturated", "det 0", "shear pivot, split", "shear pivot, inert"}
-
-
-def _reference_diagonalize(h, ell, n):
-    """The residue search that the four fixed pivots replaced: t1, else a swap
-    to t3, else the first shear [[1, 0], [s, 1]] over s = sa + sb omega mod l
-    (sb outer, sa inner) making t1 a unit; then the clearing shear."""
-    D = h.D
-    eps = content_p(h, ell)
-    if eps >= n:
-        return DiagCert(h, ell, n, identity_matrix(D), a=0, d=0, epsilon=n, saturated=True)
-    ln = ell ** n
-    one, zero = QuadInt(1, 0, D), QuadInt(0, 0, D)
-
-    def matmul(X, Y):
-        return [[X[i][0] * Y[0][j] + X[i][1] * Y[1][j] for j in range(2)] for i in range(2)]
-
-    u = [[one, zero], [zero, one]]
-    cur = h.divide(ell ** eps)
-    if cur.t1 % ell == 0 and cur.t3 % ell:
-        swap = ((zero, QuadInt(-1, 0, D)), (one, zero))
-        cur, u = transform_integral(cur, swap), matmul(u, swap)
-    elif cur.t1 % ell == 0:
-        shears = (((one, zero), (QuadInt(sa, sb, D), one)) for sb in range(ell) for sa in range(ell))
-        shear = next(g for g in shears if transform_integral(cur, g).t1 % ell)
-        cur, u = transform_integral(cur, shear), matmul(u, shear)
-    delta = QuadInt(-1, 2, D)
-    t1inv = pow(cur.t1 % ln, -1, ln)
-    w_over_delta = cur.w * delta.conj() * pow(D % ln, -1, ln)
-    s = QuadInt((-w_over_delta.a * t1inv) % ln, (-w_over_delta.b * t1inv) % ln, D)
-    shear = ((one, s), (zero, one))
-    cur, u = transform_integral(cur, shear), matmul(u, shear)
-    uu = tuple(tuple(QuadInt(z.a % ln, z.b % ln, D) for z in row) for row in u)
-    return DiagCert(h, ell, n, uu, a=cur.t1 % ln, d=cur.t3 % ln, epsilon=eps)
-
-
-def _pivot_kind(h, ell):
-    """Which pivot the primitive part of h needs, read off its coordinates."""
-    if content_p(h, ell) >= 2:  # saturated at n <= 2
-        return "saturated"
-    c = h.divide(ell ** content_p(h, ell))
-    if c.t1 % ell:
-        return "identity"
-    if c.t3 % ell:
-        return "swap"
-    return "shear 1" if c.w.b % ell else "shear omega"
-
-
-def test_fixed_pivots_match_the_residue_search():
-    kinds = {}
-    for D in (3, 7, 11, 23):
-        table = singular_points(D, 1) + enumerate_points(D, D, 1)
-        for ell in (2, 3, 5, 7):
-            if D % ell == 0:
-                continue
-            base = table + [
-                point(D, ell, ell, wa, wb)
-                for wa in range(-2, 3)
-                for wb in range(-2, 3)
-                if (wa, wb) != (0, 0) and D * ell * ell >= QuadInt(wa, wb, D).norm()
-            ]
-            for h0 in base:
-                for m in (1, ell, ell * ell):
-                    h = HermPoint(m * h0.t1, m * h0.t3, h0.w * m)
-                    kinds.setdefault(ell, set()).add(_pivot_kind(h, ell))
-                    for n in (1, 2):
-                        got, want = diagonalize_mod(h, ell, n), _reference_diagonalize(h, ell, n)
-                        assert (got.u, got.a, got.d, got.epsilon, got.saturated) == (
-                            want.u, want.a, want.d, want.epsilon, want.saturated
-                        ), (h, ell, n)
-    for ell in (2, 3, 5, 7):
-        assert kinds[ell] == {"identity", "swap", "shear 1", "shear omega", "saturated"}, ell
-
-
-def test_diagonalize_at_large_ell_makes_few_transforms(monkeypatch):
-    # t1 = t3 = w.b = 0 mod l: the residue search scanned all l shears with
-    # sb = 0 before omega; the fixed pivots try four and clear with one more
-    ell = 10007
-    h = point(7, ell, ell, 1, ell)
-    calls = []
-    real = hermitian.transform_integral
-
-    def counted(h, G):
-        calls.append(G)
-        return real(h, G)
-
-    monkeypatch.setattr(hermitian, "transform_integral", counted)
-    cert = diagonalize_mod(h, ell, 2)
-    assert len(calls) <= 6  # the self-check through verify() included
-    assert cert.verify() and not cert.saturated and cert.epsilon == 0

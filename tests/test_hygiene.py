@@ -1,15 +1,17 @@
 """Static hygiene of src/hermlift, read with the stdlib ast module.
 
-Seven rules: a module uses every name it imports (``__init__`` imports
+Eight rules: a module uses every name it imports (``__init__`` imports
 only to re-export); every private module-level function or class is
 referenced by some module of the package; every function, method and class
 is referenced by name outside its own body somewhere in src, tests, demos
-or perfbench; ``exec``, ``eval`` and ``compile`` are named only inside
-``ring._product_kernel``; a scaled determinant is computed from raw
-coordinates only where coordinates enter the library; an Euler factor's
-s-shift becomes a power of its norm only where X-coefficients are read;
-and src/hermlift stays within ``LINE_CAP`` lines.  A helper left behind by
-a refactor fails here rather than lingering.
+or perfbench; every public module-level function and class is referenced
+outside tests/, in src (``__init__`` aside), demos or perfbench; ``exec``,
+``eval`` and ``compile`` are named only inside ``ring._product_kernel``; a
+scaled determinant is computed from raw coordinates only where coordinates
+enter the library; an Euler factor's s-shift becomes a power of its norm
+only where X-coefficients are read; and src/hermlift stays within
+``LINE_CAP`` lines.  A helper left behind by a refactor fails here rather
+than lingering.
 """
 
 import ast
@@ -124,6 +126,26 @@ def test_every_definition_is_referenced_outside_its_own_body():
         and everywhere[node.name] <= name_references(node)[node.name]
     ]
     assert not unreferenced, unreferenced
+
+
+def test_every_public_function_and_class_has_a_caller_outside_the_tests():
+    # the library, the demos or the benchmark must reach each public
+    # module-level definition; one that only tests reach belongs in tests/
+    # (a test reference, like percoset's) or nowhere.  __init__'s
+    # re-exports are not callers
+    outside = Counter()
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    for path in paths + sorted((ROOT / "demos").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
+        outside += name_references(ast.parse(path.read_text(), str(path)))
+    uncalled = [
+        f"{module}.{node.name} (line {node.lineno})"
+        for module, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and outside[node.name] <= name_references(node)[node.name]
+    ]
+    assert not uncalled, uncalled
 
 
 DYNAMIC_CODE = {"exec", "eval", "compile"}

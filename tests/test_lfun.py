@@ -12,6 +12,7 @@ from hermlift.cli import main
 from hermlift.elliptic import bundled_cm_form, synthetic_newform
 from hermlift.lfun import EulerFactor, SatakePair, ZetaTerm, bc_factor, std_factor_lift, verify_product134
 from hermlift.quadfield import (
+    ClassChar,
     FieldParams,
     SplitType,
     char_values,
@@ -146,7 +147,7 @@ def test_functional_symmetry_under_conjugation():
     chi = next(c for c in chars if not c.is_trivial())
     for p in (2, 5):  # split and inert at 23
         orig = bc_factor(f, p, chi)
-        conj = bc_factor(rho_conjugate(f), p, chi.conjugate())
+        conj = bc_factor(rho_conjugate(f), p, ClassChar(chi.order, tuple(-e % chi.order for e in chi.exponents)))
         for x, y in zip(orig, conj):
             assert (y.norm, y.order, y.twist) == (x.norm, x.order, -x.twist % x.order)
             assert y.poly == [c.apply_involution(f.involution) for c in x.poly]

@@ -119,7 +119,8 @@ def test_check_maass_roundtrip_and_fault():
         assert v == t.alpha.get(n, GAUSS.zero()), n
 
     # perturb one coefficient at a content-2 point
-    h2 = next(h for h in table.points() if not h.is_zero() and h.t1 % 2 == 0 and h.t3 % 2 == 0 and h.w.a % 2 == 0 and h.w.b % 2 == 0)
+    pts = enumerate_points(table.D, table.bound_det, table.bound_diag)
+    h2 = next(h for h in pts if not h.is_zero() and h.t1 % 2 == 0 and h.t3 % 2 == 0 and h.w.a % 2 == 0 and h.w.b % 2 == 0)
     faulty = {**table.values, h2: table.get(h2) + GAUSS.one()}
     table = CoeffTable(params, GAUSS, table.bound_det, table.bound_diag, faulty)
     ok2, witness = check_maass(table)
@@ -142,7 +143,8 @@ def test_maass_tuple_is_a_cusp_form():
         replace(t, alpha={**t.alpha, 0: GAUSS.one()})
     table = t.identity_table(7 * 9, 3)
     assert check_maass(table)[0] and check_maass_reference(table)[0]
-    assert all(h.det_scaled() > 0 for h in table.points()) and not set(SINGULAR) & set(table.points())
+    pts = enumerate_points(table.D, table.bound_det, table.bound_diag)
+    assert all(h.det_scaled() > 0 for h in pts) and not set(SINGULAR) & set(pts)
 
 
 @pytest.mark.parametrize("h", SINGULAR, ids=lambda h: "-".join(map(str, h.coords())))
@@ -225,7 +227,8 @@ def test_check_maass_witness_matches_canonical_reference(seed):
     ok, alpha = check_maass(table)
     assert ok and (ok, alpha) == check_maass_reference(table)
     rng = random.Random(seed)
-    omitted = [h for h in table.points() if h not in table.values and not h.is_zero()]
+    pts = enumerate_points(table.D, table.bound_det, table.bound_diag)
+    omitted = [h for h in pts if h not in table.values and not h.is_zero()]
     failures = 0
     for h in rng.sample(omitted, 6) + rng.sample(list(table.values), 6):
         values = dict(table.values)
@@ -288,7 +291,7 @@ def test_build_is_linear_in_alpha():
     a = t1.identity_table(7 * 9, 3)
     b = t2.identity_table(7 * 9, 3)
     c = summed.identity_table(7 * 9, 3)
-    for h in c.points():
+    for h in enumerate_points(c.D, c.bound_det, c.bound_diag):
         assert c.get(h) == a.get(h) + b.get(h)
 
 

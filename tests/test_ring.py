@@ -85,7 +85,7 @@ def test_squarefree_required():
 def test_rational_coordinates_and_denominators():
     e = GAUSS.element([Fraction(1, 2), Fraction(1, 3)])
     assert e.den == 6 and e.num == (3, 2)
-    assert (e * 6).is_integral()
+    assert (e * 6).den == 1
 
 
 def test_ring_axioms_randomized():
@@ -138,7 +138,7 @@ def test_val_at_examples():
     p5 = primes_above(ZZ, 5)[0]
     assert val_at(p5, ZZ.from_int(50)) == 2
     assert val_at(p5, ZZ.from_int(0)) == INF
-    assert val_at(p5, ZZ.from_rational(Fraction(1, 5))) == -1
+    assert val_at(p5, ZZ.element([Fraction(1, 5)])) == -1
 
     # x+3 at the prime (5, x-2): residue 2+3 = 5 = 0 mod 5, exactly once
     pr = next(p for p in primes_above(GAUSS, 5) if p.local_factor == (3, 1))
