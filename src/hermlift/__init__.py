@@ -31,7 +31,7 @@ from .elliptic import (
     format_newform,
     extend_coeffs,
     rho_conjugate,
-    apply_Tp,
+    apply_tp_poly,
     synthetic_newform,
     bundled_cm_form,
 )

@@ -15,9 +15,10 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 
 from .quadfield import FieldParams, chi_K, class_group
-from .ring import HeckeElem, HeckeRing, _is_prime, lincomb
+from .ring import HeckeElem, HeckeRing, _is_prime, _val_int, lincomb
 
 
 @dataclass
@@ -164,18 +165,43 @@ def rho_conjugate(f: NewformData) -> NewformData:
     return replace(f, ap=new_ap, aDK=_aDK_rho(f), label=f.label + "^rho" if f.label else "")
 
 
-def apply_Tp(q: QExpansion, p: int, k: int, D: int) -> QExpansion:
-    """Classical Hecke action a'(n) = a(np) + chi(p) p^(k-2) a(n/p), valid to n_max/p."""
-    if q.n_max < p:
-        raise ValueError("insufficient coefficient range for T_p")
-    n_out, get, zero = q.n_max // p, q.coeffs.get, q.ring.zero()
-    coeffs = {n: get(n * p, zero) for n in range(1, n_out + 1)}
-    scal = chi_K(D, p) * p ** (k - 2)
-    if scal:  # the second term, at the multiples n of p with a(n/p) stored
-        for n in range(p, n_out + 1, p):
-            if (v := get(n // p)) is not None:
-                coeffs[n] = lincomb(q.ring, [(1, coeffs[n]), (scal, v)])
-    return QExpansion(q.ring, n_out, coeffs)
+TpPoly = tuple[tuple[int, Fraction], ...]  # (degree, coefficient)
+
+
+def apply_tp_poly(q: QExpansion, poly: TpPoly, p: int, k: int, D: int) -> QExpansion:
+    """The sum of c T_p^d over the (d, c) of ``poly`` on q, valid to n_max // p^top
+    (top the largest d), in one pass: a'(n) is one ``lincomb`` over the row of
+    min(v_p(n), top).  Missing coefficients read zero; zeros are not stored."""
+    rows, den = _tp_rows(p, chi_K(D, p) * p ** (k - 2), poly)
+    top, get, out = len(rows) - 1, q.coeffs.get, {}
+    for n in range(1, q.n_max // p ** top + 1):
+        row = rows[min(_val_int(n, p), top)]
+        terms = [(c, x) for mul, div, c in row if (x := get(n * mul // div)) is not None]
+        if terms and not (acc := lincomb(q.ring, terms, den)).is_zero():
+            out[n] = acc
+    return QExpansion(q.ring, q.n_max // p ** top, out)
+
+
+@cache  # one set of rows per (p, eps, polynomial) for the process
+def _tp_rows(p: int, eps: int, poly: TpPoly) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], int]:
+    """For v = 0..top, the row (mul, div, c) of the polynomial at n with v_p(n)
+    = v (top serves all v >= top), summing c a(n mul / div) over den, the lcm
+    of the denominators.  T a(n) = a(np) + eps [p | n] a(n/p) maps T^d's
+    functional {e: coefficient of a(n p^e)} to T^(d+1)'s, e to e - 1 if v + e >= 1."""
+    top, coeff, den = max(d for d, _ in poly), dict(poly), math.lcm(*(c.denominator for _, c in poly))
+    rows = []
+    for v in range(top + 1):
+        row, power = {}, {0: 1}  # power: the functional of T^d
+        for d in range(top + 1):
+            step: dict[int, int] = {}
+            for e, c in power.items():
+                row[e] = row.get(e, 0) + coeff.get(d, 0) * c
+                step[e + 1] = step.get(e + 1, 0) + c
+                if v + e >= 1:
+                    step[e - 1] = step.get(e - 1, 0) + eps * c
+            power = step
+        rows.append(tuple((p ** max(e, 0), p ** max(-e, 0), int(c * den)) for e, c in sorted(row.items()) if c))
+    return tuple(rows), den
 
 
 # ---------------------------------------------------------------------------

@@ -60,17 +60,17 @@ Maass space is stable under every inert operator, so the image of a lift
 is a lift: ``act_inert_on_lift`` reads its alpha at primitive points, and
 tables are tabulated from lifts only.
 
-Split primes act on lift data in closed form, on the generating function:
-relative to canonical class representatives,
+Every operator descends to a polynomial in the classical T_p
+(``descend_op``), which the eigenvalue map evaluates.  At a split p,
+where a_K(np) = a_K(n), the split operators act on the generating
+function as that polynomial (``elliptic.apply_tp_poly``); relative to
+canonical class representatives it gives
 
     T1: alpha'(n) = chi(P) (p+1) (p^(2-k/2) alpha(np) + p^(k/2) alpha(n/p))
     T2: alpha'(n) = chi(P)^2 (p^(4-k) alpha(np^2) + (p^3+p^2+p) alpha(n)
                      + [p | n] p^2 alpha(n) + [p^2 | n] p^k alpha(n/p^2))
 
 with chi(P) the character value at the distinguished prime class above p.
-Both split operators and the inert generators descend to explicit
-polynomials in the classical T_p, which is what the eigenvalue map
-evaluates.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from functools import cache
 from math import gcd
 from typing import Callable, Iterable
 
-from .elliptic import NewformData, QExpansion, apply_Tp
+from .elliptic import NewformData, QExpansion, TpPoly, apply_tp_poly
 from .hermitian import HermPoint
 from .maass import CoeffTable, MaassTuple, _lift_values, _tabulate, a_K
 from .quadfield import (
@@ -247,45 +247,21 @@ def act_inert_Up(t: MaassTuple, p: int, bound_det: int, bound_diag: int) -> Coef
 
 
 # ---------------------------------------------------------------------------
-# split closed forms on lift data
+# split operators on lift data
 
 
 def act_split_on_lift(t: MaassTuple, op: HeckeOpId) -> MaassTuple:
-    """T1 or T2 at a split prime, in closed form on the generating function."""
-    p = op.p
-    D, k = t.D, t.k
-    if split_type(D, p) is not SplitType.SPLIT:
-        raise ValueError(f"p = {p} is not split for discriminant {D}")
-    chi_e = t.chi.exponent(prime_class(class_group(D), p))
-    # terms (mul, div, c): alpha'(n) gets c alpha(n mul / div) when div | n
-    if op.kind == "SplitT1":
-        c_hi = Fraction(p + 1) * Fraction(p ** 2, p ** (k // 2))
-        c_lo = (p + 1) * p ** (k // 2)
-        terms = ((p, 1, c_hi), (1, p, c_lo))
-        shift = chi_e
-    elif op.kind == "SplitT2":
-        c_hi = Fraction(p ** 4, p ** k)
-        c_mid = p ** 3 + p ** 2 + p
-        terms = ((p * p, 1, c_hi), (1, 1, c_mid), (p, p, p * p), (1, p * p, p ** k))
-        shift = 2 * chi_e
-    else:
+    """T1 or T2 at a split prime: its ``descend_op`` polynomial in the
+    classical T_p on the generating function (a_K(np) = a_K(n) there), and
+    its twist by the character at the distinguished prime class above p."""
+    if split_type(t.D, op.p) is not SplitType.SPLIT:
+        raise ValueError(f"p = {op.p} is not split for discriminant {t.D}")
+    if op.kind not in ("SplitT1", "SplitT2"):
         raise ValueError(f"act_split_on_lift supports SplitT1 and SplitT2, not {op.kind}")
-    new_alpha: dict[int, HeckeElem] = {}
-    new_max = t.alpha_max // p ** op.reach
-    for n in range(1, new_max + 1):
-        read = [(c, t.alpha.get(n * mul // div)) for mul, div, c in terms if n % div == 0]
-        nonzero = [(c, v) for c, v in read if v is not None and not v.is_zero()]
-        if nonzero:
-            new_alpha[n] = lincomb(t.ring, nonzero)
-    return MaassTuple(
-        params=t.params,
-        chi=t.chi,
-        ring=t.ring,
-        alpha=new_alpha,
-        alpha_max=new_max,
-        zeta_exp=(t.zeta_exp + shift) % t.chi.order,
-        source_label=f"{op}({t.source_label})",
-    )
+    dop = descend_op(op, t.k)
+    q = apply_tp_poly(QExpansion(t.ring, t.alpha_max, t.alpha), dop.tp_poly, op.p, t.k, t.D)
+    zeta_exp = (t.zeta_exp + dop.zeta_exponent(t.chi, t.D)) % t.chi.order
+    return replace(t, alpha=q.coeffs, alpha_max=q.n_max, zeta_exp=zeta_exp, source_label=f"{op}({t.source_label})")
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +274,7 @@ class DescendedOp:
     classical T_p and a character twist."""
 
     op: HeckeOpId
-    tp_poly: tuple[tuple[int, Fraction], ...]  # (degree, coefficient)
+    tp_poly: TpPoly
     chi_class_multiplier: int  # multiples of the exponent at the prime class
 
     def zeta_exponent(self, chi: ClassChar, D: int) -> int:
@@ -309,20 +285,7 @@ class DescendedOp:
 
     def apply_to_qexp(self, q: QExpansion, k: int, D: int) -> QExpansion:
         """Evaluate the T_p polynomial on a q-expansion (shrinks the range)."""
-        p = self.op.p
-        max_deg = max(d for d, _ in self.tp_poly)
-        n_out = q.n_max // p ** max_deg
-        powers = [q]
-        for _ in range(max_deg):
-            powers.append(apply_Tp(powers[-1], p, k, D))
-        # every n <= n_out lies inside each power's range: read the stored coefficients unchecked
-        terms = [(coeff, powers[deg].coeffs.get) for deg, coeff in self.tp_poly]
-        out = QExpansion(q.ring, n_out)
-        for n in range(1, n_out + 1):
-            acc = lincomb(q.ring, [(c, v) for c, get in terms if (v := get(n)) is not None])
-            if not acc.is_zero():
-                out.coeffs[n] = acc
-        return out
+        return apply_tp_poly(q, self.tp_poly, self.op.p, k, D)
 
 
 @cache  # bounded by the operators in use; values such as a(p) are never keys

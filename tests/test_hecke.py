@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermlift import hecke
-from hermlift.elliptic import QExpansion, apply_Tp, synthetic_newform
+from hermlift.elliptic import QExpansion, _tp_rows, synthetic_newform
 from hermlift.hecke import (
     HeckeOpId,
     act_inert_T,
@@ -38,6 +38,7 @@ from hermlift.quadfield import (
     QuadInt,
     SplitType,
     char_values,
+    chi_K,
     class_group,
     norm_ball,
     prime_class,
@@ -274,6 +275,20 @@ def test_inert_descent_diagram_raw_vs_closed():
                 assert raw[h] * a_K(D, n) == rhs.a(n), (kind, p, n)
 
 
+def apply_Tp(q: QExpansion, p: int, k: int, D: int) -> QExpansion:
+    """Classical Hecke action a'(n) = a(np) + chi(p) p^(k-2) a(n/p), valid to n_max/p."""
+    if q.n_max < p:
+        raise ValueError("insufficient coefficient range for T_p")
+    n_out, get, zero = q.n_max // p, q.coeffs.get, q.ring.zero()
+    coeffs = {n: get(n * p, zero) for n in range(1, n_out + 1)}
+    scal = chi_K(D, p) * p ** (k - 2)
+    if scal:  # the second term, at the multiples n of p with a(n/p) stored
+        for n in range(p, n_out + 1, p):
+            if (v := get(n // p)) is not None:
+                coeffs[n] = lincomb(q.ring, [(1, coeffs[n]), (scal, v)])
+    return QExpansion(q.ring, n_out, coeffs)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([("SplitT1", 2), ("SplitT2", 3), ("InertT0", 5), ("InertT", 7), ("InertUp", 5)]),
@@ -306,6 +321,31 @@ def test_apply_to_qexp_matches_the_per_index_formula(op, k, mult, seed):
             expected[n] = acc
     out = dop.apply_to_qexp(q, k, D)
     assert out.n_max == q.n_max // op[1] ** max_deg and out.coeffs == expected
+
+
+def test_tp_rows_match_the_ballot_closed_form():
+    # T_p^d = sum_i (C(d, i) - C(d, i-1)) eps^i T_{p^(d-2i)} and
+    # T_{p^r} a(n) = sum_{j <= min(r, v)} eps^j a(n p^(r-2j)), v = v_p(n):
+    # every row of every descended polynomial, eps positive (split),
+    # negative (inert) and 0 (ramified)
+    rows_checked = 0
+    for kind, p, k in itertools.product(hecke._KINDS, (2, 3, 5, 7), (4, 8, 12)):
+        poly = descend_op(HeckeOpId(kind, p), k).tp_poly
+        for eps in (p ** (k - 2), -p ** (k - 2), 0):
+            rows, den = _tp_rows(p, eps, poly)
+            assert len(rows) == max(d for d, _ in poly) + 1
+            for v, row in enumerate(rows):
+                want = {}
+                for d, c in poly:
+                    for i in range(d // 2 + 1):
+                        ballot = math.comb(d, i) - (math.comb(d, i - 1) if i else 0)
+                        for j in range(min(d - 2 * i, v) + 1):
+                            e = d - 2 * i - 2 * j
+                            want[e] = want.get(e, 0) + c * ballot * eps ** (i + j)
+                got = {Fraction(mul, div): Fraction(c, den) for mul, div, c in row}
+                assert got == {Fraction(p) ** e: c for e, c in want.items() if c}, (kind, p, k, eps, v)
+                rows_checked += 1
+    assert rows_checked == 576
 
 
 def test_inert_Up_descent_diagram():
@@ -834,7 +874,20 @@ def test_split_term_table_matches_hand_written_loops(data):
     got = act_split_on_lift(t, op)
     want_alpha, want_max, want_exp = split_reference(t, op)
     assert (got.alpha_max, got.zeta_exp) == (want_max, want_exp)
-    assert {n: (v.num, v.den) for n, v in got.alpha.items()} == {n: (v.num, v.den) for n, v in want_alpha.items()}
+    # as maps of nonzero values: the hand-written loops store a zero where terms cancel
+    want = {n: (v.num, v.den) for n, v in want_alpha.items() if not v.is_zero()}
+    assert {n: (v.num, v.den) for n, v in got.alpha.items()} == want
+
+
+def test_split_image_stores_no_zero_where_terms_cancel():
+    # T1@2 at k = 8: alpha'(2) = 3/4 alpha(4) + 48 alpha(1) = 0 for alpha(4) = -64 alpha(1)
+    D, k, p = 23, 8, 2
+    op = HeckeOpId.make("SplitT1", p, D)
+    alpha = {1: GAUSS.element([1, 2]), 4: GAUSS.element([-64, -128])}
+    t = MaassTuple(FieldParams(D, k), trivial_char(), GAUSS, alpha, 4)
+    assert split_reference(t, op)[0][2].is_zero()  # the cancellation the loops store
+    got = act_split_on_lift(t, op)
+    assert got.alpha_max == 2 and got.alpha == {}
 
 
 def test_split_closed_forms_commute_with_raw_inert_T0():
