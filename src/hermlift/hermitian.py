@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .quadfield import QuadInt
 
@@ -87,21 +87,30 @@ def enumerate_points(D: int, bound_det: int, bound_diag: int) -> list[HermPoint]
     Cusp forms vanish at singular (det 0) points, so none is listed;
     canonically sorted so that table files are byte-stable.
     """
-    return [HermPoint(t1, t3, QuadInt(a, b, D)) for _, t1, t3, a, b in _lattice(D, bound_det, bound_diag)[0]]
+    return [HermPoint(t1, t3, QuadInt(a, b, D)) for _, t1, t3, a, b in _lattice(D, bound_det, bound_diag).lattice]
 
 
 SHAPES = 16  # shapes _lattice holds at once: a workload cycles through a few, a test suite through many
 Key = tuple[int, int, int, int, int]  # a point's canonical sort key (det, t1, t3, w.a, w.b)
 
 
+class Shape(NamedTuple):
+    """A shape's points and their (det, content) classes, as ``_lattice`` builds them."""
+
+    lattice: tuple[Key, ...]  # the points' sort keys, in canonical order
+    distinct: tuple[tuple[int, int], ...]  # the (det, content) keys, in order of first occurrence
+    slot: tuple[int, ...]  # each point's index in distinct
+    first: tuple[int, ...]  # each key's first position in lattice
+
+
 @lru_cache(maxsize=SHAPES)
-def _lattice(D: int, bound_det: int, bound_diag: int) -> tuple[tuple[Key, ...], tuple[tuple[int, int], ...]]:
+def _lattice(D: int, bound_det: int, bound_diag: int) -> Shape:
     """The points of ``enumerate_points`` as raw sort keys (det, t1, t3, w.a,
-    w.b), in the same order, and in parallel each point's (det, content):
-    the lattice a ``CoeffTable`` aligns its values with, and the keys that
-    lift values and ``check_maass`` read.  One immutable pair per shape,
-    built once and shared while it is among the ``SHAPES`` most recently
-    used.
+    w.b), in the same order, with their (det, content) classes: the
+    lattice a ``CoeffTable`` aligns its values with, and the keys that
+    lift values and ``check_maass`` read once per class, a point's key
+    being ``distinct[slot[j]]``.  One immutable record per shape, built
+    once and shared while it is among the ``SHAPES`` most recently used.
 
     For each diagonal, w runs over the annulus
     D t1 t3 - bound_det <= N(w) < D t1 t3.
@@ -122,6 +131,8 @@ def _lattice(D: int, bound_det: int, bound_diag: int) -> tuple[tuple[Key, ...], 
                     det = (outer - u * u) // 4
                     raw += [(det, t1, t3, (v - b) // 2, b) for v in ((u, -u) if u else (0,))]
     raw.sort()
-    shared = {}  # one (det, content) tuple per value
-    keys = ((det, math.gcd(t1, t3, a, b)) for det, t1, t3, a, b in raw)
-    return tuple(raw), tuple(shared.setdefault(key, key) for key in keys)
+    index, first = {}, {}  # key -> its position in distinct (one shared int each); position -> its first point
+    slot = tuple(index.setdefault((det, math.gcd(t1, t3, a, b)), len(index)) for det, t1, t3, a, b in raw)
+    for j, i in enumerate(slot):
+        first.setdefault(i, j)
+    return Shape(tuple(raw), tuple(index), slot, tuple(first.values()))

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import starmap
 from math import gcd
+from operator import is_
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -65,18 +66,25 @@ class CoeffTable:
     and ``vals``, one value for every point of ``lattice``, zeros as the
     ring's shared zero; ``get`` refuses a point outside the shape with
     RangeError, and a point of another field with ValueError.  ``lattice``
-    and the parallel (det, content) ``keys`` are the shape's ``_lattice``
-    pair, immutable and shared by every table of the shape.  Built from a
-    HermPoint mapping (points outside the shape refused, points left out
-    zero) or by ``_tabulate`` in one pass, and not changed after;
-    ``values`` is the read-only HermPoint view of the nonzero entries, in
-    canonical order.
+    and its (det, content) classes ``distinct``, ``slot`` and ``first``
+    are the shape's ``_lattice`` record, immutable and shared by every
+    table of the shape.  Built from a HermPoint mapping (points outside
+    the shape refused, points left out zero) or, given ``at``, from a
+    coefficient function of (det, content) alone, read once per class and
+    gathered to the points; not changed after.  ``values`` is the
+    read-only HermPoint view of the nonzero entries, in canonical order.
     """
 
     def __init__(self, params: FieldParams, ring: HeckeRing, bound_det: int, bound_diag: int,
-                 values: Mapping[HermPoint, Coeff] = MappingProxyType({})):
+                 values: Mapping[HermPoint, Coeff] = MappingProxyType({}),
+                 at: Callable[[int, int], Coeff] | None = None):
         self.params, self.D, self.ring, self.bound_det, self.bound_diag = params, params.D, ring, bound_det, bound_diag
-        (self.lattice, self.keys), self._view = _lattice(params.D, bound_det, bound_diag), None
+        self.lattice, self.distinct, self.slot, self.first = _lattice(params.D, bound_det, bound_diag)
+        self._view = None
+        if at is not None:
+            reps = list(starmap(at, self.distinct))
+            self.vals = list(map(reps.__getitem__, self.slot))
+            return
         self.vals = [ring.zero()] * len(self.lattice)
         for h, v in values.items():
             self.vals[self._position(h)] = ring.zero() if v.is_zero() else v
@@ -199,12 +207,11 @@ def _lift_values(alpha: dict[int, Coeff], alpha_max: int, k: int, ring: HeckeRin
 def _tabulate(at: Callable[[int, int], Coeff], params: FieldParams, ring: HeckeRing, bound_det: int,
               bound_diag: int) -> CoeffTable:
     """The table of a coefficient function of (det, content) alone, as a
-    lift's and its inert images' are, read once at each point's shared key
-    in ``_lattice`` order; its sums are already the ring's shared zero where
-    they vanish (``lincomb``)."""
-    t = CoeffTable(params, ring, bound_det, bound_diag)
-    t.vals = list(starmap(at, t.keys))
-    return t
+    lift's and its inert images' are: evaluated once per distinct key of
+    the shape, in ``_lattice`` order, each point a gather of its class's
+    value; its sums are already the ring's shared zero where they vanish
+    (``lincomb``)."""
+    return CoeffTable(params, ring, bound_det, bound_diag, at=at)
 
 
 def _divisors(n: int) -> list[int]:
@@ -318,28 +325,25 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
     failure.  Determinant values not realised by any primitive point in
     range are unconstrained, and points whose divisor sum reads one are
     skipped; a set passed as ``unconstrained`` receives those values.
+    Each (det, content) class is compared once, at its first point, and
+    the points pass by identity if each holds its class's first object, as
+    a tabulated table's do; else (values read from a file, or a failure)
+    each point is compared, which gives the first offending point.
     """
-    # alpha at each determinant's first primitive point; skipped: determinants no primitive point has
-    alpha, constrained, zero = {}, set(), t.ring.zero()
-    for (det, eps), v in zip(t.keys, t.vals):
-        if eps == 1 and det not in constrained:
-            constrained.add(det)
-            if v is not zero:
-                alpha[det] = v
-    skipped = {det for det, _ in t.keys} - constrained
+    # alpha at each determinant's first primitive point: the first point of its content-1 class
+    reps, zero = list(map(t.vals.__getitem__, t.first)), t.ring.zero()
+    alpha = {det: v for (det, eps), v in zip(t.distinct, reps) if eps == 1 and v is not zero}
+    skipped = {det for det, _ in t.distinct} - {det for det, eps in t.distinct if eps == 1}
     if unconstrained is not None:
         unconstrained |= skipped
     value = _lift_values(alpha, t.bound_det, t.params.k, t.ring)
-
-    @cache
-    def reads_unconstrained(det: int, eps: int) -> bool:
-        # every det / d^2 is a determinant in range, since h / d is in bounds
-        return any(det // (d * d) in skipped for d in _divisors(eps))
-
-    for key, v, raw in zip(t.keys, t.vals, t.lattice):
-        if skipped and reads_unconstrained(*key):
-            continue
-        if v != value(*key):
+    # every det / d^2 is a determinant in range, since h / d is in bounds
+    free = [any(det // (d * d) in skipped for d in _divisors(eps)) for det, eps in t.distinct]
+    if (all(f or v == value(*key) for key, v, f in zip(t.distinct, reps, free))
+            and all(map(is_, t.vals, map(reps.__getitem__, t.slot)))):
+        return True, alpha
+    for i, v, raw in zip(t.slot, t.vals, t.lattice):
+        if not free[i] and v != value(*t.distinct[i]):
             _, t1, t3, a, b = raw
             return False, HermPoint(t1, t3, QuadInt(a, b, t.D))
     return True, alpha

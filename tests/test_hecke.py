@@ -436,7 +436,7 @@ def test_alpha_level_image_matches_the_extraction_from_the_raw_image(D, name, so
     table = act(t, op.p, n_out, covering_diag(D, n_out))
     unconstrained = set()
     ok, alpha = check_maass(table, unconstrained=unconstrained)
-    realised = {det for det, c in table.keys if c == 1}
+    realised = {det for det, c in table.distinct if c == 1}
     assert ok and not unconstrained and realised == {n for n in range(1, n_out + 1) if a_K(D, n)}
     assert alpha == image.alpha and set(image.alpha) <= realised and len(image.alpha) > n_out // 4
 
@@ -706,6 +706,24 @@ def test_keyed_reader_takes_one_gcd_per_point_and_one_sum_per_det_and_content(D,
             vals = acts[kind](src, p, 12 * D, 2 * p).vals
             assert gcds == [] and (len(sums) == len(keys) if kind != "InertUp" else len(keys) < len(sums)), kind
             assert all(v is zero for v in vals if src is blank or v.is_zero()), kind
+
+
+@pytest.mark.parametrize("kind", ["InertT0", "InertT", "InertUp"])
+def test_tabulation_and_check_take_one_evaluation_and_one_comparison_per_class(kind, monkeypatch):
+    # at (7, 108, 6), 5617 points in 87 (det, content) classes: _tabulate
+    # reads its evaluator once per class and check_maass compares once per class
+    from hermlift import maass
+
+    t = random_alpha_tuple(FieldParams(7, 8), trivial_char(), GAUSS, 81 * 108, seed=35, spread=5)
+    at, params, ring = hecke._op_getter(t, kind, 3)
+    calls = []
+    table = maass._tabulate(lambda *key: calls.append(key) or at(*key), params, ring, 108, 6)
+    keys = [(h.det_scaled(), math.gcd(*h.coords())) for h in enumerate_points(7, 108, 6)]
+    assert calls == list(dict.fromkeys(keys)) and len(calls) == len(table.distinct) < len(keys) // 50
+    assert table.vals == [at(*key) for key in keys]
+    eqs, real = [], HeckeElem.__eq__
+    monkeypatch.setattr(HeckeElem, "__eq__", lambda a, b: eqs.append(b) or real(a, b))
+    assert check_maass(table)[0] and 0 < len(eqs) <= len(table.distinct)
 
 
 def lumped_case_points(D, p):

@@ -211,16 +211,26 @@ def test_enumerate_matches_brute_force(D, bound_det, bound_diag):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([7, 11, 23, 43]), st.integers(0, 400), st.integers(0, 5))
 def test_lattice_memo_holds_each_points_det_and_content(D, bound_det, bound_diag):
-    # the memoised pair is a fresh build's, its keys each point's (det, content),
-    # and every table of the shape holds that one pair
-    lattice, keys = _lattice(D, bound_det, bound_diag)
-    assert (lattice, keys) == _lattice.__wrapped__(D, bound_det, bound_diag)
+    # the memoised record is a fresh build's; distinct lists each point's
+    # (det, content) in order of first occurrence, slot points into it and
+    # first is each key's least position; every table of the shape holds
+    # that one record
+    shape = _lattice(D, bound_det, bound_diag)
+    lattice, distinct, slot, first = shape
+    assert shape == _lattice.__wrapped__(D, bound_det, bound_diag)
     pts = enumerate_points(D, bound_det, bound_diag)
     assert list(lattice) == [h.sort_key() for h in pts]
-    assert list(keys) == [(h.det_scaled(), content(h)) for h in pts]
+    keys = [(h.det_scaled(), content(h)) for h in pts]
+    assert distinct == tuple(dict.fromkeys(keys)) and len(slot) == len(keys)
+    assert all(keys[j] == distinct[slot[j]] for j in range(len(keys)))
+    least = {}
+    for j, i in enumerate(slot):
+        least.setdefault(i, j)
+    assert first == tuple(least[i] for i in range(len(distinct))) and len(least) == len(distinct)
     rings = (HeckeRing([0, 1]), HeckeRing([1, 0, 1]))
     a, b = (CoeffTable(FieldParams(D, 8), ring, bound_det, bound_diag) for ring in rings)
-    assert a.lattice is b.lattice is lattice and a.keys is b.keys is keys
+    assert a.lattice is b.lattice is lattice and a.distinct is b.distinct is distinct
+    assert a.slot is b.slot is slot and a.first is b.first is first
 
 
 def test_lattice_memo_stays_bounded():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermlift.elliptic import bundled_cm_form, extend_coeffs, rho_conjugate, synthetic_newform
-from hermlift.hecke import eval_inert_raw
+from hermlift.hecke import act_inert_T, act_inert_T0, act_inert_Up, eval_inert_raw
 from hermlift.hermitian import content, enumerate_points, point
 from hermlift.maass import (
     CoeffTable,
@@ -19,7 +19,7 @@ from hermlift.maass import (
     random_alpha_tuple,
 )
 from hermlift.quadfield import ClassChar, FieldParams, QuadInt, char_values, chi_K, class_group
-from hermlift.ring import HeckeRing
+from hermlift.ring import HeckeElem, HeckeRing
 
 import percoset
 
@@ -239,6 +239,62 @@ def test_check_maass_witness_matches_canonical_reference(seed):
         assert got == check_maass_reference(bad), h
         failures += not got[0]
     assert failures >= 6
+
+
+def with_vals(table, vals):
+    """A table of the same shape holding ``vals``."""
+    out = CoeffTable(table.params, table.ring, table.bound_det, table.bound_diag)
+    out.vals = vals
+    return out
+
+
+# D: (smallest inert prime, deep bound_det, alpha range); Up reads alpha to p^4 bound_det
+DEEP = {7: (3, 108, 81 * 108), 23: (5, 180, 24000)}
+SHALLOW_FREE = {7: (200, 2), 23: (92, 2)}  # shapes where some determinants no primitive point realises
+
+
+@pytest.mark.parametrize("D", [7, 23])
+def test_per_class_check_agrees_with_the_reference(D):
+    # check_maass compares each (det, content) class once and the points by
+    # identity, falling back to a point-by-point loop: a lift table and its
+    # inert images at a deep shape, the same tables with equal but distinct
+    # objects per point (as read_table builds them), and each corruption of
+    # them give the reference's (ok, alpha | witness)
+    p, bound_det, n_max = DEEP[D]
+    t = random_alpha_tuple(FieldParams(D, 8), TRIV, GAUSS, n_max, seed=D, spread=5)
+    acts = ((act_inert_T0, 2), (act_inert_T, 2), (act_inert_Up, 4))
+    tables = [t.identity_table(bound_det, 6)] + [act(t, p, min(bound_det, n_max // p ** r), 6) for act, r in acts]
+    one, zero, shallow = GAUSS.one(), GAUSS.zero(), t.identity_table(*SHALLOW_FREE[D])
+    for table in tables + [shallow]:
+        distinct, slot, first, vals = table.distinct, table.slot, table.first, table.vals
+        unconstrained = set()
+        ok, alpha = check_maass(table, unconstrained)
+        assert ok and (ok, alpha) == check_maass_reference(table)
+        copied = with_vals(table, [v if v is zero else HeckeElem(GAUSS, v.num, v.den) for v in vals])
+        assert check_maass(copied) == (ok, alpha) and any(v is not w for v, w in zip(copied.vals, vals))
+        free = [any(det // (d * d) in unconstrained for d in range(1, c + 1) if c % d == 0) for det, c in distinct]
+        # the deepest classes of two or more points reading no unconstrained det
+        prim, imprim = (next(i for i in reversed(range(len(distinct))) if slot.count(i) > 1 and not free[i]
+                             and (distinct[i][1] == 1) == want) for want in (True, False))
+        wrong = vals[first[imprim]] + one  # one shared object at every point of the class
+        later = len(slot) - 1 - slot[::-1].index(prim)
+        cases = [  # (corrupted vals, the position it must fail at, or None if it must pass)
+            (vals[:first[imprim]] + [wrong] + vals[first[imprim] + 1:], first[imprim]),
+            (vals[:later] + [vals[later] + one] + vals[later + 1:], later),
+            ([wrong if s == imprim else v for s, v in zip(slot, vals)], first[imprim]),
+        ]
+        if table is shallow:
+            j = slot.index(free.index(True))
+            cases.append((vals[:j] + [vals[j] + one] + vals[j + 1:], None))
+        for bad_vals, j in cases:
+            bad = with_vals(table, bad_vals)
+            got = check_maass(bad)
+            assert got == check_maass_reference(bad), (table.bound_det, j)
+            if j is None:
+                assert got[0], table.bound_det
+            else:
+                _, t1, t3, a, b = table.lattice[j]
+                assert got == (False, point(D, t1, t3, a, b)), (table.bound_det, j)
 
 
 def test_descend_roundtrip_trivial_chi():
