@@ -94,11 +94,13 @@ def write_table(path: str, table: CoeffTable, chi: ClassChar, zetaexp: int) -> N
 
 def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
     """A table file's table, class character and zeta exponent.  The shape is fixed
-    at the first point, after the field, k, ring and bound lines."""
+    at the first point, after the field, k, ring and bound lines.  Point lines
+    with the same value text share one value object, zeros the ring's zero."""
     D = k = params = bound_det = bound_diag = ring = table = None
     chiorder, chi_exps, zetaexp = 1, (0,), 0
     placed: set[int] = set()
     seen: dict[str, int] = {}
+    shared: dict[tuple[str, ...], HeckeElem] = {}  # one value object per value text
     try:
         fh = open(path)
     except OSError as exc:
@@ -117,13 +119,16 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
                         table = CoeffTable(params, ring, bound_det, bound_diag)
                         index, vals, zero, q, g = table.index, table.vals, ring.zero(), params.norm_c, ring.degree
                     t1, t3, wa, wb = map(int, parts[1:5])
-                    slash = parts.index("/")
-                    if len(parts) != slash + 2:
-                        raise ValueError("missing denominator after '/'" if len(parts) == slash + 1 else
-                                         f"tokens after the denominator: {' '.join(parts[slash + 2:])}")
-                    num = tuple(map(int, parts[5:slash]))
-                    if len(num) != g:
-                        raise ValueError(f"{len(num)} numerator coordinates for a ring of degree {g}")
+                    text = tuple(parts[5:])
+                    v = shared.get(text)  # a text seen before passed every check of the value
+                    if v is None:
+                        slash = parts.index("/")
+                        if len(parts) != slash + 2:
+                            raise ValueError("missing denominator after '/'" if len(parts) == slash + 1 else
+                                             f"tokens after the denominator: {' '.join(parts[slash + 2:])}")
+                        num = tuple(map(int, parts[5:slash]))
+                        if len(num) != g:
+                            raise ValueError(f"{len(num)} numerator coordinates for a ring of degree {g}")
                     det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * q)
                     if not det:
                         raise ValueError(f"value at the singular point {(t1, t3, wa, wb)} (cusp forms)")
@@ -134,8 +139,10 @@ def read_table(path: str) -> tuple[CoeffTable, ClassChar, int]:
                     if i in placed:
                         raise ValueError(f"duplicate point {(t1, t3, wa, wb)}")
                     placed.add(i)
-                    v = HeckeElem(ring, num, int(parts[slash + 1]))
-                    vals[i] = v if any(num) else zero
+                    if v is None:
+                        v = HeckeElem(ring, num, int(parts[slash + 1]))
+                        v = shared[text] = v if any(num) else zero
+                    vals[i] = v
                     continue
                 if table is not None and key in ("field", "k", "ring", "bound_det", "bound_diag"):
                     raise ValueError(f"{key} line after the first point")

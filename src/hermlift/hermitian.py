@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .quadfield import QuadInt
 
@@ -55,12 +55,6 @@ class HermPoint:
         if self.D != D:
             raise ValueError(f"point {self} has discriminant {self.D}, the source has discriminant {D}")
         return self.sort_key()
-
-    def divide(self, n: int) -> Optional["HermPoint"]:
-        """h/n if still a lattice point, else None."""
-        if self.t1 % n or self.t3 % n or not self.w.divisible(n):
-            return None
-        return HermPoint(self.t1 // n, self.t3 // n, self.w.divide(n))
 
     def __repr__(self) -> str:
         return f"HermPoint({self.t1},{self.t3},{self.w})"

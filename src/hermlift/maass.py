@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import starmap
+from itertools import compress, starmap
 from math import gcd
-from operator import is_
+from operator import is_not
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -326,9 +326,12 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
     range are unconstrained, and points whose divisor sum reads one are
     skipped; a set passed as ``unconstrained`` receives those values.
     Each (det, content) class is compared once, at its first point, and
-    the points pass by identity if each holds its class's first object, as
-    a tabulated table's do; else (values read from a file, or a failure)
-    each point is compared, which gives the first offending point.
+    so at every point holding that point's object; only the points holding
+    another object, found by an identity scan, are compared by value with
+    it.  A tabulated table has none, and neither has a Maass table read
+    from a file, whose equal value texts share one object
+    (``cli.read_table``).  The witness is the earlier of the first point
+    of the first failing class and the first such point that differs.
     """
     # alpha at each determinant's first primitive point: the first point of its content-1 class
     reps, zero = list(map(t.vals.__getitem__, t.first)), t.ring.zero()
@@ -339,14 +342,20 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
     value = _lift_values(alpha, t.bound_det, t.params.k, t.ring)
     # every det / d^2 is a determinant in range, since h / d is in bounds
     free = [any(det // (d * d) in skipped for d in _divisors(eps)) for det, eps in t.distinct]
-    if (all(f or v == value(*key) for key, v, f in zip(t.distinct, reps, free))
-            and all(map(is_, t.vals, map(reps.__getitem__, t.slot)))):
+    # each class once, at its first point, and so every point holding that point's object
+    witness = next((j for j, key, v, f in zip(t.first, t.distinct, reps, free) if not (f or v == value(*key))),
+                   len(t.vals))
+    # then, by value against their class's first, the points holding another object: one identity scan
+    # finds whether there are any (none on a tabulated table) and only then are those before the
+    # witness listed, since a point of a failing class lies after its first
+    held = lambda: map(is_not, t.vals, map(reps.__getitem__, t.slot))
+    if any(held()):
+        off = compress(range(witness), held())
+        witness = next((j for j in off if not (free[t.slot[j]] or t.vals[j] == reps[t.slot[j]])), witness)
+    if witness == len(t.vals):
         return True, alpha
-    for i, v, raw in zip(t.slot, t.vals, t.lattice):
-        if not free[i] and v != value(*t.distinct[i]):
-            _, t1, t3, a, b = raw
-            return False, HermPoint(t1, t3, QuadInt(a, b, t.D))
-    return True, alpha
+    _, t1, t3, a, b = t.lattice[witness]
+    return False, HermPoint(t1, t3, QuadInt(a, b, t.D))
 
 
 def descend(t: MaassTuple, n_max: int) -> dict[int, tuple[int, QExpansion]]:

@@ -110,26 +110,11 @@ class QuadInt:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "QuadInt":
-        return QuadInt(self.a + self.b, -self.b, self.D)
-
     def norm(self) -> int:
         return self.a * self.a + self.a * self.b + self.b * self.b * (1 + self.D) // 4
 
-    def omega_coef(self) -> int:
-        """The coefficient of omega; equals (z - conj(z)) / sqrt(-D)."""
-        return self.b
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def divisible(self, n: int) -> bool:
-        return self.a % n == 0 and self.b % n == 0
-
-    def divide(self, n: int) -> "QuadInt":
-        if not self.divisible(n):
-            raise ValueError(f"{self} is not divisible by {n}")
-        return QuadInt(self.a // n, self.b // n, self.D)
 
     def __repr__(self) -> str:
         return f"({self.a}{self.b:+d}w)"

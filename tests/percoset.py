@@ -15,7 +15,8 @@ Singular keys (det 0) read the ring's zero, where cusp forms vanish.
 The walk is checked in turn against the matrix transforms h -> g* h g
 (``transform_integral``, and ``transform`` with denominators allowed in
 g), written out on lattice coordinates from QuadInt arithmetic, image by
-image.
+image, with the helpers only the tests use: ``conj``, ``omega_coef`` and
+``divide``.
 """
 
 from dataclasses import dataclass
@@ -79,6 +80,23 @@ def _diagonal_sum(p: int, det: int, c: int) -> int:
     return p ** 3 - p * p + p - 1 if c % p == 0 else -p * p + p - 1
 
 
+def conj(z: QuadInt) -> QuadInt:
+    """The conjugate of z = a + b omega: (a + b) - b omega."""
+    return QuadInt(z.a + z.b, -z.b, z.D)
+
+
+def omega_coef(z: QuadInt) -> int:
+    """The coefficient of omega; equals (z - conj(z)) / sqrt(-D)."""
+    return z.b
+
+
+def divide(h: HermPoint, n: int) -> Optional[HermPoint]:
+    """h/n if still a lattice point, else None."""
+    if h.t1 % n or h.t3 % n or h.w.a % n or h.w.b % n:
+        return None
+    return HermPoint(h.t1 // n, h.t3 // n, QuadInt(h.w.a // n, h.w.b // n, h.D))
+
+
 def transform_integral(h: HermPoint, G: Sequence[Sequence[QuadInt]]) -> HermPoint:
     """G* h G for an integral 2x2 matrix G over the order.
 
@@ -90,11 +108,11 @@ def transform_integral(h: HermPoint, G: Sequence[Sequence[QuadInt]]) -> HermPoin
     """
     (A, B), (C, D) = G
     t1, t3, w = h.t1, h.t3, h.w
-    wc = w.conj()
+    wc = conj(w)
     delta = QuadInt(-1, 2, h.D)  # sqrt(-D)
-    t1p = t1 * A.norm() + t3 * C.norm() + (w * A.conj() * C).omega_coef()
-    t3p = t1 * B.norm() + t3 * D.norm() + (w * B.conj() * D).omega_coef()
-    wp = delta * (A.conj() * B * t1 + C.conj() * D * t3) + w * (A.conj() * D) - wc * (B * C.conj())
+    t1p = t1 * A.norm() + t3 * C.norm() + omega_coef(w * conj(A) * C)
+    t3p = t1 * B.norm() + t3 * D.norm() + omega_coef(w * conj(B) * D)
+    wp = delta * (conj(A) * B * t1 + conj(C) * D * t3) + w * (conj(A) * D) - wc * (B * conj(C))
     return HermPoint(t1p, t3p, wp)
 
 
@@ -110,7 +128,7 @@ def transform(
     hi = transform_integral(h, G)
     if den == 1:
         return hi
-    return hi.divide(den * den)
+    return divide(hi, den * den)
 
 
 def _check_invertible(G):

@@ -2,6 +2,8 @@ import contextlib
 import functools
 import io
 import json
+import math
+import random
 import shutil
 import tempfile
 from dataclasses import replace
@@ -252,6 +254,61 @@ def test_malformed_table_exits_2_at_its_line(tmp_path, capsys, synth_file, fault
             assert DENOMINATOR_FAULTS[fault][1] in err
         if "singular" in fault:
             assert "singular point" in err and "(cusp forms)" in err and "outside" not in err
+        if fault == "duplicate point":
+            assert "duplicate point" in err
+
+
+def test_shuffled_point_lines_read_back_equal(tmp_path, capsys, synth_file):
+    # a valid table file with its point lines in any order is the same table
+    nf, f = synth_file
+    tbl, shuffled = tmp_path / "lift.tbl", tmp_path / "shuffled.tbl"
+    run(capsys, "lift", nf, tbl, "--bound-det", "200", "--bound-diag", "2")
+    lines = tbl.read_text().splitlines()
+    points = [line for line in lines if line.startswith("point")]
+    mixed = random.Random(5).sample(points, len(points))
+    assert mixed != points
+    shuffled.write_text("\n".join([line for line in lines if not line.startswith("point")] + mixed) + "\n")
+    (want, *want_rest), (got, *got_rest) = read_table(str(tbl)), read_table(str(shuffled))
+    assert got.vals == want.vals and got_rest == want_rest
+    records = [run(capsys, "--json", "check-maass", path) for path in (tbl, shuffled)]
+    assert records[0][0] == 0 and records[0] == records[1]
+
+
+def _later_primitive_point(lines, D):
+    """The index of the last content-1 point line whose (det, content) class
+    has an earlier point line in the file."""
+    seen, later = set(), None
+    for i, line in enumerate(lines):
+        if line.startswith("point"):
+            t1, t3, wa, wb = map(int, line.split()[1:5])
+            det = D * t1 * t3 - (wa * wa + wa * wb + wb * wb * (1 + D) // 4)
+            if math.gcd(t1, t3, wa, wb) == 1:
+                later = i if det in seen else later
+                seen.add(det)
+    return later
+
+
+@pytest.mark.parametrize("scale, ok", [(2, True), (1, False)])
+def test_a_later_point_passes_by_its_value_not_its_text(tmp_path, capsys, synth_file, scale, ok):
+    # a later point of a class written as an equal value in other text
+    # ("2 0 / 2" for "1 0 / 1") passes; the same point with only its
+    # denominator doubled fails, at exactly that point
+    nf, f = synth_file
+    tbl = tmp_path / "lift.tbl"
+    run(capsys, "lift", nf, tbl, "--bound-det", "200", "--bound-diag", "2")
+    _, want = run(capsys, "--json", "check-maass", tbl)
+    lines = tbl.read_text().splitlines()
+    j = _later_primitive_point(lines, 7)
+    parts = lines[j].split()
+    assert parts[-2] == "/" and any(lines[i].split()[5:] == parts[5:] for i in range(j))
+    num = [str(scale * int(c)) for c in parts[5:-2]]
+    lines[j] = " ".join(parts[:5] + num + ["/", str(2 * int(parts[-1]))])
+    tbl.write_text("\n".join(lines) + "\n")
+    code, out = run(capsys, "--json", "check-maass", tbl)
+    if ok:
+        assert code == 0 and out == want
+    else:
+        assert code == 1 and json.loads(out) == {"maass": False, "witness": list(map(int, parts[1:5]))}
 
 
 @pytest.mark.parametrize("fault", ["field 21", "weight 6", "field 7 23", "weight 7 9", "involution negate-x trivial",

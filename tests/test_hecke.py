@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermlift import hecke
+from hermlift.cli import read_table, write_table
 from hermlift.elliptic import QExpansion, _tp_rows, synthetic_newform
 from hermlift.hecke import (
     HeckeOpId,
@@ -48,7 +49,7 @@ from hermlift.quadfield import (
 from hermlift.ring import HeckeElem, HeckeRing, lincomb
 
 import percoset
-from percoset import LazyAction, _coset_walk, transform, transform_integral
+from percoset import LazyAction, _coset_walk, conj, divide, omega_coef, transform, transform_integral
 
 ZZ = HeckeRing([0, 1])
 GAUSS = HeckeRing([1, 0, 1])
@@ -527,7 +528,7 @@ def test_isotropic_residues_match_full_scan(D, p):
         h = point(D, r1 + p, r3 + t3_pad, ra, rb)
         # t3 of alpha_a* h alpha_a, the (2, 2) entry: t1 N(a) + t3 + 2 Re(conj(a) w / sqrt(-D));
         # its w is p (w + sqrt(-D) a t1)
-        t3s = [h.t1 * a.norm() + h.t3 + (h.w * a.conj()).omega_coef() for a in residues]
+        t3s = [h.t1 * a.norm() + h.t3 + omega_coef(h.w * conj(a)) for a in residues]
         scan = [(a.a, a.b) for a, t3 in zip(residues, t3s) if t3 % p == 0]
         mid = [(p * h.t1, t3 // p, w.a, w.b) for a, t3 in zip(residues, t3s) if t3 % p == 0
                for w in [h.w + root * a * h.t1]]
@@ -645,7 +646,7 @@ def test_coset_walk_matches_the_matrix_transforms(D):
             (_, mid_det, mid), _, _ = t(*h.sort_key())
             alpha = [transform_integral(h, g) for g in gs]
             betas_at = [b for g in gs if (b := transform(h, g, p)) is not None]
-            mids = [m for a in alpha if (m := a.divide(p)) is not None]
+            mids = [m for a in alpha if (m := divide(a, p)) is not None]
             for det, images, want in ((up_det, up, alpha), (beta_det, beta, betas_at), (mid_det, mid, mids)):
                 assert images == [x.coords() for x in want] and {x.det_scaled() for x in want} <= {det}, (p, h)
             betas += len(beta)
@@ -709,9 +710,10 @@ def test_keyed_reader_takes_one_gcd_per_point_and_one_sum_per_det_and_content(D,
 
 
 @pytest.mark.parametrize("kind", ["InertT0", "InertT", "InertUp"])
-def test_tabulation_and_check_take_one_evaluation_and_one_comparison_per_class(kind, monkeypatch):
+def test_tabulation_and_check_take_one_evaluation_and_one_comparison_per_class(kind, monkeypatch, tmp_path):
     # at (7, 108, 6), 5617 points in 87 (det, content) classes: _tabulate
-    # reads its evaluator once per class and check_maass compares once per class
+    # reads its evaluator once per class and check_maass compares once per
+    # class, on the table and on the table written and read back from a file
     from hermlift import maass
 
     t = random_alpha_tuple(FieldParams(7, 8), trivial_char(), GAUSS, 81 * 108, seed=35, spread=5)
@@ -721,9 +723,13 @@ def test_tabulation_and_check_take_one_evaluation_and_one_comparison_per_class(k
     keys = [(h.det_scaled(), math.gcd(*h.coords())) for h in enumerate_points(7, 108, 6)]
     assert calls == list(dict.fromkeys(keys)) and len(calls) == len(table.distinct) < len(keys) // 50
     assert table.vals == [at(*key) for key in keys]
+    write_table(str(tmp_path / "image.tbl"), table, trivial_char(), 0)
+    read, _, _ = read_table(str(tmp_path / "image.tbl"))
     eqs, real = [], HeckeElem.__eq__
     monkeypatch.setattr(HeckeElem, "__eq__", lambda a, b: eqs.append(b) or real(a, b))
     assert check_maass(table)[0] and 0 < len(eqs) <= len(table.distinct)
+    eqs.clear()
+    assert check_maass(read)[0] and 0 < len(eqs) <= len(read.distinct)
 
 
 def lumped_case_points(D, p):

@@ -9,7 +9,7 @@ from hermlift.hermitian import SHAPES, HermPoint, _lattice, content, enumerate_p
 from hermlift.maass import CoeffTable
 from hermlift.quadfield import FieldParams, QuadInt
 from hermlift.ring import HeckeRing
-from percoset import transform, transform_integral
+from percoset import conj, transform, transform_integral
 
 
 def qi(a, b, D=7):
@@ -251,5 +251,5 @@ def test_enumerate_symmetries_and_order():
     coords = {h.coords() for h in pts}
     for h in pts:
         assert (h.t1, h.t3, -h.w.a, -h.w.b) in coords  # w -> -w
-        assert (h.t3, h.t1, h.w.conj().a, h.w.conj().b) in coords  # t1 <-> t3 with conjugation
+        assert (h.t3, h.t1, conj(h.w).a, conj(h.w).b) in coords  # t1 <-> t3 with conjugation
         assert (h.det_scaled() + h.w.norm()) % 7 == 0

@@ -255,11 +255,11 @@ SHALLOW_FREE = {7: (200, 2), 23: (92, 2)}  # shapes where some determinants no p
 
 @pytest.mark.parametrize("D", [7, 23])
 def test_per_class_check_agrees_with_the_reference(D):
-    # check_maass compares each (det, content) class once and the points by
-    # identity, falling back to a point-by-point loop: a lift table and its
-    # inert images at a deep shape, the same tables with equal but distinct
-    # objects per point (as read_table builds them), and each corruption of
-    # them give the reference's (ok, alpha | witness)
+    # check_maass compares each (det, content) class once and by value only
+    # the points that hold another object than their class's first: a lift
+    # table and its inert images at a deep shape, the same tables with equal
+    # but distinct objects per point (every point then compared by value),
+    # and each corruption of them give the reference's (ok, alpha | witness)
     p, bound_det, n_max = DEEP[D]
     t = random_alpha_tuple(FieldParams(D, 8), TRIV, GAUSS, n_max, seed=D, spread=5)
     acts = ((act_inert_T0, 2), (act_inert_T, 2), (act_inert_Up, 4))

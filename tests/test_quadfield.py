@@ -18,6 +18,7 @@ from hermlift.quadfield import (
     split_type,
 )
 from hermlift.ring import _is_prime
+from percoset import conj
 
 
 def test_chi_examples_d7():
@@ -58,7 +59,7 @@ def test_quadint_norm_multiplicative():
             z = QuadInt(rng.randrange(-9, 10), rng.randrange(-9, 10), D)
             w = QuadInt(rng.randrange(-9, 10), rng.randrange(-9, 10), D)
             assert (z * w).norm() == z.norm() * w.norm()
-            assert (z * w).conj() == z.conj() * w.conj()
+            assert conj(z * w) == conj(z) * conj(w)
             assert z.norm() >= 0
             assert (z.norm() == 0) == z.is_zero()
 
