@@ -61,7 +61,6 @@ from .hecke import (
 )
 from .lfun import (
     ZetaTerm,
-    SatakePair,
     EulerFactor,
     bc_factor,
     std_factor_lift,

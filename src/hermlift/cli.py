@@ -283,19 +283,24 @@ def cmd_hecke(args, out: Out) -> int:
     ops = [HeckeOpId.parse(name, table.D) for name in args.op]
     t, bound_diag = table_as_tuple(table, chi, zetaexp), table.bound_diag
     split = ("SplitT1", "SplitT2")
-    for op in ops:  # each operator maps a lift to a lift, read at the alpha level
-        last, t = t, (act_split_on_lift if op.kind in split else act_inert_on_lift)(t, op)
+    *chain, op = ops
+    for o in chain:  # each operator maps a lift to a lift, read at the alpha level
+        t = (act_split_on_lift if o.kind in split else act_inert_on_lift)(t, o)
     if op.kind in split:
-        table = t.identity_table(t.alpha_max, bound_diag)
+        t = act_split_on_lift(t, op)
+        alpha_max = t.alpha_max
+        table = t.identity_table(alpha_max, bound_diag)
     else:
         # a final inert operator writes its raw coset image of the previous
-        # lift, which must pass the membership check; looked up by name at
-        # run time, so a wrapper installed on the hecke module is honoured
-        table = getattr(hecke, op.kind.replace("Inert", "act_inert_"))(last, op.p, t.alpha_max, bound_diag)
+        # lift, tabulated once, which must pass the membership check; looked
+        # up by name at run time, so a wrapper installed on the hecke module
+        # is honoured.  Inert operators leave the zeta exponent unchanged.
+        alpha_max = t.alpha_max // op.p ** op.reach
+        table = getattr(hecke, op.kind.replace("Inert", "act_inert_"))(t, op.p, alpha_max, bound_diag)
         table_as_tuple(table, chi, t.zeta_exp)
     write_table(args.output, table, chi, t.zeta_exp)
-    record = {"output": args.output, "ops": [str(o) for o in ops], "alpha_max": t.alpha_max, "zetaexp": t.zeta_exp}
-    out.emit(record, f"wrote {args.output} after {' '.join(str(o) for o in ops)} (alpha valid to {t.alpha_max})")
+    record = {"output": args.output, "ops": [str(o) for o in ops], "alpha_max": alpha_max, "zetaexp": t.zeta_exp}
+    out.emit(record, f"wrote {args.output} after {' '.join(str(o) for o in ops)} (alpha valid to {alpha_max})")
     return 0
 
 

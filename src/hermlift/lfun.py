@@ -1,6 +1,9 @@
-"""Satake parameters, base-change Euler factors over K, and the degree-4
-standard factor of a lift, all in exact arithmetic.
+"""Base-change Euler factors over K and the degree-4 standard factor of a
+lift, all in exact arithmetic.
 
+One builder, ``_place_factors``, reads a(p), chi_K(p) p^(k-2) and the
+primes of K above p once and expands both sides from them; ``bc_factor``,
+``std_factor_lift`` and ``verify_product134`` each take its output.
 Satake parameters never get extracted individually: every factor is
 expanded in the elementary symmetric functions e1 = a(p) and
 e2 = chi(p) p^(k-2), so no splitting field is ever constructed.  A class
@@ -10,7 +13,6 @@ exponent at the prime's class and c an integer.  The root of unity is
 reduced modulo Phi_d only when a coefficient is printed, and Np^(c j) (a
 division when c < 0) is applied only when an X-coefficient is read.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -67,34 +69,6 @@ class ZetaTerm:
             f"({self.value * r})" + ("" if j == 0 else f"*z^{j}")
             for j, r in _zeta_reductions(self.order)[self.exponent]
         )
-
-
-@dataclass(frozen=True)
-class SatakePair:
-    """The two roots of X^2 - a(p) X + chi(p) p^(k-2), by their symmetric functions."""
-
-    ring: HeckeRing
-    e1: HeckeElem  # alpha + beta = a(p)
-    e2: HeckeElem  # alpha * beta = chi(p) p^(k-2)
-
-    @classmethod
-    def of(cls, f: NewformData, p: int) -> "SatakePair":
-        if p == f.D:
-            raise ValueError(f"p = {p} is the ramified prime; factors are defined away from it")
-        e2 = f.ring.from_int(chi_K(f.D, p) * p ** (f.k - 2))
-        return cls(f.ring, f.a(p), e2)
-
-    def power_sum(self, d: int) -> HeckeElem:
-        """alpha^d + beta^d via Newton's identity."""
-        if d == 0:
-            return self.ring.from_int(2)
-        prev, cur = self.ring.from_int(2), self.e1
-        for _ in range(d - 1):
-            prev, cur = cur, self.e1 * cur - self.e2 * prev
-        return cur
-
-    def product_power(self, d: int) -> HeckeElem:
-        return self.e2 ** d
 
 
 @dataclass(eq=False)
@@ -180,30 +154,30 @@ class EulerFactor:
         return [_times_power(x - y, self.norm, shift * j) for j, (x, y) in enumerate(zip(a, b))]
 
 
-def _local(f: NewformData, p: int, chi: ClassChar) -> tuple[HeckeElem, HeckeElem, int, list[int]]:
-    """(A + B, A B, norm, chi exponents at their classes) at the primes of K
-    above p != D, the distinguished one first; A, B are the d-th powers of
-    the Satake parameters, d the residue degree.  Inert primes are principal."""
+def _place_factors(f: NewformData, chi: ClassChar, p: int) -> tuple[list[EulerFactor], list[EulerFactor]]:
+    """The standard and base-change factors at the primes of K above p != D,
+    the distinguished prime first, from one read of a(p) and the places.
+
+    P = A + B and Q = A B for A, B the d-th powers of the Satake parameters,
+    d the residue degree: e1 = a(p) and e2 = chi(p) p^(k-2) at a split p,
+    e1^2 - 2 e2 and e2^2 at an inert one, whose prime is principal.
+    """
     st = split_type(f.D, p)  # refuses a non-prime p
-    sat = SatakePair.of(f, p)  # refuses p = D
+    if p == f.D:
+        raise ValueError(f"p = {p} is the ramified prime; factors are defined away from it")
+    P, Q = f.a(p), f.ring.from_int(chi_K(f.D, p) * p ** (f.k - 2))
     if st is SplitType.INERT:
-        return sat.power_sum(2), sat.product_power(2), p * p, [0]
-    cg = class_group(f.D)
-    cls = prime_class(cg, p)
-    return sat.e1, sat.e2, p, [chi.exponent(idx) for idx in (cls, cg.inv(cls))]
-
-
-def _bc_factors(f: NewformData, chi: ClassChar, local) -> list[EulerFactor]:
-    P, Q, N, twists = local
-    return [EulerFactor(f.ring, N, [f.ring.one(), -P, Q], chi.order, twist) for twist in twists]
-
-
-def _std_factors(f: NewformData, chi: ClassChar, local) -> list[EulerFactor]:
-    P, Q, N, twists = local
+        P, Q, N, twists = P * P - Q * 2, Q * Q, p * p, [0]
+    else:
+        cg = class_group(f.D)
+        cls = prime_class(cg, p)
+        N, twists = p, [chi.exponent(idx) for idx in (cls, cg.inv(cls))]
+    one = f.ring.one()
     # prod (1 - x Y) over x in {A, B, N A, N B}: signed elementary symmetric functions
-    s = [f.ring.one(), P * (-1 - N), Q * (1 + N * N) + P * P * N, P * Q * (-N - N * N), Q * Q * (N * N)]
-    # Y = chi(P) N^(2 - k/2) X: the twist and the shift stay in the tags
-    return [EulerFactor(f.ring, N, list(s), chi.order, twist, 2 - f.k // 2) for twist in twists]
+    s = [one, P * (-1 - N), Q * (1 + N * N) + P * P * N, P * Q * (-N - N * N), Q * Q * (N * N)]
+    # Y = chi(P) N^(2 - k/2) X: the twist and the shift stay in the tags; each place its own list
+    std = [EulerFactor(f.ring, N, list(s), chi.order, twist, 2 - f.k // 2) for twist in twists]
+    return std, [EulerFactor(f.ring, N, [one, -P, Q], chi.order, twist) for twist in twists]
 
 
 def bc_factor(f: NewformData, p: int, chi: ClassChar | None = None) -> list[EulerFactor]:
@@ -215,8 +189,7 @@ def bc_factor(f: NewformData, p: int, chi: ClassChar | None = None) -> list[Eule
     by the character value at the prime's class; ``EulerFactor.substitute``
     gives the factor of L(BC(f), s - shift).
     """
-    chi = chi if chi is not None else trivial_char()
-    return _bc_factors(f, chi, _local(f, p, chi))
+    return _place_factors(f, chi if chi is not None else trivial_char(), p)[1]
 
 
 def std_factor_lift(f: NewformData, chi: ClassChar, p: int) -> list[EulerFactor]:
@@ -227,7 +200,7 @@ def std_factor_lift(f: NewformData, chi: ClassChar, p: int) -> list[EulerFactor]
     Satake parameters, expanded symmetrically so only e1 and e2 appear;
     the factor carries Np^(2-k/2) as its shift.
     """
-    return _std_factors(f, chi, _local(f, p, chi))
+    return _place_factors(f, chi, p)[0]
 
 
 def verify_product134(f: NewformData, chi: ClassChar, p: int) -> tuple[bool, list[list[HeckeElem]]]:
@@ -236,18 +209,12 @@ def verify_product134(f: NewformData, chi: ClassChar, p: int) -> tuple[bool, lis
     by chi at arguments shifted by 2 - k/2 and 3 - k/2.
 
     The two sides go through independent expansions (Frobenius multiset vs
-    product of shifted quadratics) from one read of the Satake pair and the
-    places above p; they share the twist e, and P(tX) = Q(tX) for a unit t
+    product of shifted quadratics) from one read of a(p) and the places
+    above p; they share the twist e, and P(tX) = Q(tX) for a unit t
     exactly when P = Q, so their scalars are compared at a common shift.
     Returns (ok, per-prime X-coefficient discrepancies).
     """
     return _verify_factors(f, *_place_factors(f, chi, p))
-
-
-def _place_factors(f: NewformData, chi: ClassChar, p: int) -> tuple[list[EulerFactor], list[EulerFactor]]:
-    """The standard and base-change factors at the primes above p, from one ``_local`` read."""
-    local = _local(f, p, chi)
-    return _std_factors(f, chi, local), _bc_factors(f, chi, local)
 
 
 def _verify_factors(

@@ -44,6 +44,12 @@ def split_type(disc: int, p: int) -> SplitType:
     return SplitType.SPLIT if c == 1 else SplitType.INERT
 
 
+def _require_field(D: int) -> None:
+    """The one refusal of a D that is no prime = 3 (mod 4)."""
+    if not _is_prime(D) or D % 4 != 3:
+        raise ValueError(f"D = {D} must be a prime = 3 (mod 4)")
+
+
 @dataclass(frozen=True)
 class FieldParams:
     """Standing parameters: the field discriminant, the weight, and (optionally)
@@ -54,8 +60,7 @@ class FieldParams:
     ell: int | None = None
 
     def __post_init__(self):
-        if not _is_prime(self.D) or self.D % 4 != 3:
-            raise ValueError(f"D = {self.D} must be a prime = 3 (mod 4)")
+        _require_field(self.D)
         units = 6 if self.D == 3 else 2
         if self.k <= 0 or self.k % units != 0:
             raise ValueError(f"weight parameter k = {self.k} must be a positive multiple of {units}")
@@ -270,8 +275,7 @@ _CG_CACHE: dict[int, ClassGroup] = {}
 def class_group(D: int) -> ClassGroup:
     if D in _CG_CACHE:
         return _CG_CACHE[D]
-    if not _is_prime(D) or D % 4 != 3:
-        raise ValueError(f"D = {D} must be a prime = 3 (mod 4)")
+    _require_field(D)
     forms = reduced_forms(D)
     h = len(forms)
     if h % 2 == 0:

@@ -161,6 +161,20 @@ def test_inert_hecke_tabulates_once_and_a_final_split_tabulates_alpha(tmp_path, 
     assert got.vals == split.identity_table(split.alpha_max, 3).vals
 
 
+def test_final_inert_hecke_reads_its_operator_once(tmp_path, capsys, lift_567, monkeypatch):
+    # a final inert operator is tabulated from the previous lift, with no
+    # alpha-level image of its own built first and then dropped
+    calls, getter = [], hecke._op_getter
+
+    def counting(t, kind, p):
+        calls.append((kind, p))
+        return getter(t, kind, p)
+
+    monkeypatch.setattr(hecke, "_op_getter", counting)
+    assert run(capsys, "hecke", lift_567, tmp_path / "out.tbl", "--op", "T0@3")[0] == 0
+    assert calls == [("InertT0", 3)]
+
+
 def test_chained_inert_hecke_writes_the_raw_image_of_the_alpha_level_lift(tmp_path, capsys, lift_567):
     # T0@3 then T@3: the first image is read at the alpha level, valid to
     # 567 // 9 = 63 at every det, and the last is tabulated from it, raw
@@ -309,6 +323,23 @@ def test_a_later_point_passes_by_its_value_not_its_text(tmp_path, capsys, synth_
         assert code == 0 and out == want
     else:
         assert code == 1 and json.loads(out) == {"maass": False, "witness": list(map(int, parts[1:5]))}
+
+
+def test_an_explicit_zero_line_reads_as_the_left_out_point(tmp_path, capsys, synth_file):
+    # an all-zero value line at a primitive point the writer left out (the
+    # first point of its determinant's primitive class) reads as the ring's
+    # zero, so alpha is not supported there and the record does not change
+    nf, f = synth_file
+    tbl = tmp_path / "lift.tbl"
+    run(capsys, "lift", nf, tbl, "--bound-det", "100", "--bound-diag", "2")
+    code, want = run(capsys, "--json", "check-maass", tbl)
+    assert code == 0 and json.loads(want)["alpha_support"] == 10
+    table, _, _ = read_table(str(tbl))
+    j = next(j for j, (det, c) in zip(table.first, table.distinct) if det and c == 1 and table.vals[j].is_zero())
+    _, t1, t3, wa, wb = table.lattice[j]
+    with tbl.open("a") as out:
+        out.write(f"point {t1} {t3} {wa} {wb} 0 0 / 1\n")
+    assert run(capsys, "--json", "check-maass", tbl) == (0, want)
 
 
 @pytest.mark.parametrize("fault", ["field 21", "weight 6", "field 7 23", "weight 7 9", "involution negate-x trivial",

@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from hermlift import lfun
 from hermlift.cli import main
 from hermlift.elliptic import bundled_cm_form, synthetic_newform
-from hermlift.lfun import EulerFactor, SatakePair, ZetaTerm, bc_factor, std_factor_lift, verify_product134
+from hermlift.lfun import EulerFactor, ZetaTerm, bc_factor, std_factor_lift, verify_product134
 from hermlift.quadfield import (
     ClassChar,
     FieldParams,
     SplitType,
     char_values,
+    chi_K,
     class_group,
     prime_class,
     split_type,
@@ -68,13 +69,22 @@ def test_twisted_coefficients_print_modulo_phi_d():
                     assert repr(term) == str(term) == printed(c, rem, x)
 
 
+def satake_sums(f, p, d):
+    """(alpha^d + beta^d, (alpha beta)^d) for the roots of X^2 - a(p) X + chi(p) p^(k-2),
+    d >= 1, the power sum by Newton's identity."""
+    e1, e2 = f.a(p), f.ring.from_int(chi_K(f.D, p) * p ** (f.k - 2))
+    prev, cur = f.ring.from_int(2), e1
+    for _ in range(d - 1):
+        prev, cur = cur, e1 * cur - e2 * prev
+    return cur, e2**d
+
+
 def test_satake_power_sums():
     f = bundled_cm_form()
-    sat = SatakePair.of(f, 2)
     # alpha + beta = -3, alpha beta = chi(2) * 2^2 = 4
-    assert sat.e1 == -3 and sat.e2 == 4
-    assert sat.power_sum(2) == f.ring.from_int(9 - 8)  # e1^2 - 2 e2
-    assert sat.power_sum(3) == f.ring.from_int(-27 + 3 * 3 * 4)  # e1^3 - 3 e1 e2
+    assert satake_sums(f, 2, 1) == (-3, 4)
+    assert satake_sums(f, 2, 2)[0] == f.ring.from_int(9 - 8)  # e1^2 - 2 e2
+    assert satake_sums(f, 2, 3)[0] == f.ring.from_int(-27 + 3 * 3 * 4)  # e1^3 - 3 e1 e2
 
 
 def test_inert_zero_eigenvalue_factor_is_square():
@@ -108,8 +118,7 @@ def test_split_factor_pair_and_combined():
     # factor of L(BC(f)) at 2, the square of 1 - a(2) X + chi(2) 2^(k-2) X^2
     combined = pair[0] * pair[1]
     assert combined.degree == 4 and combined == pair[1] * pair[0]
-    sat = SatakePair.of(f, 2)
-    one, e1, e2 = f.ring.one(), sat.e1, sat.e2
+    one, (e1, e2) = f.ring.one(), satake_sums(f, 2, 1)
     assert combined.poly == [one, -(e1 * 2), e1 * e1 + e2 * 2, -(e1 * e2 * 2), e2 * e2]
 
 
@@ -212,14 +221,15 @@ def test_euler_json_golden(D, capsys):
 
 
 def test_euler_reads_each_place_once(capsys, monkeypatch):
-    # printing and verifying at a prime share one read of its Satake pair and places
-    calls, local = [], lfun._local
+    # printing and verifying at a prime share one read of a(p) and its places:
+    # the builder classifies p once, and nothing else in lfun does
+    calls, classify = [], lfun.split_type
 
-    def counting(f, p, chi):
+    def counting(D, p):
         calls.append(p)
-        return local(f, p, chi)
+        return classify(D, p)
 
-    monkeypatch.setattr(lfun, "_local", counting)
+    monkeypatch.setattr(lfun, "split_type", counting)
     code = main(["--json", "euler", str(DATA / "euler_d23.nf"), "--p", "2", "--p", "3", "--p", "5",
                  "--chi", "1", "--verify-product134"])
     assert code == 0 and calls == [2, 3, 5]
@@ -243,18 +253,16 @@ def reference_places(D, p, chi):
 
 def reference_std(f, p, norm):
     # the Frobenius multiset expansion, every scaling a Fraction power of the norm
-    sat = SatakePair.of(f, p)
-    d = 1 if norm == p else 2
-    P, Q, N = sat.power_sum(d), sat.product_power(d), Fraction(norm)
+    P, Q = satake_sums(f, p, 1 if norm == p else 2)
+    N = Fraction(norm)
     t = -(N ** (2 - f.k // 2))
     s = [f.ring.one(), P * (1 + N), Q * (1 + N * N) + P * P * N, P * Q * (N + N * N), Q * Q * N * N]
     return [c * t**j for j, c in enumerate(s)]
 
 
 def reference_shifted_bc(f, p, norm, c):
-    sat = SatakePair.of(f, p)
-    d = 1 if norm == p else 2
-    poly = [f.ring.one(), -sat.power_sum(d), sat.product_power(d)]
+    P, Q = satake_sums(f, p, 1 if norm == p else 2)
+    poly = [f.ring.one(), -P, Q]
     return [a * Fraction(norm) ** (c * j) for j, a in enumerate(poly)]
 
 
@@ -291,14 +299,14 @@ def test_corrupted_conjugate_place_fails(monkeypatch):
     f = oracle_form(23, 8, 0)
     chi = char_values(class_group(23))[1]
 
-    expand = lfun._std_factors  # the expansion behind std_factor_lift
+    build = lfun._place_factors  # the builder behind verify_product134
 
-    def corrupted(f, chi, local):
-        out = expand(f, chi, local)
-        out[1].scalars[2] = out[1].scalars[2] + 1
-        return out
+    def corrupted(f, chi, p):
+        std, bc = build(f, chi, p)
+        std[1].scalars[2] = std[1].scalars[2] + 1
+        return std, bc
 
-    monkeypatch.setattr(lfun, "_std_factors", corrupted)
+    monkeypatch.setattr(lfun, "_place_factors", corrupted)
     for p in (2, 3, 13):  # split at 23
         ok, disc = verify_product134(f, chi, p)
         assert not ok
@@ -357,12 +365,13 @@ def test_factor_equals_its_x_polynomial_at_another_tag():
 def test_wrong_standard_shift_fails_at_every_prime(monkeypatch):
     # a standard factor tagged 3 - k/2 in place of 2 - k/2 breaks the identity
     # at every p: its top coefficient Q^2 Np^2 never vanishes
-    expand = lfun._std_factors  # the expansion behind std_factor_lift
+    build = lfun._place_factors  # the builder behind std_factor_lift
 
-    def one_too_high(f, chi, local):
-        return [replace(fac, shift=fac.shift + 1) for fac in expand(f, chi, local)]
+    def one_too_high(f, chi, p):
+        std, bc = build(f, chi, p)
+        return [replace(fac, shift=fac.shift + 1) for fac in std], bc
 
-    monkeypatch.setattr(lfun, "_std_factors", one_too_high)
+    monkeypatch.setattr(lfun, "_place_factors", one_too_high)
     for f in (bundled_cm_form(), oracle_form(23, 8, 0)):
         for chi in char_values(class_group(f.D)):
             for p in (2, 3, 5, 11, 13, 17, 29):

@@ -297,6 +297,19 @@ def test_per_class_check_agrees_with_the_reference(D):
                 assert got == (False, point(D, t1, t3, a, b)), (table.bound_det, j)
 
 
+@pytest.mark.parametrize("ring", [HeckeRing([0, 1]), GAUSS], ids=["ZZ", "Z[i]"])
+def test_witness_is_an_earlier_point_of_a_primitive_class_than_the_failing_class(ring):
+    # zeroing the first point of the primitive class (3, 1) reads alpha(3) as
+    # zero: the other points of (3, 1) still hold the old value and fail by
+    # value, before the first point of the class (12, 2), which fails too
+    table = random_alpha_tuple(FieldParams(7, 8), TRIV, ring, 200, seed=0).identity_table(200, 3)
+    vals = list(table.vals)
+    vals[table.first[table.distinct.index((3, 1))]] = ring.zero()
+    bad = with_vals(table, vals)
+    assert check_maass(bad) == check_maass_reference(bad) == (False, point(7, 1, 1, -2, 1))
+    assert table.lattice[table.first[table.distinct.index((12, 2))]] == (12, 2, 2, -4, 0)
+
+
 def test_descend_roundtrip_trivial_chi():
     params = FieldParams(7, 8)
     f = synthetic_newform(params, GAUSS, "negate-x", p_max=520, seed=9)
