@@ -12,7 +12,8 @@ membership criterion, and alpha is what descends to an elliptic
 q-expansion via the counting factor a_K.  One evaluator, ``_lift_values``,
 computes the right-hand side per (det, content) for every reader: the
 lift's oracle and tables, the membership test, and the keyed inert Hecke
-reader (hecke.py).
+reader (hecke.py).  At content 1 the sum is alpha(det), read in place as
+alpha's own object; only imprimitive classes form a sum.
 
 Normalisation: the exact global unit i/sqrt(D) relating alpha to the
 elliptic coefficients is dropped throughout; it is independent of the
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress, starmap
-from math import gcd
+from math import gcd, isqrt
 from operator import is_not
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -189,16 +190,23 @@ def _lift_values(alpha: dict[int, Coeff], alpha_max: int, k: int, ring: HeckeRin
 
         sum_{d | c} d^(k-1) alpha(det / d^2),
 
-    memoised for the one reader that builds it.  Missing alpha values are
-    zero; a vanishing sum is the ring's shared zero.  Past ``alpha_max`` it
-    raises RangeError.
+    memoised for the one reader that builds it.  At content 1 that is
+    alpha(det) itself, read in place: alpha's own object, or the ring's
+    shared zero where alpha has no entry or holds a zero.  Only an
+    imprimitive class sums, one ``lincomb`` over the cached (d, d^(k-1))
+    of c; missing alpha values are zero there and a vanishing sum is the
+    shared zero.  Past ``alpha_max`` it raises RangeError.
     """
+    zero = ring.zero()
 
     @cache
     def value(det: int, c: int) -> Coeff:
         if det > alpha_max:
             raise RangeError(f"alpha valid to {alpha_max}, needed at {det}")
-        terms = ((d ** (k - 1), alpha.get(det // (d * d))) for d in _divisors(c))
+        if c == 1:
+            v = alpha.get(det, zero)
+            return zero if v.is_zero() else v
+        terms = ((m, alpha.get(det // (d * d))) for d, m in _divisor_powers(c, k))
         return lincomb(ring, [(m, v) for m, v in terms if v is not None])
 
     return value
@@ -209,22 +217,16 @@ def _tabulate(at: Callable[[int, int], Coeff], params: FieldParams, ring: HeckeR
     """The table of a coefficient function of (det, content) alone, as a
     lift's and its inert images' are: evaluated once per distinct key of
     the shape, in ``_lattice`` order, each point a gather of its class's
-    value; its sums are already the ring's shared zero where they vanish
-    (``lincomb``)."""
+    value; its values are already the ring's shared zero where they vanish
+    (``lincomb``, and ``_lift_values`` at content 1)."""
     return CoeffTable(params, ring, bound_det, bound_diag, at=at)
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    out.sort()
-    return out
+@cache
+def _divisor_powers(c: int, k: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (d, d^(k-1)) over the divisors d of c, ascending."""
+    low = [d for d in range(1, isqrt(c) + 1) if c % d == 0]
+    return tuple((d, d ** (k - 1)) for d in sorted({*low, *(c // d for d in low)}))
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +341,10 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
     skipped = {det for det, _ in t.distinct} - {det for det, eps in t.distinct if eps == 1}
     if unconstrained is not None:
         unconstrained |= skipped
-    value = _lift_values(alpha, t.bound_det, t.params.k, t.ring)
+    k = t.params.k
+    value = _lift_values(alpha, t.bound_det, k, t.ring)
     # every det / d^2 is a determinant in range, since h / d is in bounds
-    free = [any(det // (d * d) in skipped for d in _divisors(eps)) for det, eps in t.distinct]
+    free = [any(det // (d * d) in skipped for d, _ in _divisor_powers(eps, k)) for det, eps in t.distinct]
     # each class once, at its first point, and so every point holding that point's object
     witness = next((j for j, key, v, f in zip(t.first, t.distinct, reps, free) if not (f or v == value(*key))),
                    len(t.vals))

@@ -564,3 +564,38 @@ def test_lift_values_match_per_point_divisor_sum(D, k, bound_diag, bound_det, da
         oracle(point(D, 1, t3))
     with pytest.raises(RangeError, match=f"alpha valid to {alpha_max}, needed at {alpha_max + 1}"):
         t.identity_table(alpha_max + 1, bound_diag)
+
+
+def test_an_explicit_zero_in_alpha_reads_as_the_shared_zero():
+    # alpha holds a fresh zero element at dets that content-1 points realise,
+    # some of them also read by imprimitive classes (det 4 n); a zero reaches
+    # no table, no inert image and no extracted alpha as anything but the
+    # ring's shared zero, which they leave out
+    D, p, zero = 7, 3, GAUSS.zero()
+    t = random_alpha_tuple(FieldParams(D, 8), TRIV, GAUSS, 900, seed=5)
+    table = t.identity_table(100, 3)
+    primitive = sorted({det for det, c in table.distinct if c == 1})
+    fresh = {det: GAUSS.element([0, 0]) for det in primitive[::3]}
+    assert all(v is not zero for v in fresh.values())
+    t = replace(t, alpha={**t.alpha, **fresh})
+    for out in (t.identity_table(100, 3), act_inert_T0(t, p, 100, 3)):
+        assert all(v is zero for v in out.vals if v.is_zero())
+        assert not any(v.is_zero() for v in out.values.values())
+    ok, alpha = check_maass(t.identity_table(100, 3))
+    assert ok and not any(v.is_zero() for v in alpha.values())
+    assert set(fresh).isdisjoint(alpha)
+
+
+def test_a_lift_table_reads_alpha_in_place_and_sums_only_imprimitive_classes(monkeypatch):
+    # every content-1 point with alpha(det) != 0 holds alpha's own object;
+    # tabulation takes one lincomb per (det, content) class with content > 1
+    from hermlift import maass
+
+    t = random_alpha_tuple(FieldParams(23, 8), TRIV, GAUSS, 400, seed=4)
+    calls, real = [], maass.lincomb
+    monkeypatch.setattr(maass, "lincomb", lambda *args: calls.append(1) or real(*args))
+    table = t.identity_table(400, 3)
+    imprimitive = sum(c > 1 for _, c in table.distinct)
+    assert 0 < imprimitive < len(table.distinct) and len(calls) == imprimitive
+    read = [(j, det) for j, i in enumerate(table.slot) for det, c in [table.distinct[i]] if c == 1 and det in t.alpha]
+    assert read and all(table.vals[j] is t.alpha[det] for j, det in read)
