@@ -367,24 +367,63 @@ def descend(t: MaassTuple, n_max: int) -> dict[int, tuple[int, QExpansion]]:
     The zeta exponent carries the chi(b) scalar of the component; the
     global unit i/sqrt(D) of the exact descent is dropped (see module
     docstring).  a_K is read from one residue table of chi_K: 2 where
-    chi(n) = -1, 1 where D | n, 0 where chi(n) = +1.  Round trip:
-    descend(build_lift(f, chi)) equals chi(b) (phi - phi^rho) per component.
+    chi(n) = -1, 1 where D | n, 0 where chi(n) = +1.  Every component
+    shares one expansion, whose ``coeffs`` is a read-only view over the
+    lift's alpha (``_Descent``): a coefficient is formed the first time
+    it is read, so a caller that reads a few pays for those alone.  A
+    lift's alpha is not changed after construction, and the view relies
+    on that.  Round trip: descend(build_lift(f, chi)) equals
+    chi(b) (phi - phi^rho) per component.
     """
     if n_max > t.alpha_max:
         raise RangeError(f"alpha valid to {t.alpha_max}, needed at {n_max}")
-    D, ring = t.D, t.ring
-    chi = [chi_K(D, r) for r in range(D)]
-    base = QExpansion(ring, n_max)
-    for n in sorted(t.alpha):
-        if n > n_max:
-            break
-        c = chi[n % D]
-        if c == 1 or n < 1:
-            continue
-        v = t.alpha[n]
-        if not v.is_zero():
-            base.coeffs[n] = v if c == 0 else HeckeElem(ring, tuple([2 * x for x in v.num]), v.den)
-    return {b: (t.component_exponent(b), base) for b in range(class_group(D).order)}
+    base = QExpansion(t.ring, n_max, _Descent(t.alpha, t.ring, t.D, n_max))
+    return {b: (t.component_exponent(b), base) for b in range(class_group(t.D).order)}
+
+
+_UNREAD = object()
+
+
+class _Descent(Mapping):
+    """The coefficients a_K(n) alpha(n), 1 <= n <= n_max, of a descent,
+    formed the first time n is read and memoised, zeros as absent: alpha's
+    own object where D | n, a doubled copy where chi(n) = -1, nothing
+    where chi(n) = +1, outside 1..n_max, or where alpha has no entry or a
+    zero.  Reads ``alpha`` in place; iterates over the nonzero indices in
+    ascending order (doubling keeps a value nonzero, so none is formed)."""
+
+    def __init__(self, alpha: dict[int, Coeff], ring: HeckeRing, D: int, n_max: int):
+        self._alpha, self._ring, self._D, self._n_max = alpha, ring, D, n_max
+        self._chi = [chi_K(D, r) for r in range(D)]
+        self._memo: dict[int, Coeff | None] = {}
+
+    def get(self, n: int, default=None):
+        v = self._memo.get(n, _UNREAD)
+        if v is _UNREAD:
+            v = self._memo[n] = self._form(n)
+        return default if v is None else v
+
+    def _form(self, n: int) -> Coeff | None:
+        if n < 1 or n > self._n_max:
+            return None
+        c = self._chi[n % self._D]
+        v = None if c == 1 else self._alpha.get(n)
+        if v is None or v.is_zero():
+            return None
+        return v if c == 0 else HeckeElem(self._ring, tuple([2 * x for x in v.num]), v.den)
+
+    def __getitem__(self, n: int) -> Coeff:
+        v = self.get(n)
+        if v is None:
+            raise KeyError(n)
+        return v
+
+    def __iter__(self):
+        alpha, chi, D, n_max = self._alpha, self._chi, self._D, self._n_max
+        return (n for n in sorted(alpha) if 1 <= n <= n_max and chi[n % D] != 1 and not alpha[n].is_zero())
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 def antisymmetrize(f: NewformData, n_max: int) -> QExpansion:

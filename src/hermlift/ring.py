@@ -358,6 +358,8 @@ class HeckeElem:
         """Inverse in the fraction field; fails on zero and on zero divisors."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        if not any(self.num[1:]):  # a constant c / den: den / c, no xgcd
+            return HeckeElem(self.ring, (self.den,) + self.num[1:], self.num[0])
         g, u, _ = _xgcd(self.num, self.ring.modulus)
         if len(g) != 1:
             raise ZeroDivisionError("element is a zero divisor (shares a factor with the modulus)")

@@ -4,8 +4,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlift.elliptic import bundled_cm_form, extend_coeffs, rho_conjugate, synthetic_newform
-from hermlift.hecke import act_inert_T, act_inert_T0, act_inert_Up, eval_inert_raw
+from hermlift.elliptic import QExpansion, bundled_cm_form, extend_coeffs, rho_conjugate, synthetic_newform
+from hermlift.hecke import HeckeOpId, act_inert_T, act_inert_T0, act_inert_Up, descend_op, eval_inert_raw
 from hermlift.hermitian import content, enumerate_points, point
 from hermlift.maass import (
     CoeffTable,
@@ -342,6 +342,50 @@ def test_descend_components_differ_by_zeta_only():
     assert all(comps2[b][0] == 0 for b in range(3))
 
 
+def test_descent_forms_only_the_coefficients_a_hecke_polynomial_reads(monkeypatch):
+    # InertT0@7 on the descent of a D = 23 lift at 4,900 reads 198 indices,
+    # 92 of them nonzero, all of character -1 here; only those are formed, a
+    # doubled alpha(n) each, once however often they are read.  At D | n the
+    # coefficient is alpha's own object
+    from hermlift import maass
+
+    D, k, p = 23, 8, 7
+    f = synthetic_newform(FieldParams(D, k), GAUSS, "negate-x", p_max=4910, seed=1)
+    t = build_lift(f, TRIV, 4900)
+    made, real = [], maass.HeckeElem
+    monkeypatch.setattr(maass, "HeckeElem", lambda *args: made.append(1) or real(*args))
+    q = descend(t, 4900)[0][1]
+    assert not made
+    read, get = [], q.coeffs.get
+    q.coeffs.get = lambda n, default=None: read.append(n) or get(n, default)
+    out = descend_op(HeckeOpId.make("InertT0", p, D), k).apply_to_qexp(q, k, D)
+    formed = len(made)
+    nonzero = {n for n in read if get(n) is not None}
+    doubled = {n for n in nonzero if chi_K(D, n) == -1}
+    assert (formed, len(doubled), len(nonzero), len(set(read))) == (92, 92, 92, 198)
+    n, m = min(doubled), min(n for n in t.alpha if n % D == 0)
+    assert q.a(n) is q.a(n) and q.a(m) is t.alpha[m] and len(made) == formed
+    ref = QExpansion(GAUSS, 4900, descend_reference(t, 4900))
+    assert out == descend_op(HeckeOpId.make("InertT0", p, D), k).apply_to_qexp(ref, k, D)
+
+
+def test_a_descent_reads_as_the_dict_of_its_nonzero_coefficients():
+    # get, in, [] and iteration answer as the dict descend_reference builds,
+    # at every index inside and outside 1..n_max, whether or not it was read
+    t = random_alpha_tuple(FieldParams(23, 8), TRIV, GAUSS, 300, seed=3)
+    t = replace(t, alpha={**t.alpha, 46: GAUSS.element([0, 0]), 69: GAUSS.zero()})
+    want = descend_reference(t, 200)
+    q = descend(t, 200)[0][1]
+    for n in range(-2, 306):
+        assert q.coeffs.get(n) == want.get(n) and (n in q.coeffs) == (n in want), n
+        if n not in want:
+            with pytest.raises(KeyError):
+                q.coeffs[n]
+    assert list(q.coeffs.items()) == list(want.items()) and len(q.coeffs) == len(want)
+    with pytest.raises(TypeError):
+        q.coeffs[5] = GAUSS.one()
+
+
 def test_build_is_linear_in_alpha():
     # the divisor sum is linear, so tables add when the generating
     # functions add
@@ -513,6 +557,18 @@ def lift_value_reference(alpha, h, k, ring):
 
 
 INERT = {7: 3, 23: 5}
+
+
+def test_a_dense_alpha_table_matches_the_divisor_sum_at_every_point():
+    # alpha nonzero at almost every det, so every imprimitive point adds
+    # d^(k-1) alpha(det / d^2) for each divisor d of its content, up to 4
+    t = random_alpha_tuple(FieldParams(7, 8), TRIV, GAUSS, 112, seed=0)
+    assert len(t.alpha) > 100
+    table = t.identity_table(112, 4)
+    pts = enumerate_points(7, 112, 4)
+    assert any(content(h) == 4 for h in pts)
+    for h in pts:
+        assert table.get(h) == lift_value_reference(t.alpha, h, 8, GAUSS), h.coords()
 
 
 @settings(deadline=None, max_examples=40)

@@ -71,6 +71,19 @@ def test_division_by_unit_and_errors():
     assert GAUSS.gen() * HeckeRing([1, 0, 1]).gen() == -GAUSS.one()  # an equal ring object
 
 
+@pytest.mark.parametrize("ring", [ZZ, GAUSS, HeckeRing([1, 0, 0, 0, 1])], ids=["Z", "Z[i]", "Z[x]/(x^4+1)"])
+@pytest.mark.parametrize("c", [Fraction(3), Fraction(-5), Fraction(1), Fraction(-1), Fraction(7, 4), Fraction(-6, 9)], ids=str)
+def test_constant_inverse_is_den_over_c_without_xgcd(monkeypatch, ring, c):
+    e = ring.element([c])
+    monkeypatch.setattr(ring_module, "_xgcd", None)  # a constant needs no extended gcd
+    inv = e.inverse()
+    want = ring.element([Fraction(c.denominator, c.numerator)])
+    assert (inv.num, inv.den) == (want.num, want.den)
+    assert e * inv == ring.one()
+    with pytest.raises(ZeroDivisionError):
+        ring.zero().inverse()
+
+
 def test_zero_divisor_rejected():
     r = HeckeRing([0, -1, 0, 1])  # x^3 - x = x(x-1)(x+1), squarefree
     with pytest.raises(ZeroDivisionError):
