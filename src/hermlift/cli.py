@@ -186,15 +186,8 @@ def table_as_tuple(table: CoeffTable, chi: ClassChar, zetaexp: int) -> MaassTupl
     ok, res = check_maass(table)
     if not ok:
         raise CommandError(f"table is not in the Maass space (witness point {res})")
-    return MaassTuple(
-        params=table.params,
-        chi=chi,
-        ring=table.ring,
-        alpha=res,
-        alpha_max=table.bound_det,
-        zeta_exp=zetaexp,
-        source_label="table",
-    )
+    return MaassTuple(params=table.params, chi=chi, ring=table.ring, alpha=res, alpha_max=table.bound_det,
+                      zeta_exp=zetaexp, source_label="table")
 
 
 # ---------------------------------------------------------------------------

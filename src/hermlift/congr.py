@@ -146,12 +146,8 @@ class DepthReport:
         }
 
 
-def maass_ideal_report(
-    phi_system: EigenSystem,
-    others: list[EigenSystem],
-    prime: PrimeAboveL,
-    cap: int = VAL_CAP,
-) -> DepthReport:
+def maass_ideal_report(phi_system: EigenSystem, others: list[EigenSystem], prime: PrimeAboveL,
+                       cap: int = VAL_CAP) -> DepthReport:
     """Depth ledger of a lift's eigenvalue system against ingested systems.
 
     Entries are sorted by decreasing depth; a system with the reference's

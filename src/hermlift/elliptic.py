@@ -6,16 +6,19 @@ k-1, the quadratic nebentypus of conductor D, and Hecke eigenvalues a(p)
 in an exact coefficient ring.  The conjugate form has coefficients
 a(p) -> chi(p) a(p) away from D and a(D) -> D^(k-2) / a(D).  One
 expansion of phi therefore determines phi - phi^rho, whose quotient by the
-counting factor generates the lift (maass.alpha_from_newform).
+counting factor generates the lift (maass.alpha_from_newform).  Both read
+one recurrence kernel (``_Sieve``) that forms a(n) the first time n is
+read; ``extend_coeffs`` checks the data at every prime in range at once.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from .quadfield import FieldParams, chi_K, class_group
 from .ring import HeckeElem, HeckeRing, _is_prime, _val_int, lincomb
@@ -90,7 +93,7 @@ class QExpansion:
 
     ring: HeckeRing
     n_max: int
-    coeffs: dict[int, HeckeElem] = field(default_factory=dict)
+    coeffs: Mapping[int, HeckeElem] = field(default_factory=dict)
 
     def a(self, n: int) -> HeckeElem:
         if n < 1 or n > self.n_max:
@@ -110,46 +113,84 @@ class QExpansion:
 def extend_coeffs(f: NewformData, n_max: int) -> QExpansion:
     """All coefficients a(n), n <= n_max, from the eigenvalues by multiplicativity.
 
-    One pass of ``_sieve`` over 2..n_max, each index after the ones its
-    recurrence reads.  The output is dense; the lift
-    (``maass.alpha_from_newform``) takes it below n_max // p0 and runs the
-    same sieve above that only where it reads a coefficient.
+    Every prime up to n_max is read from f here, so data that stops short
+    (KeyError, the first missing prime ascending) or an eigenvalue of
+    another ring (ValueError) is refused at once.  ``coeffs`` is a
+    read-only view, dense on 1..n_max with zeros held, that forms a(n)
+    the first time n is read (``_Sieve``) and keeps it.
     """
-    out = QExpansion(f.ring, n_max)
-    if n_max >= 1:
-        out.coeffs[1] = f.ring.one()
-        _sieve(f, out.coeffs, _smallest_prime_factors(n_max), range(2, n_max + 1))
-    return out
+    return QExpansion(f.ring, n_max, _Coeffs(f, n_max))
 
 
-def _sieve(f: NewformData, a: dict[int, HeckeElem], spf: list[int], indices) -> None:
-    """Set a[n] for each n of ``indices``, ascending, by the recurrence.
+_UNREAD = object()
 
-    With q = p^e the power of the smallest prime p = spf[n] exactly dividing
-    n, a(n) = a(n / q) a(q) costs one ring product.  Prime powers follow
-    a(p^(r+1)) = a(p) a(p^r) - chi(p) p^(k-2) a(p^(r-1)), which at the
-    ramified prime collapses to a(D^r) = a(D)^r.  Every prime is read
-    through ``f.a`` (which refuses one past the data) and checked to lie in
-    f's ring once, there; a[] must hold every index the recurrence reads.
-    """
-    ring, product = f.ring, f.ring.product
-    for n in indices:
-        p = spf[n]
-        if n == p:
-            v = a[n] = f.a(p)
-            if v.ring is not ring and v.ring != ring:
-                raise ValueError("mismatched rings")
-            continue
+
+class _Lazy(Mapping):
+    """A read-only map that forms its value at n, ``_form(n)`` or None where
+    it has none, the first time n is read, and keeps it in ``_memo``; a
+    subclass gives ``_form`` (or its own ``get``) and ``__iter__``."""
+
+    def get(self, n, default=None):
+        v = self._memo.get(n, _UNREAD)
+        if v is _UNREAD:
+            v = self._memo[n] = self._form(n)
+        return default if v is None else v
+
+    def __getitem__(self, n):
+        if (v := self.get(n)) is None:
+            raise KeyError(n)
+        return v
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+class _Coeffs(_Lazy):
+    """``extend_coeffs``' view: the kernel read inside 1..n_max, keys
+    ascending, an order in which each value reads ones already formed."""
+
+    def __init__(self, f: NewformData, n_max: int):
+        self._memo, self._n_max = _Sieve(f, n_max), n_max
+
+    def get(self, n, default=None):
+        return self._memo[n] if 1 <= n <= self._n_max else default
+
+    def __iter__(self):
+        return iter(range(1, self._n_max + 1))
+
+
+class _Sieve(dict):
+    """a(n) for 1 <= n <= n_max (its readers keep n there), formed by
+    ``__missing__`` on the first read and kept.  With q = p^e the power of
+    the smallest prime p = spf[n] exactly dividing n, a(n) = a(n / q) a(q)
+    costs one ring product.  Prime powers follow a(p^(r+1)) = a(p) a(p^r)
+    - chi(p) p^(k-2) a(p^(r-1)), which at the ramified prime collapses to
+    a(D^r) = a(D)^r.  a(1) and every a(p) are held from construction,
+    where ``f.a`` reads each and the first fault ascending is refused: a
+    prime past the data, or a value of another ring."""
+
+    def __init__(self, f: NewformData, n_max: int):
+        (spf, primes), ring = _factor_table(max(n_max, 1)), f.ring
+        super().__init__(zip(primes, map(f.ap.get, primes)))
+        if f.D <= n_max:
+            self[f.D] = f.aDK
+        if not all(v is not None and v.ring is ring for v in self.values()):
+            for p in primes:  # the first fault ascending, as f.a meets it
+                if (v := f.a(p)).ring is not ring and v.ring != ring:
+                    raise ValueError("mismatched rings")
+        self[1] = ring.one()
+        self._f, self._ring, self._spf, self._product = f, ring, spf, ring.product
+
+    def __missing__(self, n: int) -> HeckeElem:
+        p = self._spf[n]
         q, m = p, n // p
         while m % p == 0:
             q, m = q * p, m // p
-        if m == 1:
-            x, y = a[p], a[n // p]
-            v = HeckeElem(ring, product(x.num, y.num), x.den * y.den)
-            a[n] = v - a[n // (p * p)] * (chi_K(f.D, p) * p ** (f.k - 2))
-        else:
-            x, y = a[m], a[q]
-            a[n] = HeckeElem(ring, product(x.num, y.num), x.den * y.den)
+        x, y = (self[p], self[n // p]) if m == 1 else (self[m], self[q])
+        v = self[n] = HeckeElem(self._ring, self._product(x.num, y.num), x.den * y.den)
+        if m == 1:  # n = p^e, e >= 2
+            v = self[n] = v - self[n // (p * p)] * (chi_K(self._f.D, p) * p ** (self._f.k - 2))
+        return v
 
 
 def _aDK_rho(f: NewformData) -> HeckeElem:
@@ -317,14 +358,8 @@ def _format_coords(e: HeckeElem) -> str:
 # synthetic eigenform data and the bundled CM form
 
 
-def synthetic_newform(
-    params: FieldParams,
-    ring: HeckeRing,
-    involution: str,
-    p_max: int,
-    seed: int = 0,
-    spread: int = 9,
-) -> NewformData:
+def synthetic_newform(params: FieldParams, ring: HeckeRing, involution: str, p_max: int, seed: int = 0,
+                      spread: int = 9) -> NewformData:
     """Random eigenvalue data subject to the conjugation symmetry.
 
     Split primes get involution-fixed values, inert primes anti-fixed ones;
@@ -335,7 +370,7 @@ def synthetic_newform(
     rng = random.Random(f"{seed}/{params.D}/{params.k}/{ring.modulus}")
     g = ring.degree
     ap: dict[int, HeckeElem] = {}
-    for p in _primes_upto(p_max):
+    for p in _factor_table(max(p_max, 1))[1]:
         if p == params.D:
             continue
         c = chi_K(params.D, p)
@@ -355,18 +390,14 @@ def synthetic_newform(
     return f
 
 
-def _smallest_prime_factors(n: int) -> list[int]:
-    """spf[i] = the smallest prime factor of i for 2 <= i <= n (spf[0] = 0, spf[1] = 1)."""
+@lru_cache(maxsize=16)  # a workload builds lifts at a few bounds, a test suite at many
+def _factor_table(n: int) -> tuple[list[int], list[int]]:
+    """spf[i], the smallest prime factor of i <= n (spf[0] = 0, spf[1] = 1),
+    and the primes up to n, ascending; n >= 1.  Shared: callers only read."""
     spf = list(range(n + 1))
-    # descending, so that the smallest prime writes last
-    for d in range(math.isqrt(n), 1, -1):
+    for d in range(math.isqrt(n), 1, -1):  # descending, so that the smallest prime writes last
         spf[d * d :: d] = [d] * len(range(d * d, n + 1, d))
-    return spf
-
-
-def _primes_upto(n: int) -> list[int]:
-    spf = _smallest_prime_factors(max(n, 1))
-    return [p for p in range(2, n + 1) if spf[p] == p]
+    return spf, [p for p in range(2, n + 1) if spf[p] == p]
 
 
 def bundled_cm_form() -> NewformData:

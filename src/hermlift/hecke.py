@@ -84,14 +84,7 @@ from typing import Callable, Iterable
 from .elliptic import NewformData, QExpansion, TpPoly, apply_tp_poly
 from .hermitian import HermPoint
 from .maass import CoeffTable, MaassTuple, _lift_values, _tabulate, a_K
-from .quadfield import (
-    ClassChar,
-    FieldParams,
-    SplitType,
-    class_group,
-    prime_class,
-    split_type,
-)
+from .quadfield import ClassChar, FieldParams, SplitType, class_group, prime_class, split_type
 from .ring import HeckeElem, HeckeRing, _val_int, lincomb
 
 # kind -> (short name, p-power reach)

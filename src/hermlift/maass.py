@@ -23,6 +23,7 @@ statement checked here is invariant under it.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress, starmap
@@ -31,7 +32,7 @@ from operator import is_not
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .elliptic import NewformData, QExpansion, _aDK_rho, _sieve, _smallest_prime_factors, extend_coeffs
+from .elliptic import NewformData, QExpansion, _aDK_rho, _Lazy, extend_coeffs
 from .hermitian import HermPoint, _lattice
 from .quadfield import ClassChar, FieldParams, QuadInt, chi_K, class_group, trivial_char
 from .ring import HeckeElem, HeckeRing, lincomb
@@ -127,13 +128,16 @@ class MaassTuple:
     the identity component, with an extra global factor zeta^zeta_exp
     accumulated by split Hecke operators.  ``alpha_max`` is the largest
     index at which alpha is known to be valid.  Lifts are cusp forms, so
-    an alpha with index 0 (a value at singular points) is refused.
+    an alpha with index 0 (a value at singular points) is refused.  A
+    lift's alpha is never mutated: a newform's is a view formed on read
+    (``alpha_from_newform``), and readers such as ``descend`` hold it by
+    reference.
     """
 
     params: FieldParams
     chi: ClassChar
     ring: HeckeRing
-    alpha: dict[int, Coeff]
+    alpha: Mapping[int, Coeff]
     alpha_max: int
     zeta_exp: int = 0
     source_label: str = ""
@@ -185,7 +189,7 @@ def _lift_getter(t: MaassTuple) -> Getter:
     return lambda det, t1, t3, wa, wb: value(det, gcd(t1, t3, wa, wb))
 
 
-def _lift_values(alpha: dict[int, Coeff], alpha_max: int, k: int, ring: HeckeRing) -> Callable[[int, int], Coeff]:
+def _lift_values(alpha: Mapping[int, Coeff], alpha_max: int, k: int, ring: HeckeRing) -> Callable[[int, int], Coeff]:
     """The lift's coefficient at scaled determinant det and content c,
 
         sum_{d | c} d^(k-1) alpha(det / d^2),
@@ -233,55 +237,64 @@ def _divisor_powers(c: int, k: int) -> tuple[tuple[int, int], ...]:
 # lift construction and descent
 
 
-def alpha_from_newform(f: NewformData, n_max: int) -> dict[int, Coeff]:
+def alpha_from_newform(f: NewformData, n_max: int) -> Mapping[int, Coeff]:
     """The one-variable generating function of the lift of a newform.
 
     alpha(n) = (phi - phi^rho)(n) / a_K(n), read from one expansion of phi.
     For m prime to D, phi^rho(m D^e) = chi(m) a(m) a^rho(D)^e, so alpha is
     a(n) where chi(n) = -1 (the difference 2 a(n) over a_K = 2),
     a(m) (a(D)^e - chi(m) a^rho(D)^e) at n = m D^e with e >= 1 (a_K = 1),
-    and 0 where chi(n) = +1, where the difference vanishes.  Zero values
-    are omitted; keys ascend.
+    and 0 where chi(n) = +1, where the difference vanishes.
 
-    Only the a(n) read are formed: every n <= n_max // p0, p0 the least
-    inert prime (``extend_coeffs``), then above that bound the n with
-    chi(n) = -1 and the primes (each read, so data that stops short is
-    refused).  The set is closed under the sieve's recurrence.  Above the
-    bound, an n with chi(n) = -1 is a(n / q) a(q) with each factor below
-    the bound, prime, or of character -1: a factor of character +1 above
-    it would leave a cofactor below p0, a product of split primes, and n
-    would have character +1.  A power of an inert prime p >= p0 reads
-    powers up to n / p, below the bound.  The D-free part of a multiple
-    of D is at most n_max / D, below the bound too, so no multiple of D
-    above it is formed.
+    It is a read-only view over ``extend_coeffs(f, n_max)``, which refuses
+    data that stops short here: alpha(n) is formed, with the a(n) it reads,
+    the first time n is read, and kept.  Zeros and indices outside
+    1..n_max read as absent; iteration forms every value and yields the
+    nonzero indices ascending.  Construction forms only the powers of a(D)
+    and a^rho(D).
     """
-    D = f.D
-    chi = [chi_K(D, r) for r in range(D)]
-    aD, aD_rho = f.aDK, _aDK_rho(f)
-    factor = [{}]  # factor[e][c] = a(D)^e - c a^rho(D)^e for chi(m) = c
-    while D ** len(factor) <= n_max:
-        pw, pw_rho = aD ** len(factor), aD_rho ** len(factor)
-        factor.append({1: pw - pw_rho, -1: pw + pw_rho})
-    lo = max(n_max // chi.index(-1), 1)  # the least quadratic non-residue mod D is the least inert prime
-    a = extend_coeffs(f, lo).coeffs
-    spf = _smallest_prime_factors(max(n_max, 1))
-    _sieve(f, a, spf, (n for n in range(lo + 1, n_max + 1) if chi[n % D] == -1 or spf[n] == n != D))
-    alpha: dict[int, Coeff] = {}
-    for n in range(1, n_max + 1):
-        c = chi[n % D]
-        if c == 1:
-            continue
-        if c == -1:
-            v = a[n]
-        else:
-            m, e = n // D, 1
-            while m % D == 0:
-                m //= D
-                e += 1
-            v = a[m] * factor[e][chi[m % D]]
-        if not v.is_zero():
-            alpha[n] = v
-    return alpha
+    return _Alpha(f, n_max)
+
+
+class _Alpha(_Lazy):
+    """``alpha_from_newform``'s view."""
+
+    def __init__(self, f: NewformData, n_max: int):
+        D, aD, aD_rho = f.D, f.aDK, _aDK_rho(f)
+        self._factor = factor = [{}]  # factor[e][c] = a(D)^e - c a^rho(D)^e for chi(m) = c
+        while D ** len(factor) <= n_max:
+            pw, pw_rho = aD ** len(factor), aD_rho ** len(factor)
+            factor.append({1: pw - pw_rho, -1: pw + pw_rho})
+        self._a, self._D, self._n_max, self._all = extend_coeffs(f, n_max).coeffs._memo, D, n_max, None
+        self._chi, self._memo = [chi_K(D, r) for r in range(D)], {}
+
+    def _form(self, n: int) -> Coeff | None:
+        D, chi = self._D, self._chi
+        if n < 1 or n > self._n_max or (c := chi[n % D]) == 1:
+            return None
+        m, e = n, 0
+        while m % D == 0:
+            m, e = m // D, e + 1
+        v = self._a[n] if c == -1 else self._a[m] * self._factor[e][chi[m % D]]
+        return None if v.is_zero() else v
+
+    def _full(self) -> dict[int, Coeff]:
+        """Every nonzero value, ascending: a(n) where chi(n) = -1 straight
+        from the kernel, which in this order reads values already formed."""
+        if self._all is None:
+            a, get, chi, D, self._all = self._a, self.get, self._chi, self._D, {}
+            for n in range(1, self._n_max + 1):
+                c = chi[n % D]
+                v = a[n] if c == -1 else get(n) if c == 0 else None
+                if v is not None and any(v.num):
+                    self._all[n] = v
+        return self._all
+
+    def __iter__(self):
+        return iter(self._full())
+
+    def items(self):
+        return self._full().items()
 
 
 def build_lift(f: NewformData, chi: ClassChar, n_max: int) -> MaassTuple:
@@ -289,23 +302,15 @@ def build_lift(f: NewformData, chi: ClassChar, n_max: int) -> MaassTuple:
     return MaassTuple(f.params, chi, f.ring, alpha_from_newform(f, n_max), n_max, source_label=f.label)
 
 
-def random_alpha_tuple(
-    params: FieldParams,
-    chi: ClassChar,
-    ring: HeckeRing,
-    n_max: int,
-    seed: int = 0,
-    spread: int = 9,
-) -> MaassTuple:
+def random_alpha_tuple(params: FieldParams, chi: ClassChar, ring: HeckeRing, n_max: int, seed: int = 0,
+                       spread: int = 9) -> MaassTuple:
     """A lift-shaped tuple with arbitrary random alpha (not eigenform data).
 
     The divisor-sum condition is the defining property of the Maass space,
     independent of any Hecke eigenvalue structure, so random alpha gives
     valid members.  Equal draws share one element.
     """
-    import random as _random
-
-    rng = _random.Random(f"alpha/{seed}/{params.D}/{params.k}/{ring.modulus}")
+    rng = random.Random(f"alpha/{seed}/{params.D}/{params.k}/{ring.modulus}")
     g = ring.degree
     alpha, elems = {}, {}  # one shared element per coordinate vector drawn
     for n in range(1, n_max + 1):
@@ -369,11 +374,9 @@ def descend(t: MaassTuple, n_max: int) -> dict[int, tuple[int, QExpansion]]:
     docstring).  a_K is read from one residue table of chi_K: 2 where
     chi(n) = -1, 1 where D | n, 0 where chi(n) = +1.  Every component
     shares one expansion, whose ``coeffs`` is a read-only view over the
-    lift's alpha (``_Descent``): a coefficient is formed the first time
-    it is read, so a caller that reads a few pays for those alone.  A
-    lift's alpha is not changed after construction, and the view relies
-    on that.  Round trip: descend(build_lift(f, chi)) equals
-    chi(b) (phi - phi^rho) per component.
+    lift's alpha, which it holds by reference (``_Descent``): a coefficient
+    is formed the first time it is read.  Round trip:
+    descend(build_lift(f, chi)) equals chi(b) (phi - phi^rho) per component.
     """
     if n_max > t.alpha_max:
         raise RangeError(f"alpha valid to {t.alpha_max}, needed at {n_max}")
@@ -381,10 +384,7 @@ def descend(t: MaassTuple, n_max: int) -> dict[int, tuple[int, QExpansion]]:
     return {b: (t.component_exponent(b), base) for b in range(class_group(t.D).order)}
 
 
-_UNREAD = object()
-
-
-class _Descent(Mapping):
+class _Descent(_Lazy):
     """The coefficients a_K(n) alpha(n), 1 <= n <= n_max, of a descent,
     formed the first time n is read and memoised, zeros as absent: alpha's
     own object where D | n, a doubled copy where chi(n) = -1, nothing
@@ -397,12 +397,6 @@ class _Descent(Mapping):
         self._chi = [chi_K(D, r) for r in range(D)]
         self._memo: dict[int, Coeff | None] = {}
 
-    def get(self, n: int, default=None):
-        v = self._memo.get(n, _UNREAD)
-        if v is _UNREAD:
-            v = self._memo[n] = self._form(n)
-        return default if v is None else v
-
     def _form(self, n: int) -> Coeff | None:
         if n < 1 or n > self._n_max:
             return None
@@ -412,18 +406,9 @@ class _Descent(Mapping):
             return None
         return v if c == 0 else HeckeElem(self._ring, tuple([2 * x for x in v.num]), v.den)
 
-    def __getitem__(self, n: int) -> Coeff:
-        v = self.get(n)
-        if v is None:
-            raise KeyError(n)
-        return v
-
     def __iter__(self):
         alpha, chi, D, n_max = self._alpha, self._chi, self._D, self._n_max
         return (n for n in sorted(alpha) if 1 <= n <= n_max and chi[n % D] != 1 and not alpha[n].is_zero())
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
 
 
 def antisymmetrize(f: NewformData, n_max: int) -> QExpansion:

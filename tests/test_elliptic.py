@@ -16,9 +16,9 @@ from hermlift.elliptic import (
     rho_conjugate,
     synthetic_newform,
 )
-from hermlift.maass import alpha_from_newform, antisymmetrize
-from hermlift.quadfield import FieldParams, chi_K
-from hermlift.ring import HeckeRing, _is_prime
+from hermlift.maass import alpha_from_newform, antisymmetrize, build_lift
+from hermlift.quadfield import FieldParams, chi_K, trivial_char
+from hermlift.ring import HeckeElem, HeckeRing, _is_prime
 
 ZZ, GAUSS, QUARTIC = HeckeRing([0, 1]), HeckeRing([1, 0, 1]), HeckeRing([1, 0, 0, 0, 1])
 RINGS = [ZZ, GAUSS, QUARTIC]  # Z, Z[i], Z[x]/(x^4 + 1)
@@ -127,6 +127,30 @@ def test_expansions_refuse_primes_past_the_data():
     for fn in (extend_coeffs, antisymmetrize, alpha_from_newform):
         with pytest.raises(KeyError, match=f"p = {beyond}"):
             fn(f, beyond)
+
+
+@pytest.mark.parametrize("p", [13, 197])  # at D = 23 and 200: below and above 200 // 5, the least inert prime
+def test_an_eigenvalue_of_another_ring_is_refused_at_construction(p):
+    # one a(p) of an equal ring that is another object is read as the same
+    # value; one of another ring is refused by extend_coeffs and build_lift
+    # themselves, before any coefficient is read, and a prime past the range
+    # is not read.  With a prime missing too, the first fault ascending wins
+    n_max = 200
+    f = synthetic_newform(FieldParams(23, 8), GAUSS, "negate-x", p_max=n_max + 10, seed=3)
+    v = f.ap[p]
+    twin = replace(f, ap={**f.ap, p: HeckeElem(HeckeRing(GAUSS.modulus), v.num, v.den)})
+    assert extend_coeffs(twin, n_max) == extend_coeffs(f, n_max)
+    assert dict(alpha_from_newform(twin, n_max).items()) == dict(alpha_from_newform(f, n_max).items())
+    stranger = replace(f, ap={**f.ap, p: HeckeElem(QUARTIC, v.num + (0, 0), v.den)})
+    builders = (lambda g, n: extend_coeffs(g, n), lambda g, n: build_lift(g, trivial_char(), n))
+    for build in builders:
+        with pytest.raises(ValueError, match="mismatched rings"):
+            build(stranger, n_max)
+        assert build(stranger, p - 1) is not None
+    short = replace(stranger, ap={q: w for q, w in stranger.ap.items() if q != 19})
+    for build in builders:
+        with pytest.raises(ValueError, match="mismatched rings") if p < 19 else pytest.raises(KeyError, match="p = 19"):
+            build(short, n_max)
 
 
 @settings(deadline=None, max_examples=40)

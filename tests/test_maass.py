@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermlift.elliptic import QExpansion, bundled_cm_form, extend_coeffs, rho_conjugate, synthetic_newform
+from hermlift.elliptic import QExpansion, _aDK_rho, bundled_cm_form, extend_coeffs, rho_conjugate, synthetic_newform
 from hermlift.hecke import HeckeOpId, act_inert_T, act_inert_T0, act_inert_Up, descend_op, eval_inert_raw
 from hermlift.hermitian import content, enumerate_points, point
 from hermlift.maass import (
@@ -18,10 +18,11 @@ from hermlift.maass import (
     descend,
     random_alpha_tuple,
 )
-from hermlift.quadfield import ClassChar, FieldParams, QuadInt, char_values, chi_K, class_group
+from hermlift.quadfield import ClassChar, FieldParams, QuadInt, char_values, chi_K, class_group, norm_ball
 from hermlift.ring import HeckeElem, HeckeRing
 
 import percoset
+from test_elliptic import trial_division_coeffs
 
 GAUSS = HeckeRing([1, 0, 1])
 TRIV = ClassChar(1, (0,))
@@ -542,6 +543,111 @@ def test_lift_forms_only_the_coefficients_it_reads(den):
     alpha = build_lift(f, TRIV, 4900).alpha
     assert len(calls) <= 0.56 * 4900
     assert list(alpha.items()) == list(alpha_reference(f, 4900).items())
+
+
+def as_pairs(m):
+    return {n: (v.num, v.den) for n, v in m.items()}
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from([7, 23, 47, 199]),
+    st.sampled_from(RINGS),
+    st.sampled_from(["trivial", "negate-x"]),
+    st.sampled_from([4, 8]),
+    st.sampled_from([1, 2]),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_coefficient_and_alpha_views_read_alike_in_any_order(D, ring, involution, k, den, seed, data):
+    # extend_coeffs' coefficients and a lift's alpha form a value the first
+    # time it is read: read in a drawn order, a fresh view gives the values
+    # an ascending read gives, and both give the oracles' (D^2 is an edge
+    # range only where it is at most 2,500)
+    edges = [n for n in (1, D, D * D, 2 * D, 3 * D) if n <= 2500]
+    n_max = data.draw(st.one_of(st.integers(1, 600), st.sampled_from(edges)))
+    f = synthetic_newform(FieldParams(D, k), ring, involution, p_max=n_max + 10, seed=seed)
+    f = halved(f) if den == 2 else f
+    order = list(range(-2, n_max + 4))
+    data.draw(st.randoms(use_true_random=False)).shuffle(order)
+    views = ((lambda: extend_coeffs(f, n_max).coeffs, trial_division_coeffs(f, n_max)),
+             (lambda: build_lift(f, TRIV, n_max).alpha, alpha_reference(f, n_max)))
+    for make, want in views:
+        ascending = make()
+        assert list(as_pairs(ascending).items()) == list(as_pairs(want).items())
+        drawn, want = make(), as_pairs(want)
+        got = {n: drawn.get(n) for n in order}
+        assert {n: (v.num, v.den) for n, v in got.items() if v is not None} == want
+        for n in (0, -1, -2, n_max + 1, n_max + 3, *order[:20]):
+            assert (n in drawn) == (n in want) and drawn.get(n, "absent") is ("absent" if n not in want else got[n])
+            if n not in want:
+                with pytest.raises(KeyError):
+                    drawn[n]
+            else:
+                assert drawn[n] is got[n]
+        assert len(drawn) == len(want) and list(drawn) == list(want)
+        with pytest.raises(TypeError):
+            drawn[1] = ring.one()
+
+
+def recurrence_closure(indices):
+    """The composite m whose a(m) forming each a(n), n in ``indices``, reads,
+    by trial division: a(n) = a(n / q) a(q), q the exact power of n's
+    smallest prime p, and a(p^e) from a(p), a(p^(e-1)) and a(p^(e-2))."""
+    seen, todo = set(), list(indices)
+    while todo:
+        n = todo.pop()
+        p = next((d for d in range(2, n + 1) if n % d == 0), n)
+        if n in seen or p == n:  # 1, a prime, or already counted
+            continue
+        seen.add(n)
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        todo += [p, n // p, n // (p * p)] if q == n else [n // q, q]
+    return seen
+
+
+def test_a_t0_diagram_forms_only_the_recurrence_closure_of_what_it_reads():
+    # the lift-descent T0@7 diagram at D = 23, k = 8, in Z[i]: build the lift
+    # to 4,900, descend it, take InertT0@7's raw image at a point of each det
+    # up to 100 and compare it with the T_p polynomial on the descent.  The
+    # lift's construction forms the a(D)^e table alone; after it, the ring
+    # products are at most one per composite index of the recurrence closure
+    # of the a(n) that the alpha indices read need, plus one per multiple of
+    # D read (a(m) times its a(D)-power factor)
+    D, k, p, n_max = 23, 8, 7, 4900
+    ring = HeckeRing([1, 0, 1])  # a ring of its own, so that its product can be counted
+    f = synthetic_newform(FieldParams(D, k), ring, "negate-x", p_max=n_max + 60, seed=1)
+    calls, product = [], ring.product
+    ring.product = lambda x, y: calls.append(1) or product(x, y)
+    aD_rho = _aDK_rho(f)
+    powers = [(f.aDK ** e, aD_rho ** e) for e in (1, 2)]  # the a(D)^e table: D^e <= 4,900 < D^3
+    table, calls[:] = len(calls), []
+    t = build_lift(f, TRIV, n_max)
+    assert len(calls) <= table
+    built, read, get = len(calls), set(), t.alpha.get
+    t.alpha.get = lambda n, default=None: read.add(n) or get(n, default)
+    pts = {}
+    for n in range(1, 101):
+        w = next((w for w in norm_ball(D, D * (n // D + 3)) if (w.norm() + n) % D == 0), None)
+        if a_K(D, n) and w is not None:
+            pts[n] = point(D, 1, (n + w.norm()) // D, w.a, w.b)
+    q = descend(t, n_max)[0][1]
+    raw = eval_inert_raw(t, "InertT0", p, pts.values())
+    rhs = descend_op(HeckeOpId.make("InertT0", p, D), k).apply_to_qexp(q, k, D)
+    assert all(raw[h] * a_K(D, n) == rhs.a(n) for n, h in pts.items())
+    formed = {n for n in read if 1 <= n <= n_max and chi_K(D, n) != 1}
+    multiples = {n for n in formed if n % D == 0}
+    d_free = {n // D ** max(e for e in range(1, 4) if n % D ** e == 0) for n in multiples}
+    bound = len(recurrence_closure((formed - multiples) | d_free)) + len(multiples)
+    assert len(calls) - built <= bound < 150
+    # a full read then forms the rest, each value once (the bound of
+    # test_lift_forms_only_the_coefficients_it_reads, which now counts
+    # construction alone)
+    full = list(t.alpha.items())
+    assert len(calls) <= 0.56 * n_max
+    assert full == list(alpha_reference(f, n_max).items())
 
 
 def lift_value_reference(alpha, h, k, ring):
