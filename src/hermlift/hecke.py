@@ -51,13 +51,15 @@ p^(j-2) c) and S(h) p^k at (det, c); T_p takes p^(k+1) per translate with
 b + j >= 1 at (det, p^(j-1) c), p^4 at (p^2 det, p c) and p^(2k) at
 (det/p^2, c/p) when b >= 1.  ``_rows`` holds these counts, the same for
 every D; the tests check them against a per-coset walk of the translates
-at every point of deep shapes in four fields.  On a lift each (det,
-content) takes one ``ring.lincomb``, memoised for one application; a
-tabulated shape takes no gcd (it reads its shared (det, content) keys), a
-point of ``eval_inert_raw`` one.  The T_p image of (det, content)-keyed
-data is so keyed again, so U_p on a lift is the keyed T_p twice.  The
-Maass space is stable under every inert operator, so the image of a lift
-is a lift: ``act_inert_on_lift`` reads its alpha at primitive points, and
+at every point of deep shapes in four fields.  The T_p image of (det,
+content)-keyed data is so keyed again, so U_p = T_p^2 has rows too: T_p's
+composed with themselves once per (p, k), over p^(2k), at row
+(min(v_p(det) - 2 v_p(c), 4), min(v_p(c), 2)).  On a lift each (det,
+content) takes one ``ring.lincomb`` under every operator, memoised for
+one application; a tabulated shape takes no gcd (it reads its shared
+(det, content) keys), a point of ``eval_inert_raw`` one.  The Maass
+space is stable under every inert operator, so the image of a lift is a
+lift: ``act_inert_on_lift`` reads its alpha at primitive points, and
 tables are tabulated from lifts only.
 
 Every operator descends to a polynomial in the classical T_p
@@ -139,34 +141,49 @@ class HeckeOpId:
 # inert raw action
 
 
-Row = tuple[tuple[tuple[int, int], int], ...]  # ((e, j), scalar over p^k) at (p^e det, p^j content)
+Row = tuple[tuple[tuple[int, int], int], ...]  # ((e, j), scalar over the den) at (p^e det, p^j content)
 
 
 @cache  # one table per (kind, p, k) for the process
 def _rows(kind: str, p: int, k: int) -> tuple[Callable[[int, int], Row], int]:
-    """T_{p,0} or T_p by local type: the row of h as a function of (det(h),
-    content(h)), and the denominator p^k.  Row (a, b) counts h's translates
-    by content (module docstring), its terms in the order the coset walk
-    reads them: T_{p,0} the translates, those over p^2, then h; T_p those
-    over p, then p h, then h / p."""
-    den, hi, lo = p ** k, p ** 4, p ** (2 * k)  # hi, lo: p^(4-k), p^k times den
-    m = 2 if kind == "InertT0" else 1
+    """An inert operator by local type: the row of h as a function of
+    (det(h), content(h)), and its denominator.  T_{p,0} and T_p, over p^k:
+    row (a, b) counts h's translates by content (module docstring), its
+    terms in the order the coset walk reads them: T_{p,0} the translates,
+    those over p^2, then h; T_p those over p, then p h, then h / p.  U_p,
+    over p^(2k): T_p's row composed with T_p's rows of its images, products
+    merged by (e, j) in the order the keyed T_p twice first reads them,
+    at the least caps (4, 2) that fix T_p's rows of every image."""
+    if kind == "InertUp":
+        tp, den = _rows("InertT", p, k)
 
-    def local(a: int, b: int) -> Row:
-        n, j = ((p + 1, 1), (1, 1), (1, 2))[a]
-        counts = ((p * p + 1 - n, 0), (n, j))  # (translates, j): content p^j c
-        if kind == "InertT0":
-            s = p - 1 if a == b == 0 else p ** 3 - p * p + p - 1 if b else -p * p + p - 1  # S(h)
-            return (*(((2, i), hi * t) for t, i in counts),
-                    *(((-2, i - 2), lo * t) for t, i in counts if b + i >= 2), ((0, 0), s * den))
-        return (*(((0, i - 1), p * den * t) for t, i in counts if b + i >= 1), ((2, 1), hi),
-                *([((-2, -1), lo)] if b else []))
+        def local(a: int, b: int) -> Row:
+            merged = {}
+            for (e, j), s in tp(p ** (a + 2 * b), p ** b):
+                for (e2, j2), s2 in tp(p ** (a + 2 * b + e), p ** (b + j)):
+                    merged[e + e2, j + j2] = merged.get((e + e2, j + j2), 0) + s * s2
+            return tuple(merged.items())
 
-    table = {(a, b): local(a, b) for a in (0, 1, 2) for b in range(m + 1)}
+        caps, den = (4, 2), den * den
+    else:
+        den, hi, lo = p ** k, p ** 4, p ** (2 * k)  # hi, lo: p^(4-k), p^k times den
+        caps = (2, 2 if kind == "InertT0" else 1)
+
+        def local(a: int, b: int) -> Row:
+            n, j = ((p + 1, 1), (1, 1), (1, 2))[a]
+            counts = ((p * p + 1 - n, 0), (n, j))  # (translates, j): content p^j c
+            if kind == "InertT0":
+                s = p - 1 if a == b == 0 else p ** 3 - p * p + p - 1 if b else -p * p + p - 1  # S(h)
+                return (*(((2, i), hi * t) for t, i in counts),
+                        *(((-2, i - 2), lo * t) for t, i in counts if b + i >= 2), ((0, 0), s * den))
+            return (*(((0, i - 1), p * den * t) for t, i in counts if b + i >= 1), ((2, 1), hi),
+                    *([((-2, -1), lo)] if b else []))
+
+    table = {(a, b): local(a, b) for a in range(caps[0] + 1) for b in range(caps[1] + 1)}
 
     def row(det: int, c: int) -> Row:
         v = _val_int(c, p)
-        return table[min(_val_int(det, p) - 2 * v, 2), min(v, m)]
+        return table[min(_val_int(det, p) - 2 * v, caps[0]), min(v, caps[1])]
 
     return row, den
 
@@ -175,8 +192,8 @@ def _keyed(value: Callable, ring: HeckeRing, p: int, row: Callable, den: int) ->
     """The image of (det, content)-keyed data under the operator of ``row``,
     so keyed again: one ``lincomb`` per (det, c), memoised for one
     application, reading values in the row's order, which lists dets as
-    the coset walk does, so that a short alpha raises the RangeError the
-    tests' per-coset reader raises."""
+    the coset walk does (U_p's as the walk of T_p's walk), so that a short
+    alpha raises the RangeError the tests' per-coset reader raises."""
     scale = lambda n, e: n * p ** e if e >= 0 else n // p ** -e
 
     @cache
@@ -188,20 +205,16 @@ def _keyed(value: Callable, ring: HeckeRing, p: int, row: Callable, den: int) ->
 
 def _op_getter(t: MaassTuple, kind: str, p: int) -> tuple[Callable[[int, int], HeckeElem], FieldParams, HeckeRing]:
     """The image of a lift under an inert operator, keyed by (det, content)
-    and memoised for one application; U_p is T_p twice, the keyed T_p of
-    the keyed T_p image."""
-    steps = {"InertT0": ("InertT0",), "InertT": ("InertT",), "InertUp": ("InertT", "InertT")}.get(kind)
-    if steps is None:
+    and memoised for one application: one ``_keyed`` sum per class over
+    the operator's rows, U_p's being T_p's composed once per (p, k)."""
+    if kind not in ("InertT0", "InertT", "InertUp"):
         raise ValueError(f"raw inert evaluation supports InertT0, InertT and InertUp, not {kind}")
     if not isinstance(t, MaassTuple):
         raise TypeError(f"inert operators act on a MaassTuple (a lift), not a {type(t).__name__}")
     params, ring = t.params, t.ring
     if split_type(params.D, p) is not SplitType.INERT:
         raise ValueError(f"p = {p} is not inert for discriminant {params.D}")
-    at = _lift_values(t.alpha, t.alpha_max, t.k, ring)
-    for step in steps:
-        at = _keyed(at, ring, p, *_rows(step, p, t.k))
-    return at, params, ring
+    return _keyed(_lift_values(t.alpha, t.alpha_max, t.k, ring), ring, p, *_rows(kind, p, t.k)), params, ring
 
 
 def eval_inert_raw(t: MaassTuple, kind: str, p: int, points: Iterable[HermPoint]) -> dict[HermPoint, HeckeElem]:

@@ -270,6 +270,7 @@ def reduced_forms(D: int) -> list[BQF]:
 
 
 _CG_CACHE: dict[int, ClassGroup] = {}
+_PRIME_CLASS_CACHE: dict[tuple[int, int], int] = {}  # (D, p) -> prime_class
 
 
 def class_group(D: int) -> ClassGroup:
@@ -304,13 +305,17 @@ def prime_class(cg: ClassGroup, p: int) -> int:
 
     The prime is pinned by the smallest nonnegative b with b^2 = -D (mod 4p):
     its class is that of the form (p, b, (b^2+D)/(4p)).  The conjugate prime
-    gives the inverse class.
+    gives the inverse class.  Memoised per (D, p).
     """
+    cls = _PRIME_CLASS_CACHE.get((cg.D, p))
+    if cls is not None:
+        return cls
     if split_type(cg.D, p) is not SplitType.SPLIT:
         raise ValueError(f"p = {p} has no split class (not split in the field)")
     for b in range(0, 4 * p):
         if (b * b + cg.D) % (4 * p) == 0:
-            return cg.index_of(BQF(p, b, (b * b + cg.D) // (4 * p)))
+            cls = _PRIME_CLASS_CACHE[cg.D, p] = cg.index_of(BQF(p, b, (b * b + cg.D) // (4 * p)))
+            return cls
     raise AssertionError("no square root of -D mod 4p for a split prime")
 
 

@@ -14,11 +14,13 @@ at l and every valuation well-defined with ramification index 1.
 All polynomial work (reduction mod m, inverses, norms, the discriminant,
 Cantor-Zassenhaus factoring mod l and Hensel lifting) goes through one
 toolkit of dense coefficient lists that works over Z or Q, or over Z/n
-when given a modulus n.  Products of elements are the hot path, so each
-ring compiles its own product once (``_product_kernel``): straight-line
-code that forms the 2g - 1 convolution sums of two numerators (g = deg m)
-and returns each coordinate as the integer combination of those sums
-given by the rows x^j mod m, with no loop and no zero term.
+when given a modulus n.  Products and Q-linear sums of elements are the
+hot path, so each ring compiles both once (``_product_kernel``): the
+product is straight-line code that forms the 2g - 1 convolution sums of
+two numerators (g = deg m) and returns each coordinate as the integer
+combination of those sums given by the rows x^j mod m, with no loop and no
+zero term; ``lincomb`` loops over the terms unrolled over the g
+coordinates, int coefficients taken as they are, and normalises once.
 
 A valuation reads a numerator mod the prime's local factor Hensel-lifted
 mod l^precision: a linear map, so ``val_at`` caches its matrix per (prime,
@@ -171,15 +173,19 @@ def _resultant(p: Sequence, q: Sequence) -> Fraction:
 # the ring
 
 
-def _product_kernel(mod: tuple[int, ...]):
-    """product(a, b): the coordinates of a b mod m for coordinate tuples a, b
-    of Z[x]/(m), compiled once from the integer modulus as straight-line code.
+def _product_kernel(ring: "HeckeRing"):
+    """(product, lincomb) of Z[x]/(m), compiled once from the integer modulus
+    as straight-line code over the g = deg m coordinates.
 
-    With the convolution sums c_j = sum_{i + l = j} a_i b_l, coordinate i is
-    c_i plus r c_j for each nonzero coefficient r of x^i in x^j mod m,
-    g <= j <= 2g - 2.
+    product(a, b) gives the coordinates of a b mod m for coordinate tuples
+    a, b: with the convolution sums c_j = sum_{i + l = j} a_i b_l,
+    coordinate i is c_i plus r c_j for each nonzero coefficient r of x^i in
+    x^j mod m, g <= j <= 2g - 2.  lincomb(terms, den) is ``lincomb`` for
+    this ring: per term one update per coordinate, an int coefficient taken
+    as it is, the common denominator grown to an lcm only when a term's does
+    not divide it; then one gcd normalises the sum.
     """
-    g = len(mod) - 1
+    mod, g = ring.modulus, ring.degree
     conv = [
         " + ".join(f"a{i} * b{j - i}" for i in range(max(0, j - g + 1), min(j, g - 1) + 1))
         for j in range(2 * g - 1)
@@ -189,11 +195,33 @@ def _product_kernel(mod: tuple[int, ...]):
         for i, r in enumerate(_divmod([0] * j + [1], mod)[1]):
             if r:
                 out[i] += f" {'-' if r < 0 else '+'} {'' if abs(r) == 1 else f'{abs(r)} * '}c{j}"
-    body = [f"{''.join(f'{v}{i}, ' for i in range(g))}= {v}" for v in "ab"]  # a0, a1, ... = a
-    body += [f"c{j} = {conv[j]}" for j in range(g, 2 * g - 1)] + [f"return ({''.join(f'{o}, ' for o in out)})"]
-    namespace: dict = {}
-    exec("def product(a, b):\n    " + "\n    ".join(body), {}, namespace)
-    return namespace["product"]
+    seq = lambda pattern: "".join(pattern.format(i) + ", " for i in range(g))  # seq("a{}"): "a0, a1, "
+    product = [f"{seq('a{}')}= a", f"{seq('b{}')}= b", *(f"c{j} = {conv[j]}" for j in range(g, 2 * g - 1)),
+               f"return ({''.join(f'{o}, ' for o in out)})"]
+    lincomb = [
+        f"{seq('n{}')}lcm = {seq('0')}1",
+        "for c, e in terms:",
+        f"    {seq('a{}')}= e.num",
+        "    d = e.den",
+        "    if c.__class__ is not int:  # a Fraction",
+        "        d, c = d * c.denominator, c.numerator",
+        "    if d != lcm:",
+        "        if lcm % d:  # widen the common denominator to lcm(lcm, d)",
+        "            grow = d // gcd(lcm, d)",
+        f"            {seq('n{}')}lcm = {seq('n{} * grow')}lcm * grow",
+        "        c *= lcm // d",
+        *(f"    n{i} += c * a{i}" for i in range(g)),
+        f"if not ({' or '.join(f'n{i}' for i in range(g))}):",
+        "    return zero",
+        "lcm *= den",  # a negative den: the constructor moves the sign to the numerator
+        "if lcm != 1 and (q := gcd(" + seq('n{}') + "lcm)) > 1:",
+        f"    {seq('n{}')}lcm = {seq('n{} // q')}lcm // q",
+        f"return HeckeElem(ring, ({seq('n{}')}), lcm, False)",
+    ]
+    namespace = {"gcd": math.gcd, "HeckeElem": HeckeElem, "ring": ring, "zero": ring._zero}
+    exec("\n".join(f"def {head}:\n    " + "\n    ".join(lines) for head, lines in
+                   (("product(a, b)", product), ("lincomb(terms, den)", lincomb))), namespace)
+    return namespace["product"], namespace["lincomb"]
 
 
 class HeckeRing:
@@ -210,8 +238,8 @@ class HeckeRing:
         self.discriminant = self._disc()
         if self.discriminant == 0:
             raise ValueError("modulus must be squarefree over Q")
-        self.product = _product_kernel(mod)
         self._zero = HeckeElem(self, (0,) * g, 1)
+        self.product, self._lincomb = _product_kernel(self)
 
     def _disc(self) -> int:
         m = self.modulus
@@ -378,14 +406,17 @@ class HeckeElem:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.ring.one()
+        if n == 0:
+            return self.ring.one()
         base = self
-        while n:
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        out = base  # the lowest set bit: no product with one
+        while n := n >> 1:
+            base = base * base
             if n & 1:
                 out = out * base
-            n >>= 1
-            if n:
-                base = base * base
         return out
 
     def __eq__(self, other) -> bool:
@@ -429,23 +460,11 @@ class HeckeElem:
 
 def lincomb(ring: HeckeRing, terms: Iterable[tuple[int | Fraction, HeckeElem]], den: int = 1) -> HeckeElem:
     """(sum of c e over the pairs (c, e) of terms) / den as one element: the
-    numerators are summed over a common denominator and normalised once.
-    The one Q-linear summation of the hermitian side; a vanishing sum is the
-    ring's shared zero."""
-    num, lcm = [0] * ring.degree, 1
-    for c, e in terms:
-        n, d = c.numerator, c.denominator * e.den
-        if d != lcm:
-            if lcm % d:  # widen the common denominator to lcm(lcm, d)
-                grow = d // math.gcd(lcm, d)
-                num = [a * grow for a in num]
-                lcm *= grow
-            n *= lcm // d
-        for i, a in enumerate(e.num):
-            num[i] += n * a
-    if not any(num):
-        return ring._zero
-    return HeckeElem(ring, tuple(num), lcm * den)
+    numerators are summed over a common denominator and normalised once, by
+    the ring's compiled kernel (``_product_kernel``).  The one Q-linear
+    summation of the hermitian side; a vanishing sum is the ring's shared
+    zero."""
+    return ring._lincomb(terms, den)
 
 
 # ---------------------------------------------------------------------------

@@ -654,15 +654,15 @@ def test_coset_walk_matches_the_matrix_transforms(D):
 
 
 def test_rows_are_derived_once_per_operator_prime_and_weight():
-    # a process derives each (kind, p, k) row table once, T_{p,0}'s and
-    # T_p's (U_p reads T_p's): applications after the first read the cached
-    # rows, whatever the lift, the shape or the field
+    # a process derives each (kind, p, k) row table once, T_{p,0}'s, T_p's
+    # and U_p's (composed from T_p's): applications after the first read the
+    # cached rows, whatever the lift, the shape or the field
     params = FieldParams(43, 8)
     lifts = [random_alpha_tuple(params, trivial_char(), ring, 81 * 86, seed=s) for ring, s in ((ZZ, 1), (GAUSS, 2))]
     misses = hecke._rows.cache_info().misses
     for act, shape in ((act_inert_T0, (43 * 8, 2)), (act_inert_T, (43 * 8, 2)), (act_inert_Up, (43 * 2, 1))):
         act(lifts[0], 3, *shape)
-    assert hecke._rows.cache_info().misses <= misses + 2
+    assert hecke._rows.cache_info().misses <= misses + 3
     misses = hecke._rows.cache_info().misses
     for t in lifts:
         for act, shape in ((act_inert_T0, (43 * 4, 3)), (act_inert_T, (43 * 8, 1)), (act_inert_Up, (43 * 2, 2))):
@@ -681,8 +681,8 @@ def test_rows_are_derived_once_per_operator_prime_and_weight():
 @pytest.mark.parametrize("D, p", [(7, 3), (11, 2), (23, 5)])
 def test_keyed_reader_takes_one_gcd_per_point_and_one_sum_per_det_and_content(D, p, monkeypatch):
     # at every point, p | det included: content(h) is the point's one gcd,
-    # and each distinct (det, content) one lincomb in an application;
-    # U_p on a lift is the keyed T_p twice.
+    # and each distinct (det, content) one lincomb in an application,
+    # U_p's too: its rows are T_p's composed with themselves.
     # Tabulated, the shape's shared (det, content) keys stand in for the gcd,
     # and a vanishing sum is the ring's shared zero
     gcds, sums = [], []
@@ -700,12 +700,12 @@ def test_keyed_reader_takes_one_gcd_per_point_and_one_sum_per_det_and_content(D,
         sums.clear()
         eval_inert_raw(t, kind, p, pts)
         assert len(gcds) == len(pts), kind
-        assert len(sums) == len(keys) < len(pts) // 2 if kind != "InertUp" else len(keys) < len(sums), kind
+        assert len(sums) == len(keys) < len(pts) // 2, kind
         for src in (t, blank):
             gcds.clear()
             sums.clear()
             vals = acts[kind](src, p, 12 * D, 2 * p).vals
-            assert gcds == [] and (len(sums) == len(keys) if kind != "InertUp" else len(keys) < len(sums)), kind
+            assert gcds == [] and len(sums) == len(keys), kind
             assert all(v is zero for v in vals if src is blank or v.is_zero()), kind
 
 
@@ -730,6 +730,56 @@ def test_tabulation_and_check_take_one_evaluation_and_one_comparison_per_class(k
     assert check_maass(table)[0] and 0 < len(eqs) <= len(table.distinct)
     eqs.clear()
     assert check_maass(read)[0] and 0 < len(eqs) <= len(read.distinct)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_composed_up_rows_match_the_keyed_T_at_p_twice(p):
+    # U_p's rows are T_p's composed once per (p, k): on random (det,
+    # content)-keyed data its one keyed sum equals the keyed T_p of the
+    # keyed T_p, at every local type (min(v_p(det) - 2 v_p(c), 4),
+    # min(v_p(c), 2)) and past both caps, and it reads the data in the
+    # order the two nested sums first read them.  Every merged scalar is
+    # positive, so no read of the nested sums is lost to a cancellation
+    rng = random.Random(p)
+    data = {}
+
+    def keyed(reads):
+        def value(det, c):
+            assert det % (c * c) == 0 and det > 0, (det, c)
+            reads.append((det, c))
+            if (det, c) not in data:
+                data[det, c] = GAUSS.element([rng.randint(-9, 9), rng.randint(-9, 9)], rng.choice((1, 1, 2, 3)))
+            return data[det, c]
+        return value
+
+    unit = next(u for u in (2, 3, 5) if u % p)
+    for k in (4, 8, 12):
+        tp, up = hecke._rows("InertT", p, k), hecke._rows("InertUp", p, k)
+        assert up[1] == tp[1] ** 2 == p ** (2 * k)
+        types = set()
+        for a in range(7):
+            for b in range(4):
+                c = p ** b * unit
+                det = c * c * p ** a * (unit + p)
+                nested, composed = [], []
+                twice = hecke._keyed(hecke._keyed(keyed(nested), GAUSS, p, *tp), GAUSS, p, *tp)(det, c)
+                once = hecke._keyed(keyed(composed), GAUSS, p, *up)(det, c)
+                assert once == twice and composed == list(dict.fromkeys(nested)), (k, a, b)
+                row = up[0](det, c)
+                assert all(s > 0 for _, s in row) and len(row) == len(composed), (k, a, b)
+                types.add((min(a, 4), min(b, 2)))
+        assert len(types) == 15
+
+
+@pytest.mark.parametrize("D, p, shape, classes", [(7, 3, (108, 6), 87), (23, 5, (180, 6), 130)])
+def test_up_takes_one_sum_per_det_and_content_class(D, p, shape, classes, monkeypatch):
+    # U_p on a lift, tabulated on a deep shape, takes exactly one
+    # hecke-side lincomb per (det, content) class of the shape
+    sums, real = [], hecke.lincomb
+    monkeypatch.setattr(hecke, "lincomb", lambda *args: sums.append(args) or real(*args))
+    t = random_alpha_tuple(FieldParams(D, 8), trivial_char(), GAUSS, p ** 4 * shape[0], seed=D)
+    table = act_inert_Up(t, p, *shape)
+    assert len(sums) == len(table.distinct) == classes
 
 
 def lumped_case_points(D, p):

@@ -467,8 +467,9 @@ def halved(f):
     st.data(),
 )
 def test_lift_loops_match_per_index_reference(D, ring, involution, k, den, seed, data):
-    # past n_max // p0 the lift forms a(n) only where chi(n) = -1, so that
-    # bound moves at multiples of p0; at a power of D alpha reads a(1)
+    # the view formed on read against the per-index reference, n_max drawn
+    # freely, next to each multiple of p0 and next to each power of D, where
+    # alpha(D^e) reads a(1) times the e-th power factor of a(D)
     p0 = least_inert_prime(D)
     near = [p0 * j + d for j in range(1, 400 // p0) for d in (-1, 0, 1)]
     near += [q + d for q in (D, D**2, D**3) if q < 2500 for d in (-1, 0, 1)]
@@ -521,8 +522,9 @@ def test_lift_descends_to_two_expansion_oracle(D, ring, involution, k, seed, n_m
 
 @pytest.mark.parametrize("D", [7, 11, 23, 71])  # least inert prime 3, 2, 5, 7
 def test_lift_at_each_multiple_of_p0_restricts_the_dense_one(D):
-    # n_max = p0 m reads a(m) at the bound n_max // p0 itself, for m of
-    # character +1 with prime factors above p0 (75, 18, 245 and 847 first)
+    # the view to every multiple n_max of p0, read in full, is the reference
+    # to 1,000 cut at n_max: it forms no index past its own n_max, and every
+    # value it forms is the one the full reference holds there
     f = synthetic_newform(FieldParams(D, 8), GAUSS, "negate-x", p_max=1000, seed=D)
     full = list(alpha_reference(f, 1000).items())
     for n_max in range(0, 1000, least_inert_prime(D)):
@@ -531,10 +533,11 @@ def test_lift_at_each_multiple_of_p0_restricts_the_dense_one(D):
 
 @pytest.mark.parametrize("den", [1, 2])
 def test_lift_forms_only_the_coefficients_it_reads(den):
-    # D = 23, least inert prime 5: past 4900 // 5 only a(n) with chi(n) = -1
-    # and the primes are formed, 3,102 of 4,900 in all, for 2,676 products.
-    # A dense expansion to 4,900 makes 4,474; forming the multiples of D
-    # past 980 as well would add about 170
+    # D = 23: the lift forms alpha(n) when n is read, so building it makes
+    # only the powers of a(D) and a^rho(D), 6 products here.  Read in full,
+    # the sieve forms a(n) where chi(n) = -1, at the multiples of D and at
+    # the factors these read: 2,360 products for 2,281 nonzero values, where
+    # forming every a(n) to 4,900 makes 4,245
     ring = HeckeRing([1, 0, 1])  # a ring of its own, so that its product can be counted
     f = synthetic_newform(FieldParams(23, 8), ring, "negate-x", p_max=4900, seed=1)
     f = halved(f) if den == 2 else f

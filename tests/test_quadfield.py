@@ -199,3 +199,16 @@ def test_solve_linmod_brute_force():
                     continue
                 u, v = _solve_linmod(a, b, m)
                 assert sols == {(u + v * i) % m for i in range(m)}, (a, b, m)
+
+
+def test_prime_class_is_memoised_and_still_refuses_a_non_split_prime():
+    # the class of the distinguished prime is found once per (D, p); a
+    # split p memoised for D leaves the refusal of D's inert and ramified
+    # primes, and of a non-prime, as it was
+    cg = class_group(47)
+    first = prime_class(cg, 2)
+    assert prime_class(cg, 2) == first == prime_class(class_group(47), 2)
+    assert cg.forms[first].A == 2 and cg.element_order(first) == 5
+    for p in (5, 47, 4):  # inert, ramified, no prime
+        with pytest.raises(ValueError):
+            prime_class(cg, p)

@@ -523,3 +523,64 @@ def test_lincomb_matches_fold_of_add_and_mul(data):
     assert got.den > 0 and math.gcd(*got.num, got.den) == 1
     if cancel or not terms:
         assert got is ring.zero()
+
+
+def fraction_lincomb(ring, terms, den):
+    """The lincomb of terms over den, coordinate by coordinate in Fraction."""
+    out = [Fraction(0)] * ring.degree
+    for c, e in terms:
+        out = [acc + Fraction(c) * Fraction(a, e.den) for acc, a in zip(out, e.num)]
+    return [x / den for x in out]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_compiled_lincomb_matches_a_fraction_reference(data):
+    # the kernel compiled per ring against the sum written out in Fraction,
+    # on rings of degree 1, 2 and 4: int and Fraction coefficients,
+    # elements of denominator > 1, no terms, a den argument, and sums that
+    # cancel, which return the ring's shared zero itself
+    ring = data.draw(st.sampled_from((ZZ, GAUSS, HeckeRing([1, 0, 0, 0, 1]))), "ring")
+    elem = st.builds(
+        lambda num, d: HeckeElem(ring, tuple(num), d),
+        st.lists(st.integers(-10**6, 10**6), min_size=ring.degree, max_size=ring.degree),
+        st.sampled_from((1, 1, 2, 3, 4, 6, 9, 10**12)),
+    )
+    scalar = st.one_of(st.integers(-10**9, 10**9), st.fractions(max_denominator=50))
+    terms = data.draw(st.lists(st.tuples(scalar, elem), max_size=8), "terms")
+    if data.draw(st.booleans(), "cancel"):
+        terms += [(-c, e) for c, e in reversed(terms)]
+    den = data.draw(st.integers(1, 10**6), "den")
+    got = lincomb(ring, terms, den)
+    want = fraction_lincomb(ring, terms, den)
+    if not any(want):
+        assert got is ring._zero
+    else:
+        assert list(got.coords()) == want
+        assert got.den > 0 and math.gcd(*got.num, got.den) == 1
+
+
+def test_compiled_lincomb_grows_its_denominator_to_an_lcm():
+    # denominators 4, 6 and 9 in turn: the common one widens to 12, then 36;
+    # a later term whose denominator divides it is scaled, not widened
+    x = GAUSS.gen()
+    terms = [(1, x / 4), (Fraction(1, 3), GAUSS.one() / 2), (5, x / 9), (1, x / 12)]
+    got = lincomb(GAUSS, terms, 2)
+    assert got.coords() == (Fraction(1, 12), (Fraction(1, 4) + Fraction(5, 9) + Fraction(1, 12)) / 2)
+
+
+@pytest.mark.parametrize("ring", [ZZ, GAUSS, HeckeRing([1, 0, 0, 0, 1])], ids=["Z", "Z[i]", "Z[x]/(x^4+1)"])
+def test_power_equals_repeated_products(ring):
+    # the power from the element itself, by squaring: n = 0 is one, a
+    # negative n inverts, and zero to a negative power raises
+    rng = random.Random(ring.degree)
+    base = ring.element([Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)) for _ in range(ring.degree)])
+    for n in range(-3, 10):
+        want, step = ring.one(), base if n >= 0 else base.inverse()
+        for _ in range(abs(n)):
+            want = want * step
+        assert base ** n == want, n
+    assert base ** 1 is base and ring.zero() ** 3 == 0
+    for n in (-1, -2):
+        with pytest.raises(ZeroDivisionError):
+            ring.zero() ** n
