@@ -55,9 +55,11 @@ at every point of deep shapes in four fields.  The T_p image of (det,
 content)-keyed data is so keyed again, so U_p = T_p^2 has rows too: T_p's
 composed with themselves once per (p, k), over p^(2k), at row
 (min(v_p(det) - 2 v_p(c), 4), min(v_p(c), 2)).  On a lift each (det,
-content) takes one ``ring.lincomb`` under every operator, memoised for
-one application; a tabulated shape takes no gcd (it reads its shared
-(det, content) keys), a point of ``eval_inert_raw`` one.  The Maass
+content) of the image takes one ``ring.lincomb`` under every operator,
+memoised for one application, over the lift's values, whose divisor sums
+are memoised once per lift (``MaassTuple.value``) and shared by every
+operator applied to it; a tabulated shape takes no gcd (it reads its
+shared (det, content) keys), a point of ``eval_inert_raw`` one.  The Maass
 space is stable under every inert operator, so the image of a lift is a
 lift: ``act_inert_on_lift`` reads its alpha at primitive points, and
 tables are tabulated from lifts only.
@@ -85,7 +87,7 @@ from typing import Callable, Iterable
 
 from .elliptic import NewformData, QExpansion, TpPoly, apply_tp_poly
 from .hermitian import HermPoint
-from .maass import CoeffTable, MaassTuple, _lift_values, _tabulate, a_K
+from .maass import CoeffTable, MaassTuple, _tabulate, a_K
 from .quadfield import ClassChar, FieldParams, SplitType, class_group, prime_class, split_type
 from .ring import HeckeElem, HeckeRing, _val_int, lincomb
 
@@ -191,8 +193,9 @@ def _rows(kind: str, p: int, k: int) -> tuple[Callable[[int, int], Row], int]:
 def _keyed(value: Callable, ring: HeckeRing, p: int, row: Callable, den: int) -> Callable[[int, int], HeckeElem]:
     """The image of (det, content)-keyed data under the operator of ``row``,
     so keyed again: one ``lincomb`` per (det, c), memoised for one
-    application, reading values in the row's order, which lists dets as
-    the coset walk does (U_p's as the walk of T_p's walk), so that a short
+    application over ``value``, which keeps its own memo (a lift's, once
+    per lift), reading values in the row's order, which lists dets as the
+    coset walk does (U_p's as the walk of T_p's walk), so that a short
     alpha raises the RangeError the tests' per-coset reader raises."""
     scale = lambda n, e: n * p ** e if e >= 0 else n // p ** -e
 
@@ -206,7 +209,8 @@ def _keyed(value: Callable, ring: HeckeRing, p: int, row: Callable, den: int) ->
 def _op_getter(t: MaassTuple, kind: str, p: int) -> tuple[Callable[[int, int], HeckeElem], FieldParams, HeckeRing]:
     """The image of a lift under an inert operator, keyed by (det, content)
     and memoised for one application: one ``_keyed`` sum per class over
-    the operator's rows, U_p's being T_p's composed once per (p, k)."""
+    the operator's rows, U_p's being T_p's composed once per (p, k), read
+    from the lift's one memo of its values, ``t.value``."""
     if kind not in ("InertT0", "InertT", "InertUp"):
         raise ValueError(f"raw inert evaluation supports InertT0, InertT and InertUp, not {kind}")
     if not isinstance(t, MaassTuple):
@@ -214,7 +218,7 @@ def _op_getter(t: MaassTuple, kind: str, p: int) -> tuple[Callable[[int, int], H
     params, ring = t.params, t.ring
     if split_type(params.D, p) is not SplitType.INERT:
         raise ValueError(f"p = {p} is not inert for discriminant {params.D}")
-    return _keyed(_lift_values(t.alpha, t.alpha_max, t.k, ring), ring, p, *_rows(kind, p, t.k)), params, ring
+    return _keyed(t.value, ring, p, *_rows(kind, p, t.k)), params, ring
 
 
 def eval_inert_raw(t: MaassTuple, kind: str, p: int, points: Iterable[HermPoint]) -> dict[HermPoint, HeckeElem]:

@@ -89,12 +89,15 @@ Key = tuple[int, int, int, int, int]  # a point's canonical sort key (det, t1, t
 
 
 class Shape(NamedTuple):
-    """A shape's points and their (det, content) classes, as ``_lattice`` builds them."""
+    """A shape's points, their (det, content) classes and what ``check_maass``
+    reads of them, as ``_lattice`` builds them."""
 
     lattice: tuple[Key, ...]  # the points' sort keys, in canonical order
     distinct: tuple[tuple[int, int], ...]  # the (det, content) keys, in order of first occurrence
     slot: tuple[int, ...]  # each point's index in distinct
     first: tuple[int, ...]  # each key's first position in lattice
+    skipped: frozenset[int]  # the dets no point of content 1 realises
+    free: tuple[bool, ...]  # per key (det, c): some det / d^2 with d | c is in skipped
 
 
 @lru_cache(maxsize=SHAPES)
@@ -103,7 +106,8 @@ def _lattice(D: int, bound_det: int, bound_diag: int) -> Shape:
     w.b), in the same order, with their (det, content) classes: the
     lattice a ``CoeffTable`` aligns its values with, and the keys that
     lift values and ``check_maass`` read once per class, a point's key
-    being ``distinct[slot[j]]``.  One immutable record per shape, built
+    being ``distinct[slot[j]]``; and what ``check_maass`` reads of the
+    shape alone, ``_constraints``.  One immutable record per shape, built
     once and shared while it is among the ``SHAPES`` most recently used.
 
     For each diagonal, w runs over the annulus
@@ -129,4 +133,12 @@ def _lattice(D: int, bound_det: int, bound_diag: int) -> Shape:
     slot = tuple(index.setdefault((det, math.gcd(t1, t3, a, b)), len(index)) for det, t1, t3, a, b in raw)
     for j, i in enumerate(slot):
         first.setdefault(i, j)
-    return Shape(tuple(raw), tuple(index), slot, tuple(first.values()))
+    return Shape(tuple(raw), tuple(index), slot, tuple(first.values()), *_constraints(tuple(index)))
+
+
+def _constraints(distinct: tuple[tuple[int, int], ...]) -> tuple[frozenset[int], tuple[bool, ...]]:
+    """What ``check_maass`` reads of a shape's (det, content) keys: the dets
+    no key of content 1 has, and per key (det, c) whether some det / d^2
+    with d | c is among them (each is a det of the shape, since h / d is)."""
+    skipped = frozenset(det for det, _ in distinct) - {det for det, c in distinct if c == 1}
+    return skipped, tuple(any(det // (d * d) in skipped for d in range(1, c + 1) if c % d == 0) for det, c in distinct)

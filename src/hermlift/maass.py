@@ -10,10 +10,12 @@ inconsistency.  Coefficient tables satisfy the divisor-sum condition
 for a single function alpha on determinant values; that condition is the
 membership criterion, and alpha is what descends to an elliptic
 q-expansion via the counting factor a_K.  One evaluator, ``_lift_values``,
-computes the right-hand side per (det, content) for every reader: the
-lift's oracle and tables, the membership test, and the keyed inert Hecke
-reader (hecke.py).  At content 1 the sum is alpha(det), read in place as
-alpha's own object; only imprimitive classes form a sum.
+computes the right-hand side per (det, content): once per lift
+(``MaassTuple.value``) for every reader of it, the lift's oracle and
+tables and the keyed inert Hecke reader (hecke.py), and once per call of
+the membership test for the alpha it extracts.  At content 1 the sum is
+alpha(det), read in place as alpha's own object; only imprimitive classes
+form a sum.
 
 Normalisation: the exact global unit i/sqrt(D) relating alpha to the
 elliptic coefficients is dropped throughout; it is independent of the
@@ -67,13 +69,13 @@ class CoeffTable:
     """One classical component: its shape (D, ``bound_det``, ``bound_diag``)
     and ``vals``, one value for every point of ``lattice``, zeros as the
     ring's shared zero; ``get`` refuses a point outside the shape with
-    RangeError, and a point of another field with ValueError.  ``lattice``
-    and its (det, content) classes ``distinct``, ``slot`` and ``first``
-    are the shape's ``_lattice`` record, immutable and shared by every
-    table of the shape.  Built from a HermPoint mapping (points outside
-    the shape refused, points left out zero) or, given ``at``, from a
-    coefficient function of (det, content) alone, read once per class and
-    gathered to the points; not changed after.  ``values`` is the
+    RangeError, and a point of another field with ValueError.  ``shape``
+    is the shape's ``_lattice`` record, immutable and shared by every
+    table of the shape, and ``lattice``, ``distinct``, ``slot`` and
+    ``first`` are its fields.  Built from a HermPoint mapping (points
+    outside the shape refused, points left out zero) or, given ``at``,
+    from a coefficient function of (det, content) alone, read once per
+    class and gathered to the points; not changed after.  ``values`` is the
     read-only HermPoint view of the nonzero entries, in canonical order.
     """
 
@@ -81,7 +83,8 @@ class CoeffTable:
                  values: Mapping[HermPoint, Coeff] = MappingProxyType({}),
                  at: Callable[[int, int], Coeff] | None = None):
         self.params, self.D, self.ring, self.bound_det, self.bound_diag = params, params.D, ring, bound_det, bound_diag
-        self.lattice, self.distinct, self.slot, self.first = _lattice(params.D, bound_det, bound_diag)
+        self.shape = _lattice(params.D, bound_det, bound_diag)
+        self.lattice, self.distinct, self.slot, self.first = self.shape[:4]
         self._view = None
         if at is not None:
             reps = list(starmap(at, self.distinct))
@@ -119,7 +122,7 @@ class CoeffTable:
         return shape == (other.D, other.ring, other.bound_det, other.bound_diag)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaassTuple:
     """An adelic lift: identity-component data plus the class character.
 
@@ -131,7 +134,8 @@ class MaassTuple:
     an alpha with index 0 (a value at singular points) is refused.  A
     lift's alpha is never mutated: a newform's is a view formed on read
     (``alpha_from_newform``), and readers such as ``descend`` hold it by
-    reference.
+    reference.  Frozen, so ``value`` never goes stale: a lift with other
+    data is a ``replace``, which starts a new memo.
     """
 
     params: FieldParams
@@ -154,6 +158,14 @@ class MaassTuple:
     def k(self) -> int:
         return self.params.k
 
+    @cached_property
+    def value(self) -> Callable[[int, int], Coeff]:
+        """The lift's coefficient at (det, content), ``_lift_values`` memoised
+        once per lift: its oracle, its tables and every inert operator
+        applied to it read this one evaluator.  Not a field, so ``replace``
+        does not copy it."""
+        return _lift_values(self.alpha, self.alpha_max, self.k, self.ring)
+
     def alpha_at(self, n: int) -> Coeff:
         if n > self.alpha_max:
             raise RangeError(
@@ -171,8 +183,7 @@ class MaassTuple:
     def identity_table(self, bound_det: int, bound_diag: int) -> CoeffTable:
         if bound_det > self.alpha_max:
             raise RangeError(f"alpha valid to {self.alpha_max}, needed at {bound_det}")
-        return _tabulate(_lift_values(self.alpha, self.alpha_max, self.k, self.ring), self.params, self.ring,
-                         bound_det, bound_diag)
+        return _tabulate(self.value, self.params, self.ring, bound_det, bound_diag)
 
     def component_exponent(self, index: int) -> int:
         """zeta exponent of the component at a class index (identity table scaled)."""
@@ -185,7 +196,7 @@ class MaassTuple:
 def _lift_getter(t: MaassTuple) -> Getter:
     """The lift's coefficient function on lattice keys (det, t1, t3, w.a, w.b):
     the lift value at the key's det and the content of its coordinates."""
-    value = _lift_values(t.alpha, t.alpha_max, t.k, t.ring)
+    value = t.value
     return lambda det, t1, t3, wa, wb: value(det, gcd(t1, t3, wa, wb))
 
 
@@ -194,12 +205,13 @@ def _lift_values(alpha: Mapping[int, Coeff], alpha_max: int, k: int, ring: Hecke
 
         sum_{d | c} d^(k-1) alpha(det / d^2),
 
-    memoised for the one reader that builds it.  At content 1 that is
-    alpha(det) itself, read in place: alpha's own object, or the ring's
-    shared zero where alpha has no entry or holds a zero.  Only an
-    imprimitive class sums, one ``lincomb`` over the cached (d, d^(k-1))
-    of c; missing alpha values are zero there and a vanishing sum is the
-    shared zero.  Past ``alpha_max`` it raises RangeError.
+    memoised for the lift (``MaassTuple.value``) or the membership test
+    that builds it.  At content 1 that is alpha(det) itself, read in
+    place: alpha's own object, or the ring's shared zero where alpha has
+    no entry or holds a zero.  Only an imprimitive class sums, one
+    ``lincomb`` over the cached (d, d^(k-1)) of c; missing alpha values
+    are zero there and a vanishing sum is the shared zero.  Past
+    ``alpha_max`` it raises RangeError.
     """
     zero = ring.zero()
 
@@ -332,34 +344,35 @@ def check_maass(t: CoeffTable, unconstrained: set[int] | None = None) -> tuple[b
     failure.  Determinant values not realised by any primitive point in
     range are unconstrained, and points whose divisor sum reads one are
     skipped; a set passed as ``unconstrained`` receives those values.
-    Each (det, content) class is compared once, at its first point, and
-    so at every point holding that point's object; only the points holding
-    another object, found by an identity scan, are compared by value with
-    it.  A tabulated table has none, and neither has a Maass table read
-    from a file, whose equal value texts share one object
-    (``cli.read_table``).  The witness is the earlier of the first point
-    of the first failing class and the first such point that differs.
+    Both depend on the shape alone, and are read from its ``_lattice``
+    record.  Each (det, content) class is compared once, at its first
+    point, and so at every point holding that point's object; only the
+    points holding another object are compared by value with it, and only
+    once one list comparison with the classes' first values, which passes
+    identical objects without a call, finds that some point differs.  On a
+    tabulated table none does, nor on a Maass table read from a file,
+    whose equal value texts share one object (``cli.read_table``).  The
+    witness is the earlier of the first point of the first failing class
+    and the first such point that differs.
     """
     # alpha at each determinant's first primitive point: the first point of its content-1 class
     reps, zero = list(map(t.vals.__getitem__, t.first)), t.ring.zero()
     alpha = {det: v for (det, eps), v in zip(t.distinct, reps) if eps == 1 and v is not zero}
-    skipped = {det for det, _ in t.distinct} - {det for det, eps in t.distinct if eps == 1}
+    free = t.shape.free  # the skipped dets and the classes reading one are the shape's, derived once
     if unconstrained is not None:
-        unconstrained |= skipped
-    k = t.params.k
-    value = _lift_values(alpha, t.bound_det, k, t.ring)
-    # every det / d^2 is a determinant in range, since h / d is in bounds
-    free = [any(det // (d * d) in skipped for d, _ in _divisor_powers(eps, k)) for det, eps in t.distinct]
+        unconstrained |= t.shape.skipped
+    value = _lift_values(alpha, t.bound_det, t.params.k, t.ring)
     # each class once, at its first point, and so every point holding that point's object
     witness = next((j for j, key, v, f in zip(t.first, t.distinct, reps, free) if not (f or v == value(*key))),
                    len(t.vals))
-    # then, by value against their class's first, the points holding another object: one identity scan
-    # finds whether there are any (none on a tabulated table) and only then are those before the
-    # witness listed, since a point of a failing class lies after its first
-    held = lambda: map(is_not, t.vals, map(reps.__getitem__, t.slot))
-    if any(held()):
-        off = compress(range(witness), held())
-        witness = next((j for j in off if not (free[t.slot[j]] or t.vals[j] == reps[t.slot[j]])), witness)
+    # then, by value against their class's first, the points holding another object: one list
+    # comparison, which passes identical objects without a call, finds whether any differs (none on a
+    # tabulated table) and only then are those before the witness listed, since a point of a failing
+    # class lies after its first
+    ref = [reps[i] for i in t.slot]
+    if t.vals != ref:
+        off = compress(range(witness), map(is_not, t.vals, ref))
+        witness = next((j for j in off if not (free[t.slot[j]] or t.vals[j] == ref[j])), witness)
     if witness == len(t.vals):
         return True, alpha
     _, t1, t3, a, b = t.lattice[witness]

@@ -213,10 +213,12 @@ def test_enumerate_matches_brute_force(D, bound_det, bound_diag):
 def test_lattice_memo_holds_each_points_det_and_content(D, bound_det, bound_diag):
     # the memoised record is a fresh build's; distinct lists each point's
     # (det, content) in order of first occurrence, slot points into it and
-    # first is each key's least position; every table of the shape holds
-    # that one record
+    # first is each key's least position; skipped holds the dets no point
+    # of content 1 realises and free marks the keys (det, c) with some
+    # det / d^2, d | c, among them; every table of the shape holds that one
+    # record
     shape = _lattice(D, bound_det, bound_diag)
-    lattice, distinct, slot, first = shape
+    lattice, distinct, slot, first, skipped, free = shape
     assert shape == _lattice.__wrapped__(D, bound_det, bound_diag)
     pts = enumerate_points(D, bound_det, bound_diag)
     assert list(lattice) == [h.sort_key() for h in pts]
@@ -227,8 +229,13 @@ def test_lattice_memo_holds_each_points_det_and_content(D, bound_det, bound_diag
     for j, i in enumerate(slot):
         least.setdefault(i, j)
     assert first == tuple(least[i] for i in range(len(distinct))) and len(least) == len(distinct)
+    assert skipped == {det for det, _ in keys} - {det for det, c in keys if c == 1}
+    assert isinstance(skipped, frozenset)
+    assert not any(det // (c * c) in skipped for det, c in distinct)  # h / content(h) is primitive, of det det / c^2
+    assert free == tuple(any(c % d == 0 and det // (d * d) in skipped for d in range(1, c + 1)) for det, c in distinct)
     rings = (HeckeRing([0, 1]), HeckeRing([1, 0, 1]))
     a, b = (CoeffTable(FieldParams(D, 8), ring, bound_det, bound_diag) for ring in rings)
+    assert a.shape is b.shape is shape
     assert a.lattice is b.lattice is lattice and a.distinct is b.distinct is distinct
     assert a.slot is b.slot is slot and a.first is b.first is first
 

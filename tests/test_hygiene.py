@@ -1,12 +1,14 @@
 """Static hygiene of src/hermlift, read with the stdlib ast module.
 
-Eight rules: a module uses every name it imports (``__init__`` imports
+Nine rules: a module uses every name it imports (``__init__`` imports
 only to re-export); every private module-level function or class is
 referenced by some module of the package; every function, method and class
 is referenced by name outside its own body somewhere in src, tests, demos
 or perfbench; every public module-level function and class is referenced
 outside tests/, in src (``__init__`` aside), demos or perfbench; ``exec``,
-``eval`` and ``compile`` are named only inside ``ring._product_kernel``; a
+``eval`` and ``compile`` are named only inside ``ring._product_kernel``;
+``maass._lift_values`` is named only inside ``MaassTuple`` and
+``check_maass``, so a lift's values are memoised once per lift; a
 scaled determinant is computed from raw coordinates only where coordinates
 enter the library; an Euler factor's s-shift becomes a power of its norm
 only where X-coefficients are read; and src/hermlift stays within
@@ -165,6 +167,24 @@ def test_code_is_compiled_only_by_the_product_kernel_builder():
         if isinstance(node, ast.Name) and node.id in DYNAMIC_CODE and id(node) not in allowed
     ]
     assert not found, found
+
+
+def test_lift_values_are_built_only_per_lift_and_per_check():
+    # one memo per lift: MaassTuple.value builds the lift's evaluator and
+    # check_maass builds one for the alpha it extracts; every other reader
+    # of a lift (its tables, its oracle, the inert operators) reads the
+    # lift's value, so no second memo re-forms its divisor sums
+    owners = [node for node in MODULES["maass"].body if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+              and node.name in ("MaassTuple", "check_maass")]
+    allowed = {id(node) for owner in owners for node in ast.walk(owner)}
+    found = [
+        f"{module}: line {node.lineno}"
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if "_lift_values" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        and not isinstance(node, ast.FunctionDef) and id(node) not in allowed
+    ]
+    assert len(owners) == 2 and not found, found
 
 
 def _names(node):

@@ -1,12 +1,13 @@
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermlift import hermitian, maass
 from hermlift.elliptic import QExpansion, _aDK_rho, bundled_cm_form, extend_coeffs, rho_conjugate, synthetic_newform
 from hermlift.hecke import HeckeOpId, act_inert_T, act_inert_T0, act_inert_Up, descend_op, eval_inert_raw
-from hermlift.hermitian import content, enumerate_points, point
+from hermlift.hermitian import _lattice, content, enumerate_points, point
 from hermlift.maass import (
     CoeffTable,
     MaassTuple,
@@ -754,8 +755,6 @@ def test_an_explicit_zero_in_alpha_reads_as_the_shared_zero():
 def test_a_lift_table_reads_alpha_in_place_and_sums_only_imprimitive_classes(monkeypatch):
     # every content-1 point with alpha(det) != 0 holds alpha's own object;
     # tabulation takes one lincomb per (det, content) class with content > 1
-    from hermlift import maass
-
     t = random_alpha_tuple(FieldParams(23, 8), TRIV, GAUSS, 400, seed=4)
     calls, real = [], maass.lincomb
     monkeypatch.setattr(maass, "lincomb", lambda *args: calls.append(1) or real(*args))
@@ -764,3 +763,70 @@ def test_a_lift_table_reads_alpha_in_place_and_sums_only_imprimitive_classes(mon
     assert 0 < imprimitive < len(table.distinct) and len(calls) == imprimitive
     read = [(j, det) for j, i in enumerate(table.slot) for det, c in [table.distinct[i]] if c == 1 and det in t.alpha]
     assert read and all(table.vals[j] is t.alpha[det] for j, det in read)
+
+
+def test_a_lift_is_frozen_and_each_replace_starts_a_memo_of_its_own():
+    # MaassTuple.value memoises the lift's (det, content) values once per
+    # lift.  Assigning a field would leave that memo stale, so the fields
+    # are frozen; value is no field, so a replace reads its own data
+    t = random_alpha_tuple(FieldParams(7, 8), TRIV, GAUSS, 400, seed=3)
+    table = t.identity_table(400, 3)  # fills t's memo at every class of the shape
+    assert "value" not in {f.name for f in fields(MaassTuple)}
+    for name, v in (("alpha_max", 100), ("alpha", {}), ("zeta_exp", 1)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, name, v)
+    doubled = replace(t, alpha={n: v + v for n, v in t.alpha.items()})
+    assert doubled.identity_table(400, 3).vals == [v + v for v in table.vals]
+    assert t.identity_table(400, 3).vals == table.vals
+    short, h = replace(t, alpha_max=100), point(7, 3, 3, 0, 0)  # det 63, content 3
+    assert short.oracle()(h) == t.oracle()(h)
+    for get in (short.oracle(), short.oracle()):  # t's memo holds det 252; short's refuses it, each time
+        with pytest.raises(RangeError):
+            get(point(7, 6, 6, 0, 0))
+    for _ in range(2):  # U_p at 3 reads alpha to 81 det; the second application raises again
+        with pytest.raises(RangeError):
+            act_inert_Up(short, 3, 4, 1)
+    assert act_inert_Up(replace(t, alpha_max=81 * 4), 3, 4, 1).vals == act_inert_Up(t, 3, 4, 1).vals
+
+
+def test_one_lift_sums_each_imprimitive_key_once_across_its_operators(monkeypatch):
+    # every inert operator applied to a lift reads its one memo: T0, T and
+    # Up at both inert primes of D = 7, on a shallow and a deep shape, take
+    # one maass-side lincomb per distinct imprimitive (det, content) key
+    # they read, however many operators read it
+    reads, sums = [], []
+    real_values, real_lincomb = maass._lift_values, maass.lincomb
+    spy = lambda value: lambda det, c: reads.append((det, c)) or value(det, c)
+    monkeypatch.setattr(maass, "_lift_values", lambda *args: spy(real_values(*args)))
+    monkeypatch.setattr(maass, "lincomb", lambda *args: sums.append(args) or real_lincomb(*args))
+    n_max = 81 * 108
+    t = random_alpha_tuple(FieldParams(7, 8), TRIV, GAUSS, n_max, seed=44, spread=5)
+    for p in (3, 5):
+        for bound_det, bound_diag in ((4 * 7, 2), (108, 6)):
+            for act, reach in ((act_inert_T0, 2), (act_inert_T, 2), (act_inert_Up, 4)):
+                act(t, p, min(bound_det, n_max // p ** reach), bound_diag)
+    imprimitive = [key for key in reads if key[1] > 1]
+    assert len(sums) == len(set(imprimitive)) < len(imprimitive)
+
+
+def test_checking_tables_of_one_shape_derives_its_constraints_once(monkeypatch):
+    # the dets no primitive point realises and the classes whose divisor
+    # sum reads one are fields of the shape's _lattice record: derived once
+    # with the shape, read by every check of a table of it.  A caller's
+    # unconstrained set receives them and owns what it receives
+    calls, real = [], hermitian._constraints
+    monkeypatch.setattr(hermitian, "_constraints", lambda distinct: calls.append(distinct) or real(distinct))
+    _lattice.cache_clear()
+    D, bound_det, bound_diag = 7, *SHALLOW_FREE[7]
+    a, b = (random_alpha_tuple(FieldParams(D, 8), TRIV, GAUSS, bound_det, seed=s).identity_table(bound_det, bound_diag)
+            for s in (1, 2))
+    pts = enumerate_points(D, bound_det, bound_diag)
+    reference = {h.det_scaled() for h in pts} - {h.det_scaled() for h in pts if content(h) == 1}
+    for table in (a, b, a):
+        unconstrained = {-1}
+        assert check_maass(table, unconstrained)[0] and unconstrained == reference | {-1}
+        unconstrained.clear()
+        unconstrained.add(1)
+    assert len(calls) == 1 and a.shape is b.shape and reference and a.shape.skipped == reference
+    with pytest.raises(AttributeError):
+        a.shape.skipped.add(0)
