@@ -8,7 +8,8 @@ a(p) -> chi(p) a(p) away from D and a(D) -> D^(k-2) / a(D).  One
 expansion of phi therefore determines phi - phi^rho, whose quotient by the
 counting factor generates the lift (maass.alpha_from_newform).  Both read
 one recurrence kernel (``_Sieve``) that forms a(n) the first time n is
-read; ``extend_coeffs`` checks the data at every prime in range at once.
+read, in place, through a view (``_Coeffs``, or ``maass._View``, which
+caches only what it forms); ``extend_coeffs`` checks every prime at once.
 """
 
 from __future__ import annotations
@@ -106,8 +107,7 @@ class QExpansion:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QExpansion):
             return NotImplemented
-        n = min(self.n_max, other.n_max)
-        return all(self.a(i) == other.a(i) for i in range(1, n + 1)) and self.n_max == other.n_max
+        return self.n_max == other.n_max and all(self.a(i) == other.a(i) for i in range(1, self.n_max + 1))
 
 
 def extend_coeffs(f: NewformData, n_max: int) -> QExpansion:
@@ -122,19 +122,9 @@ def extend_coeffs(f: NewformData, n_max: int) -> QExpansion:
     return QExpansion(f.ring, n_max, _Coeffs(f, n_max))
 
 
-_UNREAD = object()
-
-
 class _Lazy(Mapping):
-    """A read-only map that forms its value at n, ``_form(n)`` or None where
-    it has none, the first time n is read, and keeps it in ``_memo``; a
-    subclass gives ``_form`` (or its own ``get``) and ``__iter__``."""
-
-    def get(self, n, default=None):
-        v = self._memo.get(n, _UNREAD)
-        if v is _UNREAD:
-            v = self._memo[n] = self._form(n)
-        return default if v is None else v
+    """A read-only map whose subclass answers ``get(n, default)`` and
+    ``__iter__``; ``[]`` and ``len`` read through them."""
 
     def __getitem__(self, n):
         if (v := self.get(n)) is None:
@@ -146,14 +136,14 @@ class _Lazy(Mapping):
 
 
 class _Coeffs(_Lazy):
-    """``extend_coeffs``' view: the kernel read inside 1..n_max, keys
+    """``extend_coeffs``' view: its ``kernel`` read inside 1..n_max, keys
     ascending, an order in which each value reads ones already formed."""
 
     def __init__(self, f: NewformData, n_max: int):
-        self._memo, self._n_max = _Sieve(f, n_max), n_max
+        self.kernel, self._n_max = _Sieve(f, n_max), n_max
 
     def get(self, n, default=None):
-        return self._memo[n] if 1 <= n <= self._n_max else default
+        return self.kernel[n] if 1 <= n <= self._n_max else default
 
     def __iter__(self):
         return iter(range(1, self._n_max + 1))

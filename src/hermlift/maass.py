@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import compress, starmap
 from math import gcd, isqrt
 from operator import is_not
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .elliptic import NewformData, QExpansion, _aDK_rho, _Lazy, extend_coeffs
 from .hermitian import HermPoint, _lattice
@@ -54,11 +54,12 @@ def a_K(D: int, n: int) -> int:
     The quotient by sqrt(-D) has D elements on which the norm is the square
     of the integer residue, so this counts square roots of -n mod D: it is
     1 when D | n, 2 when -n is a nonzero square, 0 otherwise.  Since
-    chi_K(-1) = -1 for D = 3 mod 4, that is 1 - chi_K(n) away from D.
+    chi_K(-1) = -1 for D = 3 mod 4, that is 1 - chi_K(n), which reads 1
+    at D | n too, where chi_K vanishes.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return 1 if n % D == 0 else 1 - chi_K(D, n)
+    return 1 - chi_K(D, n)
 
 
 # ---------------------------------------------------------------------------
@@ -258,55 +259,54 @@ def alpha_from_newform(f: NewformData, n_max: int) -> Mapping[int, Coeff]:
     a(m) (a(D)^e - chi(m) a^rho(D)^e) at n = m D^e with e >= 1 (a_K = 1),
     and 0 where chi(n) = +1, where the difference vanishes.
 
-    It is a read-only view over ``extend_coeffs(f, n_max)``, which refuses
-    data that stops short here: alpha(n) is formed, with the a(n) it reads,
-    the first time n is read, and kept.  Zeros and indices outside
-    1..n_max read as absent; iteration forms every value and yields the
-    nonzero indices ascending.  Construction forms only the powers of a(D)
-    and a^rho(D).
+    It is a ``_View`` over the kernel of ``extend_coeffs(f, n_max)``, which
+    refuses data that stops short here: where chi(n) = -1 it reads the
+    kernel's a(n) in place, and only the products at multiples of D are
+    formed, each the first time it is read, and cached.  Zeros and indices
+    outside 1..n_max read as absent; iteration yields the nonzero indices
+    ascending.  Construction forms only the powers of a(D) and a^rho(D).
     """
-    return _Alpha(f, n_max)
+    D, aD, aD_rho = f.D, f.aDK, _aDK_rho(f)
+    factor = [{}]  # factor[e][c] = a(D)^e - c a^rho(D)^e for chi(m) = c
+    while D ** len(factor) <= n_max:
+        pw, pw_rho = aD ** len(factor), aD_rho ** len(factor)
+        factor.append({1: pw - pw_rho, -1: pw + pw_rho})
+    a = extend_coeffs(f, n_max).coeffs.kernel
 
-
-class _Alpha(_Lazy):
-    """``alpha_from_newform``'s view."""
-
-    def __init__(self, f: NewformData, n_max: int):
-        D, aD, aD_rho = f.D, f.aDK, _aDK_rho(f)
-        self._factor = factor = [{}]  # factor[e][c] = a(D)^e - c a^rho(D)^e for chi(m) = c
-        while D ** len(factor) <= n_max:
-            pw, pw_rho = aD ** len(factor), aD_rho ** len(factor)
-            factor.append({1: pw - pw_rho, -1: pw + pw_rho})
-        self._a, self._D, self._n_max, self._all = extend_coeffs(f, n_max).coeffs._memo, D, n_max, None
-        self._chi, self._memo = [chi_K(D, r) for r in range(D)], {}
-
-    def _form(self, n: int) -> Coeff | None:
-        D, chi = self._D, self._chi
-        if n < 1 or n > self._n_max or (c := chi[n % D]) == 1:
-            return None
+    def form(n: int) -> Coeff:  # n = m D^e, e >= 1
         m, e = n, 0
         while m % D == 0:
             m, e = m // D, e + 1
-        v = self._a[n] if c == -1 else self._a[m] * self._factor[e][chi[m % D]]
-        return None if v.is_zero() else v
+        return a[m] * factor[e][chi_K(D, m)]
 
-    def _full(self) -> dict[int, Coeff]:
-        """Every nonzero value, ascending: a(n) where chi(n) = -1 straight
-        from the kernel, which in this order reads values already formed."""
-        if self._all is None:
-            a, get, chi, D, self._all = self._a, self.get, self._chi, self._D, {}
-            for n in range(1, self._n_max + 1):
-                c = chi[n % D]
-                v = a[n] if c == -1 else get(n) if c == 0 else None
-                if v is not None and any(v.num):
-                    self._all[n] = v
-        return self._all
+    return _View(a.__getitem__, range(1, n_max + 1).__iter__, D, n_max, -1, form)
+
+
+class _View(_Lazy):
+    """A read-only view of 1 <= n <= n_max over a source, by chi(n) =
+    chi_K(D, n): nothing where chi(n) = +1; the source's own value, ``read(n)``
+    in place, where chi(n) = ``own``; ``form(n)`` at the other residue,
+    formed the first time n is read and cached.  Zeros, and a source with
+    nothing at n (a KeyError), read as absent; iteration yields the nonzero
+    indices of ``keys()``, which come ascending."""
+
+    def __init__(self, read: Callable[[int], Coeff], keys: Callable[[], Iterable[int]], D: int, n_max: int,
+                 own: int, form: Callable[[int], Coeff]):
+        self._read, self._keys, self._D, self._n_max, self._own = read, keys, D, n_max, own
+        self._chi, self._form = [chi_K(D, r) for r in range(D)], cache(form)
+
+    def get(self, n, default=None):
+        if not 1 <= n <= self._n_max or (c := self._chi[n % self._D]) == 1:
+            return default
+        try:
+            v = self._read(n) if c == self._own else self._form(n)
+        except KeyError:
+            return default
+        return v if any(v.num) else default
 
     def __iter__(self):
-        return iter(self._full())
-
-    def items(self):
-        return self._full().items()
+        get = self.get
+        return (n for n in self._keys() if get(n) is not None)
 
 
 def build_lift(f: NewformData, chi: ClassChar, n_max: int) -> MaassTuple:
@@ -384,44 +384,23 @@ def descend(t: MaassTuple, n_max: int) -> dict[int, tuple[int, QExpansion]]:
 
     The zeta exponent carries the chi(b) scalar of the component; the
     global unit i/sqrt(D) of the exact descent is dropped (see module
-    docstring).  a_K is read from one residue table of chi_K: 2 where
-    chi(n) = -1, 1 where D | n, 0 where chi(n) = +1.  Every component
-    shares one expansion, whose ``coeffs`` is a read-only view over the
-    lift's alpha, which it holds by reference (``_Descent``): a coefficient
-    is formed the first time it is read.  Round trip:
+    docstring).  a_K is 2 where chi(n) = -1, 1 where D | n and 0 where
+    chi(n) = +1.  Every component shares one expansion, whose ``coeffs``
+    is a ``_View`` over the lift's alpha, held by reference: alpha's own
+    object where D | n, read in place, and a doubled copy where chi(n) =
+    -1, formed the first time it is read and cached.  Round trip:
     descend(build_lift(f, chi)) equals chi(b) (phi - phi^rho) per component.
     """
     if n_max > t.alpha_max:
         raise RangeError(f"alpha valid to {t.alpha_max}, needed at {n_max}")
-    base = QExpansion(t.ring, n_max, _Descent(t.alpha, t.ring, t.D, n_max))
+    alpha, ring = t.alpha, t.ring
+
+    def doubled(n: int) -> Coeff:  # doubling keeps a value nonzero
+        v = alpha[n]
+        return HeckeElem(ring, tuple([2 * x for x in v.num]), v.den)
+
+    base = QExpansion(ring, n_max, _View(alpha.__getitem__, partial(sorted, alpha), t.D, n_max, 0, doubled))
     return {b: (t.component_exponent(b), base) for b in range(class_group(t.D).order)}
-
-
-class _Descent(_Lazy):
-    """The coefficients a_K(n) alpha(n), 1 <= n <= n_max, of a descent,
-    formed the first time n is read and memoised, zeros as absent: alpha's
-    own object where D | n, a doubled copy where chi(n) = -1, nothing
-    where chi(n) = +1, outside 1..n_max, or where alpha has no entry or a
-    zero.  Reads ``alpha`` in place; iterates over the nonzero indices in
-    ascending order (doubling keeps a value nonzero, so none is formed)."""
-
-    def __init__(self, alpha: dict[int, Coeff], ring: HeckeRing, D: int, n_max: int):
-        self._alpha, self._ring, self._D, self._n_max = alpha, ring, D, n_max
-        self._chi = [chi_K(D, r) for r in range(D)]
-        self._memo: dict[int, Coeff | None] = {}
-
-    def _form(self, n: int) -> Coeff | None:
-        if n < 1 or n > self._n_max:
-            return None
-        c = self._chi[n % self._D]
-        v = None if c == 1 else self._alpha.get(n)
-        if v is None or v.is_zero():
-            return None
-        return v if c == 0 else HeckeElem(self._ring, tuple([2 * x for x in v.num]), v.den)
-
-    def __iter__(self):
-        alpha, chi, D, n_max = self._alpha, self._chi, self._D, self._n_max
-        return (n for n in sorted(alpha) if 1 <= n <= n_max and chi[n % D] != 1 and not alpha[n].is_zero())
 
 
 def antisymmetrize(f: NewformData, n_max: int) -> QExpansion:

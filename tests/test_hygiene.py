@@ -1,6 +1,6 @@
 """Static hygiene of src/hermlift, read with the stdlib ast module.
 
-Nine rules: a module uses every name it imports (``__init__`` imports
+Ten rules: a module uses every name it imports (``__init__`` imports
 only to re-export); every private module-level function or class is
 referenced by some module of the package; every function, method and class
 is referenced by name outside its own body somewhere in src, tests, demos
@@ -8,7 +8,9 @@ or perfbench; every public module-level function and class is referenced
 outside tests/, in src (``__init__`` aside), demos or perfbench; ``exec``,
 ``eval`` and ``compile`` are named only inside ``ring._product_kernel``;
 ``maass._lift_values`` is named only inside ``MaassTuple`` and
-``check_maass``, so a lift's values are memoised once per lift; a
+``check_maass``, so a lift's values are memoised once per lift; the only
+lazy views (subclasses of ``elliptic._Lazy``) are ``_Coeffs`` and
+``maass._View``, so no second per-quantity memo grows beside the kernel; a
 scaled determinant is computed from raw coordinates only where coordinates
 enter the library; an Euler factor's s-shift becomes a power of its norm
 only where X-coefficients are read; and src/hermlift stays within
@@ -185,6 +187,20 @@ def test_lift_values_are_built_only_per_lift_and_per_check():
         and not isinstance(node, ast.FunctionDef) and id(node) not in allowed
     ]
     assert len(owners) == 2 and not found, found
+
+
+def test_the_only_lazy_views_are_coeffs_and_maass_view():
+    # one coefficient kernel, elliptic._Sieve: extend_coeffs reads it through
+    # _Coeffs, and a lift's alpha and its descent through maass._View, which
+    # caches only the values it forms; these two are the only subclasses of
+    # elliptic._Lazy, however deep, so no other view keeps a memo of its own
+    bases = {(module, node.name): set().union(*map(_names, node.bases))
+             for module, tree in MODULES.items() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    lazy = {"_Lazy"}
+    while more := {name for (_, name), names in bases.items() if names & lazy} - lazy:
+        lazy |= more
+    found = sorted(f"{module}.{name}" for module, name in bases if name in lazy - {"_Lazy"})
+    assert found == ["elliptic._Coeffs", "maass._View"], found
 
 
 def _names(node):

@@ -388,6 +388,40 @@ def test_a_descent_reads_as_the_dict_of_its_nonzero_coefficients():
         q.coeffs[5] = GAUSS.one()
 
 
+def test_a_fully_read_lift_and_descent_cache_only_the_values_they_form():
+    # D = 23, read in full three ways: the alpha view reads the kernel's a(n)
+    # in place where chi(n) = -1 and caches a product at each of the 213
+    # multiples of 23 it reads, and nowhere else; the descent reads alpha's
+    # own object where 23 | n and caches a doubled copy only where chi(n) =
+    # -1 and alpha(n) != 0 (2,183 of the 2,343 indices of character -1)
+    D, n_max = 23, 4900
+    f = synthetic_newform(FieldParams(D, 8), GAUSS, "negate-x", p_max=n_max + 10, seed=1)
+    t = build_lift(f, TRIV, n_max)
+    q = descend(t, n_max)[0][1]
+    for view in (t.alpha, q.coeffs):
+        read = [n for n in range(-2, n_max + 4) if view.get(n) is not None]
+        assert list(view) == [n for n, _ in view.items()] == read
+    doubled = [n for n in t.alpha if chi_K(D, n) == -1]
+    assert t.alpha._form.cache_info().currsize == n_max // D == 213
+    assert q.coeffs._form.cache_info().currsize == len(doubled) == 2183
+    m, n = next(n for n in t.alpha if n % D == 0), doubled[0]
+    assert q.coeffs[m] is t.alpha[m] and q.coeffs[n] == 2 * t.alpha[n]
+
+
+def test_expansions_of_different_lengths_compare_unequal_unread():
+    # n_max is compared first: two descents of one lift to different bounds
+    # differ without a coefficient being read, while equal bounds walk 1..n_max
+    f = synthetic_newform(FieldParams(23, 8), GAUSS, "negate-x", p_max=310, seed=1)
+    t = build_lift(f, TRIV, 300)
+    short, full, again = (descend(t, n)[0][1] for n in (200, 300, 200))
+    read = []
+    for q in (short, full, again):
+        get = q.coeffs.get
+        q.coeffs.get = lambda n, default=None, get=get: read.append(n) or get(n, default)
+    assert short != full and full != short and not read
+    assert short == again and sorted(set(read)) == list(range(1, 201))
+
+
 def test_build_is_linear_in_alpha():
     # the divisor sum is linear, so tables add when the generating
     # functions add
